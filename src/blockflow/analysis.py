@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor, no_grad
 from .env import Environment
 from .errors import (ConfigurationError, DegenerateInputError,
                      TerminalStateError, ValidationError)
-from .model import PolicyOutput
 from .reward import RewardModel, loss_reward
-from .trainer import batch_rollout, uniform_rollout
+from .trainer import rollout, uniform_rollout
 
 # ---------------------------------------------------------------------------
 # regression
@@ -275,9 +275,11 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
-    trained = batch_rollout(model, env, n_samples, np.random.Generator(np.random.PCG64(seq_trained)))
+    with no_grad():
+        trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)),
+                             n_samples)
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
-    r_trained = np.array([r for r, _ in reward_model.score_batch(trained)])
+    r_trained = np.array([r for r, _ in reward_model.score_batch(trained.tolist())])
     r_uniform = np.array([r for r, _ in reward_model.score_batch(uniform)])
     lo = min(r_trained.min(), r_uniform.min())
     hi = max(r_trained.max(), r_uniform.max())
@@ -330,16 +332,22 @@ def exact_flows(env: Environment, reward_model: RewardModel,
 
 
 class TabularPolicy:
-    """Exact policy over an enumerable environment; mirrors the model API
-    surface the samplers need (stepper + log_z_value)."""
+    """Exact policy over an enumerable environment, behind the model's
+    batched step interface: the state holds each episode's prefix and the
+    logits are the log flows of the prefix's children."""
 
     def __init__(self, flows: ExactFlows, env: Environment):
         self.flows = flows
         self.env = env
+        self._child_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def log_z_value(self) -> float:
         return self.flows.log_z
+
+    @property
+    def start_token(self) -> int:
+        return len(self.env.vocabulary)
 
     def log_prob(self, prefix: tuple[int, ...], action: int) -> float:
         child = prefix + (int(action),)
@@ -347,30 +355,28 @@ class TabularPolicy:
             return -math.inf
         return math.log(self.flows.flows[child]) - math.log(self.flows.flows[prefix])
 
-    def stepper(self, env: Environment) -> "_TabularStepper":
-        if env.env_hash != self.env.env_hash:
-            raise ValidationError("tabular policy was built for a different environment")
-        return _TabularStepper(self, env)
+    def step(self, tokens, state=None) -> tuple[Tensor, list[tuple[int, ...]]]:
+        """Child log flows for a batch; `state` is the prefixes before `tokens`.
 
+        At sequence start (state None) the tokens are start sentinels and are
+        not part of any prefix.
+        """
+        if state is None:
+            prefixes = [()] * len(tokens)
+        else:
+            prefixes = [prefix + (int(tok),) for prefix, tok in zip(state, tokens)]
+        return Tensor(np.stack([self._child_log_flows(p) for p in prefixes])), prefixes
 
-class _TabularStepper:
-    def __init__(self, policy: TabularPolicy, env: Environment):
-        self._policy = policy
-        self._env = env
-        self._prefix: tuple[int, ...] = ()
-
-    def policy_output(self) -> PolicyOutput:
-        slot = len(self._prefix)
-        if slot >= self._env.n_slots:
-            raise TerminalStateError("episode already terminal")
-        mask = self._env.slot_masks[slot]
-        log_probs = np.full(mask.shape[0], -np.inf)
-        for action in np.flatnonzero(mask):
-            log_probs[action] = self._policy.log_prob(self._prefix, int(action))
-        return PolicyOutput(logits=log_probs.copy(), mask=mask, log_probs=log_probs)
-
-    def advance(self, action: int) -> None:
-        slot = len(self._prefix)
-        if not self._env.slot_masks[slot, action]:
-            raise ValidationError(f"action {action} is masked at slot {slot}")
-        self._prefix = self._prefix + (int(action),)
+    def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
+        row = self._child_rows.get(prefix)
+        if row is None:
+            slot = len(prefix)
+            if slot >= self.env.n_slots:
+                raise TerminalStateError("episode already terminal")
+            row = np.full(len(self.env.vocabulary), -np.inf)
+            for action in np.flatnonzero(self.env.slot_masks[slot]):
+                flow = self.flows.flows.get(prefix + (int(action),))
+                if flow:
+                    row[action] = math.log(flow)
+            self._child_rows[prefix] = row
+        return row

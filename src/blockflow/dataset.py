@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import no_grad
 from .env import Environment
 from .errors import ConfigurationError, ValidationError
 from .reward import RewardModel
-from .trainer import batch_rollout
+from .trainer import rollout
 
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
 
@@ -57,7 +58,9 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
         chunk = base + (1 if w < rem else 0)
         if chunk == 0:
             continue
-        for i, seq in enumerate(batch_rollout(model, env, chunk, rng)):
+        with no_grad():
+            actions, _ = rollout(model, env, rng, chunk)
+        for i, seq in enumerate(map(tuple, actions.tolist())):
             draw_index = offset + i + 1
             if seq in counts:
                 counts[seq] += 1

@@ -176,18 +176,6 @@ class AssemblyState:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A completed construction path with the policy's own log-probs."""
-
-    actions: tuple[int, ...]
-    log_probs: tuple[float, ...]
-
-    @property
-    def total_log_prob(self) -> float:
-        return float(sum(self.log_probs))
-
-
 @dataclass(eq=False)
 class Environment:
     """Topology + vocabulary bound together, with precomputed slot masks."""

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, masked_log_softmax, no_grad
-from .errors import ConfigurationError, TerminalStateError
+from .autodiff import Tensor
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class ModelConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"ModelConfig.{name} must be >= 1")
-
-
-@dataclass
-class PolicyOutput:
-    """One step of the policy over the vocabulary (sampling view, no graph)."""
-
-    logits: np.ndarray
-    mask: np.ndarray
-    log_probs: np.ndarray
 
 
 # Fused gate layout along the last axis of w_x / w_h / b, each hidden_dim wide.
@@ -150,52 +141,3 @@ class FlowModel:
         h_new = go * ad.tanh(c_new)
         logits = ad.matmul(h_new, p["w_out"]) + p["b_out"]
         return logits, (h_new, c_new)
-
-    def stepper(self, env) -> "EpisodeStepper":
-        return EpisodeStepper(self, env)
-
-
-def forward_step(model: FlowModel, tokens, state=None):
-    """Functional alias for FlowModel.step."""
-    return model.step(tokens, state)
-
-
-class EpisodeStepper:
-    """Incremental per-episode sampling view of the model (no gradient graph).
-
-    policy_output() may be called repeatedly for the current slot; advance()
-    commits an action and moves to the next slot.
-    """
-
-    def __init__(self, model: FlowModel, env):
-        self._model = model
-        self._env = env
-        self._state = None
-        self._last_token = model.start_token
-        self._slot = 0
-        self._cached: tuple[PolicyOutput, tuple] | None = None
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    def policy_output(self) -> PolicyOutput:
-        if self._slot >= self._env.n_slots:
-            raise TerminalStateError("episode already terminal")
-        if self._cached is None:
-            mask = self._env.slot_masks[self._slot]
-            with no_grad():
-                logits, new_state = self._model.step(np.array([self._last_token]), self._state)
-                log_probs = masked_log_softmax(logits, mask)
-            out = PolicyOutput(logits.data[0].copy(), mask, log_probs.data[0].copy())
-            self._cached = (out, new_state)
-        return self._cached[0]
-
-    def advance(self, action: int) -> None:
-        out = self.policy_output()
-        if not out.mask[action]:
-            raise ConfigurationError(f"action {action} is masked at slot {self._slot}")
-        self._state = self._cached[1]
-        self._cached = None
-        self._last_token = int(action)
-        self._slot += 1

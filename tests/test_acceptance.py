@@ -16,11 +16,10 @@ import pytest
 from blockflow import (Environment, FlowModel, ModelConfig, PeriodicPointSet,
                        RewardModel, RewardSpec, TabularPolicy, Topology,
                        TrainConfig, Vocabulary, amd, baseline_comparison,
-                       batch_rollout, cell_basis, cross_validate, exact_flows,
-                       external_gsa, fit_univariate, loss_reward, reward,
-                       sample_trajectory, selectivity, tb_loss, train,
-                       working_capacity)
-from blockflow.autodiff import backward
+                       cell_basis, cross_validate, exact_flows, external_gsa,
+                       fit_univariate, loss_reward, reward, rollout,
+                       selectivity, train, working_capacity)
+from blockflow.autodiff import backward, no_grad
 from blockflow.reward import AdapterConfig
 from conftest import FIXTURES, stub_adapter_command
 
@@ -74,7 +73,9 @@ def test_c01_distribution_matches_reward(bridge, trained, exact):
 
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(123))
-    counts = Counter(batch_rollout(model, env, n, rng))
+    with no_grad():
+        actions, _ = rollout(model, env, rng, n)
+    counts = Counter(map(tuple, actions.tolist()))
     exact_probs = {seq: r / rewards.sum() for seq, r in zip(terminals, rewards)}
     l1 = sum(abs(counts.get(seq, 0) / n - p) for seq, p in exact_probs.items())
     assert l1 < 0.05, f"L1 distance {l1}"
@@ -123,14 +124,24 @@ def test_c04_gradients_match_finite_differences(bridge):
     worst = 0.0
     for instance in range(100):
         model = FlowModel.init(cfg, seed=1000 + instance)
-        rng = np.random.Generator(np.random.PCG64(2000 + instance))
-        traj = sample_trajectory(model, env, rng)
-        floored = [loss_reward(reward_model.spec, reward_model.score(traj.actions)[0])]
+
+        def sampled_loss():
+            # the same seed replays the same uniform draws on every call
+            rng = np.random.Generator(np.random.PCG64(2000 + instance))
+            actions, log_prob_sum = rollout(model, env, rng, 1)
+            floored = loss_reward(reward_model.spec,
+                                  reward_model.score(tuple(actions[0].tolist()))[0])
+            diff = model.log_z + log_prob_sum - math.log(floored)
+            return actions, (diff * diff).mean()
+
+        actions, loss = sampled_loss()
 
         def loss_value():
-            return float(tb_loss(model, env, [traj], floored).data)
+            with no_grad():
+                again, value = sampled_loss()
+            assert np.array_equal(again, actions), "a perturbation changed the episode"
+            return float(value.data)
 
-        loss = tb_loss(model, env, [traj], floored)
         backward(loss)
         for name, param in model.parameters().items():
             analytic = np.atleast_1d(np.asarray(param.grad, dtype=np.float64))

@@ -11,10 +11,11 @@ from blockflow import (BaselineSummary, Environment, FlowModel, IsothermRow,
                        Topology, Vocabulary, average_ranks,
                        baseline_comparison, cross_validate, exact_flows,
                        fit_univariate, holdout_validate, load_isotherm_table,
-                       pearson_r, percentile_rank, selectivity, spearman_rho,
-                       working_capacity)
+                       pearson_r, percentile_rank, rollout, selectivity,
+                       spearman_rho, working_capacity)
+from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import (DegenerateInputError, EnumerationBoundError,
-                              ValidationError)
+                              TerminalStateError, ValidationError)
 
 
 # -- rank and correlation -----------------------------------------------------
@@ -347,14 +348,22 @@ def test_exact_flows_respects_enumeration_bound():
 
 def test_tabular_policy_probabilities_sum_to_one(bridge_env, bridge_reward):
     policy = TabularPolicy(exact_flows(bridge_env, bridge_reward), bridge_env)
-    stepper = policy.stepper(bridge_env)
-    out = stepper.policy_output()
-    valid = np.flatnonzero(out.mask)
-    assert np.exp(out.log_probs[valid]).sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.isneginf(out.log_probs[~out.mask]))
+    tokens, state = np.full(3, policy.start_token), None
+    for slot in range(bridge_env.n_slots):
+        mask = bridge_env.slot_masks[slot]
+        logits, state = policy.step(tokens, state)
+        log_probs = masked_log_softmax(logits, mask).data
+        np.testing.assert_allclose(np.exp(log_probs[:, mask]).sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.isneginf(log_probs[:, ~mask]))
+        for prefix, row in zip(state, log_probs):
+            for action in np.flatnonzero(mask):
+                assert row[action] == pytest.approx(policy.log_prob(prefix, action), abs=1e-12)
+        tokens = np.flatnonzero(mask)[[0, -1, 0]]
+    with pytest.raises(TerminalStateError):
+        policy.step(tokens, state)
 
 
 def test_tabular_policy_rejects_other_env(bridge_env, bridge_reward, single_env):
     policy = TabularPolicy(exact_flows(bridge_env, bridge_reward), bridge_env)
     with pytest.raises(ValidationError):
-        policy.stepper(single_env)
+        rollout(policy, single_env, np.random.Generator(np.random.PCG64(0)), 10)

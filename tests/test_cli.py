@@ -328,3 +328,21 @@ def test_shipped_demo_config_loads():
     assert run.env.count_terminals() == 12
     run_big = load_run_config(CONFIGS / "train_grid.json")
     assert run_big.env.count_terminals() == 10_000
+
+
+def test_resume_refuses_config_drift(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--max-episodes", "16", "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.json"
+    before = (out / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", str(ckpt), "--batch-size", "4",
+                 "--seed", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "batch_size" in err and "seed" in err
+    assert (out / "metrics.csv").read_bytes() == before
+    # the run length and the checkpoint cadence may change on resume
+    assert main(["train", "--config", str(cfg), "--resume", str(ckpt), "--max-episodes", "32",
+                 "--checkpoint-every", "8", "--out", str(out)]) == 0
+    assert len(read_csv(out / "metrics.csv")) == 33

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from blockflow import FlowModel, ModelConfig
-from blockflow.autodiff import Tensor
-from blockflow.errors import ConfigurationError, TerminalStateError
+from blockflow import FlowModel, ModelConfig, rollout
+from blockflow.autodiff import Tensor, masked_log_softmax
+from blockflow.errors import ConfigurationError
 
 
 def sigmoid(x):
@@ -121,43 +121,49 @@ def test_constructor_rejects_bad_shapes_and_nonfinite():
 
 def test_zero_init_gives_uniform_policy(single_env):
     m = FlowModel.zero_init(ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=4))
-    stepper = m.stepper(single_env)
-    out = stepper.policy_output()
-    valid = np.flatnonzero(out.mask)
-    np.testing.assert_allclose(np.exp(out.log_probs[valid]), 0.25, rtol=1e-12)
+    logits, _ = m.step([m.start_token])
+    log_probs = masked_log_softmax(logits, single_env.slot_masks[0])
+    valid = np.flatnonzero(single_env.slot_masks[0])
+    np.testing.assert_allclose(np.exp(log_probs.data[0, valid]), 0.25, rtol=1e-12)
+    _, log_prob_sum = rollout(m, single_env, np.random.Generator(np.random.PCG64(0)), 5)
+    np.testing.assert_allclose(log_prob_sum.data, np.log(0.25), rtol=1e-12)
 
 
-def test_stepper_walks_slots_and_masks(bridge_env):
+def test_step_walks_slots_and_masks(bridge_env):
     m = tiny_model(vocab=7, embed=3, hidden=4, seed=1)
-    stepper = m.stepper(bridge_env)
+    tokens, state = np.full(2, m.start_token), None
     for slot in range(bridge_env.n_slots):
-        out = stepper.policy_output()
-        np.testing.assert_array_equal(out.mask, bridge_env.slot_masks[slot])
-        probs = np.exp(out.log_probs[out.mask])
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.isneginf(out.log_probs[~out.mask]))
-        action = int(np.flatnonzero(out.mask)[0])
-        stepper.advance(action)
-    with pytest.raises(TerminalStateError):
-        stepper.policy_output()
+        mask = bridge_env.slot_masks[slot]
+        logits, state = m.step(tokens, state)
+        log_probs = masked_log_softmax(logits, mask).data
+        np.testing.assert_allclose(np.exp(log_probs[:, mask]).sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.isneginf(log_probs[:, ~mask]))
+        valid = np.flatnonzero(mask)
+        tokens = valid[[0, -1]]
 
 
-def test_stepper_rejects_masked_action(bridge_env):
+def test_rollout_never_picks_masked_tokens(bridge_env):
+    # a huge logit on a token that two of the three slots mask out must not
+    # leak into those slots, with or without exploration
     m = tiny_model(vocab=7, embed=3, hidden=4, seed=1)
-    stepper = m.stepper(bridge_env)
     masked = int(np.flatnonzero(~bridge_env.slot_masks[0])[0])
-    with pytest.raises(ConfigurationError):
-        stepper.advance(masked)
+    m.parameters()["b_out"].data[masked] = 50.0
+    for eps in (0.0, 0.3):
+        actions, _ = rollout(m, bridge_env, np.random.Generator(np.random.PCG64(3)), 500,
+                             epsilon=eps)
+        for seq in actions.tolist():
+            bridge_env.check_sequence(tuple(seq))
 
 
-def test_stepper_output_is_cached_until_advance(bridge_env):
+def test_step_is_a_pure_function_of_tokens_and_state(bridge_env):
     m = tiny_model(vocab=7, embed=3, hidden=4, seed=2)
-    stepper = m.stepper(bridge_env)
-    first = stepper.policy_output()
-    again = stepper.policy_output()
-    np.testing.assert_array_equal(first.log_probs, again.log_probs)
-    stepper.advance(int(np.flatnonzero(first.mask)[0]))
-    assert stepper.slot == 1
+    _, state = m.step([m.start_token, m.start_token])
+    saved = [s.data.copy() for s in state]
+    first, _ = m.step([0, 2], state)
+    again, _ = m.step([0, 2], state)
+    np.testing.assert_array_equal(first.data, again.data)
+    for s, before in zip(state, saved):
+        np.testing.assert_array_equal(s.data, before)
 
 
 def test_model_config_validation():

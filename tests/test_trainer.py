@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blockflow import (Environment, FlowModel, ModelConfig, RewardModel,
-                       RewardSpec, Topology, TrainConfig, Trajectory,
-                       Vocabulary, batch_rollout, exact_flows, loss_reward,
-                       moving_average, sample_trajectory, tb_loss, tb_residual,
-                       train, uniform_rollout)
+from blockflow import (Adam, Environment, FlowModel, ModelConfig, RewardModel,
+                       RewardSpec, TabularPolicy, Tensor, Topology,
+                       TrainConfig, Vocabulary, backward, exact_flows,
+                       loss_reward, moving_average, no_grad, rollout, train,
+                       uniform_rollout)
+from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import ConfigurationError, TrainingAbort
 
 SMALL = ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12)
@@ -28,6 +29,23 @@ def quick_config(**kw):
     return TrainConfig(**base)
 
 
+def episode_log_prob(model, env, actions):
+    """Log-prob of one action sequence, stepping the model at batch 1."""
+    total = 0.0
+    state = None
+    token = model.start_token
+    with no_grad():
+        for t, action in enumerate(actions):
+            logits, state = model.step([token], state)
+            total += float(masked_log_softmax(logits, env.slot_masks[t]).data[0, action])
+            token = action
+    return total
+
+
+def chi_squared(counts, expected):
+    return sum((counts.get(seq, 0) - e) ** 2 / e for seq, e in expected.items())
+
+
 def test_moving_average_oracle():
     out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
     assert np.allclose(out, [1.5, 2.5, 3.5])
@@ -38,39 +56,43 @@ def test_moving_average_oracle():
         moving_average([1.0], 0)
 
 
-def test_tb_residual_arithmetic():
-    # logZ + sum(logpi) - log R, spelled out by hand
-    got = tb_residual(1.5, (-0.2, -0.3), 2.0)
-    assert got == pytest.approx(1.5 - 0.5 - math.log(2.0), abs=1e-15)
-    assert tb_residual(0.0, (), 1.0) == 0.0
-
-
-def test_sample_trajectory_respects_masks(bridge_env, rng):
+def test_rollout_respects_masks(bridge_env, rng):
     model = small_model()
-    for _ in range(50):
-        traj = sample_trajectory(model, bridge_env, rng)
-        bridge_env.check_sequence(traj.actions)
-        assert len(traj.log_probs) == bridge_env.n_slots
-        assert all(lp <= 0.0 for lp in traj.log_probs)
+    actions, log_prob_sum = rollout(model, bridge_env, rng, 50)
+    assert actions.shape == (50, bridge_env.n_slots)
+    assert log_prob_sum.shape == (50,)
+    for seq in actions.tolist():
+        bridge_env.check_sequence(tuple(seq))
+    assert np.all(log_prob_sum.data <= 0.0)
 
 
-def test_sample_trajectory_deterministic_per_stream(bridge_env):
+def test_rollout_deterministic_per_stream(bridge_env):
     model = small_model()
-    a = [sample_trajectory(model, bridge_env, np.random.Generator(np.random.PCG64(9))).actions
-         for _ in range(1)]
-    b = [sample_trajectory(model, bridge_env, np.random.Generator(np.random.PCG64(9))).actions
-         for _ in range(1)]
-    assert a == b
+    a, lp_a = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(9)), 20)
+    b, lp_b = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(9)), 20)
+    np.testing.assert_array_equal(a, b)
+    assert lp_a.data.tobytes() == lp_b.data.tobytes()
 
 
-def test_sample_trajectory_consumes_one_draw_per_slot(bridge_env):
+def test_rollout_consumes_one_draw_per_slot(bridge_env):
     model = small_model()
     rng1 = np.random.Generator(np.random.PCG64(42))
-    sample_trajectory(model, bridge_env, rng1)
+    rollout(model, bridge_env, rng1, 5)
     rng2 = np.random.Generator(np.random.PCG64(42))
-    rng2.random(bridge_env.n_slots)
+    rng2.random(5 * bridge_env.n_slots)
     # both generators must now sit at the same point in the stream
     assert rng1.random() == rng2.random()
+
+
+def test_rollout_draws_are_episode_major(bridge_env):
+    # one call for n episodes reads the stream like n calls for one episode
+    model = small_model(seed=2)
+    together, lp_together = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(4)), 30)
+    rng = np.random.Generator(np.random.PCG64(4))
+    one_by_one = [rollout(model, bridge_env, rng, 1) for _ in range(30)]
+    np.testing.assert_array_equal(together, np.vstack([a for a, _ in one_by_one]))
+    np.testing.assert_allclose(lp_together.data, [float(lp.data[0]) for _, lp in one_by_one],
+                               rtol=1e-12)
 
 
 def test_epsilon_one_is_uniform_chi_squared(bridge_env):
@@ -78,26 +100,21 @@ def test_epsilon_one_is_uniform_chi_squared(bridge_env):
     model = small_model()
     rng = np.random.Generator(np.random.PCG64(7))
     n = 6000
-    counts = Counter(sample_trajectory(model, bridge_env, rng, epsilon=1.0).actions
-                     for _ in range(n))
+    actions, _ = rollout(model, bridge_env, rng, n, epsilon=1.0)
+    counts = Counter(map(tuple, actions.tolist()))
     assert sum(counts.values()) == n
-    expected = n / 12.0
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    chi2 = chi_squared(counts, {seq: n / 12.0 for seq in bridge_env.enumerate_terminals()})
     # 11 dof, alpha = 1e-3
     assert chi2 < stats.chi2.ppf(0.999, 11)
 
 
 def test_epsilon_records_pure_policy_log_probs(bridge_env):
     model = small_model()
-    seen = {}
-    for eps in (0.0, 1.0):
+    for eps in (0.0, 0.5, 1.0):
         rng = np.random.Generator(np.random.PCG64(3))
-        for _ in range(200):
-            t = sample_trajectory(model, bridge_env, rng, epsilon=eps)
-            if t.actions in seen:
-                assert seen[t.actions] == t.log_probs
-            else:
-                seen[t.actions] = t.log_probs
+        actions, log_prob_sum = rollout(model, bridge_env, rng, 200, epsilon=eps)
+        for seq, got in zip(actions.tolist(), log_prob_sum.data):
+            assert got == pytest.approx(episode_log_prob(model, bridge_env, seq), rel=1e-12)
 
 
 def test_uniform_rollout_covers_and_validates(bridge_env):
@@ -112,57 +129,117 @@ def test_uniform_rollout_covers_and_validates(bridge_env):
     assert chi2 < stats.chi2.ppf(0.999, 11)
 
 
-def test_batch_rollout_matches_model_distribution(bridge_env):
+def test_rollout_zero_init_draws_are_uniform(bridge_env):
     # zero-init model is uniform, so batch draws should be uniform too
     model = FlowModel.zero_init(SMALL)
     rng = np.random.Generator(np.random.PCG64(11))
-    seqs = batch_rollout(model, bridge_env, 6000, rng)
-    counts = Counter(seqs)
-    expected = 6000 / 12.0
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    actions, _ = rollout(model, bridge_env, rng, 6000)
+    counts = Counter(map(tuple, actions.tolist()))
+    chi2 = chi_squared(counts, {seq: 6000 / 12.0 for seq in bridge_env.enumerate_terminals()})
     assert chi2 < stats.chi2.ppf(0.999, 11)
-    with pytest.raises(ConfigurationError):
-        batch_rollout(model, bridge_env, 0, rng)
 
 
-def test_batch_rollout_duck_typed_fallback(bridge_env, bridge_reward):
-    # TabularPolicy is not a FlowModel; rollout must fall back per-sample
+def test_rollout_matches_model_distribution(bridge_env):
+    # a sharpened random model is far from uniform; the batched draws must
+    # follow the terminal probabilities obtained by stepping it one by one
+    model = small_model(seed=8)
+    model.parameters()["w_out"].data *= 6.0
+    probs = {seq: math.exp(episode_log_prob(model, bridge_env, seq))
+             for seq in bridge_env.enumerate_terminals()}
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert max(probs.values()) > 2 * min(probs.values())
+    n = 6000
+    with no_grad():
+        actions, _ = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(12)), n)
+    counts = Counter(map(tuple, actions.tolist()))
+    chi2 = chi_squared(counts, {seq: n * p for seq, p in probs.items()})
+    assert chi2 < stats.chi2.ppf(0.999, 11)
+
+
+def test_rollout_of_tabular_policy_matches_reward_over_z(bridge_env, bridge_reward):
     flows = exact_flows(bridge_env, bridge_reward)
-    from blockflow import TabularPolicy
     policy = TabularPolicy(flows, bridge_env)
-    rng = np.random.Generator(np.random.PCG64(2))
-    seqs = batch_rollout(policy, bridge_env, 500, rng)
-    assert len(seqs) == 500
-    for s in seqs[:10]:
-        bridge_env.check_sequence(s)
+    n = 20000
+    actions, log_prob_sum = rollout(policy, bridge_env, np.random.Generator(np.random.PCG64(2)), n)
+    counts = Counter(map(tuple, actions.tolist()))
+    for seq, p in flows.terminal_probs.items():
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(counts.get(seq, 0) - n * p) < 4 * sigma, seq
+    for seq, got in zip(actions.tolist()[:50], log_prob_sum.data):
+        assert got == pytest.approx(math.log(flows.terminal_probs[tuple(seq)]), abs=1e-12)
 
 
-def test_tb_loss_equals_mean_squared_residual(bridge_env, bridge_reward):
+def test_rollout_validation(bridge_env, rng):
+    model = small_model()
+    for n in (0, -1):
+        with pytest.raises(ConfigurationError):
+            rollout(model, bridge_env, rng, n)
+    for eps in (-0.1, 1.5):
+        with pytest.raises(ConfigurationError):
+            rollout(model, bridge_env, rng, 4, epsilon=eps)
+
+
+def test_metrics_loss_is_squared_balance_residual(tmp_path):
+    # the loss column is (logZ + sum log pi - log floored R)^2, spelled out
+    # by hand from an independent batch-1 replay of the same draws
+    env, reward_model = _fresh_setup()
+    train(quick_config(max_episodes=8), small_model(seed=3), env, reward_model, out_dir=tmp_path)
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
     model = small_model(seed=3)
-    rng = np.random.Generator(np.random.PCG64(8))
-    trajectories = [sample_trajectory(model, bridge_env, rng) for _ in range(6)]
-    floored = [loss_reward(bridge_reward.spec, bridge_reward.score(t.actions)[0])
-               for t in trajectories]
-    loss = tb_loss(model, bridge_env, trajectories, floored)
-    by_hand = np.mean([
-        tb_residual(model.log_z_value, t.log_probs, r) ** 2
-        for t, r in zip(trajectories, floored)
-    ])
+    actions, _ = rollout(model, env, np.random.Generator(np.random.PCG64(0)), 8)
+    assert len(rows) == 8
+    for row, seq in zip(rows, actions.tolist()):
+        episode, loss, _, log_z, rwd, _ = row.split(",")
+        r = reward_model.score(tuple(seq))[0]
+        residual = model.log_z_value + episode_log_prob(model, env, seq) - math.log(
+            loss_reward(reward_model.spec, r))
+        assert float(loss) == pytest.approx(residual ** 2, rel=1e-10)
+        assert float(log_z) == model.log_z_value
+        assert float(rwd) == r
+
+
+def test_train_update_is_adam_on_mean_squared_residual():
+    env, reward_model = _fresh_setup()
+    cfg = quick_config(max_episodes=8)
+    trained = small_model(seed=3)
+    train(cfg, trained, env, reward_model)
+
+    model = small_model(seed=3)
+    actions, log_prob_sum = rollout(model, env, np.random.Generator(np.random.PCG64(cfg.seed)), 8)
+    floored = [loss_reward(reward_model.spec, reward_model.score(tuple(seq))[0])
+               for seq in actions.tolist()]
+    by_hand = np.mean([(model.log_z_value + lp - math.log(f)) ** 2
+                       for lp, f in zip(log_prob_sum.data, floored)])
+    diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
+    loss = (diff * diff).mean()
     assert float(loss.data) == pytest.approx(by_hand, rel=1e-12)
+    backward(loss)
+    Adam(model.parameters(), lr=cfg.learning_rate_model,
+         lr_overrides={"log_z": cfg.learning_rate_logz}).step()
+    for name, tensor in trained.parameters().items():
+        np.testing.assert_allclose(tensor.data, model.parameters()[name].data,
+                                   rtol=1e-10, atol=1e-14, err_msg=name)
 
 
-def test_tb_loss_gradient_fd_spot_check(bridge_env, bridge_reward):
+def test_rollout_gradient_fd_spot_check(bridge_env, bridge_reward):
     model = small_model(seed=5)
-    rng = np.random.Generator(np.random.PCG64(1))
-    trajectories = [sample_trajectory(model, bridge_env, rng) for _ in range(3)]
-    floored = [loss_reward(bridge_reward.spec, bridge_reward.score(t.actions)[0])
-               for t in trajectories]
+
+    def loss_of_fixed_draws():
+        rng = np.random.Generator(np.random.PCG64(1))
+        actions, log_prob_sum = rollout(model, bridge_env, rng, 3)
+        floored = [loss_reward(bridge_reward.spec, bridge_reward.score(tuple(seq))[0])
+                   for seq in actions.tolist()]
+        diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
+        return actions, (diff * diff).mean()
+
+    actions, loss = loss_of_fixed_draws()
 
     def loss_value():
-        return float(tb_loss(model, bridge_env, trajectories, floored).data)
+        with no_grad():
+            again, value = loss_of_fixed_draws()
+        np.testing.assert_array_equal(again, actions)  # same draws, same episodes
+        return float(value.data)
 
-    from blockflow.autodiff import backward
-    loss = tb_loss(model, bridge_env, trajectories, floored)
     backward(loss)
     h = 1e-6
     for name, flat_idx in [("log_z", ()), ("w_out", (4, 2)), ("b", (7,)),
@@ -187,26 +264,27 @@ def test_tb_loss_gradient_fd_spot_check(bridge_env, bridge_reward):
         assert abs(fd - grad) / denom < 1e-4, name
 
 
-def test_tb_loss_validation(bridge_env):
-    model = small_model()
-    with pytest.raises(ConfigurationError):
-        tb_loss(model, bridge_env, [], [])
-    bad = [Trajectory((0, 3), (-1.0, -1.0))]  # too short for 3 slots
-    with pytest.raises(ConfigurationError):
-        tb_loss(model, bridge_env, bad, [1.0])
+def test_train_nonfinite_residual_names_its_episode(tmp_path):
+    env, reward_model = _fresh_setup()
 
+    class NanOnThirdScore(RewardModel):
+        calls = 0
 
-def test_tb_loss_nonfinite_reward_aborts(bridge_env):
-    model = small_model()
-    traj = [Trajectory((0, 3, 5), (-1.0, -1.0, -1.0))]
-    with pytest.raises(TrainingAbort):
-        tb_loss(model, bridge_env, traj, [0.0])  # log 0 -> -inf target
+        def score(self, tokens):
+            self.calls += 1
+            rwd, result = super().score(tokens)
+            return (math.nan if self.calls == 3 else rwd), result
+
+    poisoned = NanOnThirdScore(reward_model.spec, env)
+    with pytest.raises(TrainingAbort, match="at episode 3;"):
+        train(quick_config(max_episodes=8), small_model(), env, poisoned, out_dir=tmp_path)
+    # the two episodes before it are logged
+    assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 3
 
 
 def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
     # the flow-matching solution satisfies the balance identity exactly
     flows = exact_flows(bridge_env, bridge_reward)
-    from blockflow import TabularPolicy
     policy = TabularPolicy(flows, bridge_env)
     for seq in bridge_env.enumerate_terminals():
         log_probs = []
@@ -215,7 +293,12 @@ def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
             log_probs.append(policy.log_prob(prefix, action))
             prefix = prefix + (action,)
         floored = loss_reward(bridge_reward.spec, bridge_reward.score(seq)[0])
-        assert abs(tb_residual(policy.log_z_value, log_probs, floored)) < 1e-12
+        assert abs(policy.log_z_value + sum(log_probs) - math.log(floored)) < 1e-12
+    # and so does every episode the batched sampler draws from it
+    actions, log_prob_sum = rollout(policy, bridge_env, np.random.Generator(np.random.PCG64(6)), 200)
+    for seq, lp in zip(actions.tolist(), log_prob_sum.data):
+        floored = loss_reward(bridge_reward.spec, bridge_reward.score(tuple(seq))[0])
+        assert abs(policy.log_z_value + lp - math.log(floored)) < 1e-12
 
 
 def test_exact_flow_terminal_probs_are_reward_over_z(bridge_env, bridge_reward):
@@ -345,3 +428,80 @@ def test_train_without_out_dir():
     assert result.metrics_path is None
     assert result.checkpoint_path is None
     assert result.episodes_run == 16
+
+
+# -- checkpoint and resume contracts -------------------------------------------
+
+
+def test_final_checkpoint_is_saved_once(tmp_path, monkeypatch):
+    import blockflow.trainer as trainer_mod
+    real_save = trainer_mod.save_checkpoint
+    saves = []
+
+    def counting_save(path, model, optimizer, rng, episode, *rest):
+        real_save(path, model, optimizer, rng, episode, *rest)
+        saves.append((episode, path.read_bytes()))
+
+    monkeypatch.setattr(trainer_mod, "save_checkpoint", counting_save)
+    env, reward_model = _fresh_setup()
+    model = FlowModel.init(SMALL, seed=4)
+    train(quick_config(max_episodes=64, checkpoint_every=32), model, env, reward_model,
+          out_dir=tmp_path)
+    # the periodic save at 64 is already the final state: no second write
+    assert [episode for episode, _ in saves] == [32, 64]
+    assert (tmp_path / "checkpoint.json").read_bytes() == saves[-1][1]
+    from blockflow import load_checkpoint
+    ckpt = load_checkpoint(tmp_path / "checkpoint.json")
+    assert ckpt.episode == 64
+    for name, tensor in model.parameters().items():
+        assert ckpt.params[name].tobytes() == np.asarray(tensor.data).tobytes(), name
+
+
+def test_resume_after_short_final_batch_matches_uninterrupted(tmp_path):
+    # 20 episodes at batch 8 end with a short batch of 4 that is logged but
+    # never trained on; resuming to 40 must still replay the 40-episode run
+    env, reward_model = _fresh_setup()
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    full_model = FlowModel.init(SMALL, seed=4)
+    train(quick_config(max_episodes=40), full_model, env, reward_model, out_dir=full_dir)
+
+    part = train(quick_config(max_episodes=20), FlowModel.init(SMALL, seed=4), env,
+                 reward_model, out_dir=part_dir)
+    assert part.episodes_run == 20
+    assert len((part_dir / "metrics.csv").read_text().splitlines()) == 21
+    resumed_model = FlowModel.init(SMALL, seed=4)
+    train(quick_config(max_episodes=40), resumed_model, env, reward_model,
+          out_dir=part_dir, resume_from=part_dir / "checkpoint.json")
+
+    assert (part_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
+    for name, tensor in full_model.parameters().items():
+        got = np.asarray(resumed_model.parameters()[name].data).tobytes()
+        assert got == np.asarray(tensor.data).tobytes(), name
+
+
+def test_resume_drops_torn_metrics_rows(tmp_path):
+    # a crash after the checkpoint at 32 can cut metrics.csv at any byte of
+    # the rows written since; the resumed file must match an unbroken run
+    env, reward_model = _fresh_setup()
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    train(quick_config(max_episodes=40), FlowModel.init(SMALL, seed=4), env, reward_model,
+          out_dir=full_dir)
+    reference = (full_dir / "metrics.csv").read_bytes()
+    train(quick_config(max_episodes=32, checkpoint_every=16), FlowModel.init(SMALL, seed=4),
+          env, reward_model, out_dir=part_dir)
+    checkpoint = (part_dir / "checkpoint.json").read_bytes()
+
+    starts = [0]
+    for line in reference.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    row33, row34, row36 = starts[33], starts[34], starts[36]  # header is line 0
+    offsets = [row33 + 1, row33 + 2, row33 + 3, (row33 + row34) // 2, row34 - 1,
+               row34, row36, len(reference) - 1]
+    for cut in offsets:
+        run_dir = tmp_path / f"cut{cut}"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_bytes(reference[:cut])
+        (run_dir / "checkpoint.json").write_bytes(checkpoint)
+        train(quick_config(max_episodes=40), FlowModel.init(SMALL, seed=4), env, reward_model,
+              out_dir=run_dir, resume_from=run_dir / "checkpoint.json")
+        assert (run_dir / "metrics.csv").read_bytes() == reference, f"cut at byte {cut}"
