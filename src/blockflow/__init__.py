@@ -15,7 +15,7 @@ from .crystal import (AmdDescriptor, CifStructure, PeriodicPointSet, amd,
                       kth_nearest_distances, load_cif_file, novelty_score,
                       parse_cif)
 from .dataset import CandidateRecord, generate, load_dataset, save_dataset, top_k
-from .env import AssemblyState, Environment, Token, Topology, Vocabulary
+from .env import Environment, Token, Topology, Vocabulary
 from .errors import (AutodiffError, BlockflowError, CoincidentPointsError,
                      ConfigurationError, DeadEndError, DegenerateInputError,
                      EnumerationBoundError, TerminalStateError, TrainingAbort,
@@ -24,8 +24,7 @@ from .model import FlowModel, ModelConfig
 from .optim import Adam, adam_update
 from .reward import (AdapterConfig, GsaResult, RewardModel, RewardSpec,
                      external_gsa, loss_reward, reward, surrogate_gsa)
-from .trainer import (TrainConfig, TrainResult, moving_average, rollout, train,
-                      uniform_rollout)
+from .trainer import TrainConfig, TrainResult, rollout, train, uniform_rollout
 
 __version__ = "0.1.0"
 

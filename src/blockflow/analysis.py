@@ -319,15 +319,15 @@ def exact_flows(env: Environment, reward_model: RewardModel,
     identity exactly, so its squared residual is 0 on every trajectory and
     its terminal distribution is floored-R / Z.
     """
+    terminals = list(env.enumerate_terminals(bound))
     flows: dict[tuple[int, ...], float] = {}
-    for seq in env.enumerate_terminals(bound):
-        value = loss_reward(reward_model.spec, reward_model.score(seq)[0])
+    for seq, (rwd, _) in zip(terminals, reward_model.score_batch(terminals)):
+        value = loss_reward(reward_model.spec, rwd)
         for cut in range(len(seq) + 1):
             prefix = seq[:cut]
             flows[prefix] = flows.get(prefix, 0.0) + value
     z = flows[()]
-    probs = {seq: flows[seq] / z
-             for seq in env.enumerate_terminals(bound)}
+    probs = {seq: flows[seq] / z for seq in terminals}
     return ExactFlows(flows=flows, log_z=float(np.log(z)), terminal_probs=probs)
 
 

@@ -323,17 +323,24 @@ def cmd_flows(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--workers", type=int, default=1, help="max parallel workers")
-    common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    # Each command takes only the shared flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="seed override")
 
     parser = argparse.ArgumentParser(prog="blockflow",
                                      description="Reward-proportional assembly sampler and analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="train the sampler from a run config")
+    p = sub.add_parser("train", parents=[seeded, out], help="train the sampler from a run config")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
     p.add_argument("--max-episodes", dest="max_episodes", type=int, default=None)
@@ -345,33 +352,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", parents=[common], help="draw a dataset from a checkpoint")
+    p = sub.add_parser("sample", parents=[seeded, out], help="draw a dataset from a checkpoint")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="RNG streams the draws are split over (the dataset depends on seed, n "
+                   "and workers) and max external evaluations at a time")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("-n", type=int, required=True, help="number of draws")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("amd", parents=[common], help="descriptors for a directory of CIF files")
+    p = sub.add_parser("amd", parents=[out], help="descriptors for a directory of CIF files")
     p.add_argument("--cif-dir", dest="cif_dir", required=True, type=Path)
     p.add_argument("-k", type=int, default=100, help="descriptor length")
     p.add_argument("--reference-dir", dest="reference_dir", type=Path, default=None,
                    help="reference CIFs for novelty scores")
     p.set_defaults(func=cmd_amd)
 
-    p = sub.add_parser("regress", parents=[common], help="univariate fit with cross-validation")
+    p = sub.add_parser("regress", parents=[seeded, out], help="univariate fit with cross-validation")
     p.add_argument("--data", required=True, type=Path, help="two-column CSV (x, y) with header")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--holdout", action="store_true", help="repeated 80-20 holdout instead of k-fold")
     p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("baseline", parents=[common], help="trained vs uniform-random comparison")
+    p = sub.add_parser("baseline", parents=[seeded, out], help="trained vs uniform-random comparison")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("-n", type=int, default=10_000)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("flows", parents=[common], help="exact-flow oracle dump for small fixtures")
+    p = sub.add_parser("flows", parents=[out], help="exact-flow oracle dump for small fixtures")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--bound", type=int, default=1_000_000)
     p.set_defaults(func=cmd_flows)

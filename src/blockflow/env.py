@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnumerationBoundError, TerminalStateError, ValidationError
+from .errors import EnumerationBoundError, ValidationError
 
 VOCAB_SCHEMA = "vocabulary/1"
 TOPOLOGY_SCHEMA = "topology/1"
@@ -64,9 +64,6 @@ class Vocabulary:
 
     def __getitem__(self, i: int) -> Token:
         return self.tokens[i]
-
-    def ids_of_kind(self, kind: str) -> list[str]:
-        return [tok.token_id for tok in self.tokens if tok.kind == kind]
 
     def canonical_payload(self) -> list[list]:
         return [[t.token_id, t.kind, t.mass_g_mol, t.surface_a2] for t in self.tokens]
@@ -165,17 +162,6 @@ class Topology:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class AssemblyState:
-    """Partial assembly: committed token indices, one per filled slot."""
-
-    tokens: tuple[int, ...] = ()
-
-    @property
-    def slot(self) -> int:
-        return len(self.tokens)
-
-
 @dataclass(eq=False)
 class Environment:
     """Topology + vocabulary bound together, with precomputed slot masks."""
@@ -214,28 +200,9 @@ class Environment:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         self.env_hash = hashlib.sha256(blob).hexdigest()
 
-    # -- state machine -----------------------------------------------------
     @property
     def n_slots(self) -> int:
         return self.slot_masks.shape[0]
-
-    def root_state(self) -> AssemblyState:
-        return AssemblyState()
-
-    def is_terminal(self, state: AssemblyState) -> bool:
-        return state.slot >= self.n_slots
-
-    def valid_actions(self, state: AssemblyState) -> np.ndarray:
-        if self.is_terminal(state):
-            raise TerminalStateError("terminal state has no actions")
-        return np.flatnonzero(self.slot_masks[state.slot])
-
-    def step(self, state: AssemblyState, action: int) -> AssemblyState:
-        if self.is_terminal(state):
-            raise TerminalStateError("cannot step a terminal state")
-        if not self.slot_masks[state.slot, action]:
-            raise ValidationError(f"action {action} not allowed at slot {state.slot}")
-        return AssemblyState(state.tokens + (int(action),))
 
     def check_sequence(self, tokens: tuple[int, ...]) -> None:
         """Validate a full token sequence independently of the sampler."""

@@ -8,9 +8,12 @@ is needed, never to reported rewards.
 
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,17 +100,29 @@ class AdapterConfig:
         ]
 
 
-def external_gsa(adapter: AdapterConfig, record: str) -> GsaResult:
-    """Run the adapter once. Every failure mode becomes a GsaResult.fail."""
+def external_gsa(adapter: AdapterConfig, record: str, running: _RunningAdapters | None = None) -> GsaResult:
+    """Run the adapter once. Every failure mode becomes a GsaResult.fail.
+
+    The adapter runs in a session of its own. If its answer does not come
+    (a timeout, an error, an interrupt), the whole process group is killed
+    and reaped, so nothing it forked outlives the call; an interrupt is
+    re-raised after that. A parallel batch passes its `running` adapters.
+    """
     try:
-        proc = subprocess.run(
-            adapter.argv(), input=record + "\n", capture_output=True,
-            text=True, timeout=adapter.timeout_s)
-    except (subprocess.TimeoutExpired, OSError) as exc:
+        proc = (running or _RunningAdapters()).start(adapter.argv())
+    except OSError as exc:
         return GsaResult.fail(f"adapter did not run: {exc}")
+    try:
+        stdout, stderr = proc.communicate(record + "\n", timeout=adapter.timeout_s)
+    except Exception as exc:
+        _kill_group(proc)
+        return GsaResult.fail(f"adapter did not run: {exc}")
+    except BaseException:
+        _kill_group(proc)
+        raise
     if proc.returncode != 0:
-        return GsaResult.fail(f"adapter exit code {proc.returncode}: {proc.stderr.strip()[:200]}")
-    fields = proc.stdout.split()
+        return GsaResult.fail(f"adapter exit code {proc.returncode}: {stderr.strip()[:200]}")
+    fields = stdout.split()
     if not fields:
         return GsaResult.fail("adapter produced no output")
     try:
@@ -119,61 +134,78 @@ def external_gsa(adapter: AdapterConfig, record: str) -> GsaResult:
     return GsaResult.of(value)
 
 
+class _RunningAdapters:
+    """The adapters one batch started; once stopped, it kills them and starts no more."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._procs: list[subprocess.Popen] = []
+        self._stopped = False
+
+    def start(self, argv: list[str]) -> subprocess.Popen:
+        with self._lock:
+            if self._stopped:
+                raise OSError("the batch was interrupted")
+            self._procs.append(subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, start_new_session=True))
+            return self._procs[-1]
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for proc in self._procs:
+                if proc.returncode is None:  # the thread waiting on it reaps it
+                    _kill_group(proc, reap=False)
+
+
+def _kill_group(proc: subprocess.Popen, reap: bool = True) -> None:
+    # The adapter is not reaped yet, so its pid still names its group.
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    if reap:
+        proc.communicate()
+
+
 class RewardModel:
-    """Scores token sequences for one environment, with memoization."""
+    """Scores token sequences for one environment, evaluating each distinct one once."""
 
     def __init__(self, spec: RewardSpec, env: Environment,
-                 adapter: AdapterConfig | None = None, memoize: bool = True):
+                 adapter: AdapterConfig | None = None):
         if spec.evaluator == "external" and adapter is None:
             raise ConfigurationError("external evaluator requires an adapter config")
         self.spec = spec
         self.env = env
         self.adapter = adapter
-        self.memoize = memoize
         self._cache: dict[tuple[int, ...], GsaResult] = {}
 
-    def _evaluate(self, tokens: tuple[int, ...]) -> GsaResult:
+    def _evaluate(self, tokens: tuple[int, ...], running: _RunningAdapters | None = None) -> GsaResult:
         if self.spec.evaluator == "surrogate":
             return GsaResult.of(surrogate_gsa(self.env.vocabulary, tokens, self.spec.surrogate_scale))
         record = self.env.format_assembly_record(tokens)
-        return external_gsa(self.adapter, record)
-
-    def gsa(self, tokens: tuple[int, ...]) -> GsaResult:
-        tokens = tuple(int(t) for t in tokens)
-        if self.memoize and tokens in self._cache:
-            return self._cache[tokens]
-        result = self._evaluate(tokens)
-        if self.memoize:
-            self._cache[tokens] = result
-        return result
-
-    def score(self, tokens: tuple[int, ...]) -> tuple[float, GsaResult]:
-        result = self.gsa(tokens)
-        return reward(self.spec, result), result
+        return external_gsa(self.adapter, record, running)
 
     def score_batch(self, sequences, workers: int = 1) -> list[tuple[float, GsaResult]]:
-        """Score many sequences; external evaluations may run in a thread pool."""
+        """Reward and GSA result per sequence, in order.
+
+        Sequences not seen before are evaluated once each, in first-appearance
+        order; with an external evaluator and workers > 1 they run in a
+        thread pool. An interrupt reaches only this thread, which then kills
+        the running adapters and starts no more.
+        """
         sequences = [tuple(int(t) for t in seq) for seq in sequences]
-        pending = []
-        seen = set()
-        for seq in sequences:
-            if seq not in seen and not (self.memoize and seq in self._cache):
-                seen.add(seq)
-                pending.append(seq)
+        pending = [seq for seq in dict.fromkeys(sequences) if seq not in self._cache]
         if pending and self.spec.evaluator == "external" and workers > 1:
+            running = _RunningAdapters()
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(self._evaluate, pending))
+                try:
+                    results = list(pool.map(lambda seq: self._evaluate(seq, running), pending))
+                except BaseException:
+                    running.stop()
+                    raise
         else:
             results = [self._evaluate(seq) for seq in pending]
-        fresh = dict(zip(pending, results))
-        if self.memoize:
-            self._cache.update(fresh)
-        out = []
-        for seq in sequences:
-            res = self._cache.get(seq) if self.memoize else None
-            if res is None:
-                res = fresh.get(seq)
-            if res is None:
-                res = self._evaluate(seq)
-            out.append((reward(self.spec, res), res))
-        return out
+        self._cache.update(zip(pending, results))
+        return [(reward(self.spec, self._cache[seq]), self._cache[seq]) for seq in sequences]

@@ -68,14 +68,6 @@ class TrainConfig:
             raise ConfigurationError("seed must be non-negative")
 
 
-def moving_average(series, window: int) -> np.ndarray:
-    """Windowed mean; returns only the fully covered part (len n - w + 1)."""
-    series = np.asarray(series, dtype=np.float64)
-    if window < 1 or window > series.shape[0]:
-        raise ConfigurationError("window must be in [1, len(series)]")
-    return np.convolve(series, np.full(window, 1.0 / window), mode="valid")
-
-
 def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
             epsilon: float = 0.0) -> tuple[np.ndarray, Tensor]:
     """Sample n episodes together, one batched policy step per slot.
@@ -163,6 +155,13 @@ def _format_row(episode: int, loss: float, smoothed: float | None,
     ]
 
 
+def _window_mean(tail: deque, window: int) -> float | None:
+    """Mean of the last `window` losses, or None until that many are logged."""
+    if len(tail) < window:
+        return None
+    return float(np.mean(list(tail)[-window:]))
+
+
 def _trim_metrics(path: Path, last_episode: int) -> None:
     """Drop metric rows past a checkpoint so a resumed run appends cleanly.
 
@@ -207,7 +206,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
     balance loss from that same forward pass. Only full batches train, so a
     short last batch is logged but leaves the parameters alone. Stopping and
     checkpointing both happen only at full-batch boundaries, so a resumed
-    run replays the uninterrupted run bit for bit.
+    run replays the uninterrupted run bit for bit. Each batch is scored
+    with one `score_batch` call.
     """
     tail_len = max(config.stop_window, config.smooth_window)
     start_episode = 0
@@ -303,7 +303,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             with nullcontext() if full else no_grad():
                 actions, log_prob_sum = rollout(model, env, rng, n, config.exploration_epsilon)
                 sequences = [tuple(row) for row in actions.tolist()]
-                rewards = [reward_model.score(seq)[0] for seq in sequences]
+                rewards = [r for r, _ in reward_model.score_batch(sequences)]
                 floored = np.array([loss_reward(reward_model.spec, r) for r in rewards])
                 residual = model.log_z + log_prob_sum - Tensor(np.log(floored))
             for i, (seq, rwd) in enumerate(zip(sequences, rewards)):
@@ -319,10 +319,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                     best_reward = rwd
                     best_record = env.format_assembly_record(seq)
                 if writer is not None:
-                    smoothed = None
-                    if len(loss_tail) >= config.smooth_window:
-                        recent = list(loss_tail)[-config.smooth_window:]
-                        smoothed = float(np.mean(recent))
+                    smoothed = _window_mean(loss_tail, config.smooth_window)
                     writer.writerow(_format_row(episode, loss_val, smoothed,
                                                 model.log_z_value, rwd, best_reward))
             if not full:
@@ -335,20 +332,17 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                     and episode - last_snapshot >= config.checkpoint_every):
                 snapshot(episode)
                 last_snapshot = episode
-            if len(loss_tail) >= config.stop_window:
-                recent = list(loss_tail)[-config.stop_window:]
-                if float(np.mean(recent)) < config.stop_threshold:
-                    stopped_early = True
-                    break
+            stop_mean = _window_mean(loss_tail, config.stop_window)
+            if stop_mean is not None and stop_mean < config.stop_threshold:
+                stopped_early = True
+                break
         if full:  # otherwise the boundary before the short batch was saved
             snapshot(episode)
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
-    final_mean = None
-    if len(loss_tail) >= config.stop_window:
-        final_mean = float(np.mean(list(loss_tail)[-config.stop_window:]))
+    final_mean = _window_mean(loss_tail, config.stop_window)
     return TrainResult(
         episodes_run=episode,
         stopped_early=stopped_early,

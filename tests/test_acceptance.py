@@ -61,7 +61,7 @@ def exact(bridge):
     env, reward_model = bridge
     flows = exact_flows(env, reward_model)
     terminals = list(env.enumerate_terminals())
-    rewards = np.array([reward_model.score(seq)[0] for seq in terminals])
+    rewards = np.array([r for r, _ in reward_model.score_batch(terminals)])
     return flows, terminals, rewards
 
 
@@ -98,13 +98,13 @@ def test_c03_exact_flow_oracle_identities(bridge, exact):
     flows, terminals, rewards = exact
     policy = TabularPolicy(flows, env)
     worst_loss = 0.0
-    for seq in terminals:
+    for seq, r in zip(terminals, rewards):
         log_probs = []
         prefix = ()
         for action in seq:
             log_probs.append(policy.log_prob(prefix, action))
             prefix = prefix + (action,)
-        floored = loss_reward(reward_model.spec, reward_model.score(seq)[0])
+        floored = loss_reward(reward_model.spec, r)
         residual = policy.log_z_value + sum(log_probs) - math.log(floored)
         worst_loss = max(worst_loss, residual * residual)
     assert worst_loss < 1e-12
@@ -129,8 +129,8 @@ def test_c04_gradients_match_finite_differences(bridge):
             # the same seed replays the same uniform draws on every call
             rng = np.random.Generator(np.random.PCG64(2000 + instance))
             actions, log_prob_sum = rollout(model, env, rng, 1)
-            floored = loss_reward(reward_model.spec,
-                                  reward_model.score(tuple(actions[0].tolist()))[0])
+            [(r, _)] = reward_model.score_batch(actions.tolist())
+            floored = loss_reward(reward_model.spec, r)
             diff = model.log_z + log_prob_sum - math.log(floored)
             return actions, (diff * diff).mean()
 
@@ -191,7 +191,7 @@ def test_c05_reward_spot_values_and_fault_injection(bridge):
         res = external_gsa(adapter, "bfx:N1,N4,E1")
         assert not res.ok, label
         rm = RewardModel(ext_spec, env, adapter=adapter)
-        r, gsa_res = rm.score((0, 3, 5))
+        [(r, gsa_res)] = rm.score_batch([(0, 3, 5)])
         assert r == 0.0 and not gsa_res.ok, label
     report(5, "R(C)=1, R(2C)=e within 1e-12, R(0.9C)=0; adapter exit/timeout/"
               "garbage each yield reward 0 without raising")

@@ -281,8 +281,8 @@ def test_baseline_trained_policy_beats_uniform(bridge_env, bridge_reward):
     summary = baseline_comparison(policy, bridge_env, bridge_reward,
                                   n_samples=4000, seed=1)
     assert summary.trained_mean > summary.uniform_mean
-    rewards = np.array([bridge_reward.score(seq)[0]
-                        for seq in bridge_env.enumerate_terminals()])
+    rewards = np.array([r for r, _ in
+                        bridge_reward.score_batch(bridge_env.enumerate_terminals())])
     expect_uniform = rewards.mean()
     expect_trained = (rewards ** 2).sum() / rewards.sum()
     assert expect_trained > expect_uniform  # sanity: the ordering is structural
@@ -306,7 +306,7 @@ def test_exact_flows_single_terminal(tmp_path):
     rm = RewardModel(RewardSpec(cutoff=1000.0, surrogate_scale=1000.0), env)
     flows = exact_flows(env, rm)
     assert flows.terminal_probs == {(0,): 1.0}
-    r, _ = rm.score((0,))
+    [(r, _)] = rm.score_batch([(0,)])
     assert flows.log_z == pytest.approx(math.log(r), abs=1e-12)
 
 
@@ -326,8 +326,8 @@ def test_exact_flows_two_terminal_ratio(tmp_path):
     class FakeReward:
         spec = RewardSpec(cutoff=1.0)
 
-        def score(self, seq):
-            return (1.0 if seq == (0,) else 3.0), None
+        def score_batch(self, sequences, workers=1):
+            return [((1.0 if seq == (0,) else 3.0), None) for seq in sequences]
 
     flows = exact_flows(env, FakeReward())
     assert flows.terminal_probs[(0,)] == pytest.approx(0.25, abs=1e-12)

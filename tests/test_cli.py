@@ -70,6 +70,33 @@ def test_train_flag_overrides(tmp_path, capsys):
     assert manifest["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["amd", "--cif-dir", "cifs", "--workers", "2"],
+    ["amd", "--cif-dir", "cifs", "--seed", "2"],
+    ["flows", "--config", "run.json", "--workers", "2"],
+    ["flows", "--config", "run.json", "--seed", "2"],
+    ["regress", "--data", "xy.csv", "--workers", "2"],
+    ["baseline", "--config", "run.json", "--checkpoint", "c.json", "--workers", "2"],
+    ["train", "--config", "run.json", "--workers", "2"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sample_refuses_workers_below_one(workers, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--config", "run.json", "--checkpoint", "c.json", "-n", "5",
+              "--workers", workers, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_topology_exits_2(tmp_path, capsys):
     doc = json.loads(run_config(tmp_path).read_text())
     doc["topology"] = str(tmp_path / "nope.json")

@@ -42,8 +42,8 @@ def test_generate_first_seen_is_min_over_draws(bridge_env, bridge_reward, tabula
 
 def test_generate_rewards_match_reward_model(bridge_env, bridge_reward, tabular):
     records = generate(tabular, bridge_env, bridge_reward, n=50, seed=2)
-    for rec in records:
-        r, res = bridge_reward.score(rec.tokens)
+    scores = bridge_reward.score_batch([rec.tokens for rec in records])
+    for rec, (r, res) in zip(records, scores):
         assert rec.reward == r
         assert rec.gsa == res.value
 

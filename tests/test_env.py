@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockflow import Environment, Token, Topology, Vocabulary
-from blockflow.errors import (EnumerationBoundError, TerminalStateError,
-                              ValidationError)
+from blockflow.errors import EnumerationBoundError, ValidationError
 from conftest import FIXTURES
 
 
@@ -30,7 +29,7 @@ def test_vocab_load_happy_path(tmp_path):
     assert len(v) == 3
     assert v.index == {"N1": 0, "N2": 1, "E1": 2}
     np.testing.assert_array_equal(v.masses, [10, 20, 5])
-    assert v.ids_of_kind("edge") == ["E1"]
+    assert [tok.kind for tok in v.tokens] == ["node", "node", "edge"]
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -109,24 +108,18 @@ def test_slot_masks_match_topology(bridge_env):
         masks[0, 0] = False  # read-only
 
 
-def test_state_machine_walk(bridge_env):
-    state = bridge_env.root_state()
-    assert not bridge_env.is_terminal(state)
-    np.testing.assert_array_equal(bridge_env.valid_actions(state), [0, 1, 2])
-    state = bridge_env.step(state, 1)
-    state = bridge_env.step(state, 3)
-    state = bridge_env.step(state, 5)
-    assert bridge_env.is_terminal(state)
-    assert state.tokens == (1, 3, 5)
-    with pytest.raises(TerminalStateError):
-        bridge_env.step(state, 0)
-    with pytest.raises(TerminalStateError):
-        bridge_env.valid_actions(state)
+def test_check_sequence_accepts_a_full_walk(bridge_env):
+    bridge_env.check_sequence((1, 3, 5))  # N2, then N4, then E1
+    assert bridge_env.format_assembly_record((1, 3, 5)) == "bfx:N2,N4,E1"
+    with pytest.raises(ValidationError, match="4 tokens"):
+        bridge_env.check_sequence((1, 3, 5, 0))  # nothing follows the last slot
+    with pytest.raises(ValidationError, match="2 tokens"):
+        bridge_env.check_sequence((1, 3))
 
 
-def test_step_rejects_masked_action(bridge_env):
-    with pytest.raises(ValidationError):
-        bridge_env.step(bridge_env.root_state(), 5)  # edge token at a node slot
+def test_check_sequence_rejects_masked_token(bridge_env):
+    with pytest.raises(ValidationError, match="slot 0: token 'E1' not in the slot's allowed set"):
+        bridge_env.check_sequence((5, 3, 5))  # edge token at a node slot
 
 
 def test_enumeration_order_and_count(bridge_env):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -69,8 +73,8 @@ def test_surrogate_known_value(bridge_env):
 def test_reward_model_twelve_terminal_table(bridge_env, bridge_reward):
     spec = bridge_reward.spec
     rewards = {}
-    for seq in bridge_env.enumerate_terminals():
-        r, res = bridge_reward.score(seq)
+    terminals = list(bridge_env.enumerate_terminals())
+    for seq, (r, res) in zip(terminals, bridge_reward.score_batch(terminals)):
         assert res.ok
         # independent: exp((gsa-c)/c) with gsa rebuilt from raw fields
         vocab = bridge_env.vocabulary
@@ -83,9 +87,9 @@ def test_reward_model_twelve_terminal_table(bridge_env, bridge_reward):
 
 def test_reward_model_zero_below_cutoff(bridge_env):
     high = RewardModel(RewardSpec(cutoff=7000.0, surrogate_scale=1000.0), bridge_env)
-    r_low, res = high.score((0, 3, 5))  # gsa 3142.9 < 7000
+    # gsa 3142.9 < 7000, then 14571.4
+    (r_low, res), (r_high, _) = high.score_batch([(0, 3, 5), (2, 4, 6)])
     assert res.ok and r_low == 0.0
-    r_high, _ = high.score((2, 4, 6))  # gsa 14571.4
     assert r_high > 1.0
 
 
@@ -132,6 +136,104 @@ def test_external_adapter_timeout():
     assert "did not run" in res.error
 
 
+def _running(pid: int) -> bool:
+    """True while pid names a live process; a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _gone_soon(pid: int, within_s: float = 1.0) -> bool:
+    deadline = time.monotonic() + within_s
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return not _running(pid)
+
+
+def forking_adapter(pid_file) -> tuple[str, ...]:
+    """An adapter that starts one sleeping child, notes its pid, then hangs."""
+    return stub_adapter_command(
+        "import pathlib, subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(4)'])\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(child.pid))\n"
+        "time.sleep(4)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_external_adapter_timeout_kills_its_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    adapter = AdapterConfig(command=forking_adapter(pid_file), timeout_s=1.0)
+    res = external_gsa(adapter, "x:N1")
+    assert not res.ok and "did not run" in res.error
+    assert _gone_soon(int(pid_file.read_text()))
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+def test_external_adapter_interrupted_wait_kills_its_children(tmp_path, monkeypatch, error):
+    # the wait for the adapter's answer is cut short once its child runs:
+    # an interrupt propagates, any other error becomes a failed result,
+    # and neither leaves a process behind
+    pid_file = tmp_path / "child.pid"
+    adapters = []
+    real_communicate = subprocess.Popen.communicate
+
+    def cut_short(self, input=None, timeout=None):
+        if adapters:
+            return real_communicate(self, input, timeout)
+        adapters.append(self)
+        deadline = time.monotonic() + 5.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.05)  # let the pid write finish
+        raise error("wait cut short")
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", cut_short)
+    adapter = AdapterConfig(command=forking_adapter(pid_file))
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            external_gsa(adapter, "x:N1")
+    else:
+        res = external_gsa(adapter, "x:N1")
+        assert not res.ok and "wait cut short" in res.error
+    assert adapters[0].returncode is not None  # the adapter was reaped
+    assert _gone_soon(int(pid_file.read_text()))
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path, monkeypatch):
+    # two workers, three sequences: the interrupt comes once two adapters
+    # run; they are killed, not waited on, and the third never starts
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    body = ("import os, pathlib, time\n"
+            f"pathlib.Path({str(pid_dir)!r}, str(os.getpid())).touch()\n"
+            "time.sleep(10)\n")
+    adapter = AdapterConfig(command=stub_adapter_command(body), timeout_s=60.0)
+    rm = RewardModel(RewardSpec(evaluator="external"), bridge_env, adapter=adapter)
+
+    def interrupted(self, timeout=None):
+        deadline = time.monotonic() + 5.0
+        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Future, "result", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        rm.score_batch(list(bridge_env.enumerate_terminals())[:3], workers=2)
+    assert time.monotonic() - started < 5.0
+    pids = [int(f.name) for f in pid_dir.iterdir()]
+    assert len(pids) == 2
+    assert not any(_running(pid) for pid in pids)
+
+
 def test_external_adapter_missing_binary():
     res = external_gsa(AdapterConfig(command=("/no/such/binary",)), "x:N1")
     assert not res.ok
@@ -153,7 +255,7 @@ def test_external_failure_scores_zero_and_does_not_raise(bridge_env):
     spec = RewardSpec(cutoff=100.0, evaluator="external")
     adapter = AdapterConfig(command=stub_adapter_command("import sys; sys.exit(1)"))
     rm = RewardModel(spec, bridge_env, adapter=adapter)
-    r, res = rm.score((0, 3, 5))
+    [(r, res)] = rm.score_batch([(0, 3, 5)])
     assert r == 0.0 and not res.ok
 
 
@@ -169,23 +271,21 @@ def test_memoization_calls_adapter_once(bridge_env, tmp_path):
     counter.write_text("0")
     spec = RewardSpec(cutoff=100.0, evaluator="external")
     rm = RewardModel(spec, bridge_env, adapter=AdapterConfig(command=stub_adapter_command(body)))
-    first = rm.score((0, 3, 5))
-    second = rm.score((0, 3, 5))
-    assert first == second
+    first = rm.score_batch([(0, 3, 5), (0, 3, 5)])  # twice within one call
+    second = rm.score_batch([(0, 3, 5)])  # and again in a second call
+    assert first == second * 2
+    assert first[0][0] > 0.0
     assert counter.read_text() == "1"
-    uncached = RewardModel(spec, bridge_env, memoize=False,
-                           adapter=AdapterConfig(command=stub_adapter_command(body)))
-    uncached.score((0, 3, 5))
-    uncached.score((0, 3, 5))
-    assert counter.read_text() == "3"
 
 
-def test_score_batch_matches_scalar_scores(bridge_env, bridge_reward):
+def test_score_batch_matches_direct_reward(bridge_env, bridge_reward):
+    spec = bridge_reward.spec
     seqs = list(bridge_env.enumerate_terminals())[:5] * 2
     batch = bridge_reward.score_batch(seqs)
     assert len(batch) == 10
     for seq, (r, res) in zip(seqs, batch):
-        assert (r, res.value) == (bridge_reward.score(seq)[0], bridge_reward.score(seq)[1].value)
+        gsa = surrogate_gsa(bridge_env.vocabulary, seq, spec.surrogate_scale)
+        assert (r, res.value) == (reward(spec, gsa), gsa)
 
 
 def test_score_batch_threaded_external(bridge_env):

@@ -9,8 +9,7 @@ from scipy import stats
 from blockflow import (Adam, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, TabularPolicy, Tensor, Topology,
                        TrainConfig, Vocabulary, backward, exact_flows,
-                       loss_reward, moving_average, no_grad, rollout, train,
-                       uniform_rollout)
+                       loss_reward, no_grad, rollout, train, uniform_rollout)
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import ConfigurationError, TrainingAbort
 
@@ -44,16 +43,6 @@ def episode_log_prob(model, env, actions):
 
 def chi_squared(counts, expected):
     return sum((counts.get(seq, 0) - e) ** 2 / e for seq, e in expected.items())
-
-
-def test_moving_average_oracle():
-    out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
-    assert np.allclose(out, [1.5, 2.5, 3.5])
-    assert moving_average([5.0], 1)[0] == 5.0
-    with pytest.raises(ConfigurationError):
-        moving_average([1.0, 2.0], 3)
-    with pytest.raises(ConfigurationError):
-        moving_average([1.0], 0)
 
 
 def test_rollout_respects_masks(bridge_env, rng):
@@ -188,9 +177,9 @@ def test_metrics_loss_is_squared_balance_residual(tmp_path):
     model = small_model(seed=3)
     actions, _ = rollout(model, env, np.random.Generator(np.random.PCG64(0)), 8)
     assert len(rows) == 8
-    for row, seq in zip(rows, actions.tolist()):
+    scores = reward_model.score_batch(actions.tolist())
+    for row, seq, (r, _) in zip(rows, actions.tolist(), scores):
         episode, loss, _, log_z, rwd, _ = row.split(",")
-        r = reward_model.score(tuple(seq))[0]
         residual = model.log_z_value + episode_log_prob(model, env, seq) - math.log(
             loss_reward(reward_model.spec, r))
         assert float(loss) == pytest.approx(residual ** 2, rel=1e-10)
@@ -206,8 +195,8 @@ def test_train_update_is_adam_on_mean_squared_residual():
 
     model = small_model(seed=3)
     actions, log_prob_sum = rollout(model, env, np.random.Generator(np.random.PCG64(cfg.seed)), 8)
-    floored = [loss_reward(reward_model.spec, reward_model.score(tuple(seq))[0])
-               for seq in actions.tolist()]
+    floored = [loss_reward(reward_model.spec, r)
+               for r, _ in reward_model.score_batch(actions.tolist())]
     by_hand = np.mean([(model.log_z_value + lp - math.log(f)) ** 2
                        for lp, f in zip(log_prob_sum.data, floored)])
     diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
@@ -227,8 +216,8 @@ def test_rollout_gradient_fd_spot_check(bridge_env, bridge_reward):
     def loss_of_fixed_draws():
         rng = np.random.Generator(np.random.PCG64(1))
         actions, log_prob_sum = rollout(model, bridge_env, rng, 3)
-        floored = [loss_reward(bridge_reward.spec, bridge_reward.score(tuple(seq))[0])
-                   for seq in actions.tolist()]
+        floored = [loss_reward(bridge_reward.spec, r)
+                   for r, _ in bridge_reward.score_batch(actions.tolist())]
         diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
         return actions, (diff * diff).mean()
 
@@ -268,12 +257,14 @@ def test_train_nonfinite_residual_names_its_episode(tmp_path):
     env, reward_model = _fresh_setup()
 
     class NanOnThirdScore(RewardModel):
-        calls = 0
+        scored = 0
 
-        def score(self, tokens):
-            self.calls += 1
-            rwd, result = super().score(tokens)
-            return (math.nan if self.calls == 3 else rwd), result
+        def score_batch(self, sequences, workers=1):
+            out = []
+            for rwd, result in super().score_batch(sequences, workers):
+                self.scored += 1
+                out.append((math.nan if self.scored == 3 else rwd, result))
+            return out
 
     poisoned = NanOnThirdScore(reward_model.spec, env)
     with pytest.raises(TrainingAbort, match="at episode 3;"):
@@ -286,18 +277,20 @@ def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
     # the flow-matching solution satisfies the balance identity exactly
     flows = exact_flows(bridge_env, bridge_reward)
     policy = TabularPolicy(flows, bridge_env)
-    for seq in bridge_env.enumerate_terminals():
+    terminals = list(bridge_env.enumerate_terminals())
+    for seq, (r, _) in zip(terminals, bridge_reward.score_batch(terminals)):
         log_probs = []
         prefix = ()
         for action in seq:
             log_probs.append(policy.log_prob(prefix, action))
             prefix = prefix + (action,)
-        floored = loss_reward(bridge_reward.spec, bridge_reward.score(seq)[0])
+        floored = loss_reward(bridge_reward.spec, r)
         assert abs(policy.log_z_value + sum(log_probs) - math.log(floored)) < 1e-12
     # and so does every episode the batched sampler draws from it
     actions, log_prob_sum = rollout(policy, bridge_env, np.random.Generator(np.random.PCG64(6)), 200)
-    for seq, lp in zip(actions.tolist(), log_prob_sum.data):
-        floored = loss_reward(bridge_reward.spec, bridge_reward.score(tuple(seq))[0])
+    scores = bridge_reward.score_batch(actions.tolist())
+    for (r, _), lp in zip(scores, log_prob_sum.data):
+        floored = loss_reward(bridge_reward.spec, r)
         assert abs(policy.log_z_value + lp - math.log(floored)) < 1e-12
 
 
@@ -305,8 +298,9 @@ def test_exact_flow_terminal_probs_are_reward_over_z(bridge_env, bridge_reward):
     flows = exact_flows(bridge_env, bridge_reward)
     z = math.exp(flows.log_z)
     total = 0.0
-    for seq in bridge_env.enumerate_terminals():
-        floored = loss_reward(bridge_reward.spec, bridge_reward.score(seq)[0])
+    terminals = list(bridge_env.enumerate_terminals())
+    for seq, (r, _) in zip(terminals, bridge_reward.score_batch(terminals)):
+        floored = loss_reward(bridge_reward.spec, r)
         p = flows.terminal_probs[seq]
         assert p == pytest.approx(floored / z, rel=1e-12)
         total += p
@@ -323,6 +317,36 @@ def _fresh_setup():
     env = Environment(topo, vocab)
     reward_model = RewardModel(RewardSpec(cutoff=2500.0, surrogate_scale=1000.0), env)
     return env, reward_model
+
+
+def test_train_scores_each_batch_in_one_call():
+    env, reward_model = _fresh_setup()
+    received = []
+
+    class RecordsBatches(RewardModel):
+        def score_batch(self, sequences, workers=1):
+            received.append(len(sequences))
+            return super().score_batch(sequences, workers)
+
+    train(quick_config(max_episodes=20), small_model(), env,
+          RecordsBatches(reward_model.spec, env))
+    assert received == [8, 8, 4]
+
+
+def test_smoothed_loss_is_the_window_mean_of_logged_losses(tmp_path):
+    env, reward_model = _fresh_setup()
+    w = 5
+    train(quick_config(max_episodes=24, smooth_window=w), small_model(seed=2), env,
+          reward_model, out_dir=tmp_path)
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    losses = [float(row.split(",")[1]) for row in rows]
+    assert len(rows) == 24
+    for i, row in enumerate(rows):
+        smoothed = row.split(",")[2]
+        if i + 1 < w:
+            assert smoothed == ""
+        else:
+            assert float(smoothed) == float(np.mean(losses[i + 1 - w:i + 1]))
 
 
 def test_train_runs_and_reports(tmp_path):
