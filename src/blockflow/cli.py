@@ -140,6 +140,9 @@ def cmd_train(args) -> int:
           f"best_reward={result.best_reward!r} log_z={result.log_z!r}")
     if result.best_record is not None:
         print(f"best_record={result.best_record}")
+    if result.evaluator_failures:
+        print(f"warning: {result.evaluator_failures} episodes scored by a failed evaluation; "
+              f"the first: {result.first_evaluator_error}", file=sys.stderr)
     return 0
 
 
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[seeded, out], help="draw a dataset from a checkpoint")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="RNG streams the draws are split over (the dataset depends on seed, n "
-                   "and workers) and max external evaluations at a time")
+                   "and workers); external evaluations run as many at a time as there are CPUs")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("-n", type=int, required=True, help="number of draws")

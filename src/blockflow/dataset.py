@@ -1,8 +1,10 @@
 """Sampling-to-dataset pipeline: draw, deduplicate, score, rank, persist.
 
-The draw index is global and 1-based across workers: worker streams are
-spawned from one seed sequence and own contiguous index ranges, so the same
-(seed, n, workers) triple always yields the same dataset.
+The draws are split over `workers` RNG streams, spawned from one seed
+sequence; each stream owns a contiguous range of the global, 1-based draw
+index, so the same (seed, n, workers) triple always yields the same dataset.
+`workers` sets only that split: how many external evaluations run at once
+is up to the reward model.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
                 first_seen[seq] = draw_index
         offset += chunk
     unique = sorted(counts, key=first_seen.__getitem__)
-    scored = reward_model.score_batch(unique, workers=workers)
+    scored = reward_model.score_batch(unique)
     out = []
     for seq, (rwd, gsa_res) in zip(unique, scored):
         out.append(CandidateRecord(

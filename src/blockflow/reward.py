@@ -159,6 +159,16 @@ class _RunningAdapters:
                     _kill_group(proc, reap=False)
 
 
+def _evaluation_slots() -> int:
+    """External evaluations run at once: the CPUs this process may run on.
+
+    An adapter run is CPU-bound, so more at a time than that buys nothing.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _kill_group(proc: subprocess.Popen, reap: bool = True) -> None:
     # The adapter is not reaped yet, so its pid still names its group.
     try:
@@ -187,19 +197,20 @@ class RewardModel:
         record = self.env.format_assembly_record(tokens)
         return external_gsa(self.adapter, record, running)
 
-    def score_batch(self, sequences, workers: int = 1) -> list[tuple[float, GsaResult]]:
+    def score_batch(self, sequences) -> list[tuple[float, GsaResult]]:
         """Reward and GSA result per sequence, in order.
 
         Sequences not seen before are evaluated once each, in first-appearance
-        order; with an external evaluator and workers > 1 they run in a
-        thread pool. An interrupt reaches only this thread, which then kills
-        the running adapters and starts no more.
+        order; external evaluations run in a thread pool as wide as the CPUs
+        this process may use. An interrupt reaches only this thread, which
+        then kills the running adapters and starts no more.
         """
         sequences = [tuple(int(t) for t in seq) for seq in sequences]
         pending = [seq for seq in dict.fromkeys(sequences) if seq not in self._cache]
-        if pending and self.spec.evaluator == "external" and workers > 1:
+        slots = min(_evaluation_slots(), len(pending)) if self.spec.evaluator == "external" else 1
+        if slots > 1:
             running = _RunningAdapters()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=slots) as pool:
                 try:
                     results = list(pool.map(lambda seq: self._evaluate(seq, running), pending))
                 except BaseException:

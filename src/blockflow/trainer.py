@@ -141,6 +141,8 @@ class TrainResult:
     final_loss_mean: float | None
     metrics_path: Path | None
     checkpoint_path: Path | None
+    evaluator_failures: int  # episodes of this invocation a failed evaluation scored
+    first_evaluator_error: str | None
 
 
 def _format_row(episode: int, loss: float, smoothed: float | None,
@@ -214,6 +216,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
     best_reward = 0.0
     best_record: str | None = None
     loss_tail: deque[float] = deque(maxlen=tail_len)
+    evaluator_failures = 0
+    first_evaluator_error: str | None = None
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -302,11 +306,14 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             with nullcontext() if full else no_grad():
                 actions, log_prob_sum = rollout(model, env, rng, n, config.exploration_epsilon)
                 sequences = [tuple(row) for row in actions.tolist()]
-                rewards = [r for r, _ in reward_model.score_batch(sequences)]
-                floored = np.array([loss_reward(reward_model.spec, r) for r in rewards])
+                scored = reward_model.score_batch(sequences)
+                floored = np.array([loss_reward(reward_model.spec, r) for r, _ in scored])
                 residual = model.log_z + log_prob_sum - Tensor(np.log(floored))
-            for i, (seq, rwd) in enumerate(zip(sequences, rewards)):
+            for i, (seq, (rwd, gsa_res)) in enumerate(zip(sequences, scored)):
                 episode += 1
+                if not gsa_res.ok:
+                    evaluator_failures += 1
+                    first_evaluator_error = first_evaluator_error or gsa_res.error
                 res = float(residual.data[i])
                 if not math.isfinite(res):
                     raise TrainingAbort(
@@ -351,4 +358,6 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         final_loss_mean=final_mean,
         metrics_path=metrics_path,
         checkpoint_path=checkpoint_path,
+        evaluator_failures=evaluator_failures,
+        first_evaluator_error=first_evaluator_error,
     )

@@ -1,3 +1,5 @@
+import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,14 @@ def single_env() -> Environment:
 
 
 @pytest.fixture()
+def set_evaluation_slots(monkeypatch):
+    """Fix how many external evaluations run at once, whatever the host's CPU count."""
+    # imported by name: the package's `reward` function shadows the module
+    module = importlib.import_module("blockflow.reward")
+    return lambda slots: monkeypatch.setattr(module, "_evaluation_slots", lambda: slots)
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(1234))
 
@@ -44,3 +54,37 @@ def relative_error(a: float, b: float) -> float:
 def stub_adapter_command(body: str) -> tuple[str, ...]:
     """An adapter implemented as an inline interpreter one-liner."""
     return (sys.executable, "-c", body)
+
+
+def surrogate_adapter_command(vocab_csv: Path, scale: float) -> tuple[str, ...]:
+    """A stdlib adapter whose answer is bit-equal to `surrogate_gsa`.
+
+    It reads one `name:TOK1,TOK2,...` record on stdin and prints
+    scale * sum(surface) / sum(mass) over its tokens.
+    """
+    body = (
+        "import csv, sys\n"
+        f"with open({str(vocab_csv)!r}, newline='') as fh:\n"
+        "    rows = list(csv.reader(line for line in fh if not line.startswith('#')))\n"
+        "table = {r[0].strip(): (float(r[2]), float(r[3])) for r in rows[1:] if r}\n"
+        "tokens = sys.stdin.readline().strip().partition(':')[2].split(',')\n"
+        "mass = surface = 0.0\n"
+        "for token in tokens:\n"
+        "    m, s = table[token.strip()]\n"
+        "    mass += m\n"
+        "    surface += s\n"
+        f"print(repr({float(scale)!r} * surface / mass))\n")
+    return (sys.executable, "-S", "-I", "-c", body)
+
+
+def process_running(pid: int) -> bool:
+    """True while pid names a live process; a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True

@@ -326,7 +326,7 @@ def test_exact_flows_two_terminal_ratio(tmp_path):
     class FakeReward:
         spec = RewardSpec(cutoff=1.0)
 
-        def score_batch(self, sequences, workers=1):
+        def score_batch(self, sequences):
             return [((1.0 if seq == (0,) else 3.0), None) for seq in sequences]
 
     flows = exact_flows(env, FakeReward())

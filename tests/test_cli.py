@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ def test_train_writes_artifacts(tmp_path, capsys):
     cfg = run_config(tmp_path)
     out = tmp_path / "run1"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
+    printed, warned = capsys.readouterr()
+    assert warned == ""  # no evaluation failed
     assert "episodes=48" in printed
     assert "best_record=bfx:" in printed
     assert (out / "metrics.csv").exists()
@@ -48,6 +50,17 @@ def test_train_writes_artifacts(tmp_path, capsys):
     rows = read_csv(out / "metrics.csv")
     assert rows[0] == ["episode", "loss", "smoothedLoss", "logZ", "reward", "bestReward"]
     assert len(rows) == 49
+
+
+def test_train_reports_failed_evaluations_on_stderr(tmp_path, capsys):
+    failing = [sys.executable, "-c", "import sys; sys.stderr.write('no surface today'); sys.exit(1)"]
+    cfg = run_config(tmp_path, train_overrides={"max_episodes": 32},
+                     reward_overrides={"evaluator": "external", "adapter": {"command": failing}})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    printed, warned = capsys.readouterr()
+    assert warned.splitlines() == ["warning: 32 episodes scored by a failed evaluation; "
+                                   "the first: adapter exit code 1: no surface today"]
+    assert "episodes=32" in printed and "warning" not in printed
 
 
 def test_train_reruns_byte_identical(tmp_path):

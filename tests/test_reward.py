@@ -1,6 +1,7 @@
 import math
 import os
 import subprocess
+import sys
 import time
 from concurrent.futures import Future
 
@@ -10,7 +11,7 @@ import pytest
 from blockflow import (AdapterConfig, GsaResult, RewardModel, RewardSpec,
                        external_gsa, loss_reward, reward, surrogate_gsa)
 from blockflow.errors import ConfigurationError
-from conftest import stub_adapter_command
+from conftest import process_running, stub_adapter_command
 
 SPEC = RewardSpec(cutoff=5000.0)
 
@@ -136,24 +137,11 @@ def test_external_adapter_timeout():
     assert "did not run" in res.error
 
 
-def _running(pid: int) -> bool:
-    """True while pid names a live process; a zombie counts as gone."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return True
-
-
 def _gone_soon(pid: int, within_s: float = 1.0) -> bool:
     deadline = time.monotonic() + within_s
-    while _running(pid) and time.monotonic() < deadline:
+    while process_running(pid) and time.monotonic() < deadline:
         time.sleep(0.02)
-    return not _running(pid)
+    return not process_running(pid)
 
 
 def forking_adapter(pid_file) -> tuple[str, ...]:
@@ -207,9 +195,11 @@ def test_external_adapter_interrupted_wait_kills_its_children(tmp_path, monkeypa
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path, monkeypatch):
-    # two workers, three sequences: the interrupt comes once two adapters
+def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path, monkeypatch,
+                                                          set_evaluation_slots):
+    # two slots, three sequences: the interrupt comes once two adapters
     # run; they are killed, not waited on, and the third never starts
+    set_evaluation_slots(2)
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
     body = ("import os, pathlib, time\n"
@@ -227,11 +217,11 @@ def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path,
     monkeypatch.setattr(Future, "result", interrupted)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        rm.score_batch(list(bridge_env.enumerate_terminals())[:3], workers=2)
+        rm.score_batch(list(bridge_env.enumerate_terminals())[:3])
     assert time.monotonic() - started < 5.0
     pids = [int(f.name) for f in pid_dir.iterdir()]
     assert len(pids) == 2
-    assert not any(_running(pid) for pid in pids)
+    assert not any(process_running(pid) for pid in pids)
 
 
 def test_external_adapter_missing_binary():
@@ -288,12 +278,45 @@ def test_score_batch_matches_direct_reward(bridge_env, bridge_reward):
         assert (r, res.value) == (reward(spec, gsa), gsa)
 
 
-def test_score_batch_threaded_external(bridge_env):
+def _most_at_once(marker_dir) -> int:
+    """Most adapters running at one time, from their start and end markers."""
+    events = []
+    for f in marker_dir.iterdir():
+        kind, _ = f.name.split("-")
+        events.append((int(f.read_text()), 1 if kind == "start" else -1))
+    running = most = 0
+    for _, step in sorted(events):  # at a tie an end counts before a start
+        running += step
+        most = max(most, running)
+    return most
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_score_batch_runs_at_most_slots_adapters_at_once(bridge_env, tmp_path,
+                                                         set_evaluation_slots, slots):
+    set_evaluation_slots(slots)
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    body = ("import os, pathlib, sys, time\n"
+            f"def mark(kind): pathlib.Path({str(markers)!r}, f'{{kind}}-{{os.getpid()}}')"
+            ".write_text(str(time.time_ns()))\n"
+            "mark('start')\n"
+            "line = sys.stdin.readline()\n"
+            "time.sleep(0.05)\n"
+            "print(float(len(line)) * 100)\n"
+            "mark('end')\n")
     spec = RewardSpec(cutoff=100.0, evaluator="external")
-    body = "import sys; line = sys.stdin.readline(); print(float(len(line)) * 100)"
     rm = RewardModel(spec, bridge_env, adapter=AdapterConfig(command=stub_adapter_command(body)))
     seqs = list(bridge_env.enumerate_terminals())
-    threaded = rm.score_batch(seqs, workers=4)
-    plain = RewardModel(spec, bridge_env, adapter=AdapterConfig(command=stub_adapter_command(body)))
-    sequential = plain.score_batch(seqs, workers=1)
-    assert [r for r, _ in threaded] == [r for r, _ in sequential]
+    seqs = seqs[::-1] + seqs[:4]  # repeats are read from the cache
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        scored = rm.score_batch(seqs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(list(markers.iterdir())) == 2 * 12  # each distinct sequence ran once
+    assert 1 <= _most_at_once(markers) <= slots
+    expected = [float(len(bridge_env.format_assembly_record(seq)) + 1) * 100 for seq in seqs]
+    assert [res.value for _, res in scored] == expected  # in input order
+    assert [r for r, _ in scored] == [reward(spec, g) for g in expected]

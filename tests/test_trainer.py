@@ -1,17 +1,24 @@
+import dataclasses
 import filecmp
 import math
+import os
+import time
 from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from blockflow import (Adam, Environment, FlowModel, ModelConfig, RewardModel,
+from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, TabularPolicy, Tensor, Topology,
                        TrainConfig, Vocabulary, backward, exact_flows,
                        loss_reward, no_grad, rollout, train, uniform_rollout)
 from blockflow.autodiff import masked_log_softmax
+from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
+from conftest import (CONFIGS, FIXTURES, process_running, stub_adapter_command,
+                      surrogate_adapter_command)
 
 SMALL = ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12)
 
@@ -259,9 +266,9 @@ def test_train_nonfinite_residual_names_its_episode(tmp_path):
     class NanOnThirdScore(RewardModel):
         scored = 0
 
-        def score_batch(self, sequences, workers=1):
+        def score_batch(self, sequences):
             out = []
-            for rwd, result in super().score_batch(sequences, workers):
+            for rwd, result in super().score_batch(sequences):
                 self.scored += 1
                 out.append((math.nan if self.scored == 3 else rwd, result))
             return out
@@ -324,13 +331,109 @@ def test_train_scores_each_batch_in_one_call():
     received = []
 
     class RecordsBatches(RewardModel):
-        def score_batch(self, sequences, workers=1):
+        def score_batch(self, sequences):
             received.append(len(sequences))
-            return super().score_batch(sequences, workers)
+            return super().score_batch(sequences)
 
     train(quick_config(max_episodes=20), small_model(), env,
           RecordsBatches(reward_model.spec, env))
     assert received == [8, 8, 4]
+
+
+def test_train_counts_episodes_a_failed_evaluation_scored(tmp_path):
+    env, reward_model = _fresh_setup()
+    failing = AdapterConfig(command=stub_adapter_command(
+        "import sys; sys.stderr.write('no surface today'); sys.exit(1)"))
+    spec = dataclasses.replace(reward_model.spec, evaluator="external")
+    result = train(quick_config(max_episodes=32), small_model(), env,
+                   RewardModel(spec, env, adapter=failing), out_dir=tmp_path)
+    assert result.evaluator_failures == 32
+    assert result.first_evaluator_error == "adapter exit code 1: no surface today"
+
+
+def test_parallel_external_training_writes_the_surrogate_bytes(tmp_path, monkeypatch,
+                                                               set_evaluation_slots):
+    run = load_run_config(CONFIGS / "train_bridge.json")
+    config = dataclasses.replace(run.train_config, max_episodes=64)
+    adapter = AdapterConfig(command=surrogate_adapter_command(
+        FIXTURES / "vocab_bridge.csv", run.reward_spec.surrogate_scale))
+    external_spec = dataclasses.replace(run.reward_spec, evaluator="external")
+    submitted = []
+    real_submit = ThreadPoolExecutor.submit
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *a, **kw: submitted.append(1) or real_submit(pool, *a, **kw))
+
+    def train_into(name, reward_model):
+        model = FlowModel.init(run.model_config, seed=run.init_seed)
+        result = train(config, model, run.env, reward_model, out_dir=tmp_path / name)
+        assert result.episodes_run == 64 and result.evaluator_failures == 0
+        return tmp_path / name
+
+    surrogate = train_into("surrogate", RewardModel(run.reward_spec, run.env))
+    set_evaluation_slots(1)
+    serial = train_into("serial", RewardModel(external_spec, run.env, adapter=adapter))
+    assert not submitted  # one slot: no pool
+    set_evaluation_slots(3)
+    parallel = train_into("parallel", RewardModel(external_spec, run.env, adapter=adapter))
+    assert submitted  # the misses went through the pool
+    for out in (serial, parallel):
+        assert filecmp.cmp(surrogate / "metrics.csv", out / "metrics.csv", shallow=False)
+    assert filecmp.cmp(serial / "checkpoint.json", parallel / "checkpoint.json", shallow=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_interrupted_parallel_training_kills_adapters_and_keeps_first_batch(
+        tmp_path, monkeypatch, set_evaluation_slots):
+    # two slots; the second batch has four misses, and its adapters hang:
+    # the interrupt comes once two of them run
+    set_evaluation_slots(2)
+    env, reward_model = _fresh_setup()
+    pids, hung, hang = tmp_path / "pids", tmp_path / "hung", tmp_path / "hang"
+    pids.mkdir()
+    hung.mkdir()
+    body = ("import os, pathlib, time\n"
+            f"pathlib.Path({str(pids)!r}, str(os.getpid())).touch()\n"
+            f"if pathlib.Path({str(hang)!r}).exists():\n"
+            f"    pathlib.Path({str(hung)!r}, str(os.getpid())).touch()\n"
+            "    time.sleep(10)\n"
+            "print(9000.0)\n")
+    adapter = AdapterConfig(command=stub_adapter_command(body), timeout_s=60.0)
+    spec = dataclasses.replace(reward_model.spec, evaluator="external")
+
+    class HangsOnSecondBatch(RewardModel):
+        batches = 0
+
+        def score_batch(self, sequences):
+            self.batches += 1
+            if self.batches == 2:
+                hang.touch()
+            return super().score_batch(sequences)
+
+    real_result = Future.result
+
+    def interrupted(self, timeout=None):
+        if not hang.exists():
+            return real_result(self, timeout)
+        deadline = time.monotonic() + 5.0
+        while len(list(hung.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Future, "result", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        train(quick_config(max_episodes=16), small_model(), env,
+              HangsOnSecondBatch(spec, env, adapter=adapter), out_dir=tmp_path / "run")
+    assert time.monotonic() - started < 8.0  # the hung adapters were not waited on
+    assert len(list(hung.iterdir())) == 2  # and no third one started
+    assert not any(process_running(int(f.name)) for f in pids.iterdir())
+
+    monkeypatch.undo()
+    hang.unlink()
+    train(quick_config(max_episodes=8), small_model(), env,
+          RewardModel(spec, env, adapter=adapter), out_dir=tmp_path / "first_batch")
+    assert filecmp.cmp(tmp_path / "run" / "metrics.csv",
+                       tmp_path / "first_batch" / "metrics.csv", shallow=False)
 
 
 def test_smoothed_loss_is_the_window_mean_of_logged_losses(tmp_path):
@@ -361,6 +464,7 @@ def test_train_runs_and_reports(tmp_path):
     assert (tmp_path / "metrics.csv").exists()
     assert (tmp_path / "run_manifest.json").exists()
     assert result.checkpoint_path is not None and result.checkpoint_path.exists()
+    assert result.evaluator_failures == 0 and result.first_evaluator_error is None
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == "episode,loss,smoothedLoss,logZ,reward,bestReward"
     assert len(lines) == 65
