@@ -21,7 +21,7 @@ from .env import Environment
 from .errors import (ConfigurationError, DegenerateInputError,
                      TerminalStateError, ValidationError)
 from .reward import RewardModel, loss_reward
-from .trainer import rollout, uniform_rollout
+from .trainer import distinct_rows, rollout, uniform_rollout
 
 # ---------------------------------------------------------------------------
 # regression
@@ -279,8 +279,8 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
         trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)),
                              n_samples)
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
-    r_trained = np.array([r for r, _ in reward_model.score_batch(trained.tolist())])
-    r_uniform = np.array([r for r, _ in reward_model.score_batch(uniform)])
+    r_trained = _draw_rewards(reward_model, trained)
+    r_uniform = _draw_rewards(reward_model, uniform)
     lo = min(r_trained.min(), r_uniform.min())
     hi = max(r_trained.max(), r_uniform.max())
     if hi == lo:
@@ -296,6 +296,12 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
         trained_counts=np.histogram(r_trained, edges)[0],
         uniform_counts=np.histogram(r_uniform, edges)[0],
     )
+
+
+def _draw_rewards(reward_model: RewardModel, draws: np.ndarray) -> np.ndarray:
+    """Each draw's reward; every distinct draw is scored once, in first-appearance order."""
+    ids, first = distinct_rows(draws)
+    return np.array([r for r, _ in reward_model.score_batch(draws[first].tolist())])[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,7 @@ def exact_flows(env: Environment, reward_model: RewardModel,
 
 class TabularPolicy:
     """Exact policy over an enumerable environment, behind the model's
-    batched step interface: the state holds each episode's prefix and the
+    batched step interface: the state holds each row's prefix and the
     logits are the log flows of the prefix's children."""
 
     def __init__(self, flows: ExactFlows, env: Environment):
@@ -355,17 +361,21 @@ class TabularPolicy:
             return -math.inf
         return math.log(self.flows.flows[child]) - math.log(self.flows.flows[prefix])
 
-    def step(self, tokens, state=None) -> tuple[Tensor, list[tuple[int, ...]]]:
-        """Child log flows for a batch; `state` is the prefixes before `tokens`.
+    def step(self, tokens, state=None) -> tuple[Tensor, tuple[Tensor]]:
+        """Child log flows for a batch; `state` holds the prefixes before `tokens`.
 
+        The state is a 1-tuple: a (batch, slots filled) tensor of the tokens of
+        each row's prefix, so rows gather by index as the model's (h, c) do.
         At sequence start (state None) the tokens are start sentinels and are
         not part of any prefix.
         """
+        tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if state is None:
-            prefixes = [()] * len(tokens)
+            prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)
         else:
-            prefixes = [prefix + (int(tok),) for prefix, tok in zip(state, tokens)]
-        return Tensor(np.stack([self._child_log_flows(p) for p in prefixes])), prefixes
+            prefixes = np.column_stack([state[0].data.astype(np.intp), tokens])
+        logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
+        return Tensor(logits), (Tensor(prefixes),)
 
     def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
         row = self._child_rows.get(prefix)

@@ -32,6 +32,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether operations record the graph (false inside `no_grad`)."""
+    return _grad_enabled
+
+
 class Tensor:
     """A float64 array plus an optional gradient accumulator.
 
@@ -304,18 +309,21 @@ def take_rows(table: Tensor, index) -> Tensor:
     return _build(table.data[index], [(table, vjp)])
 
 
-def take_per_row(a: Tensor, index) -> Tensor:
-    """Per-row column gather: out[b] = a[b, index[b]]."""
+def take_per_row(a: Tensor, index, rows=None) -> Tensor:
+    """Per-row column gather: out[b] = a[rows[b], index[b]].
+
+    `rows` defaults to every row of `a` once, in order.
+    """
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
-    rows = np.arange(a.data.shape[0])
+    rows = np.arange(a.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
 
     def vjp(g):
         full = np.zeros_like(a.data)
         np.add.at(full, (rows, index), g)
         return full
 
-    return _build(a.data[rows, index].copy(), [(a, vjp)])
+    return _build(a.data[rows, index], [(a, vjp)])
 
 
 def masked_log_softmax(logits, mask) -> Tensor:

@@ -21,7 +21,7 @@ from .autodiff import no_grad
 from .env import Environment
 from .errors import ConfigurationError, ValidationError
 from .reward import RewardModel
-from .trainer import rollout
+from .trainer import distinct_rows, rollout
 
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
 
@@ -53,37 +53,21 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
     streams = [np.random.Generator(np.random.PCG64(s))
                for s in np.random.SeedSequence(seed).spawn(workers)]
     base, rem = divmod(n, workers)
-    counts: dict[tuple[int, ...], int] = {}
-    first_seen: dict[tuple[int, ...], int] = {}
-    offset = 0
+    draws = []
     for w, rng in enumerate(streams):
-        chunk = base + (1 if w < rem else 0)
-        if chunk == 0:
-            continue
         with no_grad():
-            actions, _ = rollout(model, env, rng, chunk)
-        for i, seq in enumerate(map(tuple, actions.tolist())):
-            draw_index = offset + i + 1
-            if seq in counts:
-                counts[seq] += 1
-                first_seen[seq] = min(first_seen[seq], draw_index)
-            else:
-                counts[seq] = 1
-                first_seen[seq] = draw_index
-        offset += chunk
-    unique = sorted(counts, key=first_seen.__getitem__)
-    scored = reward_model.score_batch(unique)
-    out = []
-    for seq, (rwd, gsa_res) in zip(unique, scored):
-        out.append(CandidateRecord(
-            record=env.format_assembly_record(seq),
-            tokens=seq,
-            gsa=gsa_res.value,
-            reward=rwd,
-            sample_count=counts[seq],
-            first_seen_episode=first_seen[seq],
-        ))
-    return out
+            actions, _ = rollout(model, env, rng, base + (1 if w < rem else 0))
+        draws.append(actions)
+    # each stream owns the next range of draw indices, so row i is draw i + 1
+    draws = np.concatenate(draws)
+    ids, first = distinct_rows(draws)
+    sequences = [tuple(seq) for seq in draws[first].tolist()]
+    scored = reward_model.score_batch(sequences)
+    return [CandidateRecord(record=env.format_assembly_record(seq), tokens=seq,
+                            gsa=gsa_res.value, reward=rwd, sample_count=count,
+                            first_seen_episode=first_index + 1)
+            for seq, count, first_index, (rwd, gsa_res)
+            in zip(sequences, np.bincount(ids).tolist(), first.tolist(), scored)]
 
 
 def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:

@@ -355,9 +355,12 @@ def test_tabular_policy_probabilities_sum_to_one(bridge_env, bridge_reward):
         log_probs = masked_log_softmax(logits, mask).data
         np.testing.assert_allclose(np.exp(log_probs[:, mask]).sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.isneginf(log_probs[:, ~mask]))
-        for prefix, row in zip(state, log_probs):
+        (prefixes,) = state
+        assert prefixes.data.shape == (3, slot)
+        for prefix, row in zip(prefixes.data.astype(int).tolist(), log_probs):
             for action in np.flatnonzero(mask):
-                assert row[action] == pytest.approx(policy.log_prob(prefix, action), abs=1e-12)
+                assert row[action] == pytest.approx(policy.log_prob(tuple(prefix), action),
+                                                    abs=1e-12)
         tokens = np.flatnonzero(mask)[[0, -1, 0]]
     with pytest.raises(TerminalStateError):
         policy.step(tokens, state)

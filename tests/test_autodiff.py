@@ -92,6 +92,18 @@ def test_take_per_row_picks_one_lane():
     np.testing.assert_allclose(out.data, a.data[0, 2] + a.data[1, 0])
 
 
+def test_take_per_row_gathers_shared_rows():
+    # out[b] = a[rows[b], index[b]]: episodes that share a state row read it
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    out = ad.take_per_row(a, np.array([2, 0, 2]), rows=np.array([1, 1, 1]))
+    np.testing.assert_array_equal(out.data, [5.0, 3.0, 5.0])
+    backward(out.sum())
+    expect = np.zeros((2, 3))
+    expect[1, 2] = 2.0  # picked by two episodes
+    expect[1, 0] = 1.0
+    np.testing.assert_array_equal(a.grad, expect)
+
+
 def test_masked_log_softmax_two_lane_oracle():
     # independent arithmetic: lse(1, 2) = 2 + log1p(e^-1)
     logits = Tensor(np.array([[1.0, 2.0]]))

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from blockflow.cli import main
+from blockflow import Adam, FlowModel
+from blockflow.checkpoint import file_sha256, save_checkpoint
+from blockflow.cli import load_run_config, main
 from conftest import CONFIGS, FIXTURES
 
 
@@ -319,6 +321,37 @@ def test_baseline_command(trained_run, tmp_path, capsys):
     assert hist[0] == ["bin_low", "bin_high", "trained_count", "uniform_count"]
     assert sum(int(r[2]) for r in hist[1:]) == 500
     assert sum(int(r[3]) for r in hist[1:]) == 500
+
+
+# Digests recorded before sampling shared its prefix rows: the draws must not move.
+GRID_SAMPLE_SHA256 = {
+    ("sample", "1"): {
+        "dataset.csv": "4ec1a169646fd526c40dea4e4370a0c9deaf090a25eada4c73f5ede20e7b68f5"},
+    ("sample", "3"): {
+        "dataset.csv": "2eddc957c7157f5c22e9d40855383f4a88b72db7ca69fdd36feb6f7179c22b63"},
+    ("baseline", None): {
+        "baseline.csv": "6b0d10b6ec46a54e4657c2d0c8e7f12fed6431eec2afec8350faa15925082494",
+        "baseline_hist.csv": "8426c40718368c2fab4d66bf0848dceec53f85e3541ca07f852834eda20e63a1"},
+}
+
+
+def test_grid_sample_and_baseline_bytes_are_pinned(tmp_path):
+    config = CONFIGS / "train_grid.json"
+    run = load_run_config(config)
+    model = FlowModel.init(run.model_config, seed=11)
+    optimizer = Adam(model.parameters(), lr=run.train_config.learning_rate_model)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, model, optimizer, np.random.Generator(np.random.PCG64(11)),
+                    0, 0.0, [], run.env.env_hash, {})
+    for (command, workers), digests in GRID_SAMPLE_SHA256.items():
+        out = tmp_path / f"{command}{workers}"
+        argv = [command, "--config", str(config), "--checkpoint", str(ckpt),
+                "-n", "2000", "--seed", "5", "--out", str(out)]
+        if workers is not None:
+            argv += ["--workers", workers]
+        assert main(argv) == 0
+        for name, digest in digests.items():
+            assert file_sha256(out / name) == digest, (command, workers, name)
 
 
 def test_flows_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import math
@@ -116,9 +117,10 @@ def test_epsilon_records_pure_policy_log_probs(bridge_env):
 def test_uniform_rollout_covers_and_validates(bridge_env):
     rng = np.random.Generator(np.random.PCG64(5))
     seqs = uniform_rollout(bridge_env, 4000, rng)
-    for s in seqs[:20]:
+    assert seqs.shape == (4000, bridge_env.n_slots)
+    for s in seqs[:20].tolist():
         bridge_env.check_sequence(s)
-    counts = Counter(seqs)
+    counts = Counter(map(tuple, seqs.tolist()))
     assert len(counts) == 12
     expected = 4000 / 12.0
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -163,6 +165,76 @@ def test_rollout_of_tabular_policy_matches_reward_over_z(bridge_env, bridge_rewa
         assert abs(counts.get(seq, 0) - n * p) < 4 * sigma, seq
     for seq, got in zip(actions.tolist()[:50], log_prob_sum.data):
         assert got == pytest.approx(math.log(flows.terminal_probs[tuple(seq)]), abs=1e-12)
+
+
+class StepRecorder:
+    """A policy wrapper that records how many state rows each step is given."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.start_token = policy.start_token
+        self.rows = []
+
+    def step(self, tokens, state=None):
+        self.rows.append(len(tokens))
+        return self.policy.step(tokens, state)
+
+
+def replay_episode(policy, env, u, epsilon):
+    """One episode stepped alone: the inverse-cdf pick of each slot's u, and
+    the summed log-prob of the picks."""
+    actions, total = [], 0.0
+    token, state = policy.start_token, None
+    with no_grad():
+        for t in range(env.n_slots):
+            logits, state = policy.step([token], state)
+            log_probs = masked_log_softmax(logits, env.slot_masks[t]).data[0]
+            valid = np.flatnonzero(env.slot_masks[t])
+            probs = (1.0 - epsilon) * np.exp(log_probs[valid]) + epsilon / valid.shape[0]
+            pick = np.searchsorted(np.cumsum(probs / probs.sum()), u[t], side="right")
+            token = int(valid[min(pick, valid.shape[0] - 1)])
+            actions.append(token)
+            total += log_probs[token]
+    return actions, total
+
+
+def _grid_env():
+    return Environment(Topology.load(FIXTURES / "topo_grid.json"),
+                       Vocabulary.load(FIXTURES / "vocab_grid.csv"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_shared_prefix_rollout_matches_the_graph_path(bridge_env, bridge_reward, seed):
+    # without a graph, episodes sharing a prefix share one state row; the
+    # draws must be the ones every-episode-its-own-row sampling makes
+    grid_env = _grid_env()
+    grid_model = FlowModel.init(ModelConfig(vocab_size=len(grid_env.vocabulary),
+                                            embed_dim=8, hidden_dim=16), seed=seed)
+    cases = [
+        (bridge_env, small_model(seed), 400, 0.0),
+        (bridge_env, TabularPolicy(exact_flows(bridge_env, bridge_reward), bridge_env), 400, 0.0),
+        (grid_env, grid_model, 3000, 0.0),
+        (grid_env, grid_model, 3000, 0.1),
+    ]
+    for env, policy, n, epsilon in cases:
+        shared, graph = StepRecorder(policy), StepRecorder(policy)
+        with no_grad():
+            actions, log_prob_sum = rollout(shared, env, np.random.Generator(np.random.PCG64(seed)),
+                                            n, epsilon)
+        graph_actions, graph_log_prob_sum = rollout(
+            graph, env, np.random.Generator(np.random.PCG64(seed)), n, epsilon)
+        np.testing.assert_array_equal(actions, graph_actions)
+        np.testing.assert_allclose(log_prob_sum.data, graph_log_prob_sum.data, rtol=1e-12, atol=0)
+        u = np.random.Generator(np.random.PCG64(seed)).random((n, env.n_slots))
+        for i in range(0, n, n // 20):
+            alone, total = replay_episode(policy, env, u[i], epsilon)
+            assert actions[i].tolist() == alone, i
+            assert log_prob_sum.data[i] == pytest.approx(total, rel=1e-12), i
+        assert graph.rows == [n] * env.n_slots
+        prefixes = [len({tuple(row[:t]) for row in actions.tolist()}) for t in range(env.n_slots)]
+        assert shared.rows == prefixes
+    # the grid has 10 tokens per slot: 1, 10, 100 and 1,000 distinct prefixes at most
+    assert all(rows <= 10 ** t for t, rows in enumerate(shared.rows))
 
 
 def test_rollout_validation(bridge_env, rng):
@@ -633,3 +705,34 @@ def test_resume_drops_torn_metrics_rows(tmp_path):
         train(quick_config(max_episodes=40), FlowModel.init(SMALL, seed=4), env, reward_model,
               out_dir=run_dir, resume_from=run_dir / "checkpoint.json")
         assert (run_dir / "metrics.csv").read_bytes() == reference, f"cut at byte {cut}"
+
+
+def test_failed_metrics_trim_leaves_the_file_untouched(tmp_path, monkeypatch):
+    # the trim on resume rewrites metrics.csv; a crash partway through the
+    # rewrite must leave every row of the old file in place
+    env, reward_model = _fresh_setup()
+    train(quick_config(max_episodes=32, checkpoint_every=16), FlowModel.init(SMALL, seed=4),
+          env, reward_model, out_dir=tmp_path)
+    metrics = tmp_path / "metrics.csv"
+    with open(metrics, "a") as fh:
+        fh.write("33,0.5")  # a torn row the trim would drop
+    before = metrics.read_bytes()
+    real_writer = csv.writer
+
+    class DiesAfterTwoRows:
+        def __init__(self, fh, *args, **kwargs):
+            self._writer = real_writer(fh, *args, **kwargs)
+
+        def writerows(self, rows):
+            for i, row in enumerate(rows):
+                if i == 2:
+                    raise OSError("no space left on device")
+                self._writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", DiesAfterTwoRows)
+    with pytest.raises(OSError, match="no space"):
+        train(quick_config(max_episodes=48), FlowModel.init(SMALL, seed=4), env, reward_model,
+              out_dir=tmp_path, resume_from=tmp_path / "checkpoint.json")
+    assert metrics.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint.json", "metrics.csv", "run_manifest.json"]
