@@ -354,6 +354,29 @@ def test_grid_sample_and_baseline_bytes_are_pinned(tmp_path):
             assert file_sha256(out / name) == digest, (command, workers, name)
 
 
+# Digests recorded before the tape gave way to the hand-written backward:
+# the update's summation order, and so every byte of training, must not move.
+GRID_TRAIN_SHA256 = {
+    "metrics.csv": "b768f774660d6f96ce584d2275e5c4e2036727de159b13c7ced51c300ed80e1e",
+    "checkpoint.json": "57097b5e991681c036438518315f06c286e807e9e80d1844a6c91793f4a6f1db",
+}
+
+
+def test_grid_training_bytes_are_pinned(tmp_path):
+    # 64 grid episodes at batch 16, checkpointed every 32; a run resumed
+    # from the 32-episode checkpoint must write the same bytes
+    argv = ["train", "--config", str(CONFIGS / "train_grid.json"), "--seed", "41",
+            "--stop-threshold", "0", "--checkpoint-every", "32"]
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(argv + ["--max-episodes", "64", "--out", str(full)]) == 0
+    assert main(argv + ["--max-episodes", "32", "--out", str(part)]) == 0
+    assert main(argv + ["--max-episodes", "64", "--out", str(part),
+                        "--resume", str(part / "checkpoint.json")]) == 0
+    for out in (full, part):
+        for name, digest in GRID_TRAIN_SHA256.items():
+            assert file_sha256(out / name) == digest, (out.name, name)
+
+
 def test_flows_command(tmp_path, capsys):
     cfg = run_config(tmp_path)
     out = tmp_path / "f"
