@@ -7,7 +7,6 @@ from .analysis import (BaselineSummary, CrossValSummary, ExactFlows,
                        exact_flows, fit_univariate, holdout_validate,
                        load_isotherm_table, pearson_r, percentile_rank,
                        selectivity, spearman_rho, working_capacity)
-from .autodiff import Tensor, backward, no_grad
 from .checkpoint import (load_checkpoint, restore_model, restore_optimizer,
                          restore_rng, save_checkpoint)
 from .crystal import (AmdDescriptor, CifStructure, PeriodicPointSet, amd,
@@ -16,7 +15,7 @@ from .crystal import (AmdDescriptor, CifStructure, PeriodicPointSet, amd,
                       parse_cif)
 from .dataset import CandidateRecord, generate, load_dataset, save_dataset, top_k
 from .env import Environment, Token, Topology, Vocabulary
-from .errors import (AutodiffError, BlockflowError, CoincidentPointsError,
+from .errors import (BlockflowError, CoincidentPointsError,
                      ConfigurationError, DeadEndError, DegenerateInputError,
                      EnumerationBoundError, TerminalStateError, TrainingAbort,
                      ValidationError)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
 from .env import Environment
 from .errors import (ConfigurationError, DegenerateInputError,
                      TerminalStateError, ValidationError)
@@ -275,9 +274,7 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
-    with no_grad():
-        trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)),
-                             n_samples)
+    trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)), n_samples)
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
     r_trained = _draw_rewards(reward_model, trained)
     r_uniform = _draw_rewards(reward_model, uniform)
@@ -355,16 +352,10 @@ class TabularPolicy:
     def start_token(self) -> int:
         return len(self.env.vocabulary)
 
-    def log_prob(self, prefix: tuple[int, ...], action: int) -> float:
-        child = prefix + (int(action),)
-        if child not in self.flows.flows:
-            return -math.inf
-        return math.log(self.flows.flows[child]) - math.log(self.flows.flows[prefix])
-
-    def step(self, tokens, state=None) -> tuple[Tensor, tuple[Tensor]]:
+    def step(self, tokens, state=None) -> tuple[np.ndarray, tuple[np.ndarray]]:
         """Child log flows for a batch; `state` holds the prefixes before `tokens`.
 
-        The state is a 1-tuple: a (batch, slots filled) tensor of the tokens of
+        The state is a 1-tuple: a (batch, slots filled) array of the tokens of
         each row's prefix, so rows gather by index as the model's (h, c) do.
         At sequence start (state None) the tokens are start sentinels and are
         not part of any prefix.
@@ -373,9 +364,9 @@ class TabularPolicy:
         if state is None:
             prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)
         else:
-            prefixes = np.column_stack([state[0].data.astype(np.intp), tokens])
+            prefixes = np.column_stack([state[0], tokens])
         logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
-        return Tensor(logits), (Tensor(prefixes),)
+        return logits, (prefixes,)
 
     def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
         row = self._child_rows.get(prefix)

@@ -7,11 +7,15 @@ over the canonical JSON of everything except the checksum itself.
 The base64 texts make up nearly all of a checkpoint, so they never pass
 through the JSON encoder: the payload is dumped with a short marker in
 place of each, and the texts are spliced in after (see `_dump_pieces`).
+
+Every artifact the package writes, checkpoints included, goes through
+`atomic_write`, so a crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import itertools
 import json
@@ -21,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ValidationError
 from .model import FlowModel, ModelConfig
 from .optim import Adam
@@ -91,6 +94,23 @@ def _checksum(payload: dict) -> str:
     return digest.hexdigest()
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kw):
+    """Open a temporary file next to `path`; once the block exits it replaces `path`.
+
+    If the block raises, the temporary file is removed and `path` keeps
+    its old contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def file_sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -123,7 +143,7 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
             "embed_dim": model.config.embed_dim,
             "hidden_dim": model.config.hidden_dim,
         },
-        "params": {name: _encode_array(p.data) for name, p in model.parameters().items()},
+        "params": {name: _encode_array(p) for name, p in model.parameters().items()},
         "optimizer": {
             "step_count": opt_state["step_count"],
             "lr": optimizer.lr,
@@ -141,11 +161,8 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
         "config": config or {},
     }
     payload["checksum"] = _checksum(payload)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.writelines(_dump_pieces(payload, indent=1))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -185,8 +202,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
     config = ModelConfig(**{k: int(v) for k, v in ckpt.model_config.items()})
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in ckpt.params.items()}
-    return FlowModel(config, params)
+    return FlowModel(config, dict(ckpt.params))
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:

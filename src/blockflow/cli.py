@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import (baseline_comparison, cross_validate, exact_flows,
                        fit_univariate, holdout_validate)
-from .checkpoint import file_sha256, load_checkpoint, restore_model
+from .checkpoint import atomic_write, file_sha256, load_checkpoint, restore_model
 from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
 from .dataset import generate, save_dataset
 from .env import Environment, Topology, Vocabulary
@@ -99,7 +99,8 @@ def _out_dir(args) -> Path:
 def _write_manifest(out: Path, command: str, payload: dict) -> None:
     doc = {"schema": "blockflow-run-manifest/1", "command": command}
     doc.update(payload)
-    (out / f"{command}_manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+    with atomic_write(out / f"{command}_manifest.json") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def _restore_from_checkpoint(args, run: RunConfig) -> FlowModel:
@@ -191,12 +192,12 @@ def cmd_amd(args) -> int:
         return names, descs
 
     names, descs = descriptors_of(files)
-    with open(out / "amd.csv", "w", newline="") as fh:
+    with atomic_write(out / "amd.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file"] + [f"amd_{i}" for i in range(1, args.k + 1)])
         for name, d in zip(names, descs):
             writer.writerow([name] + [_float_cell(v) for v in d.values])
-    with open(out / "distance_matrix.csv", "w", newline="") as fh:
+    with atomic_write(out / "distance_matrix.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file"] + names)
         if descs:
@@ -208,7 +209,7 @@ def cmd_amd(args) -> int:
         if not ref_dir.is_dir():
             raise ValidationError(f"{ref_dir} is not a directory")
         ref_names, ref_descs = descriptors_of(sorted(ref_dir.glob("*.cif")))
-        with open(out / "novelty.csv", "w", newline="") as fh:
+        with atomic_write(out / "novelty.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["file", "novelty"])
             if descs and ref_descs:
@@ -255,7 +256,7 @@ def cmd_regress(args) -> int:
     print(f"r2={report.r2!r} rmse={report.rmse!r} spearman_rho={report.spearman_rho!r}")
     print(f"cv[{cv.scheme}] test_r2={cv.test_r2_mean!r}+-{cv.test_r2_std!r} "
           f"test_rmse={cv.test_rmse_mean!r}+-{cv.test_rmse_std!r}")
-    with open(out / "regression.csv", "w", newline="") as fh:
+    with atomic_write(out / "regression.csv", newline="") as fh:
         writer = csv.writer(fh)
         header = ["n", "slope", "intercept", "r2", "rmse", "spearman_rho", "scheme",
                   "test_r2_mean", "test_r2_std", "test_rmse_mean", "test_rmse_std",
@@ -284,13 +285,13 @@ def cmd_baseline(args) -> int:
     summary = baseline_comparison(model, run.env, reward_model, args.n, seed)
     print(f"trained_mean={summary.trained_mean!r} trained_max={summary.trained_max!r}")
     print(f"uniform_mean={summary.uniform_mean!r} uniform_max={summary.uniform_max!r}")
-    with open(out / "baseline.csv", "w", newline="") as fh:
+    with atomic_write(out / "baseline.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_samples", "trained_mean", "trained_max", "uniform_mean", "uniform_max"])
         writer.writerow([summary.n_samples, _float_cell(summary.trained_mean),
                          _float_cell(summary.trained_max), _float_cell(summary.uniform_mean),
                          _float_cell(summary.uniform_max)])
-    with open(out / "baseline_hist.csv", "w", newline="") as fh:
+    with atomic_write(out / "baseline_hist.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "trained_count", "uniform_count"])
         for i in range(summary.trained_counts.shape[0]):
@@ -308,13 +309,13 @@ def cmd_flows(args) -> int:
     })
     result = exact_flows(run.env, reward_model, bound=args.bound)
     vocab = run.env.vocabulary
-    with open(out / "flows.csv", "w", newline="") as fh:
+    with atomic_write(out / "flows.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["depth", "prefix", "flow"])
         for prefix in sorted(result.flows, key=lambda p: (len(p), p)):
             label = ",".join(vocab[i].token_id for i in prefix)
             writer.writerow([len(prefix), label, _float_cell(result.flows[prefix])])
-    with open(out / "terminal_probs.csv", "w", newline="") as fh:
+    with atomic_write(out / "terminal_probs.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["assembly_record", "probability"])
         for seq, prob in result.terminal_probs.items():

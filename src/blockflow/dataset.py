@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import no_grad
+from .checkpoint import atomic_write
 from .env import Environment
 from .errors import ConfigurationError, ValidationError
 from .reward import RewardModel
@@ -55,8 +55,7 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
     base, rem = divmod(n, workers)
     draws = []
     for w, rng in enumerate(streams):
-        with no_grad():
-            actions, _ = rollout(model, env, rng, base + (1 if w < rem else 0))
+        actions, _ = rollout(model, env, rng, base + (1 if w < rem else 0))
         draws.append(actions)
     # each stream owns the next range of draw indices, so row i is draw i + 1
     draws = np.concatenate(draws)
@@ -83,7 +82,7 @@ def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
 def save_dataset(path: str | Path, records: list[CandidateRecord],
                  manifest: dict | None = None) -> None:
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for rec in records:
@@ -95,8 +94,8 @@ def save_dataset(path: str | Path, records: list[CandidateRecord],
                 str(rec.first_seen_episode),
             ])
     if manifest is not None:
-        sidecar = path.with_name(path.name + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        with atomic_write(path.with_name(path.name + ".manifest.json")) as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def load_dataset(path: str | Path, env: Environment | None = None) -> list[CandidateRecord]:

@@ -30,10 +30,6 @@ class EnumerationBoundError(BlockflowError):
     """Exhaustive enumeration refused because the state space is too large."""
 
 
-class AutodiffError(BlockflowError):
-    """Misuse of the reverse-mode kernel (e.g. backward without reset)."""
-
-
 class TrainingAbort(BlockflowError):
     """Training stopped on a non-recoverable numerical problem."""
 

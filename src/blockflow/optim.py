@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigurationError, TrainingAbort
 
 
@@ -39,13 +38,13 @@ def adam_update(value, grad, m, v, step, lr, beta1, beta2, eps, work) -> None:
 
 
 class Adam:
-    """Adam over a dict of named Tensors.
+    """Adam over a dict of named float64 arrays, updated in place.
 
     `lr_overrides` maps parameter names to their own learning rate; the
     log-partition scalar usually trains on a separate rate from the network.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
                  lr_overrides: dict[str, float] | None = None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -62,28 +61,23 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._work = np.empty((2, max((p.data.size for p in params.values()), default=0)))
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self._work = np.empty((2, max((p.size for p in params.values()), default=0)))
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def step(self) -> None:
-        """Update every parameter in place; an absent gradient counts as zero.
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """Update every parameter in place from its gradient in `grads`.
 
         All gradients are checked before anything changes, so a non-finite
         one leaves the parameters, moments and step count as they were.
         """
-        grads = {name: 0.0 if p.grad is None else p.grad for name, p in self.params.items()}
-        for name, grad in grads.items():
-            if not np.all(np.isfinite(grad)):
+        for name in self.params:
+            if not np.all(np.isfinite(grads[name])):
                 raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
-        for name, p in self.params.items():
-            work = [row[:p.data.size].reshape(p.data.shape) for row in self._work]
-            adam_update(p.data, grads[name], self.m[name], self.v[name], self.step_count,
+        for name, value in self.params.items():
+            work = [row[:value.size].reshape(value.shape) for row in self._work]
+            adam_update(value, grads[name], self.m[name], self.v[name], self.step_count,
                         self.lr[name], self.beta1, self.beta2, self.eps, work)
 
     # -- checkpoint support ------------------------------------------------

@@ -8,6 +8,10 @@ averaged over a batch. Construction paths are unique here (slots are filled
 in a fixed order), so the backward-policy term that a general balance loss
 carries is identically zero and is omitted.
 
+Each update draws its batch with `rollout`, which records every slot's
+forward values in a cache; `FlowModel.balance_grad` runs the backward
+through time from that cache, and Adam applies it.
+
 Determinism contract: each episode consumes exactly one uniform draw per
 slot from the run's generator, and nothing else touches that generator, so
 restoring the serialized RNG state resumes the sample stream bit-exactly.
@@ -19,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward
-from .checkpoint import (load_checkpoint, restore_optimizer, restore_rng,
-                         save_checkpoint)
+from .checkpoint import (atomic_write, load_checkpoint, restore_optimizer,
+                         restore_rng, save_checkpoint)
 from .env import Environment
 from .errors import ConfigurationError, TrainingAbort, ValidationError
 from .model import FlowModel
@@ -69,7 +71,7 @@ class TrainConfig:
 
 
 def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
-            epsilon: float = 0.0) -> tuple[np.ndarray, Tensor]:
+            epsilon: float = 0.0, cache: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sample n episodes together, one batched policy step per slot.
 
     All n * n_slots uniform draws are taken up front in episode-major order,
@@ -77,13 +79,15 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
     behavior policy is mixed with uniform over the slot's valid tokens; the
     returned log-probs are always the pure policy's.
 
-    With a graph recorded, every episode is its own state row. Without one,
-    episodes that share a prefix share a row: slots are filled in a fixed
-    order, so the prefix is the whole state, and the policy steps once per
-    distinct prefix. Each episode then draws from its prefix's row.
+    With a `cache` list (training), every episode is its own state row, and
+    each slot appends one record of its forward values: the model's, plus
+    the slot's log-probs, mask and picks, which `FlowModel.balance_grad`
+    reads. Without one, episodes that share a prefix share a row: slots are
+    filled in a fixed order, so the prefix is the whole state, and the
+    policy steps once per distinct prefix. Each episode then draws from its
+    prefix's row.
 
-    Returns the (n, n_slots) actions and each episode's summed log-prob as a
-    Tensor, which records the graph back to the parameters when grad is on.
+    Returns the (n, n_slots) actions and each episode's summed log-prob.
     """
     if n < 1:
         raise ConfigurationError("rollout size must be >= 1")
@@ -91,47 +95,51 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
         raise ConfigurationError("exploration epsilon must be in [0, 1]")
     u = rng.random((n, env.n_slots))
     actions = np.empty((n, env.n_slots), dtype=np.intp)
-    shared = not ad.grad_enabled()
+    shared = cache is None
     rows = np.zeros(n, dtype=np.intp) if shared else np.arange(n)  # each episode's state row
     tokens = np.full(1 if shared else n, policy.start_token, dtype=np.intp)  # one per state row
     state = None
     log_prob_sum = None
     for t in range(env.n_slots):
-        logits, state = policy.step(tokens, state)
-        picked, log_prob = _draw_slot(logits, rows, env.slot_masks[t], u[:, t], epsilon)
+        mask = env.slot_masks[t]
+        logits, state = policy.step(tokens, state) if shared else policy.step(tokens, state, cache)
+        picked, log_probs = _draw_slot(logits, rows, mask, u[:, t], epsilon)
         actions[:, t] = picked
+        log_prob = log_probs[rows, picked]
         log_prob_sum = log_prob if log_prob_sum is None else log_prob_sum + log_prob
         if not shared:
+            cache[-1].update(log_probs=log_probs, mask=mask, actions=picked)
             tokens = picked
         elif t + 1 < env.n_slots:
             # one row per distinct (state row, token) pair: the next slot's prefixes
             next_rows, first = distinct_rows(np.column_stack([rows, picked]))
             tokens = picked[first]
-            state = tuple(ad.take_rows(part, rows[first]) for part in state)
+            state = tuple(part[rows[first]] for part in state)
             rows = next_rows
     return actions, log_prob_sum
 
 
-def _draw_slot(logits: Tensor, rows: np.ndarray, mask: np.ndarray, u: np.ndarray,
-               epsilon: float) -> tuple[np.ndarray, Tensor]:
-    """Pick one valid token per episode by inverse cdf; return it and its log-prob.
+def _draw_slot(logits: np.ndarray, rows: np.ndarray, mask: np.ndarray, u: np.ndarray,
+               epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pick one valid token per episode by inverse cdf; return the picks and the log-probs.
 
     `logits` has one row per state row, and `rows` maps each episode to its
     state row. The log-softmax and cdf are taken once per state row and
-    gathered to the episodes before the pick.
+    gathered to the episodes before the pick; the log-probs are returned
+    per state row.
     """
     valid = np.flatnonzero(mask)
-    if np.isneginf(logits.data[:, valid]).any():
+    if np.isneginf(logits[:, valid]).any():
         raise ValidationError("policy gives a valid token zero probability; "
                               "was it built for another environment?")
     log_probs = ad.masked_log_softmax(logits, mask)
-    probs = np.exp(log_probs.data[:, valid])
+    probs = np.exp(log_probs[:, valid])
     if epsilon > 0.0:
         probs = (1.0 - epsilon) * probs + epsilon / valid.shape[0]
     cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
     # per episode: searchsorted(cdf, u, side="right"), clamped to the last valid token
     tokens = valid[np.minimum((u[:, None] >= cdf[rows]).sum(axis=1), valid.shape[0] - 1)]
-    return tokens, ad.take_per_row(log_probs, tokens, rows)
+    return tokens, log_probs
 
 
 def distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,30 +218,43 @@ def _trim_metrics(path: Path, last_episode: int) -> None:
     rows = list(csv.reader(complete_lines))
     kept = rows[:1] + [r for r in rows[1:]
                        if len(r) == len(METRICS_HEADER) and int(r[0]) <= last_episode]
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            csv.writer(fh).writerows(kept)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerows(kept)
 
 
 # Train-config fields a resumed run may change without breaking exactness.
 RESUMABLE_FIELDS = ("max_episodes", "checkpoint_every")
 
 
-def _check_resume_config(echo: dict, config: TrainConfig) -> None:
-    saved = echo.get("train")
-    if not isinstance(saved, dict):
+def _run_echo(config: TrainConfig, reward_model: RewardModel, env: Environment) -> dict:
+    """What a checkpoint records of the run, and what a resume must match."""
+    spec = reward_model.spec
+    return {
+        "train": asdict(config),
+        "reward": {"cutoff": spec.cutoff, "reward_floor": spec.reward_floor,
+                   "surrogate_scale": spec.surrogate_scale, "evaluator": spec.evaluator},
+        "topology": env.topology.name,
+    }
+
+
+def _check_resume_config(saved: dict, current: dict) -> None:
+    """Refuse a resume whose train block (bar RESUMABLE_FIELDS), reward block or
+    topology differs from the checkpoint's echo."""
+    if not isinstance(saved.get("train"), dict):
         raise ValidationError("checkpoint carries no training config to resume against")
-    current = asdict(config)
-    drift = sorted(key for key in saved.keys() | current.keys()
-                   if key not in RESUMABLE_FIELDS and saved.get(key) != current.get(key))
+
+    def flat(echo):
+        return {**{key: value for key, value in echo["train"].items()
+                   if key not in RESUMABLE_FIELDS},
+                **{f"reward.{key}": value for key, value in (echo.get("reward") or {}).items()},
+                "topology": echo.get("topology")}
+
+    old, new = flat(saved), flat(current)
+    drift = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
     if drift:
-        detail = ", ".join(f"{key} {saved.get(key)!r} -> {current.get(key)!r}" for key in drift)
+        detail = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in drift)
         raise ValidationError(
-            f"resumed training config differs from the checkpoint's ({detail}); "
+            f"resumed run differs from the checkpoint's ({detail}); "
             f"only {' and '.join(RESUMABLE_FIELDS)} may change on resume")
 
 
@@ -242,12 +263,12 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
           resume_from: str | Path | None = None) -> TrainResult:
     """Run the training loop; optionally resume from a checkpoint.
 
-    Each update samples one batch with the graph recorded and takes the
-    balance loss from that same forward pass. Only full batches train, so a
-    short last batch is logged but leaves the parameters alone. Stopping and
-    checkpointing both happen only at full-batch boundaries, so a resumed
-    run replays the uninterrupted run bit for bit. Each batch is scored
-    with one `score_batch` call.
+    Each update samples one batch with its forward values cached and takes
+    the balance loss and its gradient from that same forward pass. Only
+    full batches train, so a short last batch is logged but leaves the
+    parameters alone. Stopping and checkpointing both happen only at
+    full-batch boundaries, so a resumed run replays the uninterrupted run
+    bit for bit. Each batch is scored with one `score_batch` call.
     """
     tail_len = max(config.stop_window, config.smooth_window)
     start_episode = 0
@@ -266,9 +287,9 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                     "hidden_dim": model.config.hidden_dim}
         if ckpt.model_config != expected:
             raise ValidationError(f"checkpoint model dims {ckpt.model_config} != {expected}")
-        _check_resume_config(ckpt.config, config)
-        for name, tensor in model.parameters().items():
-            tensor.data = ckpt.params[name]
+        _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
+        for name, param in model.parameters().items():
+            np.copyto(param, ckpt.params[name])
         optimizer = restore_optimizer(ckpt, model)
         rng = restore_rng(ckpt)
         start_episode = ckpt.episode
@@ -296,7 +317,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             "config": asdict(config),
             "resume_from": None if resume_from is None else str(resume_from),
         }
-        (out_dir / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        with atomic_write(out_dir / "run_manifest.json") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, indent=1))
         metrics_path = out_dir / "metrics.csv"
         checkpoint_path = out_dir / "checkpoint.json"
         _trim_metrics(metrics_path, start_episode)
@@ -314,17 +336,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             return
         if metrics_file is not None:
             metrics_file.flush()
-        echo = {
-            "train": asdict(config),
-            "reward": {
-                "cutoff": reward_model.spec.cutoff,
-                "reward_floor": reward_model.spec.reward_floor,
-                "surrogate_scale": reward_model.spec.surrogate_scale,
-                "evaluator": reward_model.spec.evaluator,
-            },
-            "topology": env.topology.name,
-            "best_record": best_record,
-        }
+        echo = {**_run_echo(config, reward_model, env), "best_record": best_record}
         save_checkpoint(checkpoint_path, model, optimizer, rng, episode,
                         best_reward, list(loss_tail), env.env_hash, echo)
         saved_episode = episode
@@ -341,21 +353,22 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                 # the short last batch will not train: checkpoint the last
                 # full-batch boundary, where a longer run can resume exactly
                 snapshot(episode)
-            actions, log_prob_sum = rollout(model, env, rng, n, config.exploration_epsilon)
+            cache: list[dict] = []
+            actions, log_prob_sum = rollout(model, env, rng, n, config.exploration_epsilon, cache)
             sequences = [tuple(row) for row in actions.tolist()]
             scored = reward_model.score_batch(sequences)
             floored = np.array([loss_reward(reward_model.spec, r) for r, _ in scored])
-            residual = model.log_z + log_prob_sum - Tensor(np.log(floored))
+            residual = model.parameters()["log_z"] + log_prob_sum - np.log(floored)
             for i, (seq, (rwd, gsa_res)) in enumerate(zip(sequences, scored)):
                 episode += 1
                 if not gsa_res.ok:
                     evaluator_failures += 1
                     first_evaluator_error = first_evaluator_error or gsa_res.error
-                res = float(residual.data[i])
+                res = float(residual[i])
                 if not math.isfinite(res):
                     raise TrainingAbort(
                         f"non-finite residual at episode {episode}; actions {seq} "
-                        f"log-prob sum {float(log_prob_sum.data[i])!r} reward {float(floored[i])!r}")
+                        f"log-prob sum {float(log_prob_sum[i])!r} reward {float(floored[i])!r}")
                 loss_val = res * res
                 loss_tail.append(loss_val)
                 if rwd > best_reward:
@@ -367,10 +380,11 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                                                 model.log_z_value, rwd, best_reward))
             if not full:
                 break
-            optimizer.zero_grad()
-            backward((residual * residual).mean())
-            optimizer.step()
-            del residual, log_prob_sum  # free the graph before a checkpoint save
+            # d mean(residual^2) / d residual; this association fixes the
+            # rounding, and with it the bytes of every run
+            d_residual = 2.0 * ((1.0 / n) * residual)
+            optimizer.step(model.balance_grad(cache, d_residual))
+            del cache  # free the forward values before a checkpoint save
             if (config.checkpoint_every > 0
                     and episode - last_snapshot >= config.checkpoint_every):
                 snapshot(episode)

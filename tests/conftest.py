@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,14 @@ def set_evaluation_slots(monkeypatch):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(1234))
+
+
+def flow_log_prob(flows, prefix: tuple[int, ...], action: int) -> float:
+    """log P(action | prefix) of the exact-flow policy: log F(child) - log F(prefix)."""
+    child = prefix + (int(action),)
+    if child not in flows.flows:
+        return -math.inf
+    return math.log(flows.flows[child]) - math.log(flows.flows[prefix])
 
 
 def relative_error(a: float, b: float) -> float:

@@ -19,9 +19,8 @@ from blockflow import (Environment, FlowModel, ModelConfig, PeriodicPointSet,
                        cell_basis, cross_validate, exact_flows, external_gsa,
                        fit_univariate, loss_reward, reward, rollout,
                        selectivity, train, working_capacity)
-from blockflow.autodiff import backward, no_grad
 from blockflow.reward import AdapterConfig
-from conftest import FIXTURES, stub_adapter_command
+from conftest import FIXTURES, flow_log_prob, stub_adapter_command
 
 
 def report(criterion: int, message: str) -> None:
@@ -73,8 +72,7 @@ def test_c01_distribution_matches_reward(bridge, trained, exact):
 
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(123))
-    with no_grad():
-        actions, _ = rollout(model, env, rng, n)
+    actions, _ = rollout(model, env, rng, n)
     counts = Counter(map(tuple, actions.tolist()))
     exact_probs = {seq: r / rewards.sum() for seq, r in zip(terminals, rewards)}
     l1 = sum(abs(counts.get(seq, 0) / n - p) for seq, p in exact_probs.items())
@@ -102,7 +100,7 @@ def test_c03_exact_flow_oracle_identities(bridge, exact):
         log_probs = []
         prefix = ()
         for action in seq:
-            log_probs.append(policy.log_prob(prefix, action))
+            log_probs.append(flow_log_prob(flows, prefix, action))
             prefix = prefix + (action,)
         floored = loss_reward(reward_model.spec, r)
         residual = policy.log_z_value + sum(log_probs) - math.log(floored)
@@ -125,44 +123,34 @@ def test_c04_gradients_match_finite_differences(bridge):
     for instance in range(100):
         model = FlowModel.init(cfg, seed=1000 + instance)
 
-        def sampled_loss():
+        def sampled_residual(cache=None):
             # the same seed replays the same uniform draws on every call
             rng = np.random.Generator(np.random.PCG64(2000 + instance))
-            actions, log_prob_sum = rollout(model, env, rng, 1)
+            actions, log_prob_sum = rollout(model, env, rng, 1, cache=cache)
             [(r, _)] = reward_model.score_batch(actions.tolist())
             floored = loss_reward(reward_model.spec, r)
-            diff = model.log_z + log_prob_sum - math.log(floored)
-            return actions, (diff * diff).mean()
+            return actions, model.parameters()["log_z"] + log_prob_sum - math.log(floored)
 
-        actions, loss = sampled_loss()
+        cache = []
+        actions, residual = sampled_residual(cache)
+        grads = model.balance_grad(cache, 2.0 * residual)
 
         def loss_value():
-            with no_grad():
-                again, value = sampled_loss()
+            again, value = sampled_residual()
             assert np.array_equal(again, actions), "a perturbation changed the episode"
-            return float(value.data)
+            return float(np.mean(value * value))
 
-        backward(loss)
         for name, param in model.parameters().items():
-            analytic = np.atleast_1d(np.asarray(param.grad, dtype=np.float64))
-            flat = param.data.reshape(-1) if param.data.shape else None
-            for i in range(analytic.size):
-                if flat is None:
-                    orig = float(param.data)
-                    param.data = np.float64(orig + h)
-                    up = loss_value()
-                    param.data = np.float64(orig - h)
-                    down = loss_value()
-                    param.data = np.float64(orig)
-                else:
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    up = loss_value()
-                    flat[i] = orig - h
-                    down = loss_value()
-                    flat[i] = orig
+            flat = param.reshape(-1)  # a view, so log_z is perturbed in place too
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_value()
+                flat[i] = orig - h
+                down = loss_value()
+                flat[i] = orig
                 fd = (up - down) / (2 * h)
-                an = analytic.reshape(-1)[i]
+                an = grads[name].reshape(-1)[i]
                 # the 1e-4 floor keeps central-difference roundoff (~1e-9
                 # absolute here) from registering on dead coordinates
                 err = abs(fd - an) / max(abs(fd), abs(an), 1e-4)

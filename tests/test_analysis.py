@@ -16,6 +16,7 @@ from blockflow import (BaselineSummary, Environment, FlowModel, IsothermRow,
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import (DegenerateInputError, EnumerationBoundError,
                               TerminalStateError, ValidationError)
+from conftest import flow_log_prob
 
 
 # -- rank and correlation -----------------------------------------------------
@@ -347,19 +348,20 @@ def test_exact_flows_respects_enumeration_bound():
 
 
 def test_tabular_policy_probabilities_sum_to_one(bridge_env, bridge_reward):
-    policy = TabularPolicy(exact_flows(bridge_env, bridge_reward), bridge_env)
+    flows = exact_flows(bridge_env, bridge_reward)
+    policy = TabularPolicy(flows, bridge_env)
     tokens, state = np.full(3, policy.start_token), None
     for slot in range(bridge_env.n_slots):
         mask = bridge_env.slot_masks[slot]
         logits, state = policy.step(tokens, state)
-        log_probs = masked_log_softmax(logits, mask).data
+        log_probs = masked_log_softmax(logits, mask)
         np.testing.assert_allclose(np.exp(log_probs[:, mask]).sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.isneginf(log_probs[:, ~mask]))
         (prefixes,) = state
-        assert prefixes.data.shape == (3, slot)
-        for prefix, row in zip(prefixes.data.astype(int).tolist(), log_probs):
+        assert prefixes.shape == (3, slot)
+        for prefix, row in zip(prefixes.tolist(), log_probs):
             for action in np.flatnonzero(mask):
-                assert row[action] == pytest.approx(policy.log_prob(tuple(prefix), action),
+                assert row[action] == pytest.approx(flow_log_prob(flows, tuple(prefix), action),
                                                     abs=1e-12)
         tokens = np.flatnonzero(mask)[[0, -1, 0]]
     with pytest.raises(TerminalStateError):

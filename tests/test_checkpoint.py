@@ -19,10 +19,8 @@ def _trained_pieces(seed=0, updates=3):
     opt = Adam(model.parameters(), lr=1e-2, lr_overrides={"log_z": 0.1})
     rng = np.random.Generator(np.random.PCG64(77))
     for _ in range(updates):
-        for p in model.parameters().values():
-            p.grad = rng.standard_normal(p.data.shape) if p.data.shape else np.float64(rng.standard_normal())
-        opt.step()
-        opt.zero_grad()
+        opt.step({name: rng.standard_normal(p.shape) if p.shape else np.float64(rng.standard_normal())
+                  for name, p in model.parameters().items()})
     return model, opt, rng
 
 
@@ -42,8 +40,8 @@ def test_roundtrip_params_bit_exact(tmp_path):
     restored = restore_model(ckpt)
     assert restored.config == CFG
     for name, p in model.parameters().items():
-        assert np.array_equal(restored.parameters()[name].data, p.data), name
-        assert restored.parameters()[name].data.dtype == np.float64
+        assert np.array_equal(restored.parameters()[name], p), name
+        assert restored.parameters()[name].dtype == np.float64
 
 
 def test_roundtrip_optimizer_state(tmp_path):
@@ -54,16 +52,11 @@ def test_roundtrip_optimizer_state(tmp_path):
     restored_opt = restore_optimizer(ckpt, restored_model)
 
     # stepping both with the same gradient must produce identical params
-    g = {name: np.full(p.data.shape, 0.37) for name, p in model.parameters().items()}
-    for name, p in model.parameters().items():
-        p.grad = g[name] if p.data.shape else np.float64(0.37)
-    for name, p in restored_model.parameters().items():
-        p.grad = g[name] if p.data.shape else np.float64(0.37)
-    opt.step()
-    restored_opt.step()
+    g = {name: np.full(p.shape, 0.37) for name, p in model.parameters().items()}
+    opt.step(g)
+    restored_opt.step(g)
     for name in model.parameters():
-        assert np.array_equal(model.parameters()[name].data,
-                              restored_model.parameters()[name].data), name
+        assert np.array_equal(model.parameters()[name], restored_model.parameters()[name]), name
 
 
 def test_roundtrip_rng_stream_continues(tmp_path):
@@ -160,11 +153,34 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_failed_save_keeps_the_old_checkpoint_and_no_tmp(tmp_path, monkeypatch):
+    import blockflow.checkpoint as checkpoint_mod
+    model, opt, rng = _trained_pieces()
+    path = _save(tmp_path, model, opt, rng)
+    before = path.read_bytes()
+    real_pieces = checkpoint_mod._dump_pieces
+
+    def dies_midway(payload, **dump_kw):
+        pieces = real_pieces(payload, **dump_kw)
+        if "indent" not in dump_kw:  # the checksum pass
+            return pieces
+        def partial():
+            yield from pieces[:len(pieces) // 2]
+            raise OSError("no space left on device")
+        return partial()
+
+    monkeypatch.setattr(checkpoint_mod, "_dump_pieces", dies_midway)
+    with pytest.raises(OSError, match="no space"):
+        _save(tmp_path, model, opt, rng, episode=99)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
 def test_scalar_param_restores_as_zero_dim(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     restored = restore_model(load_checkpoint(path))
-    assert restored.parameters()["log_z"].data.shape == ()
+    assert restored.parameters()["log_z"].shape == ()
     assert float(restored.log_z_value) == float(model.log_z_value)
 
 
@@ -190,4 +206,4 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     ckpt = load_checkpoint(path)
     assert ckpt.config == TRICKY_ECHO
     for name, p in restore_model(ckpt).parameters().items():
-        assert np.array_equal(p.data, model.parameters()[name].data), name
+        assert np.array_equal(p, model.parameters()[name]), name

@@ -1,7 +1,10 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,19 +429,51 @@ def test_shipped_demo_config_loads():
     assert run_big.env.count_terminals() == 10_000
 
 
-def test_resume_refuses_config_drift(tmp_path, capsys):
+@pytest.mark.parametrize("flags, reward, named", [
+    (["--batch-size", "4", "--seed", "5"], {}, ["batch_size", "seed"]),
+    ([], {"cutoff": 1000.0}, ["reward.cutoff"]),
+], ids=["train_block", "reward_block"])
+def test_resume_refuses_config_drift(tmp_path, capsys, flags, reward, named):
     cfg = run_config(tmp_path)
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--max-episodes", "16", "--out", str(out)]) == 0
     ckpt = out / "checkpoint.json"
     before = (out / "metrics.csv").read_bytes()
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg), "--resume", str(ckpt), "--batch-size", "4",
-                 "--seed", "5", "--out", str(out)]) == 2
+    drifted = cfg
+    if reward:
+        (tmp_path / "drifted").mkdir()
+        drifted = run_config(tmp_path / "drifted", reward_overrides=reward)
+    assert main(["train", "--config", str(drifted), "--resume", str(ckpt), *flags,
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "batch_size" in err and "seed" in err
+    assert all(name in err for name in named), err
     assert (out / "metrics.csv").read_bytes() == before
     # the run length and the checkpoint cadence may change on resume
     assert main(["train", "--config", str(cfg), "--resume", str(ckpt), "--max-episodes", "32",
                  "--checkpoint-every", "8", "--out", str(out)]) == 0
     assert len(read_csv(out / "metrics.csv")) == 33
+
+
+# The child imports the package as a user would and reports every top-level
+# module that appeared after its interpreter started (so not what site hooks
+# load), skipping those with no import spec: the in-memory modules that
+# numpy's compiled extensions create for themselves.
+RUNTIME_PROBE = """
+import sys
+started = set(sys.modules)
+import blockflow, blockflow.cli
+blockflow.FlowModel.init(blockflow.ModelConfig(vocab_size=3, embed_dim=2, hidden_dim=2))
+allowed = set(sys.stdlib_module_names) | {"numpy", "blockflow"}
+print(sorted({name.partition(".")[0] for name, module in sys.modules.items()
+              if name not in started and getattr(module, "__spec__", None) is not None}
+             - allowed))
+"""
+
+
+def test_runtime_needs_only_numpy_and_the_standard_library():
+    # the README promises "Runtime dependency is numpy only"
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", RUNTIME_PROBE], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert child.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -122,6 +123,32 @@ def test_save_writes_manifest_sidecar(tmp_path):
     assert json.loads(sidecar.read_text()) == {"seed": 1, "n": 0}
     save_dataset(tmp_path / "bare.csv", [])
     assert not (tmp_path / "bare.csv.manifest.json").exists()
+
+
+def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_env,
+                                                 bridge_reward, tabular):
+    # a write that dies partway must leave the old file byte for byte
+    path = tmp_path / "dataset.csv"
+    save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=8),
+                 manifest={"seed": 8})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_writer = csv.writer
+
+    class DiesOnThirdRow:
+        def __init__(self, fh, *args, **kwargs):
+            self._writer, self._rows = real_writer(fh, *args, **kwargs), 0
+
+        def writerow(self, row):
+            self._rows += 1
+            if self._rows == 3:
+                raise OSError("no space left on device")
+            self._writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", DiesOnThirdRow)
+    with pytest.raises(OSError, match="no space"):
+        save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=9),
+                     manifest={"seed": 9})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no .tmp
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockflow import FlowModel, ModelConfig, rollout
-from blockflow.autodiff import Tensor, masked_log_softmax
+from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import ConfigurationError
 
 
@@ -17,13 +17,13 @@ def tiny_model(vocab=3, embed=2, hidden=2, seed=5):
 def test_init_shapes_and_logz():
     m = tiny_model()
     p = m.parameters()
-    assert p["embed"].data.shape == (4, 2)  # vocab + start sentinel
-    assert p["w_x"].data.shape == (2, 8)
-    assert p["w_h"].data.shape == (2, 8)
-    assert p["b"].data.shape == (8,)
-    assert p["w_out"].data.shape == (2, 3)
-    assert p["b_out"].data.shape == (3,)
-    assert p["log_z"].data.shape == ()
+    assert p["embed"].shape == (4, 2)  # vocab + start sentinel
+    assert p["w_x"].shape == (2, 8)
+    assert p["w_h"].shape == (2, 8)
+    assert p["b"].shape == (8,)
+    assert p["w_out"].shape == (2, 3)
+    assert p["b_out"].shape == (3,)
+    assert p["log_z"].shape == ()
     assert m.log_z_value == 0.0
     assert m.start_token == 3
 
@@ -33,9 +33,9 @@ def test_init_uniform_bounds_and_forget_bias():
     m = FlowModel.init(cfg, seed=11)
     bound = 1.0 / np.sqrt(16)
     for name in ("embed", "w_x", "w_h", "w_out", "b_out"):
-        data = m.parameters()[name].data
+        data = m.parameters()[name]
         assert np.all(np.abs(data) <= bound)
-    b = m.parameters()["b"].data
+    b = m.parameters()["b"]
     assert np.all(np.abs(np.concatenate([b[:16], b[32:]])) <= bound)
     # forget-gate block carries the +1 offset
     assert np.all(b[16:32] >= 1.0 - bound)
@@ -47,8 +47,8 @@ def test_init_is_seed_deterministic():
     b = FlowModel.init(ModelConfig(4, 3, 5), seed=9)
     c = FlowModel.init(ModelConfig(4, 3, 5), seed=10)
     for name in a.PARAM_NAMES:
-        np.testing.assert_array_equal(a.parameters()[name].data, b.parameters()[name].data)
-    assert not np.array_equal(a.parameters()["w_x"].data, c.parameters()["w_x"].data)
+        np.testing.assert_array_equal(a.parameters()[name], b.parameters()[name])
+    assert not np.array_equal(a.parameters()["w_x"], c.parameters()["w_x"])
 
 
 def test_step_matches_hand_rolled_cell():
@@ -56,7 +56,7 @@ def test_step_matches_hand_rolled_cell():
     gate layout (input, forget, cell, output along the fused axis)."""
     cfg = ModelConfig(vocab_size=2, embed_dim=2, hidden_dim=2)
     m = FlowModel.init(cfg, seed=3)
-    p = {k: v.data for k, v in m.parameters().items()}
+    p = m.parameters()
     token = np.array([1])
     logits, (h1, c1) = m.step(token, None)
 
@@ -65,9 +65,9 @@ def test_step_matches_hand_rolled_cell():
     gi, gf, gc, go = sigmoid(z[0:2]), sigmoid(z[2:4]), np.tanh(z[4:6]), sigmoid(z[6:8])
     c_ref = gf * 0.0 + gi * gc
     h_ref = go * np.tanh(c_ref)
-    np.testing.assert_allclose(c1.data[0], c_ref, rtol=1e-14)
-    np.testing.assert_allclose(h1.data[0], h_ref, rtol=1e-14)
-    np.testing.assert_allclose(logits.data[0], h_ref @ p["w_out"] + p["b_out"], rtol=1e-14)
+    np.testing.assert_allclose(c1[0], c_ref, rtol=1e-14)
+    np.testing.assert_allclose(h1[0], h_ref, rtol=1e-14)
+    np.testing.assert_allclose(logits[0], h_ref @ p["w_out"] + p["b_out"], rtol=1e-14)
 
     # second step threads the state through
     logits2, (h2, c2) = m.step(np.array([0]), (h1, c1))
@@ -75,8 +75,8 @@ def test_step_matches_hand_rolled_cell():
     z2 = x2 @ p["w_x"] + h_ref @ p["w_h"] + p["b"]
     c2_ref = sigmoid(z2[2:4]) * c_ref + sigmoid(z2[0:2]) * np.tanh(z2[4:6])
     h2_ref = sigmoid(z2[6:8]) * np.tanh(c2_ref)
-    np.testing.assert_allclose(c2.data[0], c2_ref, rtol=1e-13)
-    np.testing.assert_allclose(logits2.data[0], h2_ref @ p["w_out"] + p["b_out"], rtol=1e-13)
+    np.testing.assert_allclose(c2[0], c2_ref, rtol=1e-13)
+    np.testing.assert_allclose(logits2[0], h2_ref @ p["w_out"] + p["b_out"], rtol=1e-13)
 
 
 def test_step_batch_equals_stacked_singles():
@@ -85,8 +85,8 @@ def test_step_batch_equals_stacked_singles():
     batch_logits, (h, c) = m.step(tokens, None)
     for i, t in enumerate(tokens):
         single, (hs, cs) = m.step(np.array([t]), None)
-        np.testing.assert_allclose(batch_logits.data[i], single.data[0], rtol=1e-14)
-        np.testing.assert_allclose(h.data[i], hs.data[0], rtol=1e-14)
+        np.testing.assert_allclose(batch_logits[i], single[0], rtol=1e-14)
+        np.testing.assert_allclose(h[i], hs[0], rtol=1e-14)
 
 
 def test_step_rejects_out_of_range_tokens():
@@ -99,7 +99,7 @@ def test_step_rejects_out_of_range_tokens():
 
 def test_step_rejects_mismatched_state():
     m = tiny_model()
-    h = Tensor(np.zeros((2, 2)))
+    h = np.zeros((2, 2))
     with pytest.raises(ConfigurationError):
         m.step(np.array([0]), (h, h))  # batch 1 vs state batch 2
 
@@ -108,11 +108,11 @@ def test_constructor_rejects_bad_shapes_and_nonfinite():
     cfg = ModelConfig(3, 2, 2)
     good = FlowModel.init(cfg, seed=0).parameters()
     bad = dict(good)
-    bad["w_x"] = Tensor(np.zeros((2, 7)))
+    bad["w_x"] = np.zeros((2, 7))
     with pytest.raises(ConfigurationError):
         FlowModel(cfg, bad)
     bad = dict(good)
-    bad["b"] = Tensor(np.full(8, np.nan))
+    bad["b"] = np.full(8, np.nan)
     with pytest.raises(ConfigurationError):
         FlowModel(cfg, bad)
     with pytest.raises(ConfigurationError):
@@ -124,9 +124,9 @@ def test_zero_init_gives_uniform_policy(single_env):
     logits, _ = m.step([m.start_token])
     log_probs = masked_log_softmax(logits, single_env.slot_masks[0])
     valid = np.flatnonzero(single_env.slot_masks[0])
-    np.testing.assert_allclose(np.exp(log_probs.data[0, valid]), 0.25, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(log_probs[0, valid]), 0.25, rtol=1e-12)
     _, log_prob_sum = rollout(m, single_env, np.random.Generator(np.random.PCG64(0)), 5)
-    np.testing.assert_allclose(log_prob_sum.data, np.log(0.25), rtol=1e-12)
+    np.testing.assert_allclose(log_prob_sum, np.log(0.25), rtol=1e-12)
 
 
 def test_step_walks_slots_and_masks(bridge_env):
@@ -135,7 +135,7 @@ def test_step_walks_slots_and_masks(bridge_env):
     for slot in range(bridge_env.n_slots):
         mask = bridge_env.slot_masks[slot]
         logits, state = m.step(tokens, state)
-        log_probs = masked_log_softmax(logits, mask).data
+        log_probs = masked_log_softmax(logits, mask)
         np.testing.assert_allclose(np.exp(log_probs[:, mask]).sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.isneginf(log_probs[:, ~mask]))
         valid = np.flatnonzero(mask)
@@ -147,7 +147,7 @@ def test_rollout_never_picks_masked_tokens(bridge_env):
     # leak into those slots, with or without exploration
     m = tiny_model(vocab=7, embed=3, hidden=4, seed=1)
     masked = int(np.flatnonzero(~bridge_env.slot_masks[0])[0])
-    m.parameters()["b_out"].data[masked] = 50.0
+    m.parameters()["b_out"][masked] = 50.0
     for eps in (0.0, 0.3):
         actions, _ = rollout(m, bridge_env, np.random.Generator(np.random.PCG64(3)), 500,
                              epsilon=eps)
@@ -158,12 +158,12 @@ def test_rollout_never_picks_masked_tokens(bridge_env):
 def test_step_is_a_pure_function_of_tokens_and_state(bridge_env):
     m = tiny_model(vocab=7, embed=3, hidden=4, seed=2)
     _, state = m.step([m.start_token, m.start_token])
-    saved = [s.data.copy() for s in state]
+    saved = [s.copy() for s in state]
     first, _ = m.step([0, 2], state)
     again, _ = m.step([0, 2], state)
-    np.testing.assert_array_equal(first.data, again.data)
+    np.testing.assert_array_equal(first, again)
     for s, before in zip(state, saved):
-        np.testing.assert_array_equal(s.data, before)
+        np.testing.assert_array_equal(s, before)
 
 
 def test_model_config_validation():

@@ -12,13 +12,12 @@ import pytest
 from scipy import stats
 
 from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
-                       RewardSpec, TabularPolicy, Tensor, Topology,
-                       TrainConfig, Vocabulary, backward, exact_flows,
-                       loss_reward, no_grad, rollout, train, uniform_rollout)
+                       RewardSpec, TabularPolicy, Topology, TrainConfig, Vocabulary,
+                       exact_flows, loss_reward, rollout, train, uniform_rollout)
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
-from conftest import (CONFIGS, FIXTURES, process_running, stub_adapter_command,
+from conftest import (CONFIGS, FIXTURES, flow_log_prob, process_running, stub_adapter_command,
                       surrogate_adapter_command)
 
 SMALL = ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12)
@@ -41,11 +40,10 @@ def episode_log_prob(model, env, actions):
     total = 0.0
     state = None
     token = model.start_token
-    with no_grad():
-        for t, action in enumerate(actions):
-            logits, state = model.step([token], state)
-            total += float(masked_log_softmax(logits, env.slot_masks[t]).data[0, action])
-            token = action
+    for t, action in enumerate(actions):
+        logits, state = model.step([token], state)
+        total += float(masked_log_softmax(logits, env.slot_masks[t])[0, action])
+        token = action
     return total
 
 
@@ -60,7 +58,7 @@ def test_rollout_respects_masks(bridge_env, rng):
     assert log_prob_sum.shape == (50,)
     for seq in actions.tolist():
         bridge_env.check_sequence(tuple(seq))
-    assert np.all(log_prob_sum.data <= 0.0)
+    assert np.all(log_prob_sum <= 0.0)
 
 
 def test_rollout_deterministic_per_stream(bridge_env):
@@ -68,7 +66,7 @@ def test_rollout_deterministic_per_stream(bridge_env):
     a, lp_a = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(9)), 20)
     b, lp_b = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(9)), 20)
     np.testing.assert_array_equal(a, b)
-    assert lp_a.data.tobytes() == lp_b.data.tobytes()
+    assert lp_a.tobytes() == lp_b.tobytes()
 
 
 def test_rollout_consumes_one_draw_per_slot(bridge_env):
@@ -88,7 +86,7 @@ def test_rollout_draws_are_episode_major(bridge_env):
     rng = np.random.Generator(np.random.PCG64(4))
     one_by_one = [rollout(model, bridge_env, rng, 1) for _ in range(30)]
     np.testing.assert_array_equal(together, np.vstack([a for a, _ in one_by_one]))
-    np.testing.assert_allclose(lp_together.data, [float(lp.data[0]) for _, lp in one_by_one],
+    np.testing.assert_allclose(lp_together, [float(lp[0]) for _, lp in one_by_one],
                                rtol=1e-12)
 
 
@@ -110,7 +108,7 @@ def test_epsilon_records_pure_policy_log_probs(bridge_env):
     for eps in (0.0, 0.5, 1.0):
         rng = np.random.Generator(np.random.PCG64(3))
         actions, log_prob_sum = rollout(model, bridge_env, rng, 200, epsilon=eps)
-        for seq, got in zip(actions.tolist(), log_prob_sum.data):
+        for seq, got in zip(actions.tolist(), log_prob_sum):
             assert got == pytest.approx(episode_log_prob(model, bridge_env, seq), rel=1e-12)
 
 
@@ -141,14 +139,13 @@ def test_rollout_matches_model_distribution(bridge_env):
     # a sharpened random model is far from uniform; the batched draws must
     # follow the terminal probabilities obtained by stepping it one by one
     model = small_model(seed=8)
-    model.parameters()["w_out"].data *= 6.0
+    model.parameters()["w_out"] *= 6.0
     probs = {seq: math.exp(episode_log_prob(model, bridge_env, seq))
              for seq in bridge_env.enumerate_terminals()}
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert max(probs.values()) > 2 * min(probs.values())
     n = 6000
-    with no_grad():
-        actions, _ = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(12)), n)
+    actions, _ = rollout(model, bridge_env, np.random.Generator(np.random.PCG64(12)), n)
     counts = Counter(map(tuple, actions.tolist()))
     chi2 = chi_squared(counts, {seq: n * p for seq, p in probs.items()})
     assert chi2 < stats.chi2.ppf(0.999, 11)
@@ -163,8 +160,20 @@ def test_rollout_of_tabular_policy_matches_reward_over_z(bridge_env, bridge_rewa
     for seq, p in flows.terminal_probs.items():
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(counts.get(seq, 0) - n * p) < 4 * sigma, seq
-    for seq, got in zip(actions.tolist()[:50], log_prob_sum.data):
+    for seq, got in zip(actions.tolist()[:50], log_prob_sum):
         assert got == pytest.approx(math.log(flows.terminal_probs[tuple(seq)]), abs=1e-12)
+
+
+def test_shared_rows_give_each_episode_its_own_pick(single_env):
+    # log_prob[b] = log_probs[rows[b], picks[b]]: on one slot every episode
+    # shares the start row, and each reads the log-prob of its own pick
+    model = small_model(seed=3)
+    actions, log_prob_sum = rollout(model, single_env, np.random.Generator(np.random.PCG64(5)), 40)
+    logits, _ = model.step([model.start_token])
+    row = masked_log_softmax(logits, single_env.slot_masks[0])[0]
+    np.testing.assert_array_equal(log_prob_sum, row[actions[:, 0]])
+    picks = Counter(actions[:, 0].tolist())
+    assert len(picks) > 1 and max(picks.values()) > 1  # distinct and repeated picks
 
 
 class StepRecorder:
@@ -175,9 +184,9 @@ class StepRecorder:
         self.start_token = policy.start_token
         self.rows = []
 
-    def step(self, tokens, state=None):
+    def step(self, tokens, state=None, *cache):
         self.rows.append(len(tokens))
-        return self.policy.step(tokens, state)
+        return self.policy.step(tokens, state, *cache)
 
 
 def replay_episode(policy, env, u, epsilon):
@@ -185,16 +194,15 @@ def replay_episode(policy, env, u, epsilon):
     the summed log-prob of the picks."""
     actions, total = [], 0.0
     token, state = policy.start_token, None
-    with no_grad():
-        for t in range(env.n_slots):
-            logits, state = policy.step([token], state)
-            log_probs = masked_log_softmax(logits, env.slot_masks[t]).data[0]
-            valid = np.flatnonzero(env.slot_masks[t])
-            probs = (1.0 - epsilon) * np.exp(log_probs[valid]) + epsilon / valid.shape[0]
-            pick = np.searchsorted(np.cumsum(probs / probs.sum()), u[t], side="right")
-            token = int(valid[min(pick, valid.shape[0] - 1)])
-            actions.append(token)
-            total += log_probs[token]
+    for t in range(env.n_slots):
+        logits, state = policy.step([token], state)
+        log_probs = masked_log_softmax(logits, env.slot_masks[t])[0]
+        valid = np.flatnonzero(env.slot_masks[t])
+        probs = (1.0 - epsilon) * np.exp(log_probs[valid]) + epsilon / valid.shape[0]
+        pick = np.searchsorted(np.cumsum(probs / probs.sum()), u[t], side="right")
+        token = int(valid[min(pick, valid.shape[0] - 1)])
+        actions.append(token)
+        total += log_probs[token]
     return actions, total
 
 
@@ -204,8 +212,8 @@ def _grid_env():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_shared_prefix_rollout_matches_the_graph_path(bridge_env, bridge_reward, seed):
-    # without a graph, episodes sharing a prefix share one state row; the
+def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward, seed):
+    # without a cache, episodes sharing a prefix share one state row; the
     # draws must be the ones every-episode-its-own-row sampling makes
     grid_env = _grid_env()
     grid_model = FlowModel.init(ModelConfig(vocab_size=len(grid_env.vocabulary),
@@ -217,20 +225,23 @@ def test_shared_prefix_rollout_matches_the_graph_path(bridge_env, bridge_reward,
         (grid_env, grid_model, 3000, 0.1),
     ]
     for env, policy, n, epsilon in cases:
-        shared, graph = StepRecorder(policy), StepRecorder(policy)
-        with no_grad():
-            actions, log_prob_sum = rollout(shared, env, np.random.Generator(np.random.PCG64(seed)),
-                                            n, epsilon)
-        graph_actions, graph_log_prob_sum = rollout(
-            graph, env, np.random.Generator(np.random.PCG64(seed)), n, epsilon)
-        np.testing.assert_array_equal(actions, graph_actions)
-        np.testing.assert_allclose(log_prob_sum.data, graph_log_prob_sum.data, rtol=1e-12, atol=0)
+        shared = StepRecorder(policy)
+        actions, log_prob_sum = rollout(shared, env, np.random.Generator(np.random.PCG64(seed)),
+                                        n, epsilon)
+        if isinstance(policy, FlowModel):  # the only policy that keeps a cache
+            cached, cache = StepRecorder(policy), []
+            cached_actions, cached_log_prob_sum = rollout(
+                cached, env, np.random.Generator(np.random.PCG64(seed)), n, epsilon, cache)
+            np.testing.assert_array_equal(actions, cached_actions)
+            np.testing.assert_allclose(log_prob_sum, cached_log_prob_sum, rtol=1e-12, atol=0)
+            assert cached.rows == [n] * env.n_slots and len(cache) == env.n_slots
+            for t, record in enumerate(cache):
+                np.testing.assert_array_equal(record["actions"], cached_actions[:, t])
         u = np.random.Generator(np.random.PCG64(seed)).random((n, env.n_slots))
         for i in range(0, n, n // 20):
             alone, total = replay_episode(policy, env, u[i], epsilon)
             assert actions[i].tolist() == alone, i
-            assert log_prob_sum.data[i] == pytest.approx(total, rel=1e-12), i
-        assert graph.rows == [n] * env.n_slots
+            assert log_prob_sum[i] == pytest.approx(total, rel=1e-12), i
         prefixes = [len({tuple(row[:t]) for row in actions.tolist()}) for t in range(env.n_slots)]
         assert shared.rows == prefixes
     # the grid has 10 tokens per slot: 1, 10, 100 and 1,000 distinct prefixes at most
@@ -266,6 +277,24 @@ def test_metrics_loss_is_squared_balance_residual(tmp_path):
         assert float(rwd) == r
 
 
+def balance_loss(model, env, reward_model, seed, n, cache=None):
+    """The mean squared balance residual of n episodes drawn from `seed`: the
+    draws, the residuals and the loss."""
+    actions, log_prob_sum = rollout(model, env, np.random.Generator(np.random.PCG64(seed)), n,
+                                    cache=cache)
+    floored = [loss_reward(reward_model.spec, r)
+               for r, _ in reward_model.score_batch(actions.tolist())]
+    residual = model.parameters()["log_z"] + log_prob_sum - np.log(floored)
+    return actions, residual, float(np.mean(residual * residual))
+
+
+def balance_grad(model, env, reward_model, seed, n):
+    """The draws and the gradient of `balance_loss`, by `FlowModel.balance_grad`."""
+    cache = []
+    actions, residual, _ = balance_loss(model, env, reward_model, seed, n, cache)
+    return actions, model.balance_grad(cache, 2.0 * residual / n)
+
+
 def test_train_update_is_adam_on_mean_squared_residual():
     env, reward_model = _fresh_setup()
     cfg = quick_config(max_episodes=8)
@@ -273,63 +302,59 @@ def test_train_update_is_adam_on_mean_squared_residual():
     train(cfg, trained, env, reward_model)
 
     model = small_model(seed=3)
-    actions, log_prob_sum = rollout(model, env, np.random.Generator(np.random.PCG64(cfg.seed)), 8)
+    actions, residual, loss = balance_loss(model, env, reward_model, cfg.seed, 8)
+    log_probs = [episode_log_prob(model, env, seq) for seq in actions.tolist()]
     floored = [loss_reward(reward_model.spec, r)
                for r, _ in reward_model.score_batch(actions.tolist())]
     by_hand = np.mean([(model.log_z_value + lp - math.log(f)) ** 2
-                       for lp, f in zip(log_prob_sum.data, floored)])
-    diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
-    loss = (diff * diff).mean()
-    assert float(loss.data) == pytest.approx(by_hand, rel=1e-12)
-    backward(loss)
+                       for lp, f in zip(log_probs, floored)])
+    assert loss == pytest.approx(by_hand, rel=1e-12)
+    _, grads = balance_grad(model, env, reward_model, cfg.seed, 8)
     Adam(model.parameters(), lr=cfg.learning_rate_model,
-         lr_overrides={"log_z": cfg.learning_rate_logz}).step()
-    for name, tensor in trained.parameters().items():
-        np.testing.assert_allclose(tensor.data, model.parameters()[name].data,
+         lr_overrides={"log_z": cfg.learning_rate_logz}).step(grads)
+    for name, param in trained.parameters().items():
+        np.testing.assert_allclose(param, model.parameters()[name],
                                    rtol=1e-10, atol=1e-14, err_msg=name)
 
 
 def test_rollout_gradient_fd_spot_check(bridge_env, bridge_reward):
     model = small_model(seed=5)
-
-    def loss_of_fixed_draws():
-        rng = np.random.Generator(np.random.PCG64(1))
-        actions, log_prob_sum = rollout(model, bridge_env, rng, 3)
-        floored = [loss_reward(bridge_reward.spec, r)
-                   for r, _ in bridge_reward.score_batch(actions.tolist())]
-        diff = model.log_z + log_prob_sum - Tensor(np.log(floored))
-        return actions, (diff * diff).mean()
-
-    actions, loss = loss_of_fixed_draws()
+    actions, grads = balance_grad(model, bridge_env, bridge_reward, 1, 3)
 
     def loss_value():
-        with no_grad():
-            again, value = loss_of_fixed_draws()
+        again, _, value = balance_loss(model, bridge_env, bridge_reward, 1, 3)
         np.testing.assert_array_equal(again, actions)  # same draws, same episodes
-        return float(value.data)
+        return value
 
-    backward(loss)
     h = 1e-6
-    for name, flat_idx in [("log_z", ()), ("w_out", (4, 2)), ("b", (7,)),
-                           ("embed", (2, 1)), ("w_h", (3, 9))]:
+    start = model.start_token  # the row all three episodes read at slot 0
+    for name, idx in [("log_z", ()), ("w_out", (4, 2)), ("b", (7,)), ("embed", (2, 1)),
+                      ("w_h", (3, 9)), *(("embed", (start, k)) for k in range(SMALL.embed_dim))]:
         param = model.parameters()[name]
-        grad = param.grad[flat_idx] if flat_idx else float(param.grad)
-        orig = param.data[flat_idx] if flat_idx else float(param.data)
-        if flat_idx:
-            param.data[flat_idx] = orig + h
-            up = loss_value()
-            param.data[flat_idx] = orig - h
-            down = loss_value()
-            param.data[flat_idx] = orig
-        else:
-            param.data = np.float64(orig + h)
-            up = loss_value()
-            param.data = np.float64(orig - h)
-            down = loss_value()
-            param.data = np.float64(orig)
+        grad, orig = float(grads[name][idx]), float(param[idx])
+        param[idx] = orig + h
+        up = loss_value()
+        param[idx] = orig - h
+        down = loss_value()
+        param[idx] = orig
         fd = (up - down) / (2 * h)
         denom = max(abs(fd), abs(grad), 1e-8)
-        assert abs(fd - grad) / denom < 1e-4, name
+        assert abs(fd - grad) / denom < 1e-4, (name, idx)
+
+
+def test_one_slot_topology_leaves_w_h_alone(bridge_env, bridge_reward, single_env):
+    # one slot starts from the zero state, so nothing reaches w_h: its
+    # gradient is exactly zero, even in a buffer a longer rollout filled
+    model = small_model(seed=6)
+    _, grads = balance_grad(model, bridge_env, bridge_reward, 0, 4)
+    assert np.any(grads["w_h"] != 0.0)
+    single_reward = RewardModel(bridge_reward.spec, single_env)
+    _, grads = balance_grad(model, single_env, single_reward, 0, 4)
+    assert np.all(grads["w_h"] == 0.0) and np.any(grads["b"] != 0.0)
+    w_h = model.parameters()["w_h"].copy()
+    result = train(quick_config(max_episodes=16), model, single_env, single_reward)
+    assert result.episodes_run == 16
+    assert model.parameters()["w_h"].tobytes() == w_h.tobytes()
 
 
 def test_train_nonfinite_residual_names_its_episode(tmp_path):
@@ -361,14 +386,14 @@ def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
         log_probs = []
         prefix = ()
         for action in seq:
-            log_probs.append(policy.log_prob(prefix, action))
+            log_probs.append(flow_log_prob(flows, prefix, action))
             prefix = prefix + (action,)
         floored = loss_reward(bridge_reward.spec, r)
         assert abs(policy.log_z_value + sum(log_probs) - math.log(floored)) < 1e-12
     # and so does every episode the batched sampler draws from it
     actions, log_prob_sum = rollout(policy, bridge_env, np.random.Generator(np.random.PCG64(6)), 200)
     scores = bridge_reward.score_batch(actions.tolist())
-    for (r, _), lp in zip(scores, log_prob_sum.data):
+    for (r, _), lp in zip(scores, log_prob_sum):
         floored = loss_reward(bridge_reward.spec, r)
         assert abs(policy.log_z_value + lp - math.log(floored)) < 1e-12
 
@@ -604,7 +629,7 @@ def test_train_resume_rejects_other_env(tmp_path):
 def test_train_aborts_on_poisoned_params():
     env, reward_model = _fresh_setup()
     model = small_model(seed=0)
-    model.parameters()["w_out"].data[0, 0] = np.nan
+    model.parameters()["w_out"][0, 0] = np.nan
     with pytest.raises(TrainingAbort):
         train(quick_config(max_episodes=8), model, env, reward_model)
 
@@ -653,8 +678,8 @@ def test_final_checkpoint_is_saved_once(tmp_path, monkeypatch):
     from blockflow import load_checkpoint
     ckpt = load_checkpoint(tmp_path / "checkpoint.json")
     assert ckpt.episode == 64
-    for name, tensor in model.parameters().items():
-        assert ckpt.params[name].tobytes() == np.asarray(tensor.data).tobytes(), name
+    for name, param in model.parameters().items():
+        assert ckpt.params[name].tobytes() == param.tobytes(), name
 
 
 def test_resume_after_short_final_batch_matches_uninterrupted(tmp_path):
@@ -674,9 +699,8 @@ def test_resume_after_short_final_batch_matches_uninterrupted(tmp_path):
           out_dir=part_dir, resume_from=part_dir / "checkpoint.json")
 
     assert (part_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
-    for name, tensor in full_model.parameters().items():
-        got = np.asarray(resumed_model.parameters()[name].data).tobytes()
-        assert got == np.asarray(tensor.data).tobytes(), name
+    for name, param in full_model.parameters().items():
+        assert resumed_model.parameters()[name].tobytes() == param.tobytes(), name
 
 
 def test_resume_drops_torn_metrics_rows(tmp_path):
