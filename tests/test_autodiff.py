@@ -69,6 +69,34 @@ def test_masked_log_softmax_gradient_matches_fd():
     np.testing.assert_array_equal(ad.masked_log_softmax_vjp(out, mask, w), grad)
 
 
+def test_masked_log_softmax_vjp_of_one_picked_lane():
+    # picking one lane per row: the logits' gradient is onehot - probs on
+    # the unmasked lanes, zero on the masked ones, and sums to zero per row
+    rng = np.random.Generator(np.random.PCG64(13))
+    logits = rng.normal(size=(4, 5))
+    mask = np.array([True, True, False, True, True])
+    out = ad.masked_log_softmax(logits, mask)
+    picks = np.array([0, 3, 3, 4])
+    g = np.zeros_like(out)
+    g[np.arange(4), picks] = 1.0
+    grad = ad.masked_log_softmax_vjp(out, mask, g)
+    expected = np.where(mask, g - np.exp(np.where(mask, out, 0.0)), 0.0)
+    np.testing.assert_allclose(grad, expected, rtol=1e-14, atol=1e-16)
+    assert np.all(grad[:, ~mask] == 0.0)
+    np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+
+
+def test_masked_log_softmax_broadcasts_the_mask_over_rows():
+    rng = np.random.Generator(np.random.PCG64(17))
+    logits, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    mask = np.array([False, True, True, True])
+    tiled = np.tile(mask, (3, 1))
+    out = ad.masked_log_softmax(logits, mask)
+    np.testing.assert_array_equal(out, ad.masked_log_softmax(logits, tiled))
+    np.testing.assert_array_equal(ad.masked_log_softmax_vjp(out, mask, g),
+                                  ad.masked_log_softmax_vjp(out, tiled, g))
+
+
 def test_masked_log_softmax_all_masked_row_is_dead_end():
     with pytest.raises(DeadEndError):
         ad.masked_log_softmax(np.zeros((1, 3)), np.array([False, False, False]))

@@ -6,7 +6,7 @@ import pytest
 from blockflow import (Adam, FlowModel, ModelConfig, load_checkpoint,
                        restore_model, restore_optimizer, restore_rng,
                        save_checkpoint)
-from blockflow.checkpoint import CHECKPOINT_SCHEMA, file_sha256
+from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, file_sha256
 from blockflow.errors import ValidationError
 
 CFG = ModelConfig(vocab_size=5, embed_dim=4, hidden_dim=6)
@@ -144,6 +144,21 @@ def test_file_sha256_known_value(tmp_path):
     # sha256("abc"), a published constant
     assert file_sha256(p) == ("ba7816bf8f01cfea414140de5dae2223"
                               "b00361a396177a9cb410ff61f20015ad")
+
+
+def test_atomic_write_replaces_the_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(OSError):
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"new, partly written")
+            raise OSError("disk full")
+    assert path.read_bytes() == b"old"
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"new")
+        assert path.read_bytes() == b"old"  # nothing shows until the block exits
+    assert path.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
 
 
 def test_save_is_atomic_no_tmp_left_behind(tmp_path):

@@ -65,6 +65,18 @@ def test_lr_override_applies_per_parameter():
     assert ratio == pytest.approx(100.0, rel=1e-9)
 
 
+def test_zero_gradient_means_zero_update():
+    # m and v stay zero, so the step is 0 / (0 + eps): exactly no change
+    params = {"w": np.array([1.5, -2.0]), "log_z": np.array(0.25)}
+    opt = Adam(params, lr=0.1)
+    opt.step({"w": np.zeros(2), "log_z": np.zeros(())})
+    assert opt.step_count == 1
+    np.testing.assert_array_equal(params["w"], [1.5, -2.0])
+    assert float(params["log_z"]) == 0.25
+    for name in params:
+        assert np.all(opt.m[name] == 0.0) and np.all(opt.v[name] == 0.0)
+
+
 def test_nonfinite_gradient_aborts_naming_parameter():
     opt = Adam({"oddball": np.zeros(2)}, lr=0.1)
     with pytest.raises(TrainingAbort, match="oddball"):

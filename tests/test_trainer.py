@@ -357,6 +357,77 @@ def test_one_slot_topology_leaves_w_h_alone(bridge_env, bridge_reward, single_en
     assert model.parameters()["w_h"].tobytes() == w_h.tobytes()
 
 
+def _snapshot(arrays):
+    return {name: np.array(value, copy=True) for name, value in arrays.items()}
+
+
+def test_balance_grad_overwrites_the_same_buffers(bridge_env, bridge_reward):
+    # a second backward over the same cache gives the same bytes, in the
+    # same arrays: buffers are allocated once and never accumulate across calls
+    model, cache = small_model(seed=7), []
+    _, residual, _ = balance_loss(model, bridge_env, bridge_reward, 2, 6, cache)
+    first = model.balance_grad(cache, 2.0 * residual / 6)
+    buffers, values = dict(first), _snapshot(first)
+    second = model.balance_grad(cache, 2.0 * residual / 6)
+    assert sorted(second) == sorted(model.parameters())
+    for name, grad in second.items():
+        assert grad is buffers[name], name
+        assert grad.shape == model.parameters()[name].shape, name
+        assert grad.tobytes() == values[name].tobytes(), name
+
+
+def test_balance_grad_leaves_parameters_and_cache_alone(bridge_env, bridge_reward):
+    model, cache = small_model(seed=8), []
+    _, residual, _ = balance_loss(model, bridge_env, bridge_reward, 3, 5, cache)
+    params = _snapshot(model.parameters())
+    records = [_snapshot({k: v for k, v in rec.items() if isinstance(v, np.ndarray)})
+               for rec in cache]
+    model.balance_grad(cache, 2.0 * residual / 5)
+    for name, value in model.parameters().items():
+        assert value.tobytes() == params[name].tobytes(), name
+    for rec, before in zip(cache, records):
+        for key, value in before.items():
+            assert rec[key].tobytes() == value.tobytes(), key
+
+
+def test_log_z_gradient_is_the_sum_of_d_residual(bridge_env, bridge_reward):
+    # d(residual_i)/d(log_z) = 1, so log_z's gradient is sum_i d_residual[i];
+    # for the mean squared residual that is 2 * mean(residual)
+    model = small_model(seed=9)
+    actions, residual, _ = balance_loss(model, bridge_env, bridge_reward, 4, 8)
+    _, grads = balance_grad(model, bridge_env, bridge_reward, 4, 8)
+    assert grads["log_z"].shape == ()
+    assert float(grads["log_z"]) == pytest.approx(2.0 * float(np.mean(residual)), rel=1e-14)
+    cache = []
+    balance_loss(model, bridge_env, bridge_reward, 4, 8, cache)
+    zero = model.balance_grad(cache, np.zeros(len(actions)))
+    for name, grad in zero.items():
+        assert np.all(grad == 0.0), name
+
+
+def test_balance_grad_sums_the_episodes_it_shares_rows_with(bridge_env, bridge_reward):
+    # the gradient is linear in d_residual: the whole batch's gradient is the
+    # sum of each episode's alone, even where episodes read one embed row
+    model, cache = small_model(seed=10), []
+    actions, residual, _ = balance_loss(model, bridge_env, bridge_reward, 5, 6, cache)
+    d = 2.0 * residual / 6
+    whole = _snapshot(model.balance_grad(cache, d))
+    parts = {name: np.zeros_like(g) for name, g in whole.items()}
+    for i in range(len(d)):
+        alone = model.balance_grad(cache, np.where(np.arange(len(d)) == i, d, 0.0))
+        for name, grad in alone.items():
+            parts[name] += grad
+    for name in whole:
+        np.testing.assert_allclose(whole[name], parts[name], rtol=1e-12, atol=1e-15,
+                                   err_msg=name)
+    # every episode reads the start row first; no one reads the last slot's pick
+    read = {model.start_token, *actions[:, :-1].ravel().tolist()}
+    assert np.any(whole["embed"][model.start_token] != 0.0)
+    for token in range(model.start_token + 1):
+        if token not in read:
+            assert np.all(whole["embed"][token] == 0.0), token
+
+
 def test_train_nonfinite_residual_names_its_episode(tmp_path):
     env, reward_model = _fresh_setup()
 
