@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,6 +167,13 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read and check a checkpoint: its checksum, then the type and shape of every field.
+
+    The checksum catches corruption; the structure is checked on its own,
+    so every reader refuses a malformed checkpoint the same way. Adam's
+    moments are checked without being decoded, and only `restore_optimizer`
+    decodes them, so a reader that needs no optimizer does not pay for it.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -185,31 +193,94 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if actual != claimed:
         raise ValidationError(f"{path}: checksum mismatch, checkpoint is corrupted")
     try:
-        return Checkpoint(
-            model_config=payload["model_config"],
-            params={name: _decode_array(doc) for name, doc in payload["params"].items()},
-            optimizer=payload["optimizer"],
-            rng_state=payload["rng_state"],
-            episode=int(payload["episode"]),
-            best_reward=float(payload["best_reward"]),
-            loss_tail=[float(x) for x in payload["loss_tail"]],
-            env_hash=str(payload["env_hash"]),
-            config=payload.get("config", {}),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: checkpoint missing field {exc}") from None
+        return _checked(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValidationError(f"malformed checkpoint: {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _check_records(doc: dict, shapes: dict[str, tuple[int, ...]], where: str) -> None:
+    """Check that `doc` holds, per parameter, a record that decodes to a
+    float64 array of its shape, without decoding it."""
+    _require(set(doc) == set(shapes), f"{where} holds {sorted(doc)}, expected {sorted(shapes)}")
+    for name, rec in doc.items():
+        shape, text = shapes[name], rec["data"]
+        n_bytes = 8 * math.prod(shape)
+        padding = b"=" * (-n_bytes % 3)
+        _require(rec.get("shape") == list(shape) and len(text) == 4 * -(-n_bytes // 3)
+                 and text.endswith(padding)
+                 and not text[:len(text) - len(padding)].translate(None, _BASE64_ALPHABET),
+                 f"{where}.{name} is not a base64 float64 array of shape {shape}")
+
+
+def _checked(payload: dict) -> Checkpoint:
+    """The checkpoint in `payload`, once every field has its type and every array its shape."""
+    dims = payload.get("model_config")
+    _require(isinstance(dims, dict) and set(dims) == {"vocab_size", "embed_dim", "hidden_dim"}
+             and all(_is_int(v) for v in dims.values()),
+             f"model_config must give vocab_size, embed_dim and hidden_dim as integers, "
+             f"got {dims!r}")
+    shapes = FlowModel.param_shapes(ModelConfig(**dims))
+    opt = payload.get("optimizer")
+    _require(isinstance(opt, dict), "optimizer must be an object")
+    lr = opt.get("lr")
+    _require(isinstance(lr, dict) and set(lr) == set(shapes)
+             and all(_is_number(rate) and rate > 0 for rate in lr.values()),
+             f"optimizer.lr must give every parameter a positive rate, got {lr!r}")
+    for key in ("beta1", "beta2", "eps"):
+        _require(_is_number(opt.get(key)), f"optimizer.{key} must be a number")
+    _require(_is_int(opt.get("step_count")) and opt["step_count"] >= 0,
+             "optimizer.step_count must be a non-negative integer")
+    for where, doc in (("params", payload["params"]), ("optimizer.m", opt["m"]),
+                       ("optimizer.v", opt["v"])):
+        _check_records(doc, shapes, where)
+    params = {name: _decode_array(rec) for name, rec in payload["params"].items()}
+    _require(all(np.all(np.isfinite(p)) for p in params.values()), "params hold non-finite values")
+    _generator(payload.get("rng_state"))
+    episode, best_reward, loss_tail = (payload.get(key)
+                                       for key in ("episode", "best_reward", "loss_tail"))
+    _require(_is_int(episode) and episode >= 0, "episode must be a non-negative integer")
+    _require(_is_number(best_reward), "best_reward must be a number")
+    _require(isinstance(loss_tail, list) and all(_is_number(x) for x in loss_tail),
+             "loss_tail must be a list of numbers")
+    _require(isinstance(payload.get("env_hash"), str), "env_hash must be a string")
+    _require(isinstance(payload.get("config", {}), dict), "config must be an object")
+    return Checkpoint(
+        model_config=dims,
+        params=params,
+        optimizer=opt,
+        rng_state=payload["rng_state"],
+        episode=episode,
+        best_reward=float(best_reward),
+        loss_tail=[float(x) for x in loss_tail],
+        env_hash=payload["env_hash"],
+        config=payload.get("config", {}),
+    )
 
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
-    config = ModelConfig(**{k: int(v) for k, v in ckpt.model_config.items()})
-    return FlowModel(config, dict(ckpt.params))
+    return FlowModel(ModelConfig(**ckpt.model_config), dict(ckpt.params))
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
     doc = ckpt.optimizer
-    lr_map = {name: float(v) for name, v in doc["lr"].items()}
-    base_lr = lr_map.get("w_x", next(iter(lr_map.values())))
-    opt = Adam(model.parameters(), lr=base_lr, lr_overrides=lr_map,
+    # every parameter has its own rate, so the base rate only has to be valid
+    opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"],
                beta1=float(doc["beta1"]), beta2=float(doc["beta2"]), eps=float(doc["eps"]))
     opt.load_state_dict({
         "step_count": int(doc["step_count"]),
@@ -219,13 +290,18 @@ def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
     return opt
 
 
-def restore_rng(ckpt: Checkpoint) -> np.random.Generator:
+def _generator(state) -> np.random.Generator:
+    """A generator in the serialized bit-generator `state`."""
     rng = np.random.Generator(np.random.PCG64())
-    state = dict(ckpt.rng_state)
-    if "state" in state and isinstance(state["state"], dict):
-        state["state"] = {k: int(v) for k, v in state["state"].items()}
     try:
+        state = dict(state)
+        if isinstance(state.get("state"), dict):
+            state["state"] = {k: int(v) for k, v in state["state"].items()}
         rng.bit_generator.state = state
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"invalid RNG state in checkpoint: {exc}") from None
     return rng
+
+
+def restore_rng(ckpt: Checkpoint) -> np.random.Generator:
+    return _generator(ckpt.rng_state)

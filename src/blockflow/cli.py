@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,12 +44,49 @@ class RunConfig:
     source: Path
 
 
+# What each annotated field type accepts from JSON, and its name in errors;
+# a bool is never a number.
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"),
+               str: ((str,), "string")}
+
+
+def _typed(value, kind, where: str):
+    """`value` if JSON gave it the annotated type `kind`, a list standing for a tuple."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        if isinstance(value, list) and all(isinstance(v, item) for v in value):
+            return tuple(value)
+        expected = f"a list of {_JSON_TYPES[item][1]}s"
+    else:
+        accepted, name = _JSON_TYPES[kind]
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            return value
+        expected = f"of type {name}"
+    raise ValidationError(f"{where} must be {expected}, got {value!r}")
+
+
+def _object(value, where: str) -> dict:
+    """A copy of `value`, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _build_dataclass(cls, doc: dict, where: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - allowed
+    """`cls` built from the JSON object `doc`, each value checked against its field's type."""
+    kinds = typing.get_type_hints(cls)
+    unknown = set(doc) - set(kinds)
     if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
-    return cls(**doc)
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(kinds)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"{where}: missing keys {missing}")
+    values = {key: _typed(value, kinds[key], f"{where}.{key}") for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -62,29 +100,34 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key in ("topology", "vocabulary"):
         if key not in doc:
             raise ValidationError(f"{path}: missing key {key!r}")
+        _typed(doc[key], str, f"{path}: {key}")
+    edges_enabled = doc.get("edges_enabled")  # None leaves the topology's own setting
+    if edges_enabled is not None and not isinstance(edges_enabled, bool):
+        raise ValidationError(f"{path}: edges_enabled must be true or false, got {edges_enabled!r}")
     base = path.parent
     vocab = Vocabulary.load(base / doc["vocabulary"])
-    topo = Topology.load(base / doc["topology"], edges_enabled=doc.get("edges_enabled"))
+    topo = Topology.load(base / doc["topology"], edges_enabled=edges_enabled)
     env = Environment(topo, vocab)
 
-    model_doc = dict(doc.get("model", {}))
-    init_seed = int(model_doc.pop("init_seed", 0))
+    model_doc = _object(doc.get("model", {}), f"{path}: model")
+    init_seed = _typed(model_doc.pop("init_seed", 0), int, f"{path}: model.init_seed")
+    if init_seed < 0:
+        raise ValidationError(f"{path}: model.init_seed must be >= 0, got {init_seed}")
     model_doc.setdefault("vocab_size", len(vocab))
     if model_doc["vocab_size"] != len(vocab):
         raise ValidationError(f"{path}: model.vocab_size must match the vocabulary ({len(vocab)})")
     model_config = _build_dataclass(ModelConfig, model_doc, f"{path}: model")
 
-    reward_doc = dict(doc.get("reward", {}))
+    reward_doc = _object(doc.get("reward", {}), f"{path}: reward")
     adapter_doc = reward_doc.pop("adapter", None)
     adapter = None
     if adapter_doc is not None:
-        adapter_doc = dict(adapter_doc)
-        if "command" in adapter_doc:
-            adapter_doc["command"] = tuple(adapter_doc["command"])
-        adapter = _build_dataclass(AdapterConfig, adapter_doc, f"{path}: reward.adapter")
+        where = f"{path}: reward.adapter"
+        adapter = _build_dataclass(AdapterConfig, _object(adapter_doc, where), where)
     reward_spec = _build_dataclass(RewardSpec, reward_doc, f"{path}: reward")
 
-    train_config = _build_dataclass(TrainConfig, dict(doc.get("train", {})), f"{path}: train")
+    train_config = _build_dataclass(TrainConfig, _object(doc.get("train", {}), f"{path}: train"),
+                                    f"{path}: train")
     return RunConfig(env=env, model_config=model_config, init_seed=init_seed,
                      reward_spec=reward_spec, adapter=adapter,
                      train_config=train_config, source=path)
@@ -327,10 +370,19 @@ def cmd_flows(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="seed override")
+    seeded.add_argument("--seed", type=_non_negative_int, default=None, help="seed override")
 
     parser = argparse.ArgumentParser(prog="blockflow",
                                      description="Reward-proportional assembly sampler and analysis tools")
@@ -367,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amd", parents=[out], help="descriptors for a directory of CIF files")
     p.add_argument("--cif-dir", dest="cif_dir", required=True, type=Path)
-    p.add_argument("-k", type=int, default=100, help="descriptor length")
+    p.add_argument("-k", type=_positive_int, default=100, help="descriptor length")
     p.add_argument("--reference-dir", dest="reference_dir", type=Path, default=None,
                    help="reference CIFs for novelty scores")
     p.set_defaults(func=cmd_amd)

@@ -3,7 +3,8 @@
 The model also owns the learned log-partition scalar `log_z`, which is a
 free parameter and is never derived from the network outputs. Parameters
 are plain float64 arrays, updated in place; `balance_grad` is the one
-backward pass, written out by hand through time.
+backward pass, written out by hand: one product over all slots per
+weight, with only the recurrent gradients carried back through time.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class ModelConfig:
                 raise ConfigurationError(f"ModelConfig.{name} must be >= 1")
 
 
-# Fused gate layout along the last axis of w_x / w_h / b, each hidden_dim wide.
-GATE_ORDER = ("input", "forget", "cell", "output")
-
-
 class FlowModel:
     """LSTM policy over tokens plus the log-partition parameter.
 
@@ -49,7 +46,7 @@ class FlowModel:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
-        expected = self._expected_shapes(config)
+        expected = self.param_shapes(config)
         if set(params) != set(self.PARAM_NAMES):
             raise ConfigurationError(f"parameter names {sorted(params)} != {sorted(self.PARAM_NAMES)}")
         for name, shape in expected.items():
@@ -59,12 +56,11 @@ class FlowModel:
             if not np.all(np.isfinite(params[name])):
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         self._params = params
-        # gradient buffers, and scratch for one weight-sized product, reused by every update
-        self._grads = {name: np.zeros_like(p) for name, p in params.items()}
-        self._work = np.empty(max(p.size for p in params.values()))
+        self._grads = {name: np.zeros_like(p) for name, p in params.items()}  # reused by every update
 
     @staticmethod
-    def _expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape under `config`."""
         v, e, h = config.vocab_size, config.embed_dim, config.hidden_dim
         return {
             "embed": (v + 1, e),
@@ -82,7 +78,7 @@ class FlowModel:
         """Uniform init in [-1/sqrt(hidden), +1/sqrt(hidden)], forget bias +1."""
         rng = np.random.Generator(np.random.PCG64(seed))
         bound = 1.0 / np.sqrt(config.hidden_dim)
-        shapes = cls._expected_shapes(config)
+        shapes = cls.param_shapes(config)
         params = {name: rng.uniform(-bound, bound, size=shapes[name])
                   for name in ("embed", "w_x", "w_h", "b", "w_out", "b_out")}
         h = config.hidden_dim
@@ -92,7 +88,7 @@ class FlowModel:
 
     @classmethod
     def zero_init(cls, config: ModelConfig) -> "FlowModel":
-        shapes = cls._expected_shapes(config)
+        shapes = cls.param_shapes(config)
         return cls(config, {name: np.zeros(shape) for name, shape in shapes.items()})
 
     # -- accessors ---------------------------------------------------------
@@ -149,59 +145,41 @@ class FlowModel:
         picked actions. The gradients go into buffers the model keeps
         across updates, which are returned by name.
 
-        Contributions are summed in a fixed order: log_z takes one sum; the
-        head (b_out, w_out) takes the slots first to last; then, back through
-        time from the last slot, the cell's w_x, b, w_h and embed. The first
-        contribution to a buffer overwrites it and the rest are added in
-        place. w_h gets none at the first slot, which starts from the zero
-        state, so a one-slot topology leaves its gradient exactly zero.
+        Each weight's gradient is one product over the stacked slots; only
+        dh, dc and each slot's dz run back through time. The first slot
+        starts from the zero state, so w_h's product takes the later slots
+        only, and a one-slot topology leaves its gradient exactly zero.
         """
         p, grads = self._params, self._grads
+        n_slots, n = len(cache), d_residual.shape[0]
         hid = self.config.hidden_dim
-        episodes = np.arange(d_residual.shape[0])
         np.copyto(grads["log_z"], d_residual.sum())
-        if len(cache) == 1:  # no slot carries a state into the cell
-            grads["w_h"].fill(0.0)
-        dh_head = []
-        for t, rec in enumerate(cache):
-            d_log_probs = np.zeros_like(rec["log_probs"])
-            d_log_probs[episodes, rec["actions"]] += d_residual
-            d_logits = ad.masked_log_softmax_vjp(rec["log_probs"], rec["mask"], d_log_probs)
-            self._add_grad("b_out", t == 0, d_logits.sum(axis=0))
-            self._add_grad("w_out", t == 0, rec["h"].T, d_logits)
-            dh_head.append(d_logits @ p["w_out"].T)
-        dh_carried = dc = None
-        for t in reversed(range(len(cache))):
-            rec, last = cache[t], t == len(cache) - 1
-            dh = dh_head[t] if dh_carried is None else dh_head[t] + dh_carried
-            h_prev, c_prev = (None, None) if rec["state"] is None else rec["state"]
-            dz, dc = ad.lstm_cell_vjp(rec["gates"], rec["tanh_c"], c_prev, dh, dc)
-            dx = dz @ p["w_x"].T
-            self._add_grad("w_x", last, rec["x"].T, dz)
-            self._add_grad("b", last, dz.sum(axis=0))
-            if c_prev is not None:
-                dh_carried = dz @ p["w_h"].T
+        # head: all slots at once; each slot's picked log-prob takes its episode's d_residual
+        log_probs = np.stack([rec["log_probs"] for rec in cache])
+        d_log_probs = np.zeros_like(log_probs)
+        actions = np.stack([rec["actions"] for rec in cache])
+        d_log_probs[np.arange(n_slots)[:, None], np.arange(n), actions] = d_residual
+        masks = np.stack([rec["mask"] for rec in cache])[:, None, :]
+        d_logits = ad.masked_log_softmax_vjp(log_probs, masks, d_log_probs).reshape(n_slots * n, -1)
+        h = np.concatenate([rec["h"] for rec in cache])
+        np.matmul(h.T, d_logits, out=grads["w_out"])
+        d_logits.sum(axis=0, out=grads["b_out"])
+        dh_head = (d_logits @ p["w_out"].T).reshape(n_slots, n, hid)
+        # cell: back through time for the pre-activation gradients
+        dz = np.empty((n_slots, n, 4 * hid))
+        dh, dc = dh_head[-1], None
+        for t in reversed(range(n_slots)):
+            rec = cache[t]
+            c_prev = None if t == 0 else rec["state"][1]
+            dz[t], dc = ad.lstm_cell_vjp(rec["gates"], rec["tanh_c"], c_prev, dh, dc)
+            if t > 0:
+                dh = dh_head[t - 1] + dz[t] @ p["w_h"].T
                 dc = dc * rec["gates"][:, hid:2 * hid]
-                self._add_grad("w_h", last, h_prev.T, dz)
-            # row scatter into a zeroed array, added to the sum as a whole
-            scatter = grads["embed"] if last else self._scratch("embed")
-            scatter.fill(0.0)
-            np.add.at(scatter, rec["tokens"], dx)
-            if not last:
-                np.add(grads["embed"], scatter, out=grads["embed"])
+        dz = dz.reshape(n_slots * n, -1)
+        np.matmul(np.concatenate([rec["x"] for rec in cache]).T, dz, out=grads["w_x"])
+        dz.sum(axis=0, out=grads["b"])
+        # slot t's incoming h is slot t - 1's output
+        np.matmul(h[:-n].T, dz[n:], out=grads["w_h"])
+        grads["embed"].fill(0.0)
+        np.add.at(grads["embed"], np.concatenate([rec["tokens"] for rec in cache]), dz @ p["w_x"].T)
         return grads
-
-    def _scratch(self, name: str) -> np.ndarray:
-        shape = self._grads[name].shape
-        return self._work[:self._grads[name].size].reshape(shape)
-
-    def _add_grad(self, name: str, first: bool, a: np.ndarray, b: np.ndarray | None = None) -> None:
-        """Add `a`, or the product a @ b, to `name`'s gradient; the first contribution overwrites it."""
-        grad = self._grads[name]
-        if b is not None:
-            a = np.matmul(a, b, out=grad if first else self._scratch(name))
-        if first:
-            if a is not grad:
-                np.copyto(grad, a)
-        else:
-            np.add(grad, a, out=grad)

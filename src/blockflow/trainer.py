@@ -9,8 +9,9 @@ in a fixed order), so the backward-policy term that a general balance loss
 carries is identically zero and is omitted.
 
 Each update draws its batch with `rollout`, which records every slot's
-forward values in a cache; `FlowModel.balance_grad` runs the backward
-through time from that cache, and Adam applies it.
+forward values in a cache; `FlowModel.balance_grad` takes each weight's
+gradient from that cache as one product over the slots, and Adam applies
+it.
 
 Determinism contract: each episode consumes exactly one uniform draw per
 slot from the run's generator, and nothing else touches that generator, so
@@ -380,9 +381,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                                                 model.log_z_value, rwd, best_reward))
             if not full:
                 break
-            # d mean(residual^2) / d residual; this association fixes the
-            # rounding, and with it the bytes of every run
-            d_residual = 2.0 * ((1.0 / n) * residual)
+            d_residual = (2.0 / n) * residual  # d mean(residual^2) / d residual
             optimizer.step(model.balance_grad(cache, d_residual))
             del cache  # free the forward values before a checkpoint save
             if (config.checkpoint_every > 0

@@ -1,4 +1,7 @@
+import base64
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from blockflow import (Adam, FlowModel, ModelConfig, load_checkpoint,
                        restore_model, restore_optimizer, restore_rng,
                        save_checkpoint)
 from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, file_sha256
+from blockflow.cli import main
 from blockflow.errors import ValidationError
+from conftest import FIXTURES
 
 CFG = ModelConfig(vocab_size=5, embed_dim=4, hidden_dim=6)
 
@@ -222,3 +227,71 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert ckpt.config == TRICKY_ECHO
     for name, p in restore_model(ckpt).parameters().items():
         assert np.array_equal(p, model.parameters()[name]), name
+
+
+@pytest.fixture(scope="module")
+def bridge_run(tmp_path_factory):
+    """A bridge run config and the output directory of a 16-episode run of it."""
+    tmp = tmp_path_factory.mktemp("bridge")
+    cfg = tmp / "run.json"
+    cfg.write_text(json.dumps({
+        "schema": "blockflow-run/1",
+        "topology": str(FIXTURES / "topo_bridge.json"),
+        "vocabulary": str(FIXTURES / "vocab_bridge.csv"),
+        "model": {"embed_dim": 4, "hidden_dim": 6},
+        "reward": {"cutoff": 2500.0, "surrogate_scale": 1000.0},
+        "train": {"max_episodes": 16, "batch_size": 8, "stop_threshold": 0.0},
+    }))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+    return cfg, tmp / "run"
+
+
+def _encoded(values):
+    values = np.asarray(values, dtype="<f8")
+    return {"shape": list(values.shape), "data": base64.b64encode(values.tobytes()).decode()}
+
+
+# Structurally wrong checkpoints; the checksum is recomputed after each
+# change, so only the structure is wrong.
+MALFORMED = {
+    "optimizer.beta1 missing": lambda doc: doc["optimizer"].pop("beta1"),
+    "optimizer.lr empty": lambda doc: doc["optimizer"].update(lr={}),
+    "optimizer.lr not positive": lambda doc: doc["optimizer"]["lr"].update(w_x=0.0),
+    "optimizer.step_count text": lambda doc: doc["optimizer"].update(step_count="x"),
+    "optimizer.m lacks w_x": lambda doc: doc["optimizer"]["m"].pop("w_x"),
+    "optimizer.v b_out misshapen": lambda doc: doc["optimizer"]["v"].update(b_out=_encoded([1.0])),
+    "optimizer.m text not base64": lambda doc: doc["optimizer"]["m"]["b"].update(
+        data="!" + doc["optimizer"]["m"]["b"]["data"][1:]),
+    "rng_state a number": lambda doc: doc.update(rng_state=5),
+    "rng_state inner text": lambda doc: doc["rng_state"]["state"].update(state="x"),
+    "params lack w_h": lambda doc: doc["params"].pop("w_h"),
+    "params b_out not finite": lambda doc: doc["params"].update(
+        b_out=_encoded(np.full(doc["params"]["b_out"]["shape"], np.nan))),
+    "model_config.hidden_dim text": lambda doc: doc["model_config"].update(hidden_dim="x"),
+    "episode text": lambda doc: doc.update(episode="x"),
+    "loss_tail a number": lambda doc: doc.update(loss_tail=5),
+    "config a list": lambda doc: doc.update(config=[]),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_checkpoint_with_a_valid_checksum_exits_2_on_every_reader(
+        bridge_run, damage, tmp_path, capsys):
+    cfg, run = bridge_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    doc = json.loads((out / "checkpoint.json").read_text())
+    del doc["checksum"]
+    damage(doc)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    ckpt = tmp_path / "malformed.json"
+    ckpt.write_text(json.dumps(doc, indent=1))
+    metrics = (out / "metrics.csv").read_bytes()
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--max-episodes", "32",
+                 "--resume", str(ckpt)]) == 2
+    assert (out / "metrics.csv").read_bytes() == metrics
+    assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
+                 "--out", str(tmp_path / "sample")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)

@@ -105,13 +105,24 @@ def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_sample_refuses_workers_below_one(workers, tmp_path, capsys):
+SAMPLE_ARGV = ["sample", "--config", "run.json", "--checkpoint", "c.json", "-n", "5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SAMPLE_ARGV + ["--workers", "0"], "must be >= 1"),
+    (SAMPLE_ARGV + ["--workers", "-3"], "must be >= 1"),
+    (SAMPLE_ARGV + ["--seed", "-1"], "must be >= 0"),
+    (["baseline", "--config", "run.json", "--checkpoint", "c.json", "--seed", "-1"], "must be >= 0"),
+    (["regress", "--data", "xy.csv", "--seed", "-2"], "must be >= 0"),
+    (["train", "--config", "run.json", "--seed", "-1"], "must be >= 0"),
+    (["amd", "--cif-dir", "cifs", "-k", "0"], "must be >= 1"),
+    (["amd", "--cif-dir", "cifs", "-k", "-4"], "must be >= 1"),
+])
+def test_numbers_out_of_range_are_refused_at_parsing(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sample", "--config", "run.json", "--checkpoint", "c.json", "-n", "5",
-              "--workers", workers, "--out", str(tmp_path / "o")])
+        main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -139,6 +150,37 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("model.init_seed", -1, "model.init_seed"),
+    ("model.init_seed", "7", "model.init_seed"),
+    ("model.hidden_dim", "32", "model.hidden_dim"),
+    ("model.embed_dim", 8.0, "model.embed_dim"),
+    ("train.batch_size", 2.5, "train.batch_size"),
+    ("train.batch_size", 0, "batch_size"),
+    ("train.seed", True, "train.seed"),
+    ("train.learning_rate_model", "fast", "train.learning_rate_model"),
+    ("reward.cutoff", None, "reward.cutoff"),
+    ("reward.adapter", {"command": "python3"}, "reward.adapter.command"),
+    ("reward.adapter", {}, "command"),
+    ("reward.adapter", {"command": ["python3"], "sample_count": 1.5},
+     "reward.adapter.sample_count"),
+    ("train", 5, "train"),
+    ("vocabulary", 5, "vocabulary"),
+    ("edges_enabled", "yes", "edges_enabled"),
+])
+def test_bad_run_config_values_exit_2_and_name_the_key(key, value, named, tmp_path, capsys):
+    doc = json.loads(run_config(tmp_path).read_text())
+    *blocks, last = key.split(".")
+    owner = doc
+    for block in blocks:
+        owner = owner[block]
+    owner[last] = value
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -357,11 +399,12 @@ def test_grid_sample_and_baseline_bytes_are_pinned(tmp_path):
             assert file_sha256(out / name) == digest, (command, workers, name)
 
 
-# Digests recorded before the tape gave way to the hand-written backward:
-# the update's summation order, and so every byte of training, must not move.
+# Digests of a short grid run under the backward that takes each weight's
+# gradient as one product over the stacked slots: they pin its summation
+# order, and so every byte of training, on this seed and config.
 GRID_TRAIN_SHA256 = {
-    "metrics.csv": "b768f774660d6f96ce584d2275e5c4e2036727de159b13c7ced51c300ed80e1e",
-    "checkpoint.json": "57097b5e991681c036438518315f06c286e807e9e80d1844a6c91793f4a6f1db",
+    "metrics.csv": "274ff45d91fdcc5d68676001f811ab7c880361bde63ccfa6e9b86e076ff75feb",
+    "checkpoint.json": "78212c8b9d6ca08bdb508f2b1f2ef70a418433d980d2d3b9489f22110b784301",
 }
 
 
