@@ -351,6 +351,68 @@ def test_regress_bad_data_exits_2(tmp_path):
     assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
 
 
+def write_seeded_cifs(directory, seed, count):
+    """`count` cubic P1 cells with 1-3 atoms each, drawn from `seed`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directory.mkdir()
+    for i in range(count):
+        atoms = np.round(rng.uniform(0.0, 1.0, (int(rng.integers(1, 4)), 3)), 6).tolist()
+        (directory / f"s{i}.cif").write_text(cif_text(round(float(rng.uniform(3.0, 6.0)), 6), atoms))
+
+
+def write_seeded_xy(path, seed, n):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(0.0, 10.0, n)
+    y = 2.0 * x + 1.0 + rng.normal(0.0, 1.5, n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        writer.writerows(zip(x.tolist(), y.tolist()))
+
+
+# Digests of the post-processing commands' outputs (run from the output's
+# parent with relative paths, so the manifests are pinned too). The regress
+# runs cover folds that divide n, folds that do not, and the holdout scheme.
+POSTPROCESS_SHA256 = {
+    "amd": {
+        "amd.csv": "6337aca003f371f275989378c41acd8bd5b70797ed695454bb80079de073c41f",
+        "amd_manifest.json": "228ebbb20627b55c7c9e8c4de6fb07e9c600c472a533d2947837dad179984e0a",
+        "distance_matrix.csv": "ae3b1e30ab2b59eec437a513bb66256f0c6617b12c4044ebfbc7c5132c0cf3fc",
+        "novelty.csv": "1b314c985af0916ed6f9001265345f4fc8a25531bee94a95e26d9b0ccded06f7",
+        "stdout.txt": "630b1a02807a1846dd970e2f66908a41692b7403b2a2ae1cf35bca7208edf049"},
+    "regress_even": {
+        "regress_manifest.json": "80d75410773b4d858193ef51fc95c12e3823805ac9989473be3b79609b04de9f",
+        "regression.csv": "bd5f27849890615bf0f5940e2d5ef2fae6dc6fe40eda29701ba133c9421682b6",
+        "stdout.txt": "655ece6c754ecb100922ca0ef36371bcf4a25551111d6aa9ea1556c89aa1e873"},
+    "regress_uneven": {
+        "regress_manifest.json": "a87242d6ba7ef3629eddbcc5a62256a7af3333861a6de5a406f37587069a791a",
+        "regression.csv": "8c1be2eb592b4d4d9f67bce1acae8e061c41e59d71b821fc8f36615bdadbe94e",
+        "stdout.txt": "cfa0de449afc41b697215216a029dd89d79006465e44ce18836a16c52b8aa4a5"},
+    "regress_holdout": {
+        "regress_manifest.json": "986b6f3ddefe929161674dfc5d8946ebae094a4078d23f68a000b7639587ba23",
+        "regression.csv": "ba63e9ec290aaa8838b0a58894930551a35b3a6fa9f8da9b7342551a4824b718",
+        "stdout.txt": "8674a1963fdf7e27d49a908299349493aeabab36c0b7275c1edb0f5d8e3cd63e"},
+}
+
+
+def test_amd_and_regress_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_seeded_cifs(tmp_path / "cifs", 3, 6)
+    write_seeded_cifs(tmp_path / "refs", 4, 3)
+    write_seeded_xy(tmp_path / "xy200.csv", 5, 200)
+    runs = {
+        "amd": ["amd", "--cif-dir", "cifs", "-k", "5", "--reference-dir", "refs"],
+        "regress_even": ["regress", "--data", "xy200.csv", "--folds", "10", "--seed", "3"],
+        "regress_uneven": ["regress", "--data", "xy200.csv", "--folds", "7", "--seed", "3"],
+        "regress_holdout": ["regress", "--data", "xy200.csv", "--holdout", "--seed", "3"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", name]) == 0
+        (tmp_path / name / "stdout.txt").write_text(capsys.readouterr().out)
+        digests = {f.name: file_sha256(f) for f in sorted((tmp_path / name).iterdir())}
+        assert digests == POSTPROCESS_SHA256[name], name
+
+
 def test_baseline_command(trained_run, tmp_path, capsys):
     cfg, ckpt = trained_run
     out = tmp_path / "b"
