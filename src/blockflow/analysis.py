@@ -83,22 +83,34 @@ class RegressionReport:
     cross_validation: CrossValSummary | None = None
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xc = x - x.mean()
-    sxx = (xc * xc).sum()
-    if sxx <= 0.0:
+def _fit_splits(x, y, train_idx, test_idx):
+    """OLS fits of y on x, one per split, with (r2, rmse) on the train and on
+    the test rows; r2 is NaN where y is constant on those rows.
+
+    The index arrays have shape (..., size), one split per row, and every sum
+    runs along axis -1. A gather keeps its index array's memory order, so give
+    them row-major (a C-ordered array or a slice of one): each split is then
+    summed over its own contiguous row, bit-identically to a 1-D split.
+    """
+    xt, yt = x[train_idx], y[train_idx]
+    x_mean = xt.mean(axis=-1, keepdims=True)
+    y_mean = yt.mean(axis=-1, keepdims=True)
+    xc = xt - x_mean
+    sxx = (xc * xc).sum(axis=-1, keepdims=True)
+    if (sxx <= 0.0).any():
         raise DegenerateInputError("x is constant; the regression is degenerate")
-    slope = float((xc * (y - y.mean())).sum() / sxx)
-    return slope, float(y.mean() - slope * x.mean())
-
-
-def _r2_rmse(y: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
-    res = y - pred
-    ssr = float((res * res).sum())
-    yc = y - y.mean()
-    sst = float((yc * yc).sum())
-    r2 = math.nan if sst == 0.0 else 1.0 - ssr / sst
-    return r2, float(np.sqrt(ssr / y.shape[0]))
+    slope = (xc * (yt - y_mean)).sum(axis=-1, keepdims=True) / sxx
+    intercept = y_mean - slope * x_mean
+    scores = []
+    for idx in (train_idx, test_idx):
+        yi = y[idx]
+        res = yi - (slope * x[idx] + intercept)
+        ssr = (res * res).sum(axis=-1)
+        yc = yi - yi.mean(axis=-1, keepdims=True)
+        sst = (yc * yc).sum(axis=-1)
+        r2 = 1.0 - np.divide(ssr, sst, out=np.full_like(ssr, np.nan), where=sst != 0.0)
+        scores.append((r2, np.sqrt(ssr / yi.shape[-1])))
+    return (slope[..., 0], intercept[..., 0], *scores)
 
 
 def fit_univariate(x, y) -> RegressionReport:
@@ -108,22 +120,17 @@ def fit_univariate(x, y) -> RegressionReport:
         raise ValidationError("x and y must be 1-D arrays of equal length")
     if x.shape[0] < 3:
         raise DegenerateInputError("need at least 3 points to fit")
-    slope, intercept = _ols(x, y)
-    r2, rmse = _r2_rmse(y, slope * x + intercept)
-    return RegressionReport(slope=slope, intercept=intercept, r2=r2, rmse=rmse,
-                            spearman_rho=spearman_rho(x, y), n=x.shape[0])
+    rows = np.arange(x.shape[0])
+    slope, intercept, (r2, rmse), _ = _fit_splits(x, y, rows, rows)
+    return RegressionReport(slope=float(slope), intercept=float(intercept), r2=float(r2),
+                            rmse=float(rmse), spearman_rho=spearman_rho(x, y), n=x.shape[0])
 
 
-def _split_metrics(x, y, train_idx, test_idx):
-    slope, intercept = _ols(x[train_idx], y[train_idx])
-    tr = _r2_rmse(y[train_idx], slope * x[train_idx] + intercept)
-    te = _r2_rmse(y[test_idx], slope * x[test_idx] + intercept)
-    return tr, te
-
-
-def _summarize(scheme, rounds, splits, train_stats, test_stats) -> CrossValSummary:
-    tr = np.asarray(train_stats)
-    te = np.asarray(test_stats)
+def _summarize(scheme, rounds, splits, train, test) -> CrossValSummary:
+    """Means and stds over every split; `train` and `test` list (r2, rmse)
+    pairs of arrays that hold the splits in round-major order."""
+    tr = np.concatenate([np.stack(pair, axis=-1) for pair in train])
+    te = np.concatenate([np.stack(pair, axis=-1) for pair in test])
     return CrossValSummary(
         scheme=scheme, rounds=rounds, splits=splits,
         test_r2_mean=float(te[:, 0].mean()), test_r2_std=float(te[:, 0].std()),
@@ -147,16 +154,21 @@ def cross_validate(x, y, folds: int = 10, rounds: int = 50, seed: int = 0) -> Cr
         raise ConfigurationError("rounds must be >= 1")
     if x.shape[0] < folds:
         raise DegenerateInputError(f"{folds}-fold split needs at least {folds} points")
+    n = x.shape[0]
+    # array_split's first n % folds folds are one row longer: one batch per
+    # fold size, a fold training on the rest of the permutation, in order
+    parts = np.array_split(np.arange(n), folds)
+    groups = [(np.array(same), np.array([np.delete(np.arange(n), part) for part in same]))
+              for same in (parts[:n % folds], parts[n % folds:]) if same]
     rng = np.random.Generator(np.random.PCG64(seed))
-    train_stats, test_stats = [], []
+    train, test = [], []
     for _ in range(rounds):
-        perm = rng.permutation(x.shape[0])
-        for test_idx in np.array_split(perm, folds):
-            train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
-            tr, te = _split_metrics(x, y, train_idx, test_idx)
-            train_stats.append(tr)
-            test_stats.append(te)
-    return _summarize("kfold", rounds, folds, train_stats, test_stats)
+        perm = rng.permutation(n)
+        for test_pos, train_pos in groups:
+            _, _, tr, te = _fit_splits(x, y, perm[train_pos], perm[test_pos])
+            train.append(tr)
+            test.append(te)
+    return _summarize("kfold", rounds, folds, train, test)
 
 
 def holdout_validate(x, y, test_fraction: float = 0.2, rounds: int = 50,
@@ -170,13 +182,13 @@ def holdout_validate(x, y, test_fraction: float = 0.2, rounds: int = 50,
     if n_test >= x.shape[0]:
         raise DegenerateInputError("holdout leaves no training points")
     rng = np.random.Generator(np.random.PCG64(seed))
-    train_stats, test_stats = [], []
-    for _ in range(rounds):
-        perm = rng.permutation(x.shape[0])
-        tr, te = _split_metrics(x, y, perm[n_test:], perm[:n_test])
-        train_stats.append(tr)
-        test_stats.append(te)
-    return _summarize("holdout", rounds, 1, train_stats, test_stats)
+    train, test = [], []
+    for start in range(0, rounds, 16):  # 16 rounds per call bound each temporary
+        perms = np.array([rng.permutation(x.shape[0]) for _ in range(min(16, rounds - start))])
+        _, _, tr, te = _fit_splits(x, y, perms[:, n_test:], perms[:, :n_test])
+        train.append(tr)
+        test.append(te)
+    return _summarize("holdout", rounds, 1, train, test)
 
 
 # ---------------------------------------------------------------------------

@@ -235,18 +235,19 @@ def cmd_amd(args) -> int:
         return names, descs
 
     names, descs = descriptors_of(files)
+    # csv.writer writes a Python float as its repr, the same text as _float_cell
     with atomic_write(out / "amd.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file"] + [f"amd_{i}" for i in range(1, args.k + 1)])
         for name, d in zip(names, descs):
-            writer.writerow([name] + [_float_cell(v) for v in d.values])
+            writer.writerow([name, *d.values.tolist()])
     with atomic_write(out / "distance_matrix.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file"] + names)
         if descs:
             mat = descriptor_distance_matrix(descs)
             for name, row in zip(names, mat):
-                writer.writerow([name] + [_float_cell(v) for v in row])
+                writer.writerow([name, *row.tolist()])
     if args.reference_dir is not None:
         ref_dir = Path(args.reference_dir)
         if not ref_dir.is_dir():
@@ -256,8 +257,7 @@ def cmd_amd(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["file", "novelty"])
             if descs and ref_descs:
-                for name, score in zip(names, novelty_score(descs, ref_descs)):
-                    writer.writerow([name, _float_cell(score)])
+                writer.writerows(zip(names, novelty_score(descs, ref_descs).tolist()))
     print(f"processed={len(names)} skipped={len(files) - len(names)} out={out / 'amd.csv'}")
     return 0
 
@@ -370,19 +370,15 @@ def cmd_flows(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+def _int_at_least(low: int):
+    """An argparse type: an integer >= `low`, refused at parsing otherwise."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    parse.__name__ = "integer"  # argparse names it in "invalid integer value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_non_negative_int, default=None, help="seed override")
+    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="seed override")
 
     parser = argparse.ArgumentParser(prog="blockflow",
                                      description="Reward-proportional assembly sampler and analysis tools")
@@ -409,37 +405,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", parents=[seeded, out], help="draw a dataset from a checkpoint")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="RNG streams the draws are split over (the dataset depends on seed, n "
                    "and workers); external evaluations run as many at a time as there are CPUs")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
-    p.add_argument("-n", type=int, required=True, help="number of draws")
+    p.add_argument("-n", type=_int_at_least(0), required=True, help="number of draws")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("amd", parents=[out], help="descriptors for a directory of CIF files")
     p.add_argument("--cif-dir", dest="cif_dir", required=True, type=Path)
-    p.add_argument("-k", type=_positive_int, default=100, help="descriptor length")
+    p.add_argument("-k", type=_int_at_least(1), default=100, help="descriptor length")
     p.add_argument("--reference-dir", dest="reference_dir", type=Path, default=None,
                    help="reference CIFs for novelty scores")
     p.set_defaults(func=cmd_amd)
 
     p = sub.add_parser("regress", parents=[seeded, out], help="univariate fit with cross-validation")
     p.add_argument("--data", required=True, type=Path, help="two-column CSV (x, y) with header")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
+    p.add_argument("--rounds", type=_int_at_least(1), default=50)
     p.add_argument("--holdout", action="store_true", help="repeated 80-20 holdout instead of k-fold")
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("baseline", parents=[seeded, out], help="trained vs uniform-random comparison")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
-    p.add_argument("-n", type=int, default=10_000)
+    p.add_argument("-n", type=_int_at_least(1), default=10_000)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("flows", parents=[out], help="exact-flow oracle dump for small fixtures")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--bound", type=int, default=1_000_000)
+    p.add_argument("--bound", type=_int_at_least(1), default=1_000_000)
     p.set_defaults(func=cmd_flows)
     return parser
 

@@ -270,10 +270,14 @@ def _as_matrix(descriptors) -> np.ndarray:
 
 
 def descriptor_distance_matrix(descriptors) -> np.ndarray:
-    """Pairwise Euclidean distances between descriptor vectors."""
+    """Pairwise Euclidean distances between descriptor vectors, one row at a
+    time: memory holds the n x n result and one n x k row of differences."""
     mat = _as_matrix(descriptors)
-    diff = mat[:, None, :] - mat[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    out = np.empty((mat.shape[0], mat.shape[0]))
+    for row, dist in zip(mat, out):
+        diff = row - mat
+        np.sqrt((diff * diff).sum(axis=1), out=dist)
+    return out
 
 
 def novelty_score(candidates, references) -> np.ndarray:
@@ -285,8 +289,8 @@ def novelty_score(candidates, references) -> np.ndarray:
     if cands.shape[1] != refs.shape[1]:
         raise ValidationError(
             f"candidate length {cands.shape[1]} != reference length {refs.shape[1]}")
-    diff = cands[:, None, :] - refs[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+    diffs = (row - refs for row in cands)  # one candidate's differences at a time
+    return np.array([np.sqrt((diff * diff).sum(axis=1)).min() for diff in diffs])
 
 
 def load_cif_file(path: str | Path) -> PeriodicPointSet:

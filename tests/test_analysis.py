@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from blockflow import (BaselineSummary, Environment, FlowModel, IsothermRow,
+from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel, IsothermRow,
                        ModelConfig, RewardModel, RewardSpec, TabularPolicy,
                        Topology, Vocabulary, average_ranks,
                        baseline_comparison, cross_validate, exact_flows,
@@ -170,6 +170,98 @@ def test_holdout_validate():
         holdout_validate(x, x, test_fraction=0.0)
     with pytest.raises(ValidationError):
         holdout_validate(x, x, test_fraction=1.0)
+
+
+# The per-split fit the batched kernel replaced: one OLS and two scores per
+# split, the k-fold train rows found with setdiff1d. The summaries must match
+# it bit for bit.
+
+
+def _ols_oracle(x, y):
+    xc = x - x.mean()
+    slope = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+    return slope, float(y.mean() - slope * x.mean())
+
+
+def _r2_rmse_oracle(y, pred):
+    res = y - pred
+    ssr = float((res * res).sum())
+    yc = y - y.mean()
+    sst = float((yc * yc).sum())
+    return (math.nan if sst == 0.0 else 1.0 - ssr / sst), float(np.sqrt(ssr / y.shape[0]))
+
+
+def _split_metrics_oracle(x, y, train_idx, test_idx):
+    slope, intercept = _ols_oracle(x[train_idx], y[train_idx])
+    return (_r2_rmse_oracle(y[train_idx], slope * x[train_idx] + intercept),
+            _r2_rmse_oracle(y[test_idx], slope * x[test_idx] + intercept))
+
+
+def _summary_oracle(scheme, rounds, splits, train_stats, test_stats):
+    tr, te = np.asarray(train_stats), np.asarray(test_stats)
+    return CrossValSummary(
+        scheme=scheme, rounds=rounds, splits=splits,
+        test_r2_mean=float(te[:, 0].mean()), test_r2_std=float(te[:, 0].std()),
+        test_rmse_mean=float(te[:, 1].mean()), test_rmse_std=float(te[:, 1].std()),
+        train_r2_mean=float(tr[:, 0].mean()), train_r2_std=float(tr[:, 0].std()),
+        train_rmse_mean=float(tr[:, 1].mean()), train_rmse_std=float(tr[:, 1].std()))
+
+
+def cross_validate_oracle(x, y, folds, rounds, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stats = []
+    for _ in range(rounds):
+        perm = rng.permutation(x.shape[0])
+        for test_idx in np.array_split(perm, folds):
+            stats.append(_split_metrics_oracle(
+                x, y, np.setdiff1d(perm, test_idx, assume_unique=True), test_idx))
+    return _summary_oracle("kfold", rounds, folds, *zip(*stats))
+
+
+def holdout_validate_oracle(x, y, rounds, seed, test_fraction=0.2):
+    n_test = max(1, int(round(test_fraction * x.shape[0])))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stats = []
+    for _ in range(rounds):
+        perm = rng.permutation(x.shape[0])
+        stats.append(_split_metrics_oracle(x, y, perm[n_test:], perm[:n_test]))
+    return _summary_oracle("holdout", rounds, 1, *zip(*stats))
+
+
+def _same(a, b):
+    # NaN fields (r2 on one-row test folds) compare equal to each other
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("n, folds, rounds", [
+    (200, 10, 20),   # equal folds
+    (500, 7, 30),    # uneven folds: two fold sizes
+    (23, 4, 15),
+    (12, 12, 3),     # one-row test folds: test r2 is NaN
+    (5, 2, 5),      # two-row training sets
+])
+def test_batched_splits_match_the_per_split_oracle_bit_for_bit(n, folds, rounds):
+    rng = np.random.Generator(np.random.PCG64(n + folds))
+    x = rng.uniform(-50.0, 50.0, n)
+    y = 0.7 * x + rng.normal(0.0, 4.0, n)
+    seed = n * folds
+    assert _same(cross_validate(x, y, folds=folds, rounds=rounds, seed=seed),
+                 cross_validate_oracle(x, y, folds, rounds, seed))
+    assert _same(holdout_validate(x, y, rounds=rounds, seed=seed),
+                 holdout_validate_oracle(x, y, rounds, seed))
+    report = fit_univariate(x, y)
+    slope, intercept = _ols_oracle(x, y)
+    assert (report.slope, report.intercept) == (slope, intercept)
+    assert (report.r2, report.rmse) == _r2_rmse_oracle(y, slope * x + intercept)
+
+
+def test_constant_x_on_a_training_split_is_degenerate():
+    # the fold holding the only distinct x leaves a constant training set
+    x = np.array([0.0] * 9 + [1.0])
+    with pytest.raises(DegenerateInputError, match="constant"):
+        cross_validate(x, x, folds=10, rounds=1)
+    with pytest.raises(DegenerateInputError, match="constant"):
+        fit_univariate(np.ones(5), np.arange(5.0))
 
 
 # -- adsorption figures of merit ----------------------------------------------

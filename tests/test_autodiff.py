@@ -141,6 +141,22 @@ def _cell_grads(p, carried, dh, dc):
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["zero_state", "carried_state"])
+def test_lstm_cell_vjp_writes_dz_into_out(carried):
+    rng = np.random.Generator(np.random.PCG64(4))
+    p = _cell_params(rng, batch=3, embed=2, hidden=3)
+    state = (p["h"], p["c"]) if carried else None
+    _, _, gates, tanh_c = ad.lstm_cell(p["x"], state, p["w_x"], p["w_h"], p["b"])
+    dh, dc = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    c_prev = p["c"] if carried else None
+    dz, dc_total = ad.lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc)
+    buf = np.full((2, *gates.shape), np.nan)
+    dz_out, dc_out = ad.lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc, out=buf[1])
+    assert np.shares_memory(dz_out, buf[1])
+    assert np.array_equal(buf[1], dz) and np.array_equal(dc_out, dc_total)
+    assert np.isnan(buf[0]).all()
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["zero_state", "carried_state"])
 @pytest.mark.parametrize("uses", ["h_and_c", "c_only", "h_only"])
 def test_lstm_cell_gradients_match_fd(carried, uses):
     rng = np.random.Generator(np.random.PCG64(11))

@@ -117,8 +117,16 @@ SAMPLE_ARGV = ["sample", "--config", "run.json", "--checkpoint", "c.json", "-n",
     (["train", "--config", "run.json", "--seed", "-1"], "must be >= 0"),
     (["amd", "--cif-dir", "cifs", "-k", "0"], "must be >= 1"),
     (["amd", "--cif-dir", "cifs", "-k", "-4"], "must be >= 1"),
+    (["flows", "--config", "run.json", "--bound", "0"], "must be >= 1"),
+    (["flows", "--config", "run.json", "--bound", "-1"], "must be >= 1"),
+    (["regress", "--data", "xy.csv", "--folds", "1"], "must be >= 2"),
+    (["regress", "--data", "xy.csv", "--folds", "ten"], "invalid integer value"),
+    (["regress", "--data", "xy.csv", "--rounds", "0"], "must be >= 1"),
+    (["baseline", "--config", "run.json", "--checkpoint", "c.json", "-n", "0"], "must be >= 1"),
+    (SAMPLE_ARGV[:-2] + ["-n", "-1"], "must be >= 0"),
 ])
 def test_numbers_out_of_range_are_refused_at_parsing(argv, message, tmp_path, capsys):
+    # refused before the command runs, so no manifest (nor --out) is written
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2

@@ -330,6 +330,17 @@ def test_novelty_trivials_and_brute_min():
         assert score == pytest.approx(brute)
 
 
+def test_row_at_a_time_distances_match_the_3d_difference_bit_for_bit():
+    # the all-pairs form the row loop replaced: one n x m x k difference array
+    rng = np.random.Generator(np.random.PCG64(5))
+    mat = rng.uniform(0.0, 20.0, (31, 100))
+    refs = rng.uniform(0.0, 20.0, (17, 100))
+    diff = mat[:, None, :] - mat[None, :, :]
+    assert np.array_equal(descriptor_distance_matrix(mat), np.sqrt((diff * diff).sum(axis=2)))
+    diff = mat[:, None, :] - refs[None, :, :]
+    assert np.array_equal(novelty_score(mat, refs), np.sqrt((diff * diff).sum(axis=2)).min(axis=1))
+
+
 def test_novelty_validation():
     with pytest.raises(ValidationError, match="empty"):
         novelty_score([[1.0, 2.0]], [])
