@@ -178,6 +178,8 @@ def holdout_validate(x, y, test_fraction: float = 0.2, rounds: int = 50,
     y = np.asarray(y, dtype=np.float64)
     if not (0.0 < test_fraction < 1.0):
         raise ConfigurationError("test fraction must be in (0, 1)")
+    if rounds < 1:
+        raise ConfigurationError("rounds must be >= 1")
     n_test = max(1, int(round(test_fraction * x.shape[0])))
     if n_test >= x.shape[0]:
         raise DegenerateInputError("holdout leaves no training points")

@@ -170,6 +170,8 @@ def test_holdout_validate():
         holdout_validate(x, x, test_fraction=0.0)
     with pytest.raises(ValidationError):
         holdout_validate(x, x, test_fraction=1.0)
+    with pytest.raises(ValidationError, match="rounds"):
+        holdout_validate(x, x, rounds=0)
 
 
 # The per-split fit the batched kernel replaced: one OLS and two scores per
@@ -234,7 +236,7 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("n, folds, rounds", [
-    (200, 10, 20),   # equal folds
+    (200, 10, 20),   # equal folds; above 16 rounds, holdout takes several batches
     (500, 7, 30),    # uneven folds: two fold sizes
     (23, 4, 15),
     (12, 12, 3),     # one-row test folds: test r2 is NaN
