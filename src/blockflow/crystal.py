@@ -13,7 +13,6 @@ symmetry group fail loudly instead of being silently misread.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,15 +198,13 @@ class PeriodicPointSet:
         return cls(cell_basis(*structure.cell), structure.positions, structure.labels)
 
 
-@functools.lru_cache(maxsize=16)  # every structure walks the same first shells
 def _shell_vectors(radius: int) -> np.ndarray:
-    """Integer lattice offsets with Chebyshev norm exactly `radius`, as a
-    read-only float array."""
+    """Integer lattice offsets with Chebyshev norm exactly `radius`."""
+    if radius == 0:
+        return np.zeros((1, 3), dtype=np.int64)
     rng = np.arange(-radius, radius + 1)
     grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    shell = grid[np.abs(grid).max(axis=1) == radius].astype(np.float64)
-    shell.flags.writeable = False
-    return shell
+    return grid[np.abs(grid).max(axis=1) == radius]
 
 
 def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
@@ -230,7 +227,7 @@ def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
     best = np.empty((m, 0))
     radius = 0
     while True:
-        offsets = _shell_vectors(radius)
+        offsets = _shell_vectors(radius).astype(np.float64)
         images = (offsets[:, None, :] + ps.motif[None, :, :]).reshape(-1, 3) @ ps.basis
         dists = np.linalg.norm(images[None, :, :] - cart[:, None, :], axis=2)
         cand = np.concatenate([best, dists], axis=1)
