@@ -45,8 +45,9 @@ def lstm_cell(x, state, w_x, w_h, b):
     return o * tanh_c, c_new, z, tanh_c
 
 
-def lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc, out=None):
-    """Backward of `lstm_cell`: the pre-activation gradient dz and the total dc.
+def lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc, dz):
+    """Backward of `lstm_cell`: writes the pre-activation gradient into `dz`,
+    an array shaped like `gates`, and returns the total dc.
 
     `dh` and `dc` are the gradients reaching h_new and c_new; `dc` is None
     when nothing downstream reads c_new. `c_prev` is the previous cell state,
@@ -54,11 +55,9 @@ def lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc, out=None):
     caller chains dz into x, w_x, b (and h, w_h) and dc * f into c_prev.
     The operation order is that of the elementwise chain rule, so the
     gradients are bit-identical to the same cell built from separate ops.
-    dz is written into `out`, an array shaped like `gates`, when one is given.
     """
     hid = tanh_c.shape[1]
     i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-    dz = np.empty_like(gates) if out is None else out
     di, df, dg, do = (dz[:, k * hid:(k + 1) * hid] for k in range(4))
     np.multiply(dh, tanh_c, out=do)
     do *= o
@@ -77,7 +76,7 @@ def lstm_cell_vjp(gates, tanh_c, c_prev, dh, dc, out=None):
         np.multiply(dc, c_prev, out=df)
         df *= f
         df *= 1.0 - f
-    return dz, dc
+    return dc
 
 
 def masked_log_softmax(logits, mask):

@@ -171,7 +171,7 @@ class FlowModel:
         for t in reversed(range(n_slots)):
             rec = cache[t]
             c_prev = None if t == 0 else rec["state"][1]
-            _, dc = ad.lstm_cell_vjp(rec["gates"], rec["tanh_c"], c_prev, dh, dc, out=dz[t])
+            dc = ad.lstm_cell_vjp(rec["gates"], rec["tanh_c"], c_prev, dh, dc, dz[t])
             if t > 0:
                 dh = dh_head[t - 1] + dz[t] @ p["w_h"].T
                 dc = dc * rec["gates"][:, hid:2 * hid]
