@@ -140,6 +140,11 @@ def _summarize(scheme, rounds, splits, train, test) -> CrossValSummary:
     )
 
 
+# index entries per _fit_splits call: however many folds or rounds there are,
+# each temporary stays within 64 KB (L2-sized) or one split, whichever is larger
+_SPLIT_BATCH = 1 << 13
+
+
 def cross_validate(x, y, folds: int = 10, rounds: int = 50, seed: int = 0) -> CrossValSummary:
     """Repeated k-fold: shuffle, split into k folds, fit on the complement.
 
@@ -155,16 +160,22 @@ def cross_validate(x, y, folds: int = 10, rounds: int = 50, seed: int = 0) -> Cr
     if x.shape[0] < folds:
         raise DegenerateInputError(f"{folds}-fold split needs at least {folds} points")
     n = x.shape[0]
-    # array_split's first n % folds folds are one row longer: one batch per
-    # fold size, a fold training on the rest of the permutation, in order
-    parts = np.array_split(np.arange(n), folds)
-    groups = [(np.array(same), np.array([np.delete(np.arange(n), part) for part in same]))
-              for same in (parts[:n % folds], parts[n % folds:]) if same]
+    # array_split's first n % folds folds are one row longer, and a fold
+    # trains on the rest of the permutation, in order. Folds of one size are
+    # fitted together, at most _SPLIT_BATCH // n of them per call
+    long, per_call = n % folds, max(1, _SPLIT_BATCH // n)
+    starts = np.arange(folds) * (n // folds) + np.minimum(np.arange(folds), long)
+    batches = []  # (test positions, a row per fold; train positions before the fold's skip)
+    for lo, hi, size in ((0, long, n // folds + 1), (long, folds, n // folds)):
+        rest = np.arange(n - size)
+        batches += [(starts[at:min(at + per_call, hi), None] + np.arange(size), rest)
+                    for at in range(lo, hi, per_call)]
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
     for _ in range(rounds):
         perm = rng.permutation(n)
-        for test_pos, train_pos in groups:
+        for test_pos, rest in batches:
+            train_pos = np.where(rest < test_pos[:, :1], rest, rest + test_pos.shape[1])
             _, _, tr, te = _fit_splits(x, y, perm[train_pos], perm[test_pos])
             train.append(tr)
             test.append(te)
@@ -185,8 +196,10 @@ def holdout_validate(x, y, test_fraction: float = 0.2, rounds: int = 50,
         raise DegenerateInputError("holdout leaves no training points")
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
-    for start in range(0, rounds, 16):  # 16 rounds per call bound each temporary
-        perms = np.array([rng.permutation(x.shape[0]) for _ in range(min(16, rounds - start))])
+    per_call = max(1, _SPLIT_BATCH // x.shape[0])
+    for start in range(0, rounds, per_call):
+        perms = np.array([rng.permutation(x.shape[0])
+                          for _ in range(min(per_call, rounds - start))])
         _, _, tr, te = _fit_splits(x, y, perms[:, n_test:], perms[:, :n_test])
         train.append(tr)
         test.append(te)

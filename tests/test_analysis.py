@@ -236,8 +236,10 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("n, folds, rounds", [
-    (200, 10, 20),   # equal folds; above 16 rounds, holdout takes several batches
-    (500, 7, 30),    # uneven folds: two fold sizes
+    (200, 10, 20),   # equal folds
+    (500, 7, 30),    # uneven folds: two fold sizes; holdout takes two batches
+    (1000, 30, 3),   # each fold size spans several batches
+    (300, 300, 2),   # leave-one-out over several batches: test r2 is NaN
     (23, 4, 15),
     (12, 12, 3),     # one-row test folds: test r2 is NaN
     (5, 2, 5),      # two-row training sets
