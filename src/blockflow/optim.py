@@ -37,11 +37,18 @@ def adam_update(value, grad, m, v, step, lr, beta1, beta2, eps, work) -> None:
     np.subtract(value, t2, out=value)
 
 
+# elements per adam_update call: the four operands and two work rows of a
+# block, 768 KB in all, stay in cache across the update's fourteen passes
+_BLOCK = 1 << 14
+
+
 class Adam:
     """Adam over a dict of named float64 arrays, updated in place.
 
     `lr_overrides` maps parameter names to their own learning rate; the
     log-partition scalar usually trains on a separate rate from the network.
+    Each parameter must be C-contiguous, so that `step` can update it through
+    flat views.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -55,6 +62,9 @@ class Adam:
                 raise ConfigurationError(f"lr override for unknown parameter {name!r}")
             if rate <= 0:
                 raise ConfigurationError(f"lr override for {name!r} must be positive")
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ConfigurationError(f"parameter {name!r} must be C-contiguous")
         self.params = params
         self.lr = {name: lr_overrides.get(name, lr) for name in params}
         self.beta1 = beta1
@@ -63,22 +73,26 @@ class Adam:
         self.step_count = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
-        self._work = np.empty((2, max((p.size for p in params.values()), default=0)))
+        self._work = np.empty((2, _BLOCK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """Update every parameter in place from its gradient in `grads`.
 
         All gradients are checked before anything changes, so a non-finite
-        one leaves the parameters, moments and step count as they were.
+        one leaves the parameters, moments and step count as they were. Adam
+        is elementwise, so updating `_BLOCK` elements at a time gives the same
+        bytes as one call per parameter.
         """
         for name in self.params:
             if not np.all(np.isfinite(grads[name])):
                 raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
         for name, value in self.params.items():
-            work = [row[:value.size].reshape(value.shape) for row in self._work]
-            adam_update(value, grads[name], self.m[name], self.v[name], self.step_count,
-                        self.lr[name], self.beta1, self.beta2, self.eps, work)
+            flat = [np.reshape(a, -1) for a in (value, grads[name], self.m[name], self.v[name])]
+            for lo in range(0, value.size, _BLOCK):
+                block = [a[lo:lo + _BLOCK] for a in flat]
+                adam_update(*block, self.step_count, self.lr[name], self.beta1, self.beta2,
+                            self.eps, self._work[:, :block[0].size])
 
     # -- checkpoint support ------------------------------------------------
     def state_dict(self) -> dict:

@@ -105,6 +105,8 @@ def test_validation_errors():
         Adam(params, lr=0.1, lr_overrides={"nope": 0.1})
     with pytest.raises(ConfigurationError):
         Adam(params, lr=0.1, lr_overrides={"w": -1.0})
+    with pytest.raises(ConfigurationError, match="'w' must be C-contiguous"):
+        Adam({"w": np.zeros((3, 4)).T}, lr=0.1)  # a flat view of it would be a copy
 
 
 def test_state_roundtrip_resumes_identically():
@@ -124,3 +126,23 @@ def test_state_roundtrip_resumes_identically():
     half, state = run(grads[:3])
     resumed, _ = run(grads[3:], start=half, state=state)
     np.testing.assert_array_equal(resumed, full)
+
+
+def test_blocked_step_bit_equals_one_update_per_parameter():
+    # "w" has 40,000 elements: more than one 16,384-element block, and not a
+    # multiple of it, so the last block is short
+    rng = np.random.Generator(np.random.PCG64(21))
+    shapes = {"w": (200, 200), "b": (7,), "log_z": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    opt = Adam(params, lr=0.01, lr_overrides={"log_z": 0.1})
+    ref = {name: [p.copy(), np.zeros(p.shape), np.zeros(p.shape)] for name, p in params.items()}
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        opt.step(grads)
+        for name, (value, m, v) in ref.items():
+            work = (np.empty(value.shape), np.empty(value.shape))
+            adam_update(value, grads[name], m, v, t, opt.lr[name], 0.9, 0.999, 1e-8, work)
+    for name, (value, m, v) in ref.items():
+        assert params[name].tobytes() == value.tobytes()
+        assert opt.m[name].tobytes() == m.tobytes()
+        assert opt.v[name].tobytes() == v.tobytes()
