@@ -86,11 +86,6 @@ class FlowModel:
         params["log_z"] = np.zeros(())
         return cls(config, params)
 
-    @classmethod
-    def zero_init(cls, config: ModelConfig) -> "FlowModel":
-        shapes = cls.param_shapes(config)
-        return cls(config, {name: np.zeros(shape) for name, shape in shapes.items()})
-
     # -- accessors ---------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
         return self._params

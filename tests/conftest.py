@@ -8,13 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blockflow import Environment, RewardModel, RewardSpec, Topology, Vocabulary
+from blockflow import (Environment, FlowModel, ModelConfig, RewardModel, RewardSpec, Topology,
+                       Vocabulary)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def zero_model(config: ModelConfig) -> FlowModel:
+    """A model whose every parameter is zero: its policy is uniform over each slot's valid tokens."""
+    return FlowModel(config, {name: np.zeros(shape)
+                              for name, shape in FlowModel.param_shapes(config).items()})
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel,
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import (DegenerateInputError, EnumerationBoundError,
                               TerminalStateError, ValidationError)
-from conftest import flow_log_prob
+from conftest import flow_log_prob, zero_model
 
 
 # -- rank and correlation -----------------------------------------------------
@@ -357,7 +357,7 @@ def test_percentile_rank_matches_brute_count(seed):
 def test_baseline_zero_init_policy_matches_uniform(bridge_env, bridge_reward):
     # an untrained (all-zero) policy is exactly uniform, so both arms draw
     # from the same distribution and the reward means must agree closely
-    model = FlowModel.zero_init(ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=8))
+    model = zero_model(ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=8))
     summary = baseline_comparison(model, bridge_env, bridge_reward,
                                   n_samples=8000, seed=0)
     assert isinstance(summary, BaselineSummary)

@@ -4,6 +4,7 @@ import pytest
 from blockflow import FlowModel, ModelConfig, rollout
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import ConfigurationError
+from conftest import zero_model
 
 
 def sigmoid(x):
@@ -120,7 +121,7 @@ def test_constructor_rejects_bad_shapes_and_nonfinite():
 
 
 def test_zero_init_gives_uniform_policy(single_env):
-    m = FlowModel.zero_init(ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=4))
+    m = zero_model(ModelConfig(vocab_size=7, embed_dim=4, hidden_dim=4))
     logits, _ = m.step([m.start_token])
     log_probs = masked_log_softmax(logits, single_env.slot_masks[0])
     valid = np.flatnonzero(single_env.slot_masks[0])

@@ -18,7 +18,7 @@ from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
 from conftest import (CONFIGS, FIXTURES, flow_log_prob, process_running, stub_adapter_command,
-                      surrogate_adapter_command)
+                      surrogate_adapter_command, zero_model)
 
 SMALL = ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12)
 
@@ -127,7 +127,7 @@ def test_uniform_rollout_covers_and_validates(bridge_env):
 
 def test_rollout_zero_init_draws_are_uniform(bridge_env):
     # zero-init model is uniform, so batch draws should be uniform too
-    model = FlowModel.zero_init(SMALL)
+    model = zero_model(SMALL)
     rng = np.random.Generator(np.random.PCG64(11))
     actions, _ = rollout(model, bridge_env, rng, 6000)
     counts = Counter(map(tuple, actions.tolist()))
