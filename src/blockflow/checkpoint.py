@@ -9,7 +9,9 @@ through the JSON encoder: the payload is dumped with a short marker in
 place of each, and the texts are spliced in after (see `_dump_pieces`).
 
 Every artifact the package writes, checkpoints included, goes through
-`atomic_write`, so a crash leaves either the old file or the new one.
+`atomic_write`, so a crash leaves either the old file or the new one. The
+model and the optimizer are imported where a checkpoint is read or restored,
+so a command that only writes files through `atomic_write` does not load them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import FlowModel, ModelConfig
-from .optim import Adam
 
 CHECKPOINT_SCHEMA = "blockflow-checkpoint/1"
 
@@ -230,6 +230,7 @@ def _check_records(doc: dict, shapes: dict[str, tuple[int, ...]], where: str) ->
 
 def _checked(payload: dict) -> Checkpoint:
     """The checkpoint in `payload`, once every field has its type and every array its shape."""
+    from .model import FlowModel, ModelConfig
     dims = payload.get("model_config")
     _require(isinstance(dims, dict) and set(dims) == {"vocab_size", "embed_dim", "hidden_dim"}
              and all(_is_int(v) for v in dims.values()),
@@ -274,10 +275,12 @@ def _checked(payload: dict) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
+    from .model import FlowModel, ModelConfig
     return FlowModel(ModelConfig(**ckpt.model_config), dict(ckpt.params))
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
+    from .optim import Adam
     doc = ckpt.optimizer
     # every parameter has its own rate, so the base rate only has to be valid
     opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"],

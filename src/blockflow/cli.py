@@ -4,6 +4,9 @@ Subcommands: train, sample, amd, regress, baseline, flows. Exit codes:
 0 success, 1 runtime failure, 2 validation failure (argparse uses 2 as well).
 Every command echoes its resolved inputs to a manifest inside the output
 directory before doing any work, and writes nothing outside that directory.
+
+This module loads only the standard library; each command imports the
+modules it runs, so `main` can set the BLAS thread count before numpy loads.
 """
 
 from __future__ import annotations
@@ -12,23 +15,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (baseline_comparison, cross_validate, exact_flows,
-                       fit_univariate, holdout_validate)
-from .checkpoint import atomic_write, file_sha256, load_checkpoint, restore_model
-from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
-from .dataset import generate, save_dataset
-from .env import Environment, Topology, Vocabulary
 from .errors import BlockflowError, ValidationError
-from .model import FlowModel, ModelConfig
-from .reward import AdapterConfig, RewardModel, RewardSpec
-from .trainer import TrainConfig, train
 
 RUN_CONFIG_SCHEMA = "blockflow-run/1"
 
@@ -90,6 +83,11 @@ def _build_dataclass(cls, doc: dict, where: str):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    from .env import Environment, Topology, Vocabulary
+    from .model import ModelConfig
+    from .reward import AdapterConfig, RewardSpec
+    from .trainer import TrainConfig
+
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -140,6 +138,8 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(out: Path, command: str, payload: dict) -> None:
+    from .checkpoint import atomic_write
+
     doc = {"schema": "blockflow-run-manifest/1", "command": command}
     doc.update(payload)
     with atomic_write(out / f"{command}_manifest.json") as fh:
@@ -147,6 +147,8 @@ def _write_manifest(out: Path, command: str, payload: dict) -> None:
 
 
 def _restore_from_checkpoint(args, run: RunConfig) -> FlowModel:
+    from .checkpoint import load_checkpoint, restore_model
+
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.env_hash != run.env.env_hash:
         raise ValidationError(
@@ -162,6 +164,10 @@ def _float_cell(x: float) -> str:
 
 
 def cmd_train(args) -> int:
+    from .model import FlowModel
+    from .reward import RewardModel
+    from .trainer import train
+
     run = load_run_config(args.config)
     tc = run.train_config
     overrides = {}
@@ -191,6 +197,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .checkpoint import file_sha256
+    from .dataset import generate, save_dataset
+    from .reward import RewardModel
+
     run = load_run_config(args.config)
     model = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
@@ -214,6 +224,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_amd(args) -> int:
+    from .checkpoint import atomic_write
+    from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
+
     out = _out_dir(args)
     cif_dir = Path(args.cif_dir)
     if not cif_dir.is_dir():
@@ -263,6 +276,8 @@ def cmd_amd(args) -> int:
 
 
 def _load_xy(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -283,6 +298,9 @@ def _load_xy(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_regress(args) -> int:
+    from .analysis import cross_validate, fit_univariate, holdout_validate
+    from .checkpoint import atomic_write
+
     x, y = _load_xy(Path(args.data))
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
@@ -316,6 +334,10 @@ def cmd_regress(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .checkpoint import atomic_write, file_sha256
+    from .dataset import baseline_comparison
+    from .reward import RewardModel
+
     run = load_run_config(args.config)
     model = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
@@ -344,6 +366,10 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_flows(args) -> int:
+    from .checkpoint import atomic_write
+    from .dataset import exact_flows
+    from .reward import RewardModel
+
     run = load_run_config(args.config)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
@@ -440,7 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# At this package's matrix sizes a second BLAS thread buys little and takes
+# the CPU that the external evaluator processes need.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    # one BLAS thread unless the user set a count; the variables count only
+    # before numpy loads, so a caller that has loaded it keeps its environment
+    if "numpy" not in sys.modules:
+        for name in BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

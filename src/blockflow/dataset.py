@@ -1,4 +1,9 @@
-"""Sampling-to-dataset pipeline: draw, deduplicate, score, rank, persist.
+"""What the trained sampler yields: datasets, the baseline and exact flows.
+
+The sampling-to-dataset pipeline draws, deduplicates, scores, ranks and
+persists; `baseline_comparison` scores the policy against uniform draws;
+`exact_flows` and `TabularPolicy` are the exact-flow oracle that tests the
+sampler on enumerable fixtures.
 
 The draws are split over `workers` RNG streams, spawned from one seed
 sequence; each stream owns a contiguous range of the global, 1-based draw
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,9 +25,9 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .env import Environment
-from .errors import ConfigurationError, ValidationError
-from .reward import RewardModel
-from .trainer import distinct_rows, rollout
+from .errors import ConfigurationError, TerminalStateError, ValidationError
+from .reward import RewardModel, loss_reward
+from .trainer import distinct_rows, rollout, uniform_rollout
 
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
 
@@ -121,3 +127,134 @@ def load_dataset(path: str | Path, env: Environment | None = None) -> list[Candi
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+# ---------------------------------------------------------------------------
+# baseline comparison
+
+
+@dataclass(frozen=True)
+class BaselineSummary:
+    n_samples: int
+    trained_mean: float
+    trained_max: float
+    uniform_mean: float
+    uniform_max: float
+    bin_edges: np.ndarray
+    trained_counts: np.ndarray
+    uniform_counts: np.ndarray
+
+
+def baseline_comparison(model, env: Environment, reward_model: RewardModel,
+                        n_samples: int, seed: int, bins: int = 20) -> BaselineSummary:
+    """Sample the policy and a uniform policy on split RNG streams."""
+    if n_samples < 1:
+        raise ConfigurationError("n_samples must be >= 1")
+    seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
+    trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)), n_samples)
+    uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
+    r_trained = _draw_rewards(reward_model, trained)
+    r_uniform = _draw_rewards(reward_model, uniform)
+    lo = min(r_trained.min(), r_uniform.min())
+    hi = max(r_trained.max(), r_uniform.max())
+    if hi == lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    return BaselineSummary(
+        n_samples=n_samples,
+        trained_mean=float(r_trained.mean()),
+        trained_max=float(r_trained.max()),
+        uniform_mean=float(r_uniform.mean()),
+        uniform_max=float(r_uniform.max()),
+        bin_edges=edges,
+        trained_counts=np.histogram(r_trained, edges)[0],
+        uniform_counts=np.histogram(r_uniform, edges)[0],
+    )
+
+
+def _draw_rewards(reward_model: RewardModel, draws: np.ndarray) -> np.ndarray:
+    """Each draw's reward; every distinct draw is scored once, in first-appearance order."""
+    ids, first = distinct_rows(draws)
+    return np.array([r for r, _ in reward_model.score_batch(draws[first].tolist())])[ids]
+
+
+# ---------------------------------------------------------------------------
+# exact-flow oracle
+
+
+@dataclass
+class ExactFlows:
+    """Prefix flows: each prefix maps to the floored-reward mass below it."""
+
+    flows: dict[tuple[int, ...], float]
+    log_z: float
+    terminal_probs: dict[tuple[int, ...], float]
+
+
+def exact_flows(env: Environment, reward_model: RewardModel,
+                bound: int = 1_000_000) -> ExactFlows:
+    """Enumerate terminals and push floored rewards up every prefix.
+
+    The induced policy P(a|s) = F(child)/F(parent) satisfies the balance
+    identity exactly, so its squared residual is 0 on every trajectory and
+    its terminal distribution is floored-R / Z.
+    """
+    terminals = list(env.enumerate_terminals(bound))
+    flows: dict[tuple[int, ...], float] = {}
+    for seq, (rwd, _) in zip(terminals, reward_model.score_batch(terminals)):
+        value = loss_reward(reward_model.spec, rwd)
+        for cut in range(len(seq) + 1):
+            prefix = seq[:cut]
+            flows[prefix] = flows.get(prefix, 0.0) + value
+    z = flows[()]
+    probs = {seq: flows[seq] / z for seq in terminals}
+    return ExactFlows(flows=flows, log_z=float(np.log(z)), terminal_probs=probs)
+
+
+class TabularPolicy:
+    """Exact policy over an enumerable environment, behind the model's
+    batched step interface: the state holds each row's prefix and the
+    logits are the log flows of the prefix's children."""
+
+    def __init__(self, flows: ExactFlows, env: Environment):
+        self.flows = flows
+        self.env = env
+        self._child_rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    @property
+    def log_z_value(self) -> float:
+        return self.flows.log_z
+
+    @property
+    def start_token(self) -> int:
+        return len(self.env.vocabulary)
+
+    def step(self, tokens, state=None) -> tuple[np.ndarray, tuple[np.ndarray]]:
+        """Child log flows for a batch; `state` holds the prefixes before `tokens`.
+
+        The state is a 1-tuple: a (batch, slots filled) array of the tokens of
+        each row's prefix, so rows gather by index as the model's (h, c) do.
+        At sequence start (state None) the tokens are start sentinels and are
+        not part of any prefix.
+        """
+        tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
+        if state is None:
+            prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)
+        else:
+            prefixes = np.column_stack([state[0], tokens])
+        logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
+        return logits, (prefixes,)
+
+    def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
+        row = self._child_rows.get(prefix)
+        if row is None:
+            slot = len(prefix)
+            if slot >= self.env.n_slots:
+                raise TerminalStateError("episode already terminal")
+            row = np.full(len(self.env.vocabulary), -np.inf)
+            for action in np.flatnonzero(self.env.slot_masks[slot]):
+                flow = self.flows.flows.get(prefix + (int(action),))
+                if flow:
+                    row[action] = math.log(flow)
+            self._child_rows[prefix] = row
+        return row

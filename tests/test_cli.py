@@ -573,9 +573,11 @@ def test_resume_refuses_config_drift(tmp_path, capsys, flags, reward, named):
 # load), skipping those with no import spec: the in-memory modules that
 # numpy's compiled extensions create for themselves.
 RUNTIME_PROBE = """
-import sys
+import importlib, pkgutil, sys
 started = set(sys.modules)
-import blockflow, blockflow.cli
+import blockflow
+for module in pkgutil.iter_modules(blockflow.__path__):  # the package loads them on first use
+    importlib.import_module("blockflow." + module.name)
 blockflow.FlowModel.init(blockflow.ModelConfig(vocab_size=3, embed_dim=2, hidden_dim=2))
 allowed = set(sys.stdlib_module_names) | {"numpy", "blockflow"}
 print(sorted({name.partition(".")[0] for name, module in sys.modules.items()
@@ -590,3 +592,92 @@ def test_runtime_needs_only_numpy_and_the_standard_library():
     child = subprocess.run([sys.executable, "-c", RUNTIME_PROBE], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert child.stdout.strip() == "[]"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_json(code: str, *args) -> dict:
+    """Run `code` in a fresh interpreter on the package source; its last stdout line is JSON."""
+    child = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+@pytest.fixture()
+def no_thread_vars(monkeypatch):
+    """The children start with none of the BLAS thread variables set."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_import_blockflow_loads_no_numpy_and_sets_no_thread_variable(no_thread_vars):
+    seen = _child_json(f"""
+import json, os, sys
+import blockflow
+print(json.dumps({{"modules": sorted(m for m in sys.modules
+                                    if m == "numpy" or m.startswith(("numpy.", "blockflow"))),
+                  "env": [os.environ.get(name) for name in {BLAS_THREAD_VARS!r}]}}))
+""")
+    assert seen == {"modules": ["blockflow"], "env": [None, None, None]}
+
+
+def test_reward_stays_the_function_after_its_module_loads():
+    # the benchmark's import order: RewardModel and load_dataset load the
+    # `blockflow.reward` submodule before `reward` is looked up
+    assert _child_json("""
+import json
+from blockflow import RewardModel, load_dataset, reward, surrogate_gsa
+from blockflow import RewardSpec
+from blockflow.reward import AdapterConfig
+print(json.dumps([reward(RewardSpec(cutoff=5000.0), 5000.0), AdapterConfig.__name__]))
+""") == [1.0, "AdapterConfig"]
+
+
+# Runs the CLI module as `python -m blockflow.cli` does and reports the exit
+# code, the package modules the command loaded, and the thread variables as
+# they stood when numpy was first imported.
+CLI_PROBE = f"""
+import json, os, runpy, sys
+seen = {{}}
+class NumpyWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "env" not in seen:
+            seen["env"] = [os.environ.get(name) for name in {BLAS_THREAD_VARS!r}]
+sys.meta_path.insert(0, NumpyWatch())
+try:
+    runpy.run_module("blockflow.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    seen["code"] = exc.code
+seen["modules"] = sorted(m for m in sys.modules if m.startswith("blockflow."))
+print(json.dumps(seen))
+"""
+
+
+def _xy_csv(path: Path) -> Path:
+    path.write_text("x,y\n" + "".join(f"{x},{2 * x + x % 3}\n" for x in range(12)))
+    return path
+
+
+@pytest.mark.parametrize("command, runs, absent", [
+    ("amd", "crystal", {"trainer", "reward", "analysis"}),
+    ("regress", "analysis", {"trainer", "reward", "model"}),
+])
+def test_cli_child_imports_only_what_its_command_runs(command, runs, absent, tmp_path,
+                                                      no_thread_vars):
+    args = {"amd": ["--cif-dir", FIXTURES / "cif", "-k", "4"],
+            "regress": ["--data", _xy_csv(tmp_path / "xy.csv"), "--folds", "3"]}[command]
+    seen = _child_json(CLI_PROBE, command, *args, "--out", tmp_path / "out")
+    assert seen["code"] == 0
+    assert f"blockflow.{runs}" in seen["modules"]
+    assert {f"blockflow.{name}" for name in absent}.isdisjoint(seen["modules"]), seen["modules"]
+    assert seen["env"] == ["1", "1", "1"]  # set before numpy loaded
+
+
+def test_cli_child_keeps_a_thread_count_the_user_set(tmp_path, monkeypatch, no_thread_vars):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    seen = _child_json(CLI_PROBE, "amd", "--cif-dir", FIXTURES / "cif", "-k", "4",
+                       "--out", tmp_path / "out")
+    assert seen["code"] == 0
+    assert seen["env"] == ["3", "1", "1"]

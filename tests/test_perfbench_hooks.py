@@ -9,6 +9,7 @@ changed.
 
 import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -64,6 +65,10 @@ def _package_names() -> dict[tuple[str, ...], object]:
 
 
 def test_layer_clock_counts_a_bridge_train_and_uninstalls(perfbench, tmp_path):
+    # the clock wraps the modules loaded when it installs, and the package
+    # loads them on first use; the benchmark's untraced pass loads them first
+    for module in pkgutil.iter_modules(blockflow.__path__):
+        importlib.import_module(f"blockflow.{module.name}")
     clock = perfbench("layers").LayerClock(blockflow)
     before = _package_names()
     clock.install()
