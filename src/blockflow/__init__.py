@@ -1,9 +1,8 @@
 """Reward-proportional sampler for slot-constrained building-block assemblies,
 with crystal-descriptor and capture-metric analysis tools.
 
-Every exported name is imported from its module on first use (PEP 562), so
-`import blockflow` loads neither numpy nor any submodule.
-"""
+Exported names load from their modules on first use (PEP 562), so `import
+blockflow` loads neither numpy nor any submodule."""
 
 import importlib
 import sys

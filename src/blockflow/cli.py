@@ -87,7 +87,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     from .model import ModelConfig
     from .reward import AdapterConfig, RewardSpec
     from .trainer import TrainConfig
-
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -139,7 +138,6 @@ def _out_dir(args) -> Path:
 
 def _write_manifest(out: Path, command: str, payload: dict) -> None:
     from .checkpoint import atomic_write
-
     doc = {"schema": "blockflow-run-manifest/1", "command": command}
     doc.update(payload)
     with atomic_write(out / f"{command}_manifest.json") as fh:
@@ -148,7 +146,6 @@ def _write_manifest(out: Path, command: str, payload: dict) -> None:
 
 def _restore_from_checkpoint(args, run: RunConfig) -> FlowModel:
     from .checkpoint import load_checkpoint, restore_model
-
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.env_hash != run.env.env_hash:
         raise ValidationError(
@@ -167,7 +164,6 @@ def cmd_train(args) -> int:
     from .model import FlowModel
     from .reward import RewardModel
     from .trainer import train
-
     run = load_run_config(args.config)
     tc = run.train_config
     overrides = {}
@@ -200,7 +196,6 @@ def cmd_sample(args) -> int:
     from .checkpoint import file_sha256
     from .dataset import generate, save_dataset
     from .reward import RewardModel
-
     run = load_run_config(args.config)
     model = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
@@ -226,7 +221,6 @@ def cmd_sample(args) -> int:
 def cmd_amd(args) -> int:
     from .checkpoint import atomic_write
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
-
     out = _out_dir(args)
     cif_dir = Path(args.cif_dir)
     if not cif_dir.is_dir():
@@ -275,9 +269,7 @@ def cmd_amd(args) -> int:
     return 0
 
 
-def _load_xy(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
+def _load_xy(path: Path) -> tuple[list[float], list[float]]:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -294,19 +286,18 @@ def _load_xy(path: Path) -> tuple[np.ndarray, np.ndarray]:
             ys.append(float(row[1]))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return np.array(xs), np.array(ys)
+    return xs, ys
 
 
 def cmd_regress(args) -> int:
     from .analysis import cross_validate, fit_univariate, holdout_validate
     from .checkpoint import atomic_write
-
     x, y = _load_xy(Path(args.data))
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     _write_manifest(out, "regress", {
         "data": str(args.data), "folds": args.folds, "rounds": args.rounds,
-        "seed": seed, "holdout": args.holdout, "n": int(x.shape[0]),
+        "seed": seed, "holdout": args.holdout, "n": len(x),
     })
     report = fit_univariate(x, y)
     if args.holdout:
@@ -337,7 +328,6 @@ def cmd_baseline(args) -> int:
     from .checkpoint import atomic_write, file_sha256
     from .dataset import baseline_comparison
     from .reward import RewardModel
-
     run = load_run_config(args.config)
     model = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
@@ -369,7 +359,6 @@ def cmd_flows(args) -> int:
     from .checkpoint import atomic_write
     from .dataset import exact_flows
     from .reward import RewardModel
-
     run = load_run_config(args.config)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
@@ -466,16 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# At this package's matrix sizes a second BLAS thread buys little and takes
-# the CPU that the external evaluator processes need.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def main(argv=None) -> int:
-    # one BLAS thread unless the user set a count; the variables count only
-    # before numpy loads, so a caller that has loaded it keeps its environment
+    # One BLAS thread unless the user set a count: at this package's matrix
+    # sizes a second thread buys little and takes the CPU that external
+    # evaluators need. The variables count only before numpy loads, so a
+    # caller that has loaded it keeps its environment.
     if "numpy" not in sys.modules:
-        for name in BLAS_THREAD_VARS:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     try:

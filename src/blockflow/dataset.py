@@ -1,9 +1,5 @@
-"""What the trained sampler yields: datasets, the baseline and exact flows.
-
-The sampling-to-dataset pipeline draws, deduplicates, scores, ranks and
-persists; `baseline_comparison` scores the policy against uniform draws;
-`exact_flows` and `TabularPolicy` are the exact-flow oracle that tests the
-sampler on enumerable fixtures.
+"""Sampling-to-dataset pipeline (draw, deduplicate, score, rank, persist), the
+trained-versus-uniform baseline, and the exact-flow oracle for the sampler.
 
 The draws are split over `workers` RNG streams, spawned from one seed
 sequence; each stream owns a contiguous range of the global, 1-based draw

@@ -37,8 +37,9 @@ def adam_update(value, grad, m, v, step, lr, beta1, beta2, eps, work) -> None:
     np.subtract(value, t2, out=value)
 
 
-# elements per adam_update call: the four operands and two work rows of a
-# block, 768 KB in all, stay in cache across the update's fourteen passes
+# elements per adam_update call. Adam is elementwise, so blocks give the bytes
+# of one call per parameter, and a block's four operands and two work rows
+# (768 KB) stay in cache across the update's fourteen passes
 _BLOCK = 1 << 14
 
 
@@ -47,8 +48,7 @@ class Adam:
 
     `lr_overrides` maps parameter names to their own learning rate; the
     log-partition scalar usually trains on a separate rate from the network.
-    Each parameter must be C-contiguous, so that `step` can update it through
-    flat views.
+    Each parameter must be C-contiguous: `step` updates it through flat views.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -79,9 +79,7 @@ class Adam:
         """Update every parameter in place from its gradient in `grads`.
 
         All gradients are checked before anything changes, so a non-finite
-        one leaves the parameters, moments and step count as they were. Adam
-        is elementwise, so updating `_BLOCK` elements at a time gives the same
-        bytes as one call per parameter.
+        one leaves the parameters, moments and step count as they were.
         """
         for name in self.params:
             if not np.all(np.isfinite(grads[name])):
