@@ -644,7 +644,7 @@ seen = {{}}
 class NumpyWatch:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and "env" not in seen:
-            seen["env"] = [os.environ.get(name) for name in {BLAS_THREAD_VARS!r}]
+            seen["env"] = [os.environ.get(var) for var in {BLAS_THREAD_VARS!r}]
 sys.meta_path.insert(0, NumpyWatch())
 try:
     runpy.run_module("blockflow.cli", run_name="__main__", alter_sys=True)
