@@ -104,7 +104,7 @@ class Adam:
         if set(state["m"]) != set(self.params) or set(state["v"]) != set(self.params):
             raise ConfigurationError("optimizer state does not match parameter names")
         for name in self.params:
-            if state["m"][name].shape != self.m[name].shape:
+            if any(state[key][name].shape != self.params[name].shape for key in ("m", "v")):
                 raise ConfigurationError(f"optimizer state for {name!r} has wrong shape")
         self.step_count = int(state["step_count"])
         self.m = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state["m"].items()}

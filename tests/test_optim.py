@@ -146,3 +146,20 @@ def test_blocked_step_bit_equals_one_update_per_parameter():
         assert params[name].tobytes() == value.tobytes()
         assert opt.m[name].tobytes() == m.tobytes()
         assert opt.v[name].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_load_state_dict_refuses_a_misshapen_moment_before_changing_anything(moment):
+    params = {"w": np.zeros(3), "b": np.zeros(2)}
+    opt = Adam(params, lr=0.05)
+    opt.step({"w": np.ones(3), "b": np.ones(2)})
+    before = opt.state_dict()
+    state = opt.state_dict()
+    state["step_count"] = 7
+    state[moment]["b"] = np.zeros(5)
+    with pytest.raises(ConfigurationError, match="'b' has wrong shape"):
+        opt.load_state_dict(state)
+    assert opt.step_count == before["step_count"]
+    for name in params:
+        np.testing.assert_array_equal(opt.m[name], before["m"][name])
+        np.testing.assert_array_equal(opt.v[name], before["v"][name])
