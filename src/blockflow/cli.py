@@ -203,7 +203,6 @@ def cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else 0
     manifest = {
         "seed": seed,
-        "workers": args.workers,
         "n": args.n,
         "checkpoint": str(args.checkpoint),
         "checkpoint_sha256": file_sha256(args.checkpoint),
@@ -211,7 +210,7 @@ def cmd_sample(args) -> int:
         "config": str(run.source),
     }
     _write_manifest(out, "sample", manifest)
-    records = generate(model, run.env, reward_model, args.n, seed, workers=args.workers)
+    records = generate(model, run.env, reward_model, args.n, seed)
     save_dataset(out / "dataset.csv", records, manifest=manifest)
     total = sum(r.sample_count for r in records)
     print(f"drawn={total} unique={len(records)} out={out / 'dataset.csv'}")
@@ -420,9 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", parents=[seeded, out], help="draw a dataset from a checkpoint")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="RNG streams the draws are split over (the dataset depends on seed, n "
-                   "and workers); external evaluations run as many at a time as there are CPUs")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("-n", type=_int_at_least(0), required=True, help="number of draws")

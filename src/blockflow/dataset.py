@@ -1,11 +1,9 @@
 """Sampling-to-dataset pipeline (draw, deduplicate, score, rank, persist), the
 trained-versus-uniform baseline, and the exact-flow oracle for the sampler.
 
-The draws are split over `workers` RNG streams, spawned from one seed
-sequence; each stream owns a contiguous range of the global, 1-based draw
-index, so the same (seed, n, workers) triple always yields the same dataset.
-`workers` sets only that split: how many external evaluations run at once
-is up to the reward model.
+The draws come from one RNG stream, the first child of the seed's seed
+sequence, so the same (seed, n) pair always yields the same dataset. How
+many external evaluations run at once is up to the reward model.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class CandidateRecord:
 
 
 def generate(model, env: Environment, reward_model: RewardModel, n: int,
-             seed: int, workers: int = 1) -> list[CandidateRecord]:
+             seed: int) -> list[CandidateRecord]:
     """Draw n sequences from the policy and fold them into unique records.
 
     A missing gsa (empty CSV cell on save) marks an evaluation failure; the
@@ -47,21 +45,11 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
     """
     if n < 0:
         raise ConfigurationError("sample count must be >= 0")
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
     if n == 0:
         return []
-    workers = min(workers, n)
-    streams = [np.random.Generator(np.random.PCG64(s))
-               for s in np.random.SeedSequence(seed).spawn(workers)]
-    base, rem = divmod(n, workers)
-    draws = []
-    for w, rng in enumerate(streams):
-        actions, _ = rollout(model, env, rng, base + (1 if w < rem else 0))
-        draws.append(actions)
-    # each stream owns the next range of draw indices, so row i is draw i + 1
-    draws = np.concatenate(draws)
-    ids, first = distinct_rows(draws)
+    [stream] = np.random.SeedSequence(seed).spawn(1)
+    draws, _ = rollout(model, env, np.random.Generator(np.random.PCG64(stream)), n)
+    ids, first = distinct_rows(draws)  # row i is draw i + 1
     sequences = [tuple(seq) for seq in draws[first].tolist()]
     scored = reward_model.score_batch(sequences)
     return [CandidateRecord(record=env.format_assembly_record(seq), tokens=seq,
