@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
               "ValidationError",
     "model": "FlowModel ModelConfig",
     "optim": "Adam adam_update",
-    "reward": "AdapterConfig GsaResult RewardModel RewardSpec external_gsa loss_reward reward "
+    "reward": "AdapterConfig GsaResult RewardModel RewardSpec Scores external_gsa reward "
               "surrogate_gsa",
     "trainer": "TrainConfig TrainResult rollout train uniform_rollout",
 }.items() for name in names.split()}

@@ -375,8 +375,9 @@ def cmd_flows(args) -> int:
     with atomic_write(out / "terminal_probs.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["assembly_record", "probability"])
-        for seq, prob in result.terminal_probs.items():
-            writer.writerow([run.env.format_assembly_record(seq), _float_cell(prob)])
+        records = run.env.format_assembly_records(list(result.terminal_probs))
+        for record, prob in zip(records, result.terminal_probs.values()):
+            writer.writerow([record, _float_cell(prob)])
     print(f"terminals={len(result.terminal_probs)} log_z={result.log_z!r}")
     return 0
 

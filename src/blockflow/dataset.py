@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import atomic_write
 from .env import Environment
 from .errors import ConfigurationError, TerminalStateError, ValidationError
-from .reward import RewardModel, loss_reward
+from .reward import RewardModel
 from .trainer import distinct_rows, rollout, uniform_rollout
 
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
@@ -50,13 +50,13 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
     [stream] = np.random.SeedSequence(seed).spawn(1)
     draws, _ = rollout(model, env, np.random.Generator(np.random.PCG64(stream)), n)
     ids, first = distinct_rows(draws)  # row i is draw i + 1
-    sequences = [tuple(seq) for seq in draws[first].tolist()]
-    scored = reward_model.score_batch(sequences)
-    return [CandidateRecord(record=env.format_assembly_record(seq), tokens=seq,
-                            gsa=gsa_res.value, reward=rwd, sample_count=count,
-                            first_seen_episode=first_index + 1)
-            for seq, count, first_index, (rwd, gsa_res)
-            in zip(sequences, np.bincount(ids).tolist(), first.tolist(), scored)]
+    rows = draws[first]
+    scores = reward_model.score_batch(rows)
+    return [CandidateRecord(record=record, tokens=tuple(seq), gsa=None if math.isnan(gsa) else gsa,
+                            reward=rwd, sample_count=count, first_seen_episode=first_index + 1)
+            for record, seq, gsa, rwd, count, first_index
+            in zip(env.format_assembly_records(rows), rows.tolist(), scores.gsa.tolist(),
+                   scores.reward.tolist(), np.bincount(ids).tolist(), first.tolist())]
 
 
 def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
@@ -137,8 +137,8 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
     trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)), n_samples)
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
-    r_trained = _draw_rewards(reward_model, trained)
-    r_uniform = _draw_rewards(reward_model, uniform)
+    r_trained = reward_model.score_batch(trained).reward
+    r_uniform = reward_model.score_batch(uniform).reward
     lo = min(r_trained.min(), r_uniform.min())
     hi = max(r_trained.max(), r_uniform.max())
     if hi == lo:
@@ -154,12 +154,6 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
         trained_counts=np.histogram(r_trained, edges)[0],
         uniform_counts=np.histogram(r_uniform, edges)[0],
     )
-
-
-def _draw_rewards(reward_model: RewardModel, draws: np.ndarray) -> np.ndarray:
-    """Each draw's reward; every distinct draw is scored once, in first-appearance order."""
-    ids, first = distinct_rows(draws)
-    return np.array([r for r, _ in reward_model.score_batch(draws[first].tolist())])[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +178,9 @@ def exact_flows(env: Environment, reward_model: RewardModel,
     its terminal distribution is floored-R / Z.
     """
     terminals = list(env.enumerate_terminals(bound))
+    floored = np.maximum(reward_model.score_batch(terminals).reward, reward_model.spec.reward_floor)
     flows: dict[tuple[int, ...], float] = {}
-    for seq, (rwd, _) in zip(terminals, reward_model.score_batch(terminals)):
-        value = loss_reward(reward_model.spec, rwd)
+    for seq, value in zip(terminals, floored.tolist()):
         for cut in range(len(seq) + 1):
             prefix = seq[:cut]
             flows[prefix] = flows.get(prefix, 0.0) + value

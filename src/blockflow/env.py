@@ -56,8 +56,9 @@ class Vocabulary:
         self.index = {tok.token_id: i for i, tok in enumerate(tokens)}
         self.masses = np.array([tok.mass_g_mol for tok in tokens], dtype=np.float64)
         self.surfaces = np.array([tok.surface_a2 for tok in tokens], dtype=np.float64)
-        self.masses.setflags(write=False)
-        self.surfaces.setflags(write=False)
+        self.token_ids = np.array([tok.token_id for tok in tokens], dtype=object)
+        for table in (self.masses, self.surfaces, self.token_ids):
+            table.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -204,16 +205,25 @@ class Environment:
     def n_slots(self) -> int:
         return self.slot_masks.shape[0]
 
-    def check_sequence(self, tokens: tuple[int, ...]) -> None:
-        """Validate a full token sequence independently of the sampler."""
-        if len(tokens) != self.n_slots:
-            raise ValidationError(f"sequence has {len(tokens)} tokens, topology needs {self.n_slots}")
-        for s, idx in enumerate(tokens):
-            if not (0 <= idx < len(self.vocabulary)):
-                raise ValidationError(f"slot {s}: token index {idx} out of range")
-            if not self.slot_masks[s, idx]:
-                raise ValidationError(
-                    f"slot {s}: token {self.vocabulary[idx].token_id!r} not in the slot's allowed set")
+    def check_sequences(self, rows) -> np.ndarray:
+        """Validate full token sequences, one per row, independently of the sampler.
+
+        One gather of the slot masks checks every token; returns the rows as
+        an (m, n_slots) index array.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 2 or rows.shape[1] != self.n_slots:
+            raise ValidationError(f"sequence has {rows.shape[-1]} tokens, topology needs {self.n_slots}")
+        out_of_range = np.argwhere((rows < 0) | (rows >= len(self.vocabulary)))
+        if out_of_range.size:
+            i, s = out_of_range[0]
+            raise ValidationError(f"slot {s}: token index {rows[i, s]} out of range")
+        masked = np.argwhere(~self.slot_masks[np.arange(self.n_slots), rows])
+        if masked.size:
+            i, s = masked[0]
+            raise ValidationError(f"slot {s}: token {self.vocabulary.token_ids[rows[i, s]]!r} "
+                                  f"not in the slot's allowed set")
+        return rows
 
     # -- enumeration ---------------------------------------------------------
     def count_terminals(self) -> int:
@@ -232,10 +242,11 @@ class Environment:
             yield tuple(combo)
 
     # -- record syntax -------------------------------------------------------
-    def format_assembly_record(self, tokens: tuple[int, ...]) -> str:
-        self.check_sequence(tokens)
-        ids = ",".join(self.vocabulary[i].token_id for i in tokens)
-        return f"{self.topology.name}:{ids}"
+    def format_assembly_records(self, rows) -> list[str]:
+        """The `name:TOK,...` record of each row: one token-id gather and a join per row."""
+        prefix = f"{self.topology.name}:"
+        return [prefix + ",".join(ids)
+                for ids in self.vocabulary.token_ids[self.check_sequences(rows)].tolist()]
 
     def parse_assembly_record(self, record: str) -> tuple[int, ...]:
         name, sep, rest = record.partition(":")
@@ -250,5 +261,5 @@ class Environment:
                 raise ValidationError(f"unknown token {token_id.strip()!r} in record")
             out.append(idx)
         tokens = tuple(out)
-        self.check_sequence(tokens)
+        self.check_sequences([tokens])
         return tokens

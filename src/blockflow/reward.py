@@ -2,8 +2,12 @@
 
 reward(g) = exp((g - cutoff) / cutoff) when g >= cutoff, else 0. The step is
 closed at the cutoff, so a value exactly at the cutoff earns reward 1. A
-failed evaluation scores 0; the positive floor is applied only where a log
-is needed, never to reported rewards.
+failed evaluation (a NaN GSA) scores 0; the positive floor is applied only
+where a log is needed, never to reported rewards.
+
+Scoring works on arrays: `RewardModel.score_batch` takes the (m, n_slots)
+token rows the sampler draws, and the surrogate and the reward each take one
+pass over all of them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,25 +62,25 @@ class GsaResult:
         return self.value is not None
 
 
-def reward(spec: RewardSpec, gsa: GsaResult | float | None) -> float:
-    if isinstance(gsa, GsaResult):
-        gsa = gsa.value
-    if gsa is None or not np.isfinite(gsa):
-        return 0.0
-    if gsa < spec.cutoff:
-        return 0.0
-    return float(np.exp((gsa - spec.cutoff) / spec.cutoff))
+def reward(spec: RewardSpec, gsa):
+    """The reward of each GSA in `gsa`; a float for a float (or None).
+
+    A GSA that is NaN or infinite, or None, is a failed evaluation and earns 0.
+    """
+    g = np.asarray(gsa, dtype=np.float64)  # None becomes NaN
+    r = np.where(np.isfinite(g) & (g >= spec.cutoff), np.exp((g - spec.cutoff) / spec.cutoff), 0.0)
+    return float(r) if r.ndim == 0 else r
 
 
-def loss_reward(spec: RewardSpec, value: float) -> float:
-    """Floored reward used inside the balance loss so its log is finite."""
-    return max(float(value), spec.reward_floor)
+def surrogate_gsa(vocabulary: Vocabulary, tokens, scale: float = 1.0):
+    """Additive stand-in: scaled total token surface over total token mass.
 
-
-def surrogate_gsa(vocabulary: Vocabulary, tokens: tuple[int, ...], scale: float = 1.0) -> float:
-    """Additive stand-in: scaled total token surface over total token mass."""
+    `tokens` is one sequence, which gives a float, or an array of them along
+    its last axis, which gives an array of the leading shape.
+    """
     idx = np.asarray(tokens, dtype=np.intp)
-    return float(scale * vocabulary.surfaces[idx].sum() / vocabulary.masses[idx].sum())
+    g = scale * vocabulary.surfaces[idx].sum(axis=-1) / vocabulary.masses[idx].sum(axis=-1)
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,16 @@ def _kill_group(proc: subprocess.Popen, reap: bool = True) -> None:
         proc.communicate()
 
 
+class Scores(NamedTuple):
+    """What `RewardModel.score_batch` found for each row, in row order."""
+
+    gsa: np.ndarray  # float64, NaN where the evaluation failed
+    reward: np.ndarray  # float64, 0 where the evaluation failed
+    errors: dict[int, str]  # each failed row's index and its evaluation's error
+
+
 class RewardModel:
-    """Scores token sequences for one environment, evaluating each distinct one once."""
+    """Scores token rows for one environment; an external evaluator runs once per distinct row."""
 
     def __init__(self, spec: RewardSpec, env: Environment,
                  adapter: AdapterConfig | None = None):
@@ -191,32 +204,36 @@ class RewardModel:
         self.adapter = adapter
         self._cache: dict[tuple[int, ...], GsaResult] = {}
 
-    def _evaluate(self, tokens: tuple[int, ...], running: _RunningAdapters | None = None) -> GsaResult:
-        if self.spec.evaluator == "surrogate":
-            return GsaResult.of(surrogate_gsa(self.env.vocabulary, tokens, self.spec.surrogate_scale))
-        record = self.env.format_assembly_record(tokens)
-        return external_gsa(self.adapter, record, running)
+    def score_batch(self, rows) -> Scores:
+        """The scores of each row of `rows`, an (m, n_slots) array of token indices.
 
-    def score_batch(self, sequences) -> list[tuple[float, GsaResult]]:
-        """Reward and GSA result per sequence, in order.
-
-        Sequences not seen before are evaluated once each, in first-appearance
-        order; external evaluations run in a thread pool as wide as the CPUs
-        this process may use. An interrupt reaches only this thread, which
-        then kills the running adapters and starts no more.
+        The surrogate scores all rows at once. The external evaluator runs
+        once for each distinct row not seen before, in first-appearance
+        order, in a thread pool as wide as the CPUs this process may use. An
+        interrupt reaches only this thread, which then kills the running
+        adapters and starts no more.
         """
-        sequences = [tuple(int(t) for t in seq) for seq in sequences]
-        pending = [seq for seq in dict.fromkeys(sequences) if seq not in self._cache]
-        slots = min(_evaluation_slots(), len(pending)) if self.spec.evaluator == "external" else 1
+        rows = np.asarray(rows, dtype=np.intp)
+        if self.spec.evaluator == "surrogate":
+            gsa = surrogate_gsa(self.env.vocabulary, rows, self.spec.surrogate_scale)
+            return Scores(gsa, reward(self.spec, gsa), {})
+        keys = list(map(tuple, rows.tolist()))
+        pending = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        records = self.env.format_assembly_records(pending) if pending else []
+        slots = min(_evaluation_slots(), len(pending))
         if slots > 1:
             running = _RunningAdapters()
             with ThreadPoolExecutor(max_workers=slots) as pool:
                 try:
-                    results = list(pool.map(lambda seq: self._evaluate(seq, running), pending))
+                    results = list(pool.map(
+                        lambda record: external_gsa(self.adapter, record, running), records))
                 except BaseException:
                     running.stop()
                     raise
         else:
-            results = [self._evaluate(seq) for seq in pending]
+            results = [external_gsa(self.adapter, record) for record in records]
         self._cache.update(zip(pending, results))
-        return [(reward(self.spec, self._cache[seq]), self._cache[seq]) for seq in sequences]
+        results = [self._cache[key] for key in keys]
+        gsa = np.array([np.nan if res.value is None else res.value for res in results])
+        errors = {i: res.error for i, res in enumerate(results) if not res.ok}
+        return Scores(gsa, reward(self.spec, gsa), errors)

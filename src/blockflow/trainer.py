@@ -37,7 +37,7 @@ from .env import Environment
 from .errors import ConfigurationError, TrainingAbort, ValidationError
 from .model import FlowModel
 from .optim import Adam
-from .reward import RewardModel, loss_reward
+from .reward import RewardModel
 
 METRICS_HEADER = ["episode", "loss", "smoothedLoss", "logZ", "reward", "bestReward"]
 
@@ -356,25 +356,23 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                 snapshot(episode)
             cache: list[dict] = []
             actions, log_prob_sum = rollout(model, env, rng, n, config.exploration_epsilon, cache)
-            sequences = [tuple(row) for row in actions.tolist()]
-            scored = reward_model.score_batch(sequences)
-            floored = np.array([loss_reward(reward_model.spec, r) for r, _ in scored])
+            scores = reward_model.score_batch(actions)
+            evaluator_failures += len(scores.errors)
+            first_evaluator_error = first_evaluator_error or next(iter(scores.errors.values()), None)
+            floored = np.maximum(scores.reward, reward_model.spec.reward_floor)
             residual = model.parameters()["log_z"] + log_prob_sum - np.log(floored)
-            for i, (seq, (rwd, gsa_res)) in enumerate(zip(sequences, scored)):
+            for i, (res, rwd) in enumerate(zip(residual.tolist(), scores.reward.tolist())):
                 episode += 1
-                if not gsa_res.ok:
-                    evaluator_failures += 1
-                    first_evaluator_error = first_evaluator_error or gsa_res.error
-                res = float(residual[i])
                 if not math.isfinite(res):
                     raise TrainingAbort(
-                        f"non-finite residual at episode {episode}; actions {seq} "
-                        f"log-prob sum {float(log_prob_sum[i])!r} reward {float(floored[i])!r}")
+                        f"non-finite residual at episode {episode}; actions "
+                        f"{tuple(actions[i].tolist())} log-prob sum {float(log_prob_sum[i])!r} "
+                        f"reward {float(floored[i])!r}")
                 loss_val = res * res
                 loss_tail.append(loss_val)
                 if rwd > best_reward:
                     best_reward = rwd
-                    best_record = env.format_assembly_record(seq)
+                    best_record = env.format_assembly_records(actions[i:i + 1])[0]
                 if writer is not None:
                     smoothed = _window_mean(loss_tail, config.smooth_window)
                     writer.writerow(_format_row(episode, loss_val, smoothed,

@@ -17,7 +17,7 @@ from blockflow import (Environment, FlowModel, ModelConfig, PeriodicPointSet,
                        RewardModel, RewardSpec, TabularPolicy, Topology,
                        TrainConfig, Vocabulary, amd, baseline_comparison,
                        cell_basis, cross_validate, exact_flows, external_gsa,
-                       fit_univariate, loss_reward, reward, rollout,
+                       fit_univariate, reward, rollout,
                        selectivity, train, working_capacity)
 from blockflow.reward import AdapterConfig
 from conftest import FIXTURES, flow_log_prob, stub_adapter_command
@@ -60,7 +60,7 @@ def exact(bridge):
     env, reward_model = bridge
     flows = exact_flows(env, reward_model)
     terminals = list(env.enumerate_terminals())
-    rewards = np.array([r for r, _ in reward_model.score_batch(terminals)])
+    rewards = reward_model.score_batch(terminals).reward
     return flows, terminals, rewards
 
 
@@ -102,7 +102,7 @@ def test_c03_exact_flow_oracle_identities(bridge, exact):
         for action in seq:
             log_probs.append(flow_log_prob(flows, prefix, action))
             prefix = prefix + (action,)
-        floored = loss_reward(reward_model.spec, r)
+        floored = max(r, reward_model.spec.reward_floor)
         residual = policy.log_z_value + sum(log_probs) - math.log(floored)
         worst_loss = max(worst_loss, residual * residual)
     assert worst_loss < 1e-12
@@ -127,8 +127,8 @@ def test_c04_gradients_match_finite_differences(bridge):
             # the same seed replays the same uniform draws on every call
             rng = np.random.Generator(np.random.PCG64(2000 + instance))
             actions, log_prob_sum = rollout(model, env, rng, 1, cache=cache)
-            [(r, _)] = reward_model.score_batch(actions.tolist())
-            floored = loss_reward(reward_model.spec, r)
+            [r] = reward_model.score_batch(actions).reward.tolist()
+            floored = max(r, reward_model.spec.reward_floor)
             return actions, model.parameters()["log_z"] + log_prob_sum - math.log(floored)
 
         cache = []
@@ -179,8 +179,8 @@ def test_c05_reward_spot_values_and_fault_injection(bridge):
         res = external_gsa(adapter, "bfx:N1,N4,E1")
         assert not res.ok, label
         rm = RewardModel(ext_spec, env, adapter=adapter)
-        [(r, gsa_res)] = rm.score_batch([(0, 3, 5)])
-        assert r == 0.0 and not gsa_res.ok, label
+        scores = rm.score_batch([(0, 3, 5)])
+        assert scores.reward.tolist() == [0.0] and list(scores.errors) == [0], label
     report(5, "R(C)=1, R(2C)=e within 1e-12, R(0.9C)=0; adapter exit/timeout/"
               "garbage each yield reward 0 without raising")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel, IsothermRow,
-                       ModelConfig, RewardModel, RewardSpec, TabularPolicy,
+                       ModelConfig, RewardModel, RewardSpec, Scores, TabularPolicy,
                        Topology, Vocabulary, average_ranks,
                        baseline_comparison, cross_validate, exact_flows,
                        fit_univariate, holdout_validate, load_isotherm_table,
@@ -378,8 +378,7 @@ def test_baseline_trained_policy_beats_uniform(bridge_env, bridge_reward):
     summary = baseline_comparison(policy, bridge_env, bridge_reward,
                                   n_samples=4000, seed=1)
     assert summary.trained_mean > summary.uniform_mean
-    rewards = np.array([r for r, _ in
-                        bridge_reward.score_batch(bridge_env.enumerate_terminals())])
+    rewards = bridge_reward.score_batch(list(bridge_env.enumerate_terminals())).reward
     expect_uniform = rewards.mean()
     expect_trained = (rewards ** 2).sum() / rewards.sum()
     assert expect_trained > expect_uniform  # sanity: the ordering is structural
@@ -403,7 +402,7 @@ def test_exact_flows_single_terminal(tmp_path):
     rm = RewardModel(RewardSpec(cutoff=1000.0, surrogate_scale=1000.0), env)
     flows = exact_flows(env, rm)
     assert flows.terminal_probs == {(0,): 1.0}
-    [(r, _)] = rm.score_batch([(0,)])
+    [r] = rm.score_batch([(0,)]).reward.tolist()
     assert flows.log_z == pytest.approx(math.log(r), abs=1e-12)
 
 
@@ -423,8 +422,9 @@ def test_exact_flows_two_terminal_ratio(tmp_path):
     class FakeReward:
         spec = RewardSpec(cutoff=1.0)
 
-        def score_batch(self, sequences):
-            return [((1.0 if seq == (0,) else 3.0), None) for seq in sequences]
+        def score_batch(self, rows):
+            rewards = np.where(np.asarray(rows)[:, 0] == 0, 1.0, 3.0)
+            return Scores(rewards * 1000.0, rewards, {})
 
     flows = exact_flows(env, FakeReward())
     assert flows.terminal_probs[(0,)] == pytest.approx(0.25, abs=1e-12)

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockflow import (CandidateRecord, TabularPolicy, exact_flows, generate,
-                       load_dataset, rollout, save_dataset, top_k)
+from blockflow import (AdapterConfig, CandidateRecord, RewardModel, RewardSpec, TabularPolicy,
+                       exact_flows, generate, load_dataset, rollout, save_dataset, top_k)
 from blockflow.errors import ConfigurationError, ValidationError
+from conftest import stub_adapter_command
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,8 @@ def test_generate_first_seen_is_min_over_draws(bridge_env, bridge_reward, tabula
 def test_generate_rewards_match_reward_model(bridge_env, bridge_reward, tabular):
     records = generate(tabular, bridge_env, bridge_reward, n=50, seed=2)
     scores = bridge_reward.score_batch([rec.tokens for rec in records])
-    for rec, (r, res) in zip(records, scores):
-        assert rec.reward == r
-        assert rec.gsa == res.value
+    assert [rec.reward for rec in records] == scores.reward.tolist()
+    assert [rec.gsa for rec in records] == scores.gsa.tolist()
 
 
 def test_generate_edge_sizes(bridge_env, bridge_reward, tabular):
@@ -108,6 +108,24 @@ def test_save_none_gsa_roundtrips_as_empty_cell(tmp_path):
     loaded = load_dataset(path)
     assert loaded[0].gsa is None
     assert loaded[0].reward == 0.0
+
+
+def test_failed_external_evaluation_writes_an_empty_gsa_cell_and_reward_0(
+        tmp_path, bridge_env, tabular, set_evaluation_slots):
+    set_evaluation_slots(2)
+    body = ("import sys\n"
+            "record = sys.stdin.readline()\n"
+            "sys.exit(1) if 'N1' in record else print(9000.0)\n")
+    rm = RewardModel(RewardSpec(cutoff=100.0, evaluator="external"), bridge_env,
+                     adapter=AdapterConfig(command=stub_adapter_command(body)))
+    records = generate(tabular, bridge_env, rm, n=300, seed=2)
+    assert {"N1" in rec.record for rec in records} == {True, False}
+    path = tmp_path / "d.csv"
+    save_dataset(path, records)
+    for rec, row in zip(records, list(csv.reader(path.open(newline="")))[1:]):
+        failed = "N1" in rec.record
+        assert (rec.gsa is None, rec.reward == 0.0) == (failed, failed)
+        assert (row[1] == "", row[2]) == (failed, "0.0" if failed else repr(rec.reward))
 
 
 def test_save_writes_manifest_sidecar(tmp_path):

@@ -108,18 +108,38 @@ def test_slot_masks_match_topology(bridge_env):
         masks[0, 0] = False  # read-only
 
 
-def test_check_sequence_accepts_a_full_walk(bridge_env):
-    bridge_env.check_sequence((1, 3, 5))  # N2, then N4, then E1
-    assert bridge_env.format_assembly_record((1, 3, 5)) == "bfx:N2,N4,E1"
+def test_check_sequences_accepts_a_full_walk(bridge_env):
+    bridge_env.check_sequences([(1, 3, 5)])  # N2, then N4, then E1
+    assert bridge_env.format_assembly_records([(1, 3, 5)]) == ["bfx:N2,N4,E1"]
     with pytest.raises(ValidationError, match="4 tokens"):
-        bridge_env.check_sequence((1, 3, 5, 0))  # nothing follows the last slot
+        bridge_env.check_sequences([(1, 3, 5, 0)])  # nothing follows the last slot
     with pytest.raises(ValidationError, match="2 tokens"):
-        bridge_env.check_sequence((1, 3))
+        bridge_env.check_sequences([(1, 3)])
 
 
-def test_check_sequence_rejects_masked_token(bridge_env):
+def test_check_sequences_rejects_masked_token(bridge_env):
     with pytest.raises(ValidationError, match="slot 0: token 'E1' not in the slot's allowed set"):
-        bridge_env.check_sequence((5, 3, 5))  # edge token at a node slot
+        bridge_env.check_sequences([(5, 3, 5)])  # edge token at a node slot
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 3, 7), "slot 2: token index 7 out of range"),
+    ((0, -1, 5), "slot 1: token index -1 out of range"),  # not read as the last token
+    ((0, 4, 4), "slot 2: token 'N5' not in the slot's allowed set"),
+])
+def test_check_sequences_names_the_first_bad_token_among_many_rows(bridge_env, bad, message):
+    rows = np.array(list(bridge_env.enumerate_terminals()) * 3)
+    assert bridge_env.check_sequences(rows).tolist() == rows.tolist()
+    rows[20] = bad
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        bridge_env.check_sequences(rows)
+
+
+def test_records_of_many_rows_are_the_records_of_each(bridge_env):
+    terminals = list(bridge_env.enumerate_terminals())
+    records = bridge_env.format_assembly_records(np.array(terminals))
+    assert records[0] == "bfx:N1,N4,E1" and records[-1] == "bfx:N3,N5,E2"
+    assert [bridge_env.parse_assembly_record(r) for r in records] == terminals
 
 
 def test_enumeration_order_and_count(bridge_env):
@@ -129,8 +149,7 @@ def test_enumeration_order_and_count(bridge_env):
     assert terms[0] == (0, 3, 5)
     assert terms[-1] == (2, 4, 6)
     assert terms == sorted(terms)  # slot-wise index order
-    for t in terms:
-        bridge_env.check_sequence(t)
+    bridge_env.check_sequences(terms)
 
 
 def test_enumeration_bound_refuses(bridge_env):
@@ -139,7 +158,7 @@ def test_enumeration_bound_refuses(bridge_env):
 
 
 def test_record_roundtrip(bridge_env):
-    rec = bridge_env.format_assembly_record((0, 3, 5))
+    [rec] = bridge_env.format_assembly_records([(0, 3, 5)])
     assert rec == "bfx:N1,N4,E1"
     assert bridge_env.parse_assembly_record(rec) == (0, 3, 5)
     assert bridge_env.parse_assembly_record("bfx: N2 , N5 , E2 ") == (1, 4, 6)
@@ -158,14 +177,14 @@ def test_record_parse_errors(bridge_env, record, needle):
     assert needle in str(err.value)
 
 
-def test_check_sequence_is_independent_of_sampler(bridge_env):
-    bridge_env.check_sequence((2, 4, 6))
+def test_check_sequences_is_independent_of_sampler(bridge_env):
+    bridge_env.check_sequences([(2, 4, 6)])
     with pytest.raises(ValidationError):
-        bridge_env.check_sequence((2, 4))
+        bridge_env.check_sequences([(2, 4)])
     with pytest.raises(ValidationError):
-        bridge_env.check_sequence((5, 4, 6))
+        bridge_env.check_sequences([(5, 4, 6)])
     with pytest.raises(ValidationError):
-        bridge_env.check_sequence((0, 3, 99))
+        bridge_env.check_sequences([(0, 3, 99)])
 
 
 def test_env_hash_is_content_addressed(bridge_env):
@@ -188,5 +207,4 @@ def test_counts_match_enumeration_on_random_layouts(sizes, vocab_n):
     terms = list(env.enumerate_terminals())
     assert len(terms) == env.count_terminals()
     assert len(set(terms)) == len(terms)
-    for t in terms:
-        env.check_sequence(t)
+    env.check_sequences(terms)

@@ -152,8 +152,7 @@ def test_rollout_never_picks_masked_tokens(bridge_env):
     for eps in (0.0, 0.3):
         actions, _ = rollout(m, bridge_env, np.random.Generator(np.random.PCG64(3)), 500,
                              epsilon=eps)
-        for seq in actions.tolist():
-            bridge_env.check_sequence(tuple(seq))
+        bridge_env.check_sequences(actions)
 
 
 def test_step_is_a_pure_function_of_tokens_and_state(bridge_env):

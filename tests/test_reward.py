@@ -8,10 +8,11 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from blockflow import (AdapterConfig, GsaResult, RewardModel, RewardSpec,
-                       external_gsa, loss_reward, reward, surrogate_gsa)
+from blockflow import (AdapterConfig, RewardModel, RewardSpec, exact_flows, external_gsa,
+                       reward, surrogate_gsa)
+from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError
-from conftest import process_running, stub_adapter_command
+from conftest import CONFIGS, process_running, stub_adapter_command
 
 SPEC = RewardSpec(cutoff=5000.0)
 
@@ -22,9 +23,17 @@ def test_reward_spot_values():
     assert reward(SPEC, 2 * c) == pytest.approx(math.e, abs=1e-12)
     assert reward(SPEC, 0.9 * c) == 0.0
     assert reward(SPEC, 0.0) == 0.0
-    assert reward(SPEC, GsaResult.fail("boom")) == 0.0
+    assert reward(SPEC, math.nan) == 0.0  # a failed evaluation
     assert reward(SPEC, None) == 0.0
     assert reward(SPEC, math.inf) == 0.0
+    assert type(reward(SPEC, c)) is float
+
+
+def test_reward_of_an_array_is_the_reward_of_each_element():
+    c = SPEC.cutoff
+    gsa = np.array([[c, 2 * c, 0.9 * c], [math.nan, math.inf, -math.inf]])
+    expected = [[reward(SPEC, g) for g in row] for row in gsa.tolist()]
+    assert reward(SPEC, gsa).tolist() == expected
 
 
 def test_reward_is_monotone_above_cutoff():
@@ -33,12 +42,17 @@ def test_reward_is_monotone_above_cutoff():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_loss_reward_floor():
-    assert loss_reward(SPEC, 0.0) == 1e-6
-    assert loss_reward(SPEC, 1e-9) == 1e-6
-    assert loss_reward(SPEC, 2.5) == 2.5
-    tight = RewardSpec(reward_floor=1e-3)
-    assert loss_reward(tight, 0.0) == 1e-3
+@pytest.mark.parametrize("floor", [1e-6, 1e-3])
+def test_reward_floor_enters_the_flows_but_not_the_reported_reward(bridge_env, floor):
+    # cutoff 7000: 4 of the 12 bridge terminals score 0 and flow at the floor
+    rm = RewardModel(RewardSpec(cutoff=7000.0, reward_floor=floor, surrogate_scale=1000.0),
+                     bridge_env)
+    terminals = list(bridge_env.enumerate_terminals())
+    rewards = rm.score_batch(terminals).reward.tolist()
+    flows = exact_flows(bridge_env, rm).flows
+    assert sum(r == 0.0 for r in rewards) == 4
+    for seq, r in zip(terminals, rewards):
+        assert flows[seq] == (floor if r == 0.0 else r)
 
 
 def test_spec_validation():
@@ -69,14 +83,37 @@ def test_surrogate_known_value(bridge_env):
     # N1 + N4 + E1: surfaces 300+200+50, masses 100+50+25
     assert surrogate_gsa(bridge_env.vocabulary, (0, 3, 5), scale=1000.0) == \
         pytest.approx(1000.0 * 550.0 / 175.0, rel=1e-15)
+    assert type(surrogate_gsa(bridge_env.vocabulary, (0, 3, 5))) is float
+
+
+@pytest.mark.parametrize("config", ["train_grid.json", "train_bridge.json"])
+def test_array_scores_bit_equal_the_scalar_formula_on_every_terminal(config):
+    # the benchmark checks each written score with `==` against the scalar calls
+    run = load_run_config(CONFIGS / config)
+    spec, vocab = run.reward_spec, run.env.vocabulary
+    terminals = list(run.env.enumerate_terminals())
+    scores = RewardModel(spec, run.env).score_batch(terminals)
+    gsa = [surrogate_gsa(vocab, seq, spec.surrogate_scale) for seq in terminals]
+    assert scores.gsa.tolist() == gsa
+    assert scores.reward.tolist() == [reward(spec, g) for g in gsa]
+    assert scores.errors == {}
+
+
+def test_surrogate_rows_bit_equal_single_sequences_on_long_rows(bridge_env):
+    # rows of 8 or more tokens take numpy's blocked summation
+    rng = np.random.Generator(np.random.PCG64(5))
+    rows = rng.integers(0, len(bridge_env.vocabulary), (200, 37))
+    expected = [surrogate_gsa(bridge_env.vocabulary, tuple(row), 3.0) for row in rows.tolist()]
+    assert surrogate_gsa(bridge_env.vocabulary, rows, 3.0).tolist() == expected
 
 
 def test_reward_model_twelve_terminal_table(bridge_env, bridge_reward):
     spec = bridge_reward.spec
     rewards = {}
     terminals = list(bridge_env.enumerate_terminals())
-    for seq, (r, res) in zip(terminals, bridge_reward.score_batch(terminals)):
-        assert res.ok
+    scores = bridge_reward.score_batch(terminals)
+    assert scores.errors == {} and not np.isnan(scores.gsa).any()
+    for seq, r in zip(terminals, scores.reward.tolist()):
         # independent: exp((gsa-c)/c) with gsa rebuilt from raw fields
         vocab = bridge_env.vocabulary
         gsa = 1000.0 * sum(vocab[i].surface_a2 for i in seq) / sum(vocab[i].mass_g_mol for i in seq)
@@ -89,8 +126,9 @@ def test_reward_model_twelve_terminal_table(bridge_env, bridge_reward):
 def test_reward_model_zero_below_cutoff(bridge_env):
     high = RewardModel(RewardSpec(cutoff=7000.0, surrogate_scale=1000.0), bridge_env)
     # gsa 3142.9 < 7000, then 14571.4
-    (r_low, res), (r_high, _) = high.score_batch([(0, 3, 5), (2, 4, 6)])
-    assert res.ok and r_low == 0.0
+    scores = high.score_batch([(0, 3, 5), (2, 4, 6)])
+    r_low, r_high = scores.reward.tolist()
+    assert scores.errors == {} and r_low == 0.0
     assert r_high > 1.0
 
 
@@ -245,8 +283,9 @@ def test_external_failure_scores_zero_and_does_not_raise(bridge_env):
     spec = RewardSpec(cutoff=100.0, evaluator="external")
     adapter = AdapterConfig(command=stub_adapter_command("import sys; sys.exit(1)"))
     rm = RewardModel(spec, bridge_env, adapter=adapter)
-    [(r, res)] = rm.score_batch([(0, 3, 5)])
-    assert r == 0.0 and not res.ok
+    scores = rm.score_batch([(0, 3, 5)])
+    assert scores.reward.tolist() == [0.0] and np.isnan(scores.gsa[0])
+    assert scores.errors == {0: "adapter exit code 1: "}
 
 
 def test_memoization_calls_adapter_once(bridge_env, tmp_path):
@@ -263,8 +302,9 @@ def test_memoization_calls_adapter_once(bridge_env, tmp_path):
     rm = RewardModel(spec, bridge_env, adapter=AdapterConfig(command=stub_adapter_command(body)))
     first = rm.score_batch([(0, 3, 5), (0, 3, 5)])  # twice within one call
     second = rm.score_batch([(0, 3, 5)])  # and again in a second call
-    assert first == second * 2
-    assert first[0][0] > 0.0
+    assert first.reward.tolist() == second.reward.tolist() * 2
+    assert first.gsa.tolist() == [9000.0, 9000.0]
+    assert first.reward[0] > 0.0
     assert counter.read_text() == "1"
 
 
@@ -272,10 +312,10 @@ def test_score_batch_matches_direct_reward(bridge_env, bridge_reward):
     spec = bridge_reward.spec
     seqs = list(bridge_env.enumerate_terminals())[:5] * 2
     batch = bridge_reward.score_batch(seqs)
-    assert len(batch) == 10
-    for seq, (r, res) in zip(seqs, batch):
+    assert batch.gsa.shape == batch.reward.shape == (10,)
+    for seq, r, g in zip(seqs, batch.reward.tolist(), batch.gsa.tolist()):
         gsa = surrogate_gsa(bridge_env.vocabulary, seq, spec.surrogate_scale)
-        assert (r, res.value) == (reward(spec, gsa), gsa)
+        assert (r, g) == (reward(spec, gsa), gsa)
 
 
 def _most_at_once(marker_dir) -> int:
@@ -317,6 +357,6 @@ def test_score_batch_runs_at_most_slots_adapters_at_once(bridge_env, tmp_path,
         sys.setswitchinterval(interval)
     assert len(list(markers.iterdir())) == 2 * 12  # each distinct sequence ran once
     assert 1 <= _most_at_once(markers) <= slots
-    expected = [float(len(bridge_env.format_assembly_record(seq)) + 1) * 100 for seq in seqs]
-    assert [res.value for _, res in scored] == expected  # in input order
-    assert [r for r, _ in scored] == [reward(spec, g) for g in expected]
+    expected = [float(len(record) + 1) * 100 for record in bridge_env.format_assembly_records(seqs)]
+    assert scored.gsa.tolist() == expected  # in input order
+    assert scored.reward.tolist() == [reward(spec, g) for g in expected]

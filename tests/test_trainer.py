@@ -13,7 +13,7 @@ from scipy import stats
 
 from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, TabularPolicy, Topology, TrainConfig, Vocabulary,
-                       exact_flows, loss_reward, rollout, train, uniform_rollout)
+                       exact_flows, rollout, train, uniform_rollout)
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
@@ -56,8 +56,7 @@ def test_rollout_respects_masks(bridge_env, rng):
     actions, log_prob_sum = rollout(model, bridge_env, rng, 50)
     assert actions.shape == (50, bridge_env.n_slots)
     assert log_prob_sum.shape == (50,)
-    for seq in actions.tolist():
-        bridge_env.check_sequence(tuple(seq))
+    bridge_env.check_sequences(actions)
     assert np.all(log_prob_sum <= 0.0)
 
 
@@ -116,8 +115,7 @@ def test_uniform_rollout_covers_and_validates(bridge_env):
     rng = np.random.Generator(np.random.PCG64(5))
     seqs = uniform_rollout(bridge_env, 4000, rng)
     assert seqs.shape == (4000, bridge_env.n_slots)
-    for s in seqs[:20].tolist():
-        bridge_env.check_sequence(s)
+    bridge_env.check_sequences(seqs)
     counts = Counter(map(tuple, seqs.tolist()))
     assert len(counts) == 12
     expected = 4000 / 12.0
@@ -267,11 +265,11 @@ def test_metrics_loss_is_squared_balance_residual(tmp_path):
     model = small_model(seed=3)
     actions, _ = rollout(model, env, np.random.Generator(np.random.PCG64(0)), 8)
     assert len(rows) == 8
-    scores = reward_model.score_batch(actions.tolist())
-    for row, seq, (r, _) in zip(rows, actions.tolist(), scores):
+    scores = reward_model.score_batch(actions)
+    for row, seq, r in zip(rows, actions.tolist(), scores.reward.tolist()):
         episode, loss, _, log_z, rwd, _ = row.split(",")
         residual = model.log_z_value + episode_log_prob(model, env, seq) - math.log(
-            loss_reward(reward_model.spec, r))
+            max(r, reward_model.spec.reward_floor))
         assert float(loss) == pytest.approx(residual ** 2, rel=1e-10)
         assert float(log_z) == model.log_z_value
         assert float(rwd) == r
@@ -282,8 +280,7 @@ def balance_loss(model, env, reward_model, seed, n, cache=None):
     draws, the residuals and the loss."""
     actions, log_prob_sum = rollout(model, env, np.random.Generator(np.random.PCG64(seed)), n,
                                     cache=cache)
-    floored = [loss_reward(reward_model.spec, r)
-               for r, _ in reward_model.score_batch(actions.tolist())]
+    floored = np.maximum(reward_model.score_batch(actions).reward, reward_model.spec.reward_floor)
     residual = model.parameters()["log_z"] + log_prob_sum - np.log(floored)
     return actions, residual, float(np.mean(residual * residual))
 
@@ -304,8 +301,8 @@ def test_train_update_is_adam_on_mean_squared_residual():
     model = small_model(seed=3)
     actions, residual, loss = balance_loss(model, env, reward_model, cfg.seed, 8)
     log_probs = [episode_log_prob(model, env, seq) for seq in actions.tolist()]
-    floored = [loss_reward(reward_model.spec, r)
-               for r, _ in reward_model.score_batch(actions.tolist())]
+    floored = [max(r, reward_model.spec.reward_floor)
+               for r in reward_model.score_batch(actions).reward.tolist()]
     by_hand = np.mean([(model.log_z_value + lp - math.log(f)) ** 2
                        for lp, f in zip(log_probs, floored)])
     assert loss == pytest.approx(by_hand, rel=1e-12)
@@ -432,14 +429,10 @@ def test_train_nonfinite_residual_names_its_episode(tmp_path):
     env, reward_model = _fresh_setup()
 
     class NanOnThirdScore(RewardModel):
-        scored = 0
-
-        def score_batch(self, sequences):
-            out = []
-            for rwd, result in super().score_batch(sequences):
-                self.scored += 1
-                out.append((math.nan if self.scored == 3 else rwd, result))
-            return out
+        def score_batch(self, rows):  # the first batch aborts the run
+            scores = super().score_batch(rows)
+            scores.reward[2] = math.nan
+            return scores
 
     poisoned = NanOnThirdScore(reward_model.spec, env)
     with pytest.raises(TrainingAbort, match="at episode 3;"):
@@ -452,21 +445,20 @@ def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
     # the flow-matching solution satisfies the balance identity exactly
     flows = exact_flows(bridge_env, bridge_reward)
     policy = TabularPolicy(flows, bridge_env)
+    floor = bridge_reward.spec.reward_floor
     terminals = list(bridge_env.enumerate_terminals())
-    for seq, (r, _) in zip(terminals, bridge_reward.score_batch(terminals)):
+    for seq, r in zip(terminals, bridge_reward.score_batch(terminals).reward.tolist()):
         log_probs = []
         prefix = ()
         for action in seq:
             log_probs.append(flow_log_prob(flows, prefix, action))
             prefix = prefix + (action,)
-        floored = loss_reward(bridge_reward.spec, r)
-        assert abs(policy.log_z_value + sum(log_probs) - math.log(floored)) < 1e-12
+        assert abs(policy.log_z_value + sum(log_probs) - math.log(max(r, floor))) < 1e-12
     # and so does every episode the batched sampler draws from it
     actions, log_prob_sum = rollout(policy, bridge_env, np.random.Generator(np.random.PCG64(6)), 200)
-    scores = bridge_reward.score_batch(actions.tolist())
-    for (r, _), lp in zip(scores, log_prob_sum):
-        floored = loss_reward(bridge_reward.spec, r)
-        assert abs(policy.log_z_value + lp - math.log(floored)) < 1e-12
+    rewards = bridge_reward.score_batch(actions).reward.tolist()
+    for r, lp in zip(rewards, log_prob_sum):
+        assert abs(policy.log_z_value + lp - math.log(max(r, floor))) < 1e-12
 
 
 def test_exact_flow_terminal_probs_are_reward_over_z(bridge_env, bridge_reward):
@@ -474,8 +466,8 @@ def test_exact_flow_terminal_probs_are_reward_over_z(bridge_env, bridge_reward):
     z = math.exp(flows.log_z)
     total = 0.0
     terminals = list(bridge_env.enumerate_terminals())
-    for seq, (r, _) in zip(terminals, bridge_reward.score_batch(terminals)):
-        floored = loss_reward(bridge_reward.spec, r)
+    for seq, r in zip(terminals, bridge_reward.score_batch(terminals).reward.tolist()):
+        floored = max(r, bridge_reward.spec.reward_floor)
         p = flows.terminal_probs[seq]
         assert p == pytest.approx(floored / z, rel=1e-12)
         total += p
@@ -499,9 +491,9 @@ def test_train_scores_each_batch_in_one_call():
     received = []
 
     class RecordsBatches(RewardModel):
-        def score_batch(self, sequences):
-            received.append(len(sequences))
-            return super().score_batch(sequences)
+        def score_batch(self, rows):
+            received.append(len(rows))
+            return super().score_batch(rows)
 
     train(quick_config(max_episodes=20), small_model(), env,
           RecordsBatches(reward_model.spec, env))
@@ -571,11 +563,11 @@ def test_interrupted_parallel_training_kills_adapters_and_keeps_first_batch(
     class HangsOnSecondBatch(RewardModel):
         batches = 0
 
-        def score_batch(self, sequences):
+        def score_batch(self, rows):
             self.batches += 1
             if self.batches == 2:
                 hang.touch()
-            return super().score_batch(sequences)
+            return super().score_batch(rows)
 
     real_result = Future.result
 
