@@ -1,6 +1,7 @@
-import base64
+import builtins
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -86,12 +87,32 @@ def test_roundtrip_bookkeeping(tmp_path):
     assert ckpt.config == {"train": {"seed": 4}}
 
 
-def test_corrupted_byte_is_rejected(tmp_path):
+def read_checkpoint(path):
+    """The JSON header of a checkpoint file and its body, read by hand."""
+    line, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(line), body
+
+
+def write_checkpoint(path, header, body, checksum=None):
+    """A checkpoint file of `header` and `body`; the checksum, unless given, is
+    recomputed by hand over the header as dumped without it, then the body."""
+    header = {key: value for key, value in header.items() if key != "checksum"}
+    dump = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    header["checksum"] = checksum or hashlib.sha256(dump + body).hexdigest()
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+                     + b"\n" + body)
+
+
+@pytest.mark.parametrize("tamper", ["header", "body"])
+def test_corrupted_byte_is_rejected(tmp_path, tamper):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
-    doc = json.loads(path.read_text())
-    doc["best_reward"] = doc["best_reward"] + 1.0  # silent tamper
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+    header, body = read_checkpoint(path)
+    if tamper == "header":
+        header["best_reward"] += 1.0  # silent tamper
+    else:
+        body = body[:100] + bytes([body[100] ^ 1]) + body[101:]
+    write_checkpoint(path, header, body, checksum=header["checksum"])
     with pytest.raises(ValidationError, match="corrupted"):
         load_checkpoint(path)
 
@@ -99,48 +120,66 @@ def test_corrupted_byte_is_rejected(tmp_path):
 def test_missing_checksum_is_rejected(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
+    header, body = read_checkpoint(path)
+    del header["checksum"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(ValidationError, match="no checksum"):
         load_checkpoint(path)
 
 
 def test_wrong_schema_is_rejected(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
-    doc = json.loads(path.read_text())
-    doc["schema"] = "blockflow-checkpoint/999"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="schema"):
+    header, body = read_checkpoint(path)
+    header["schema"] = "blockflow-checkpoint/999"
+    write_checkpoint(path, header, body)
+    with pytest.raises(ValidationError, match="expected schema 'blockflow-checkpoint/2'"):
         load_checkpoint(path)
 
 
 def test_missing_field_is_rejected(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
-    doc = json.loads(path.read_text())
-    del doc["rng_state"]
-    del doc["checksum"]
-    doc["checksum"] = "0" * 64
-    path.write_text(json.dumps(doc))
+    header, body = read_checkpoint(path)
+    del header["rng_state"]
+    write_checkpoint(path, header, body, checksum="0" * 64)
     with pytest.raises(ValidationError):
         load_checkpoint(path)
 
 
-def test_not_json_is_rejected(tmp_path):
+@pytest.mark.parametrize("text", ["this is not json {", "", "[1, 2]\n", "{\n"])
+def test_not_json_is_rejected(tmp_path, text):
     path = tmp_path / "junk.json"
-    path.write_text("this is not json {")
-    with pytest.raises(ValidationError):
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="blockflow-checkpoint/2"):
         load_checkpoint(path)
 
 
 def test_schema_constant_embedded(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
-    doc = json.loads(path.read_text())
-    assert doc["schema"] == CHECKPOINT_SCHEMA == "blockflow-checkpoint/1"
-    assert len(doc["checksum"]) == 64
+    header, body = read_checkpoint(path)
+    assert header["schema"] == CHECKPOINT_SCHEMA == "blockflow-checkpoint/2"
+    assert len(header["checksum"]) == 64
+    # one compact header line, padded so the body starts at a multiple of 8 bytes
+    assert (path.stat().st_size - len(body)) % 8 == 0
+    groups = (model.parameters(), opt.m, opt.v)
+    assert [header["params"], header["optimizer"]["m"], header["optimizer"]["v"]] == [
+        {name: list(arrays[name].shape) for name in arrays} for arrays in groups]
+    # the raw little-endian float64 arrays: params, then m, then v, by name
+    assert body == b"".join(np.asarray(arrays[name], dtype="<f8").tobytes()
+                            for arrays in groups for name in sorted(arrays))
+
+
+def test_loaded_arrays_are_writable_contiguous_float64_views(tmp_path):
+    model, opt, rng = _trained_pieces()
+    ckpt = load_checkpoint(_save(tmp_path, model, opt, rng))
+    arrays = [*ckpt.params.values(), *ckpt.optimizer["m"].values(),
+              *ckpt.optimizer["v"].values()]
+    assert len(arrays) == 21
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
 
 
 def test_file_sha256_known_value(tmp_path):
@@ -173,23 +212,34 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+class DiesMidBody:
+    """A binary file whose `writelines` writes half of the arrays, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        return self.fh.write(data)
+
+    def writelines(self, pieces):
+        pieces = list(pieces)
+        self.fh.writelines(pieces[:len(pieces) // 2])
+        raise OSError("no space left on device")
+
+
 def test_failed_save_keeps_the_old_checkpoint_and_no_tmp(tmp_path, monkeypatch):
     import blockflow.checkpoint as checkpoint_mod
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     before = path.read_bytes()
-    real_pieces = checkpoint_mod._dump_pieces
-
-    def dies_midway(payload, **dump_kw):
-        pieces = real_pieces(payload, **dump_kw)
-        if "indent" not in dump_kw:  # the checksum pass
-            return pieces
-        def partial():
-            yield from pieces[:len(pieces) // 2]
-            raise OSError("no space left on device")
-        return partial()
-
-    monkeypatch.setattr(checkpoint_mod, "_dump_pieces", dies_midway)
+    monkeypatch.setattr(checkpoint_mod, "open", lambda *args, **kw: DiesMidBody(
+        builtins.open(*args, **kw)), raising=False)
     with pytest.raises(OSError, match="no space"):
         _save(tmp_path, model, opt, rng, episode=99)
     assert path.read_bytes() == before
@@ -204,8 +254,9 @@ def test_scalar_param_restores_as_zero_dim(tmp_path):
     assert float(restored.log_z_value) == float(model.log_z_value)
 
 
-# Text that looks like the writer's array markers ("\0<attempt>:<k>"), bare
-# and quoted, next to a NUL character and a literal backslash-u0000.
+# Text the header line must carry as JSON escapes: NUL characters (bare, in
+# a key, quoted), a literal backslash-u0000 and newlines, which must not end
+# the header line.
 TRICKY_ECHO = {
     "marker": "\x000:0",
     "quoted_marker": '"\x000:1"',
@@ -213,10 +264,10 @@ TRICKY_ECHO = {
     "nul": "a\x00b",
     "literal": "\\u0000",
     "\x000:3": "marker as a key",
+    "newlines": "a\nb\r\n",
 }
-# sha256 of the file that the earlier writer, one json.dumps over the whole
-# payload, wrote for this checkpoint: splicing must not change a byte.
-TRICKY_ECHO_SHA256 = "a23526a17f6cffbd3e65efef14662c8c8963d06356f43a5ef5fc8b37e0bc6ceb"
+# sha256 of the blockflow-checkpoint/2 file written for this checkpoint.
+TRICKY_ECHO_SHA256 = "016d5db4208eaa4c082a06cacc87eb8d4fc62d8fe29eb06567a08c0c848b1185"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -246,31 +297,36 @@ def bridge_run(tmp_path_factory):
     return cfg, tmp / "run"
 
 
-def _encoded(values):
-    values = np.asarray(values, dtype="<f8")
-    return {"shape": list(values.shape), "data": base64.b64encode(values.tobytes()).decode()}
+def _nan_param(ckpt, name):
+    """The body with the parameter `name` all NaN."""
+    shapes = ckpt["header"]["params"]
+    names = sorted(shapes)
+    start = 8 * sum(math.prod(shapes[n]) for n in names[:names.index(name)])
+    end = start + 8 * math.prod(shapes[name])
+    return ckpt["body"][:start] + np.full((end - start) // 8, np.nan).tobytes() + ckpt["body"][end:]
 
 
 # Structurally wrong checkpoints; the checksum is recomputed after each
 # change, so only the structure is wrong.
 MALFORMED = {
-    "optimizer.beta1 missing": lambda doc: doc["optimizer"].pop("beta1"),
-    "optimizer.lr empty": lambda doc: doc["optimizer"].update(lr={}),
-    "optimizer.lr not positive": lambda doc: doc["optimizer"]["lr"].update(w_x=0.0),
-    "optimizer.step_count text": lambda doc: doc["optimizer"].update(step_count="x"),
-    "optimizer.m lacks w_x": lambda doc: doc["optimizer"]["m"].pop("w_x"),
-    "optimizer.v b_out misshapen": lambda doc: doc["optimizer"]["v"].update(b_out=_encoded([1.0])),
-    "optimizer.m text not base64": lambda doc: doc["optimizer"]["m"]["b"].update(
-        data="!" + doc["optimizer"]["m"]["b"]["data"][1:]),
-    "rng_state a number": lambda doc: doc.update(rng_state=5),
-    "rng_state inner text": lambda doc: doc["rng_state"]["state"].update(state="x"),
-    "params lack w_h": lambda doc: doc["params"].pop("w_h"),
-    "params b_out not finite": lambda doc: doc["params"].update(
-        b_out=_encoded(np.full(doc["params"]["b_out"]["shape"], np.nan))),
-    "model_config.hidden_dim text": lambda doc: doc["model_config"].update(hidden_dim="x"),
-    "episode text": lambda doc: doc.update(episode="x"),
-    "loss_tail a number": lambda doc: doc.update(loss_tail=5),
-    "config a list": lambda doc: doc.update(config=[]),
+    "optimizer.beta1 missing": lambda ckpt: ckpt["header"]["optimizer"].pop("beta1"),
+    "optimizer.lr empty": lambda ckpt: ckpt["header"]["optimizer"].update(lr={}),
+    "optimizer.lr not positive": lambda ckpt: ckpt["header"]["optimizer"]["lr"].update(w_x=0.0),
+    "optimizer.step_count text": lambda ckpt: ckpt["header"]["optimizer"].update(step_count="x"),
+    "optimizer.m lacks w_x": lambda ckpt: ckpt["header"]["optimizer"]["m"].pop("w_x"),
+    "optimizer.v b_out misshapen": lambda ckpt: ckpt["header"]["optimizer"]["v"].update(
+        b_out=[1]),
+    "body short": lambda ckpt: ckpt.update(body=ckpt["body"][:-8]),
+    "body with trailing bytes": lambda ckpt: ckpt.update(body=ckpt["body"] + bytes(8)),
+    "rng_state a number": lambda ckpt: ckpt["header"].update(rng_state=5),
+    "rng_state inner text": lambda ckpt: ckpt["header"]["rng_state"]["state"].update(state="x"),
+    "params lack w_h": lambda ckpt: ckpt["header"]["params"].pop("w_h"),
+    "params b_out not finite": lambda ckpt: ckpt.update(body=_nan_param(ckpt, "b_out")),
+    "model_config.hidden_dim text": lambda ckpt: ckpt["header"]["model_config"].update(
+        hidden_dim="x"),
+    "episode text": lambda ckpt: ckpt["header"].update(episode="x"),
+    "loss_tail a number": lambda ckpt: ckpt["header"].update(loss_tail=5),
+    "config a list": lambda ckpt: ckpt["header"].update(config=[]),
 }
 
 
@@ -278,20 +334,49 @@ MALFORMED = {
 def test_malformed_checkpoint_with_a_valid_checksum_exits_2_on_every_reader(
         bridge_run, damage, tmp_path, capsys):
     cfg, run = bridge_run
+    header, body = read_checkpoint(run / "checkpoint.json")
+    damaged = {"header": header, "body": body}
+    damage(damaged)
+    ckpt = tmp_path / "malformed.json"
+    write_checkpoint(ckpt, damaged["header"], damaged["body"])
+    errors = _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys)
+    assert all(line.startswith("error: ") for line in errors)
+
+
+def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:
+    """`train --resume` and `sample` each exit 2 on `ckpt` and write nothing;
+    returns their two error lines."""
     out = tmp_path / "run"
     shutil.copytree(run, out)
-    doc = json.loads((out / "checkpoint.json").read_text())
-    del doc["checksum"]
-    damage(doc)
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-    ckpt = tmp_path / "malformed.json"
-    ckpt.write_text(json.dumps(doc, indent=1))
-    metrics = (out / "metrics.csv").read_bytes()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(["train", "--config", str(cfg), "--out", str(out), "--max-episodes", "32",
                  "--resume", str(ckpt)]) == 2
-    assert (out / "metrics.csv").read_bytes() == metrics
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
                  "--out", str(tmp_path / "sample")]) == 2
+    assert not (tmp_path / "sample").exists()
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 2
+    return errors
+
+
+# A checkpoint the former writer wrote for the bridge_run config: base64
+# arrays inside one indented JSON document.
+FORMER_CHECKPOINT = FIXTURES / "checkpoint_v1_bridge.json"
+
+
+@pytest.mark.parametrize("content", ["former schema", "header not JSON", "no header line"])
+def test_a_former_or_foreign_checkpoint_exits_2_and_names_both_schemas(
+        bridge_run, content, tmp_path, capsys):
+    cfg, run = bridge_run
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_bytes({"former schema": FORMER_CHECKPOINT.read_bytes(),
+                      "header not JSON": b"blockflow\n" + bytes(64),
+                      "no header line": b'{"schema": "blockflow-checkpoint/2"}'}[content])
+    for line in _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys):
+        assert "blockflow-checkpoint/1" in line and "blockflow-checkpoint/2" in line, line
+
+
+def test_the_former_checkpoint_fixture_is_a_valid_former_checkpoint():
+    doc = json.loads(FORMER_CHECKPOINT.read_text())
+    assert doc["schema"] == "blockflow-checkpoint/1" and len(doc["checksum"]) == 64

@@ -227,9 +227,10 @@ def test_sample_zero_draws(trained_run, tmp_path):
 def test_sample_corrupted_checkpoint_exits_2(trained_run, tmp_path, capsys):
     cfg, ckpt = trained_run
     mangled = tmp_path / "mangled.json"
-    doc = json.loads(ckpt.read_text())
-    doc["episode"] = doc["episode"] + 1
-    mangled.write_text(json.dumps(doc))
+    line, _, body = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["episode"] += 1
+    mangled.write_bytes(json.dumps(header).encode() + b"\n" + body)
     assert main(["sample", "--config", str(cfg), "--checkpoint", str(mangled),
                  "-n", "5", "--out", str(tmp_path / "o")]) == 2
     assert "corrupted" in capsys.readouterr().err
@@ -467,10 +468,11 @@ def test_grid_sample_and_baseline_bytes_are_pinned(tmp_path):
 
 # Digests of a short grid run under the backward that takes each weight's
 # gradient as one product over the stacked slots: they pin its summation
-# order, and so every byte of training, on this seed and config.
+# order, and so every byte of training, on this seed and config. The
+# checkpoint digest is that of the blockflow-checkpoint/2 layout.
 GRID_TRAIN_SHA256 = {
     "metrics.csv": "274ff45d91fdcc5d68676001f811ab7c880361bde63ccfa6e9b86e076ff75feb",
-    "checkpoint.json": "78212c8b9d6ca08bdb508f2b1f2ef70a418433d980d2d3b9489f22110b784301",
+    "checkpoint.json": "c704aac825ab793b254f64e62eedcafbc2bd2ef9b60fd0a000e2005fa1662f6e",
 }
 
 
