@@ -117,6 +117,20 @@ def test_corrupted_byte_is_rejected(tmp_path, tamper):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", ["half the header", "the header line", "half the body",
+                                  "all but the last byte"])
+def test_truncated_checkpoint_is_rejected(tmp_path, keep):
+    model, opt, rng = _trained_pieces()
+    path = _save(tmp_path, model, opt, rng)
+    data = path.read_bytes()
+    header_end = data.index(b"\n") + 1
+    cut = {"half the header": header_end // 2, "the header line": header_end,
+           "half the body": (header_end + len(data)) // 2, "all but the last byte": len(data) - 1}
+    path.write_bytes(data[:cut[keep]])
+    with pytest.raises(ValidationError, match="schema|corrupted"):
+        load_checkpoint(path)
+
+
 def test_missing_checksum_is_rejected(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
