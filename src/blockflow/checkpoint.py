@@ -195,11 +195,12 @@ def _checked(header: dict, body: memoryview) -> Checkpoint:
                        ("optimizer.v", opt.get("v"))):
         _require(doc == declared, f"{where} declares the shapes {doc!r}, expected {declared}")
     sizes = [math.prod(shapes[name]) for name in names]
-    _require(len(body) == 8 * 3 * sum(sizes),
-             f"the body holds {len(body)} bytes, the declared shapes {8 * 3 * sum(sizes)}")
+    n_params = sum(sizes)
+    _require(len(body) == 8 * 3 * n_params,
+             f"the body holds {len(body)} bytes, the declared shapes need {8 * 3 * n_params}")
     flat = np.frombuffer(body, dtype="<f8")
-    _require(np.isfinite(flat[:sum(sizes)]).all(), "params hold non-finite values")
-    pieces = iter(np.split(flat, np.cumsum(sizes * 3)[:-1]))
+    _require(np.isfinite(flat[:n_params]).all(), "params hold non-finite values")
+    pieces = iter(np.split(flat, np.cumsum(sizes * 3)[:-1]))  # params, then m, then v
     params, m, v = ({name: next(pieces).reshape(shapes[name]) for name in names} for _ in range(3))
     _generator(header.get("rng_state"))
     episode, best_reward, loss_tail = (header.get(key)
