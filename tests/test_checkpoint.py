@@ -175,8 +175,10 @@ def test_schema_constant_embedded(tmp_path):
     header, body = read_checkpoint(path)
     assert header["schema"] == CHECKPOINT_SCHEMA == "blockflow-checkpoint/2"
     assert len(header["checksum"]) == 64
-    # one compact header line, padded so the body starts at a multiple of 8 bytes
-    assert (path.stat().st_size - len(body)) % 8 == 0
+    # one compact, sorted-key header line, padded so the body starts at a multiple of 8 bytes
+    line = path.read_bytes().partition(b"\n")[0]
+    assert line.rstrip(b" ") == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert (len(line) + 1) % 8 == 0
     groups = (model.parameters(), opt.m, opt.v)
     assert [header["params"], header["optimizer"]["m"], header["optimizer"]["v"]] == [
         {name: list(arrays[name].shape) for name in arrays} for arrays in groups]
