@@ -491,6 +491,23 @@ def test_grid_training_bytes_are_pinned(tmp_path):
             assert file_sha256(out / name) == digest, (out.name, name)
 
 
+# Digests of the README quick-start bridge run, trained with the config's own
+# seed to its stop rule. Its 100-episode smoothing window fills, so unlike the
+# grid pin this one covers the smoothedLoss column.
+BRIDGE_TRAIN_SHA256 = {
+    "metrics.csv": "6e8a324252aced564ae85cbefa94b02004b37785971c70b9e235b0cc042ca8c1",
+    "checkpoint.json": "f6b787f6d2053e32fca18b6c3a378c3f3a03487df7de3992d2c5e8977e92bf7d",
+}
+
+
+def test_bridge_training_to_the_stop_rule_is_pinned(tmp_path, capsys):
+    out = tmp_path / "bridge"
+    assert main(["train", "--config", str(CONFIGS / "train_bridge.json"), "--out", str(out)]) == 0
+    assert "episodes=3888 stopped_early=True" in capsys.readouterr().out
+    for name, digest in BRIDGE_TRAIN_SHA256.items():
+        assert file_sha256(out / name) == digest, name
+
+
 def test_flows_command(tmp_path, capsys):
     cfg = run_config(tmp_path)
     out = tmp_path / "f"
