@@ -198,13 +198,23 @@ class PeriodicPointSet:
         return cls(cell_basis(*structure.cell), structure.positions, structure.labels)
 
 
+# Shells are kept up to radius 16, 0.9 MB in all: a thin cell can walk to
+# radius 4,096, and the (2r+1)^3 offsets of every radius must not pile up.
+_CACHED_SHELL_RADIUS = 16
+_shells: dict[int, np.ndarray] = {}
+
+
 def _shell_vectors(radius: int) -> np.ndarray:
-    """Integer lattice offsets with Chebyshev norm exactly `radius`."""
-    if radius == 0:
-        return np.zeros((1, 3), dtype=np.int64)
-    rng = np.arange(-radius, radius + 1)
+    """Integer lattice offsets of Chebyshev norm exactly `radius`: a read-only float64 array."""
+    if radius in _shells:
+        return _shells[radius]
+    rng = np.arange(-radius, radius + 1, dtype=np.float64)
     grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid[np.abs(grid).max(axis=1) == radius]
+    shell = grid[np.abs(grid).max(axis=1) == radius]
+    shell.flags.writeable = False
+    if radius <= _CACHED_SHELL_RADIUS:
+        _shells[radius] = shell
+    return shell
 
 
 def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
@@ -227,18 +237,19 @@ def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
     best = np.empty((m, 0))
     radius = 0
     while True:
-        offsets = _shell_vectors(radius).astype(np.float64)
+        offsets = _shell_vectors(radius)
         images = (offsets[:, None, :] + ps.motif[None, :, :]).reshape(-1, 3) @ ps.basis
-        dists = np.linalg.norm(images[None, :, :] - cart[:, None, :], axis=2)
-        cand = np.concatenate([best, dists], axis=1)
-        if cand.shape[1] > k + 1:
-            cand = np.partition(cand, k, axis=1)[:, :k + 1]
-        best = np.sort(cand, axis=1)
-        if best.shape[1] >= k + 1 and best[:, k].max() < radius * h_min:
+        diff = images[None, :, :] - cart[:, None, :]
+        diff *= diff  # then sqrt((x^2 + y^2) + z^2), the order np.linalg.norm sums in
+        best = np.concatenate([best, np.sqrt(diff[..., 0] + diff[..., 1] + diff[..., 2])], axis=1)
+        if best.shape[1] > k + 1:  # keep the k+1 smallest, sorted once after the loop
+            best = np.partition(best, k, axis=1)[:, :k + 1]
+        if best.shape[1] == k + 1 and best.max() < radius * h_min:
             break
         radius += 1
         if radius > 4096:
             raise BlockflowError("lattice-image search did not converge")
+    best.sort(axis=1)
     if best[:, 0].max() > tol:
         raise BlockflowError("self-image distance is not zero; numerical inconsistency")
     if best[:, 1].min() < tol:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from blockflow import (AmdDescriptor, PeriodicPointSet, amd, cell_basis,
                        descriptor_distance_matrix, kth_nearest_distances,
                        load_cif_file, novelty_score, parse_cif)
+from blockflow import crystal
 from blockflow.crystal import _parse_number
 from blockflow.errors import (CoincidentPointsError, DegenerateInputError,
                               ValidationError)
+from conftest import FIXTURES
 
 
 def cif_text(a=10.0, b=10.0, c=10.0, alpha=90.0, beta=90.0, gamma=90.0,
@@ -257,19 +259,74 @@ def brute_force_kth(ps: PeriodicPointSet, k: int, box: int) -> np.ndarray:
     return dists[:, 1:k + 1]
 
 
+BRUTE_FORCE_CELLS = [
+    (3.0, 3.0, 3.0, 90.0, 90.0, 90.0),
+    (2.5, 3.5, 4.5, 80.0, 95.0, 110.0),
+    (2.0, 5.0, 3.0, 90.0, 120.0, 90.0),
+    (4.0, 4.0, 4.0, 60.0, 60.0, 60.0),
+]
+BRUTE_FORCE_MOTIF = [[0.12, 0.34, 0.56], [0.78, 0.11, 0.42]]
+
+
 def test_matches_brute_force_box_oracle():
-    cells = [
-        (3.0, 3.0, 3.0, 90.0, 90.0, 90.0),
-        (2.5, 3.5, 4.5, 80.0, 95.0, 110.0),
-        (2.0, 5.0, 3.0, 90.0, 120.0, 90.0),
-        (4.0, 4.0, 4.0, 60.0, 60.0, 60.0),
-    ]
-    motif = [[0.12, 0.34, 0.56], [0.78, 0.11, 0.42]]
-    for cell in cells:
-        ps = PeriodicPointSet(cell_basis(*cell), motif)
+    for cell in BRUTE_FORCE_CELLS:
+        ps = PeriodicPointSet(cell_basis(*cell), BRUTE_FORCE_MOTIF)
         expect = brute_force_kth(ps, 12, box=8)
         got = kth_nearest_distances(ps, 12)
         assert np.allclose(got, expect, atol=1e-9), cell
+
+
+def shell_search_oracle(ps: PeriodicPointSet, k: int) -> np.ndarray:
+    """The shell search as it was before shells were cached: a fresh shell at
+    every radius, `np.linalg.norm` for the distances, and a sort per radius."""
+    h_min = 1.0 / np.linalg.norm(np.linalg.inv(ps.basis), axis=0).max()
+    cart = ps.motif @ ps.basis
+    best = np.empty((cart.shape[0], 0))
+    radius = 0
+    while True:
+        rng = np.arange(-radius, radius + 1)
+        grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+        offsets = grid[np.abs(grid).max(axis=1) == radius].astype(np.float64)
+        images = (offsets[:, None, :] + ps.motif[None, :, :]).reshape(-1, 3) @ ps.basis
+        dists = np.linalg.norm(images[None, :, :] - cart[:, None, :], axis=2)
+        cand = np.concatenate([best, dists], axis=1)
+        if cand.shape[1] > k + 1:
+            cand = np.partition(cand, k, axis=1)[:, :k + 1]
+        best = np.sort(cand, axis=1)
+        if best.shape[1] >= k + 1 and best[:, k].max() < radius * h_min:
+            return best[:, 1:k + 1]
+        radius += 1
+
+
+def fixture_point_sets() -> list[PeriodicPointSet]:
+    return [load_cif_file(path) for path in sorted((FIXTURES / "cif").glob("*.cif"))]
+
+
+def test_search_matches_the_uncached_norm_search_bit_for_bit():
+    cases = [(ps, 30) for ps in fixture_point_sets()]
+    cases += [(PeriodicPointSet(cell_basis(*cell), BRUTE_FORCE_MOTIF), 12)
+              for cell in BRUTE_FORCE_CELLS]
+    # a thin cell: the 40th neighbor lies 20 layers out, past the cached radii
+    cases.append((PeriodicPointSet(np.diag([0.05, 3.0, 3.0]), [[0.0, 0.0, 0.0]]), 40))
+    for ps, k in cases:
+        assert np.array_equal(kth_nearest_distances(ps, k), shell_search_oracle(ps, k))
+    assert max(crystal._shells) <= crystal._CACHED_SHELL_RADIUS < 20
+
+
+def test_descriptors_do_not_depend_on_what_ran_before():
+    crystal._shells.clear()
+    sets = fixture_point_sets()
+    forward = [amd(ps, 30).values for ps in sets]
+    backward = [amd(ps, 30).values for ps in reversed(sets)][::-1]
+    for a, b in zip(forward, backward):
+        assert np.array_equal(a, b)
+
+
+def test_cached_shells_are_read_only():
+    shell = crystal._shell_vectors(2)
+    assert shell is crystal._shell_vectors(2)
+    with pytest.raises(ValueError, match="read-only"):
+        shell[0, 0] = 7.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -284,6 +341,7 @@ def test_brute_force_property_random_cells(a, b, c, alpha, beta, gamma):
     expect = brute_force_kth(ps, 8, box=9)
     got = kth_nearest_distances(ps, 8)
     assert np.allclose(got, expect, atol=1e-9)
+    assert np.array_equal(got, shell_search_oracle(ps, 8))
 
 
 def test_amd_is_monotone_nondecreasing():
@@ -339,6 +397,13 @@ def test_row_at_a_time_distances_match_the_3d_difference_bit_for_bit():
     assert np.array_equal(descriptor_distance_matrix(mat), np.sqrt((diff * diff).sum(axis=2)))
     diff = mat[:, None, :] - refs[None, :, :]
     assert np.array_equal(novelty_score(mat, refs), np.sqrt((diff * diff).sum(axis=2)).min(axis=1))
+
+
+def test_distance_matrix_is_bitwise_symmetric():
+    # row j - row i negates row i - row j exactly, so the CSV writes each pair's text once
+    mat = np.random.Generator(np.random.PCG64(9)).uniform(0.0, 20.0, (40, 100))
+    d = descriptor_distance_matrix(mat)
+    assert np.array_equal(d, d.T)
 
 
 def test_novelty_validation():
