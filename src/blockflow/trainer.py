@@ -24,11 +24,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .checkpoint import (atomic_write, load_checkpoint, restore_optimizer,
@@ -197,11 +197,12 @@ def _format_row(episode: int, loss: float, smoothed: float | None,
     ]
 
 
-def _window_mean(tail: deque, window: int) -> float | None:
-    """Mean of the last `window` losses, or None until that many are logged."""
-    if len(tail) < window:
-        return None
-    return float(np.mean(list(tail)[-window:]))
+def _window_means(losses: np.ndarray, n: int, window: int) -> list[float | None]:
+    """The mean of the `window` losses up to each of the last `n` of `losses`,
+    None for each that has fewer than `window` losses up to it."""
+    buf = losses[max(0, losses.shape[0] - n - window + 1):]
+    means = sliding_window_view(buf, window).mean(axis=1).tolist() if buf.shape[0] >= window else []
+    return [None] * (n - len(means)) + means
 
 
 def _trim_metrics(path: Path, last_episode: int) -> None:
@@ -275,7 +276,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
     start_episode = 0
     best_reward = 0.0
     best_record: str | None = None
-    loss_tail: deque[float] = deque(maxlen=tail_len)
+    loss_tail = np.empty(0)  # the last tail_len losses
     evaluator_failures = 0
     first_evaluator_error: str | None = None
 
@@ -296,7 +297,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         start_episode = ckpt.episode
         best_reward = ckpt.best_reward
         best_record = ckpt.config.get("best_record")
-        loss_tail.extend(ckpt.loss_tail)
+        loss_tail = np.array(ckpt.loss_tail, dtype=np.float64)
     else:
         optimizer = Adam(model.parameters(), lr=config.learning_rate_model,
                          lr_overrides={"log_z": config.learning_rate_logz})
@@ -339,7 +340,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             metrics_file.flush()
         echo = {**_run_echo(config, reward_model, env), "best_record": best_record}
         save_checkpoint(checkpoint_path, model, optimizer, rng, episode,
-                        best_reward, list(loss_tail), env.env_hash, echo)
+                        best_reward, loss_tail.tolist(), env.env_hash, echo)
         saved_episode = episode
 
     episode = start_episode
@@ -361,22 +362,24 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             first_evaluator_error = first_evaluator_error or next(iter(scores.errors.values()), None)
             floored = np.maximum(scores.reward, reward_model.spec.reward_floor)
             residual = model.parameters()["log_z"] + log_prob_sum - np.log(floored)
-            for i, (res, rwd) in enumerate(zip(residual.tolist(), scores.reward.tolist())):
+            losses = residual * residual
+            loss_tail = np.concatenate([loss_tail, losses])
+            smoothed = _window_means(loss_tail, n, config.smooth_window)
+            loss_tail = loss_tail[-tail_len:]
+            rows = zip(residual.tolist(), losses.tolist(), smoothed, scores.reward.tolist())
+            for i, (res, loss_val, smooth, rwd) in enumerate(rows):
                 episode += 1
                 if not math.isfinite(res):
                     raise TrainingAbort(
                         f"non-finite residual at episode {episode}; actions "
                         f"{tuple(actions[i].tolist())} log-prob sum {float(log_prob_sum[i])!r} "
                         f"reward {float(floored[i])!r}")
-                loss_val = res * res
-                loss_tail.append(loss_val)
                 if rwd > best_reward:
                     best_reward = rwd
                     best_record = env.format_assembly_records(actions[i:i + 1])[0]
                 if writer is not None:
-                    smoothed = _window_mean(loss_tail, config.smooth_window)
-                    writer.writerow(_format_row(episode, loss_val, smoothed,
-                                                model.log_z_value, rwd, best_reward))
+                    writer.writerow(_format_row(episode, loss_val, smooth, model.log_z_value,
+                                                rwd, best_reward))
             if not full:
                 break
             d_residual = (2.0 / n) * residual  # d mean(residual^2) / d residual
@@ -386,7 +389,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                     and episode - last_snapshot >= config.checkpoint_every):
                 snapshot(episode)
                 last_snapshot = episode
-            stop_mean = _window_mean(loss_tail, config.stop_window)
+            stop_mean = _window_means(loss_tail, 1, config.stop_window)[0]
             if stop_mean is not None and stop_mean < config.stop_threshold:
                 stopped_early = True
                 break
@@ -396,7 +399,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         if metrics_file is not None:
             metrics_file.close()
 
-    final_mean = _window_mean(loss_tail, config.stop_window)
+    final_mean = _window_means(loss_tail, 1, config.stop_window)[0]
     return TrainResult(
         episodes_run=episode,
         stopped_early=stopped_early,

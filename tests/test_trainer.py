@@ -4,7 +4,7 @@ import filecmp
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +17,7 @@ from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig,
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
+from blockflow.trainer import _window_means
 from conftest import (CONFIGS, FIXTURES, flow_log_prob, process_running, stub_adapter_command,
                       surrogate_adapter_command, zero_model)
 
@@ -610,6 +611,54 @@ def test_smoothed_loss_is_the_window_mean_of_logged_losses(tmp_path):
             assert smoothed == ""
         else:
             assert float(smoothed) == float(np.mean(losses[i + 1 - w:i + 1]))
+
+
+# Windows shorter than, equal to and longer than a batch of 16 or 8, and
+# around numpy's pairwise-summation block sizes.
+ORACLE_WINDOWS = (1, 7, 8, 9, 100, 129, 500, 1001)
+
+
+def per_episode_window_means(losses, window):
+    """The smoothing the batch reduction replaced: at every episode the loss
+    deque is copied to a list and its last `window` entries averaged."""
+    tail = deque(maxlen=window)
+    means = []
+    for loss in losses:
+        tail.append(loss)
+        means.append(float(np.mean(list(tail)[-window:])) if len(tail) >= window else None)
+    return means
+
+
+def test_batch_window_means_match_the_per_episode_mean():
+    losses = np.random.Generator(np.random.PCG64(3)).exponential(2.0, 1500)
+    sizes = (16, 5, 37, 1)
+    for window in ORACLE_WINDOWS:
+        expect = per_episode_window_means(losses.tolist(), window)
+        got, start, i = [], 0, 0
+        while start < losses.shape[0]:
+            end = min(start + sizes[i % len(sizes)], losses.shape[0])
+            got += _window_means(losses[max(0, start - window):end], end - start, window)
+            start, i = end, i + 1
+        assert got == expect, window
+
+
+@pytest.mark.parametrize("window", ORACLE_WINDOWS)
+def test_smoothed_column_and_stop_mean_match_the_per_episode_mean_across_a_resume(
+        window, tmp_path):
+    env, reward_model = _fresh_setup()
+    cfg = quick_config(max_episodes=1040, batch_size=16, smooth_window=window,
+                       stop_window=window, stop_threshold=0.0)
+    full = train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "full")
+    train(dataclasses.replace(cfg, max_episodes=512), small_model(seed=5), env, reward_model,
+          out_dir=tmp_path / "part")
+    resumed = train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "part",
+                    resume_from=tmp_path / "part" / "checkpoint.json")
+    for name, result in (("full", full), ("part", resumed)):
+        with open(tmp_path / name / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        expect = per_episode_window_means([float(row[1]) for row in rows], window)
+        assert [row[2] for row in rows] == ["" if m is None else repr(m) for m in expect], name
+        assert result.final_loss_mean == expect[-1]
 
 
 def test_train_runs_and_reports(tmp_path):
