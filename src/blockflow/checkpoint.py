@@ -75,6 +75,7 @@ class Checkpoint:
     loss_tail: list[float]
     env_hash: str
     config: dict
+    checksum: str  # the header's, verified on load; it names the file's content
 
 
 def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
@@ -151,7 +152,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if digest.hexdigest() != claimed:
         raise ValidationError(f"{path}: checksum mismatch, checkpoint is corrupted")
     try:
-        return _checked(header, body)
+        return _checked(header, body, claimed)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -169,7 +170,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _checked(header: dict, body: memoryview) -> Checkpoint:
+def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
     """The checkpoint in `header` and `body`, once every field has its type and every
     array its shape, and the body holds exactly the declared arrays."""
     from .model import FlowModel, ModelConfig
@@ -221,6 +222,7 @@ def _checked(header: dict, body: memoryview) -> Checkpoint:
         loss_tail=[float(x) for x in loss_tail],
         env_hash=header["env_hash"],
         config=header.get("config", {}),
+        checksum=checksum,
     )
 
 

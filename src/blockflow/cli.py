@@ -144,13 +144,13 @@ def _write_manifest(out: Path, command: str, payload: dict) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=1))
 
 
-def _restore_from_checkpoint(args, run: RunConfig) -> FlowModel:
+def _restore_from_checkpoint(args, run: RunConfig) -> tuple[FlowModel, str]:
     from .checkpoint import load_checkpoint, restore_model
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.env_hash != run.env.env_hash:
         raise ValidationError(
             "checkpoint does not match the configured topology and vocabulary")
-    return restore_model(ckpt)
+    return restore_model(ckpt), ckpt.checksum
 
 
 def _float_cell(x: float) -> str:
@@ -193,11 +193,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .checkpoint import file_sha256
     from .dataset import generate, save_dataset
     from .reward import RewardModel
     run = load_run_config(args.config)
-    model = _restore_from_checkpoint(args, run)
+    model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
@@ -205,7 +204,7 @@ def cmd_sample(args) -> int:
         "seed": seed,
         "n": args.n,
         "checkpoint": str(args.checkpoint),
-        "checkpoint_sha256": file_sha256(args.checkpoint),
+        "checkpoint_checksum": checksum,
         "env_hash": run.env.env_hash,
         "config": str(run.source),
     }
@@ -218,6 +217,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_amd(args) -> int:
+    import numpy as np
+
     from .checkpoint import atomic_write
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
     out = _out_dir(args)
@@ -247,13 +248,15 @@ def cmd_amd(args) -> int:
         writer.writerow(["file"] + [f"amd_{i}" for i in range(1, args.k + 1)])
         for name, d in zip(names, descs):
             writer.writerow([name, *d.values.tolist()])
+    # The matrix is bitwise symmetric (row j - row i negates row i - row j),
+    # so each pair's text is made once, from the upper triangle.
+    cells = np.empty((len(descs), len(descs)), dtype=object)
+    for i, row in enumerate(descriptor_distance_matrix(descs).tolist()):
+        cells[i, i:] = cells[i:, i] = list(map(repr, row[i:]))
     with atomic_write(out / "distance_matrix.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file"] + names)
-        if descs:
-            mat = descriptor_distance_matrix(descs)
-            for name, row in zip(names, mat):
-                writer.writerow([name, *row.tolist()])
+        writer.writerows([name, *row] for name, row in zip(names, cells.tolist()))
     if args.reference_dir is not None:
         ref_dir = Path(args.reference_dir)
         if not ref_dir.is_dir():
@@ -324,17 +327,17 @@ def cmd_regress(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .checkpoint import atomic_write, file_sha256
+    from .checkpoint import atomic_write
     from .dataset import baseline_comparison
     from .reward import RewardModel
     run = load_run_config(args.config)
-    model = _restore_from_checkpoint(args, run)
+    model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     _write_manifest(out, "baseline", {
         "seed": seed, "n": args.n, "checkpoint": str(args.checkpoint),
-        "checkpoint_sha256": file_sha256(args.checkpoint), "env_hash": run.env.env_hash,
+        "checkpoint_checksum": checksum, "env_hash": run.env.env_hash,
     })
     summary = baseline_comparison(model, run.env, reward_model, args.n, seed)
     print(f"trained_mean={summary.trained_mean!r} trained_max={summary.trained_max!r}")

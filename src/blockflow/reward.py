@@ -7,16 +7,14 @@ where a log is needed, never to reported rewards.
 
 Scoring works on arrays: `RewardModel.score_batch` takes the (m, n_slots)
 token rows the sampler draws, and the surrogate and the reward each take one
-pass over all of them.
+pass over all of them. The process and pool modules the external evaluator
+needs are imported where it runs, so a surrogate run does not load them.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,6 +146,7 @@ class _RunningAdapters:
         self._stopped = False
 
     def start(self, argv: list[str]) -> subprocess.Popen:
+        import subprocess
         with self._lock:
             if self._stopped:
                 raise OSError("the batch was interrupted")
@@ -175,6 +174,7 @@ def _evaluation_slots() -> int:
 
 
 def _kill_group(proc: subprocess.Popen, reap: bool = True) -> None:
+    import signal
     # The adapter is not reaped yet, so its pid still names its group.
     try:
         os.killpg(proc.pid, signal.SIGKILL)
@@ -217,6 +217,7 @@ class RewardModel:
         if self.spec.evaluator == "surrogate":
             gsa = surrogate_gsa(self.env.vocabulary, rows, self.spec.surrogate_scale)
             return Scores(gsa, reward(self.spec, gsa), {})
+        from concurrent.futures import ThreadPoolExecutor
         keys = list(map(tuple, rows.tolist()))
         pending = list(dict.fromkeys(key for key in keys if key not in self._cache))
         records = self.env.format_assembly_records(pending) if pending else []

@@ -210,7 +210,8 @@ def test_sample_dataset_counts(trained_run, tmp_path, capsys):
     assert sum(int(r[3]) for r in rows[1:]) == 50
     manifest = json.loads((out / "sample_manifest.json").read_text())
     assert manifest["n"] == 50
-    assert len(manifest["checkpoint_sha256"]) == 64
+    header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+    assert manifest["checkpoint_checksum"] == header["checksum"]
     sidecar = json.loads((out / "dataset.csv.manifest.json").read_text())
     assert sidecar["n"] == 50
 
@@ -421,6 +422,19 @@ def test_amd_and_regress_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         assert digests == POSTPROCESS_SHA256[name], name
 
 
+def test_amd_distance_matrix_text_is_symmetric(tmp_path):
+    write_seeded_cifs(tmp_path / "cifs", 8, 9)
+    assert main(["amd", "--cif-dir", str(tmp_path / "cifs"), "-k", "6",
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "distance_matrix.csv")
+    cells = [row[1:] for row in rows[1:]]
+    assert [row[0] for row in rows[1:]] == rows[0][1:] and len(cells) == 9
+    for i, row in enumerate(cells):
+        assert row[i] == "0.0"
+        for j, text in enumerate(row):
+            assert text == cells[j][i], (i, j)
+
+
 def test_baseline_command(trained_run, tmp_path, capsys):
     cfg, ckpt = trained_run
     out = tmp_path / "b"
@@ -436,6 +450,8 @@ def test_baseline_command(trained_run, tmp_path, capsys):
     assert hist[0] == ["bin_low", "bin_high", "trained_count", "uniform_count"]
     assert sum(int(r[2]) for r in hist[1:]) == 500
     assert sum(int(r[3]) for r in hist[1:]) == 500
+    manifest = json.loads((out / "baseline_manifest.json").read_text())
+    assert manifest["checkpoint_checksum"] == json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["checksum"]
 
 
 # Digests recorded before sampling shared its prefix rows: the draws must not
@@ -651,7 +667,8 @@ print(json.dumps([reward(RewardSpec(cutoff=5000.0), 5000.0), AdapterConfig.__nam
 
 
 # Runs the CLI module as `python -m blockflow.cli` does and reports the exit
-# code, the package modules the command loaded, and the thread variables as
+# code, the package modules the command loaded, which of the external
+# evaluator's process and pool modules it loaded, and the thread variables as
 # they stood when numpy was first imported.
 CLI_PROBE = f"""
 import json, os, runpy, sys
@@ -666,6 +683,7 @@ try:
 except SystemExit as exc:
     seen["code"] = exc.code
 seen["modules"] = sorted(m for m in sys.modules if m.startswith("blockflow."))
+seen["process_modules"] = [m for m in ("subprocess", "concurrent.futures") if m in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -688,6 +706,15 @@ def test_cli_child_imports_only_what_its_command_runs(command, runs, absent, tmp
     assert f"blockflow.{runs}" in seen["modules"]
     assert {f"blockflow.{name}" for name in absent}.isdisjoint(seen["modules"]), seen["modules"]
     assert seen["env"] == ["1", "1", "1"]  # set before numpy loaded
+
+
+def test_surrogate_sample_child_loads_no_process_machinery(trained_run, tmp_path):
+    cfg, ckpt = trained_run
+    seen = _child_json(CLI_PROBE, "sample", "--config", cfg, "--checkpoint", ckpt, "-n", "20",
+                       "--out", tmp_path / "out")
+    assert seen["code"] == 0
+    assert "blockflow.reward" in seen["modules"]
+    assert seen["process_modules"] == []
 
 
 def test_cli_child_keeps_a_thread_count_the_user_set(tmp_path, monkeypatch, no_thread_vars):
