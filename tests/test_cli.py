@@ -420,19 +420,9 @@ def test_amd_and_regress_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         (tmp_path / name / "stdout.txt").write_text(capsys.readouterr().out)
         digests = {f.name: file_sha256(f) for f in sorted((tmp_path / name).iterdir())}
         assert digests == POSTPROCESS_SHA256[name], name
-
-
-def test_amd_distance_matrix_text_is_symmetric(tmp_path):
-    write_seeded_cifs(tmp_path / "cifs", 8, 9)
-    assert main(["amd", "--cif-dir", str(tmp_path / "cifs"), "-k", "6",
-                 "--out", str(tmp_path / "out")]) == 0
-    rows = read_csv(tmp_path / "out" / "distance_matrix.csv")
-    cells = [row[1:] for row in rows[1:]]
-    assert [row[0] for row in rows[1:]] == rows[0][1:] and len(cells) == 9
-    for i, row in enumerate(cells):
-        assert row[i] == "0.0"
-        for j, text in enumerate(row):
-            assert text == cells[j][i], (i, j)
+    cells = [row[1:] for row in read_csv(tmp_path / "amd" / "distance_matrix.csv")[1:]]
+    assert len(cells) == 6
+    assert all(cells[i][j] == cells[j][i] for i in range(6) for j in range(6))
 
 
 def test_baseline_command(trained_run, tmp_path, capsys):
