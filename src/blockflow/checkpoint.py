@@ -8,8 +8,9 @@ float64 bytes of the parameters, then Adam's m, then its v, each in
 sorted-name order. The checksum is a sha256 over the header as dumped
 without the checksum, followed by the body.
 
-Loading reads the file into one buffer, hashes it once, and hands out the
-arrays as writable, C-contiguous views of that buffer.
+Loading reads the file into one anonymous memory map, hashes it once, and
+hands out the arrays as writable, C-contiguous views of it; `restore_model`
+copies the parameters out, so the map is unmapped with the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. The
@@ -23,6 +24,7 @@ import contextlib
 import hashlib
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,14 +56,6 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kw):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass
@@ -129,7 +123,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            # not a malloc'd block: freeing one this large raises glibc's mmap
+            # threshold, and the arrays made after it stay resident on the heap
+            size = os.fstat(fh.fileno()).st_size
+            buf = mmap.mmap(-1, size) if size else bytearray()
             if fh.readinto(buf) != len(buf):
                 raise OSError("the file changed while it was read")
     except OSError as exc:
@@ -227,8 +224,10 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
+    """The checkpoint's model on copies of its parameters, so the file's buffer is freed."""
     from .model import FlowModel, ModelConfig
-    return FlowModel(ModelConfig(**ckpt.model_config), dict(ckpt.params))
+    return FlowModel(ModelConfig(**ckpt.model_config),
+                     {name: param.copy() for name, param in ckpt.params.items()})
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:

@@ -16,6 +16,10 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError
 
+# Rows per block of the cell in a step without a cache: one block's gate
+# pre-activations, 256 x 1,024 x 8 B = 2 MB at hidden 256, fit in L2.
+_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -56,7 +60,7 @@ class FlowModel:
             if not np.all(np.isfinite(params[name])):
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         self._params = params
-        self._grads = {name: np.zeros_like(p) for name, p in params.items()}  # reused by every update
+        self._grads = None  # made by the first balance_grad, reused by every later one
 
     @staticmethod
     def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -106,7 +110,10 @@ class FlowModel:
         (h, c) pair from the previous step, or None at sequence start.
         Returns next-token logits (batch, vocab_size) and the new state.
         With a `cache` list, the step appends a record of the forward values
-        that `balance_grad` reads.
+        that `balance_grad` reads. Without one, the cell runs over the fewest
+        balanced blocks of at most `_ROWS` rows, and the head over all rows at
+        once: the values are those of one cell over all rows, as BLAS rounds a
+        1-row product, and the narrow head at small row counts, on other kernels.
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if tokens.min() < 0 or tokens.max() > self.config.vocab_size:
@@ -122,11 +129,19 @@ class FlowModel:
 
         p = self._params
         x = p["embed"][tokens]
-        h_new, c_new, gates, tanh_c = ad.lstm_cell(x, state, p["w_x"], p["w_h"], p["b"])
-        logits = h_new @ p["w_out"] + p["b_out"]
-        if cache is not None:
+        if cache is None:
+            m, hid = tokens.shape[0], self.config.hidden_dim
+            h_new, c_new = np.empty((m, hid)), np.empty((m, hid))
+            k = -(-m // _ROWS)
+            for lo, hi in ((i * m // k, (i + 1) * m // k) for i in range(k)):
+                rows = None if state is None else (state[0][lo:hi], state[1][lo:hi])
+                h_new[lo:hi], c_new[lo:hi], _, _ = ad.lstm_cell(
+                    x[lo:hi], rows, p["w_x"], p["w_h"], p["b"])
+        else:
+            h_new, c_new, gates, tanh_c = ad.lstm_cell(x, state, p["w_x"], p["w_h"], p["b"])
             cache.append({"tokens": tokens, "x": x, "state": state, "gates": gates,
                           "tanh_c": tanh_c, "h": h_new})
+        logits = h_new @ p["w_out"] + p["b_out"]
         return logits, (h_new, c_new)
 
     # -- backward ----------------------------------------------------------
@@ -145,6 +160,8 @@ class FlowModel:
         starts from the zero state, so w_h's product takes the later slots
         only, and a one-slot topology leaves its gradient exactly zero.
         """
+        if self._grads is None:
+            self._grads = {name: np.zeros_like(p) for name, p in self._params.items()}
         p, grads = self._params, self._grads
         n_slots, n = len(cache), d_residual.shape[0]
         hid = self.config.hidden_dim

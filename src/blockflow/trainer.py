@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .checkpoint import (atomic_write, load_checkpoint, restore_optimizer,
@@ -125,9 +124,9 @@ def _draw_slot(logits: np.ndarray, rows: np.ndarray, mask: np.ndarray, u: np.nda
     """Pick one valid token per episode by inverse cdf; return the picks and the log-probs.
 
     `logits` has one row per state row, and `rows` maps each episode to its
-    state row. The log-softmax and cdf are taken once per state row and
-    gathered to the episodes before the pick; the log-probs are returned
-    per state row.
+    state row. The log-softmax and cdf are taken once per state row, and
+    each cdf column is gathered to the episodes in turn; the log-probs are
+    returned per state row.
     """
     valid = np.flatnonzero(mask)
     if np.isneginf(logits[:, valid]).any():
@@ -138,9 +137,12 @@ def _draw_slot(logits: np.ndarray, rows: np.ndarray, mask: np.ndarray, u: np.nda
     if epsilon > 0.0:
         probs = (1.0 - epsilon) * probs + epsilon / valid.shape[0]
     cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    # per episode: searchsorted(cdf, u, side="right"), clamped to the last valid token
-    tokens = valid[np.minimum((u[:, None] >= cdf[rows]).sum(axis=1), valid.shape[0] - 1)]
-    return tokens, log_probs
+    # per episode: searchsorted(cdf, u, side="right"), clamped to the last valid token,
+    # counted one cdf column at a time, so no (episodes, valid tokens) gather is built
+    picks = np.zeros(rows.shape[0], dtype=np.intp)
+    for column in cdf.T:
+        picks += u >= column[rows]
+    return valid[np.minimum(picks, valid.shape[0] - 1)], log_probs
 
 
 def distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +203,8 @@ def _window_means(losses: np.ndarray, n: int, window: int) -> list[float | None]
     """The mean of the `window` losses up to each of the last `n` of `losses`,
     None for each that has fewer than `window` losses up to it."""
     buf = losses[max(0, losses.shape[0] - n - window + 1):]
-    means = sliding_window_view(buf, window).mean(axis=1).tolist() if buf.shape[0] >= window else []
+    k = buf.shape[0] - window + 1  # the number of whole windows
+    means = buf[np.arange(k)[:, None] + np.arange(window)].mean(axis=1).tolist() if k > 0 else []
     return [None] * (n - len(means)) + means
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import os
@@ -16,6 +17,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def file_sha256(path: str | Path) -> str:
+    """The sha256 of a file's bytes, as hex."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def zero_model(config: ModelConfig) -> FlowModel:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ import pytest
 from blockflow import (Adam, FlowModel, ModelConfig, load_checkpoint,
                        restore_model, restore_optimizer, restore_rng,
                        save_checkpoint)
-from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, file_sha256
+from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write
 from blockflow.cli import main
 from blockflow.errors import ValidationError
-from conftest import FIXTURES
+from conftest import FIXTURES, file_sha256
 
 CFG = ModelConfig(vocab_size=5, embed_dim=4, hidden_dim=6)
 
@@ -48,6 +49,26 @@ def test_roundtrip_params_bit_exact(tmp_path):
     for name, p in model.parameters().items():
         assert np.array_equal(restored.parameters()[name], p), name
         assert restored.parameters()[name].dtype == np.float64
+
+
+def test_restored_model_copies_the_parameters_and_makes_no_gradients(tmp_path):
+    # the copies free the file's buffer, which also holds Adam's m and v, with
+    # the checkpoint; gradient buffers are made by the first balance_grad
+    cfg = ModelConfig(vocab_size=10, embed_dim=16, hidden_dim=64)
+    model = FlowModel.init(cfg)
+    path = _save(tmp_path, model, Adam(model.parameters(), lr=1e-2), np.random.default_rng(0))
+    ckpt = load_checkpoint(path)
+    param_bytes = sum(p.nbytes for p in ckpt.params.values())
+    tracemalloc.start()
+    try:
+        restored = restore_model(ckpt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name, p in restored.parameters().items():
+        assert not np.shares_memory(p, ckpt.params[name]), name
+        assert np.array_equal(p, model.parameters()[name]), name
+    assert param_bytes <= peak < 1.25 * param_bytes  # gradient buffers would double it
 
 
 def test_roundtrip_optimizer_state(tmp_path):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from blockflow import Adam, FlowModel
-from blockflow.checkpoint import file_sha256, save_checkpoint
+from blockflow.checkpoint import save_checkpoint
 from blockflow.cli import load_run_config, main
-from conftest import CONFIGS, FIXTURES
+from conftest import CONFIGS, FIXTURES, file_sha256
 
 
 def run_config(tmp_path, train_overrides=None, reward_overrides=None):

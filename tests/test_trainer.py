@@ -4,6 +4,7 @@ import filecmp
 import math
 import os
 import time
+import tracemalloc
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -14,9 +15,11 @@ from scipy import stats
 from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, TabularPolicy, Topology, TrainConfig, Vocabulary,
                        exact_flows, rollout, train, uniform_rollout)
+from blockflow import autodiff
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError, TrainingAbort
+from blockflow.model import _ROWS
 from blockflow.trainer import _window_means
 from conftest import (CONFIGS, FIXTURES, flow_log_prob, process_running, stub_adapter_command,
                       surrogate_adapter_command, zero_model)
@@ -210,8 +213,36 @@ def _grid_env():
                        Vocabulary.load(FIXTURES / "vocab_grid.csv"))
 
 
+def record_cell_rows(monkeypatch) -> list[int]:
+    """Record how many rows each LSTM cell call is given, from now on."""
+    rows, cell = [], autodiff.lstm_cell
+
+    def recorded(x, *args):
+        rows.append(x.shape[0])
+        return cell(x, *args)
+
+    monkeypatch.setattr(autodiff, "lstm_cell", recorded)
+    return rows
+
+
+def slot_blocks(calls, prefixes):
+    """Split the rows of each cell call into the slots whose distinct-prefix
+    counts are `prefixes`, checking that every call is a block of at most
+    `_ROWS` rows and that no slot of more than one row steps a 1-row block."""
+    calls, stepped = iter(calls), []
+    for count in prefixes:
+        blocks = []
+        while sum(blocks) < count:
+            blocks.append(next(calls))
+        assert max(blocks) <= _ROWS and (len(blocks) == 1 or min(blocks) > 1), blocks
+        stepped.append(blocks)
+    assert next(calls, None) is None
+    return stepped
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward, seed):
+def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward, seed,
+                                                       monkeypatch):
     # without a cache, episodes sharing a prefix share one state row; the
     # draws must be the ones every-episode-its-own-row sampling makes
     grid_env = _grid_env()
@@ -223,10 +254,13 @@ def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward
         (grid_env, grid_model, 3000, 0.0),
         (grid_env, grid_model, 3000, 0.1),
     ]
+    cell_rows = record_cell_rows(monkeypatch)
     for env, policy, n, epsilon in cases:
         shared = StepRecorder(policy)
+        cell_rows.clear()
         actions, log_prob_sum = rollout(shared, env, np.random.Generator(np.random.PCG64(seed)),
                                         n, epsilon)
+        shared_cells = list(cell_rows)
         if isinstance(policy, FlowModel):  # the only policy that keeps a cache
             cached, cache = StepRecorder(policy), []
             cached_actions, cached_log_prob_sum = rollout(
@@ -243,8 +277,57 @@ def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward
             assert log_prob_sum[i] == pytest.approx(total, rel=1e-12), i
         prefixes = [len({tuple(row[:t]) for row in actions.tolist()}) for t in range(env.n_slots)]
         assert shared.rows == prefixes
+        if isinstance(policy, FlowModel):
+            # the cell steps each slot's prefixes in blocks of at most _ROWS rows
+            assert [sum(blocks) for blocks in slot_blocks(shared_cells, prefixes)] == prefixes
     # the grid has 10 tokens per slot: 1, 10, 100 and 1,000 distinct prefixes at most
     assert all(rows <= 10 ** t for t, rows in enumerate(shared.rows))
+    assert shared.rows[-1] > 3 * _ROWS  # so the last slot steps in 4 blocks
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 513, 769])
+@pytest.mark.parametrize("start", [True, False])
+def test_blocked_step_matches_one_cell_over_all_rows(m, start, monkeypatch):
+    # a 256-row split of 257, 513 or 769 rows would leave a 1-row block, whose
+    # products BLAS takes on its matrix-vector path and can round differently;
+    # a cached step runs the cell over all rows at once
+    env = _grid_env()
+    model = FlowModel.init(load_run_config(CONFIGS / "train_grid.json").model_config, seed=1)
+    rng = np.random.Generator(np.random.PCG64(m))
+    hid = model.config.hidden_dim
+    if start:
+        tokens, state = np.full(m, model.start_token), None
+    else:
+        tokens = rng.integers(0, len(env.vocabulary), m)
+        state = (rng.uniform(-1, 1, (m, hid)), rng.uniform(-2, 2, (m, hid)))
+    cell_rows = record_cell_rows(monkeypatch)
+    logits, (h, c) = model.step(tokens, state)
+    assert len(slot_blocks(cell_rows, [m])[0]) == -(-m // _ROWS)
+    whole_logits, (whole_h, whole_c) = model.step(tokens, state, [])
+    assert cell_rows[-1] == m
+    np.testing.assert_array_equal(logits, whole_logits)
+    np.testing.assert_array_equal(h, whole_h)
+    np.testing.assert_array_equal(c, whole_c)
+
+
+def test_shared_rollout_memory_is_bounded_by_the_row_block():
+    # numpy reports its buffers to tracemalloc. Past the h and c of the last
+    # slot's prefixes, in and out, the working memory is a few blocks of gate
+    # pre-activations: one cell over all 1,000 prefixes peaked at 20.8 MiB in
+    # this test, and blocks of 256 rows at 13.5 MiB.
+    env = _grid_env()
+    model = FlowModel.init(load_run_config(CONFIGS / "train_grid.json").model_config, seed=0)
+    hid = model.config.hidden_dim
+    tracemalloc.start()
+    try:
+        actions, _ = rollout(model, env, np.random.Generator(np.random.PCG64(0)), 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len({tuple(row[:-1]) for row in actions.tolist()}) > 3 * _ROWS
+    state = 2 * 1000 * hid * 8  # h and c over the last slot's 1,000 prefixes at most
+    block = _ROWS * 4 * hid * 8  # one block's gate pre-activations
+    assert peak < 2 * state + 4 * block
 
 
 def test_rollout_validation(bridge_env, rng):
