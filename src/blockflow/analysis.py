@@ -8,7 +8,6 @@ percentile ranking against a reference set. It needs only numpy, so the
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_table
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,6 @@ class RegressionReport:
     rmse: float
     spearman_rho: float
     n: int
-    cross_validation: CrossValSummary | None = None
 
 
 def _fit_splits(x, y, train_idx, test_idx):
@@ -251,15 +250,11 @@ class IsothermRow:
 
 
 def load_isotherm_table(path: str | Path) -> list[IsothermRow]:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ISOTHERM_HEADER:
+    header, rows = read_table(path)
+    if header != ISOTHERM_HEADER:
         raise ValidationError(f"{path}: expected header {','.join(ISOTHERM_HEADER)}")
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(ISOTHERM_HEADER):
-            raise ValidationError(f"{path}:{lineno}: expected {len(ISOTHERM_HEADER)} fields")
+    for lineno, row in rows:
         try:
             out.append(IsothermRow(row[0], *(float(v) for v in row[1:])))
         except ValueError as exc:

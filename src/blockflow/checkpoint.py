@@ -13,14 +13,19 @@ hands out the arrays as writable, C-contiguous views of it; `restore_model`
 copies the parameters out, so the map is unmapped with the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
-`atomic_write`, so a crash leaves either the old file or the new one. The
-model and the optimizer are imported where a checkpoint is read or restored,
-so a command that only writes files through `atomic_write` does not load them.
+`atomic_write`, so a crash leaves either the old file or the new one. Every
+CSV table goes through `write_table`, and every table the package reads back
+through `read_table`. A table is `csv.writer`'s default dialect: a header row,
+then one row per record, each line ended by `\r\n`. A float cell is the
+float's `repr`, so it reads back to the same bits, and an empty cell is a
+missing value. The model and the optimizer are imported where a checkpoint is
+read or restored, so a command that only writes files does not load them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
 import math
@@ -56,6 +61,37 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kw):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write `header`, then each of `rows`, as one CSV file through `atomic_write`.
+
+    `csv.writer` writes a float as its `repr`, an int as `str` and None as
+    an empty cell.
+    """
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of the CSV file at `path`, and each later row with its line number.
+
+    The header of an empty file is `[]`. A file that cannot be read, decoded
+    or parsed, or a row that is not as wide as the header, is refused.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
 
 
 @dataclass

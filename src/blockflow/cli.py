@@ -12,7 +12,6 @@ modules it runs, so `main` can set the BLAS thread count before numpy loads.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -153,10 +152,6 @@ def _restore_from_checkpoint(args, run: RunConfig) -> tuple[FlowModel, str]:
     return restore_model(ckpt), ckpt.checksum
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -219,7 +214,7 @@ def cmd_sample(args) -> int:
 def cmd_amd(args) -> int:
     import numpy as np
 
-    from .checkpoint import atomic_write
+    from .checkpoint import write_table
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
     out = _out_dir(args)
     cif_dir = Path(args.cif_dir)
@@ -242,47 +237,33 @@ def cmd_amd(args) -> int:
         return names, descs
 
     names, descs = descriptors_of(files)
-    # csv.writer writes a Python float as its repr, the same text as _float_cell
-    with atomic_write(out / "amd.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file"] + [f"amd_{i}" for i in range(1, args.k + 1)])
-        for name, d in zip(names, descs):
-            writer.writerow([name, *d.values.tolist()])
+    write_table(out / "amd.csv", ["file"] + [f"amd_{i}" for i in range(1, args.k + 1)],
+                ([name, *d.values.tolist()] for name, d in zip(names, descs)))
     # The matrix is bitwise symmetric (row j - row i negates row i - row j),
     # so each pair's text is made once, from the upper triangle.
     cells = np.empty((len(descs), len(descs)), dtype=object)
     for i, row in enumerate(descriptor_distance_matrix(descs).tolist()):
         cells[i, i:] = cells[i:, i] = list(map(repr, row[i:]))
-    with atomic_write(out / "distance_matrix.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file"] + names)
-        writer.writerows([name, *row] for name, row in zip(names, cells.tolist()))
+    write_table(out / "distance_matrix.csv", ["file"] + names,
+                ([name, *row] for name, row in zip(names, cells.tolist())))
     if args.reference_dir is not None:
         ref_dir = Path(args.reference_dir)
         if not ref_dir.is_dir():
             raise ValidationError(f"{ref_dir} is not a directory")
         ref_names, ref_descs = descriptors_of(sorted(ref_dir.glob("*.cif")))
-        with atomic_write(out / "novelty.csv", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["file", "novelty"])
-            if descs and ref_descs:
-                writer.writerows(zip(names, novelty_score(descs, ref_descs).tolist()))
+        scores = novelty_score(descs, ref_descs).tolist() if descs and ref_descs else []
+        write_table(out / "novelty.csv", ["file", "novelty"], zip(names, scores))
     print(f"processed={len(names)} skipped={len(files) - len(names)} out={out / 'amd.csv'}")
     return 0
 
 
 def _load_xy(path: Path) -> tuple[list[float], list[float]]:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    if not rows or len(rows[0]) != 2:
+    from .checkpoint import read_table
+    header, rows = read_table(path)
+    if len(header) != 2:
         raise ValidationError(f"{path}: expected a two-column CSV with one header line")
     xs, ys = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 2 fields")
+    for lineno, row in rows:
         try:
             xs.append(float(row[0]))
             ys.append(float(row[1]))
@@ -293,7 +274,7 @@ def _load_xy(path: Path) -> tuple[list[float], list[float]]:
 
 def cmd_regress(args) -> int:
     from .analysis import cross_validate, fit_univariate, holdout_validate
-    from .checkpoint import atomic_write
+    from .checkpoint import write_table
     x, y = _load_xy(Path(args.data))
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
@@ -310,24 +291,16 @@ def cmd_regress(args) -> int:
     print(f"r2={report.r2!r} rmse={report.rmse!r} spearman_rho={report.spearman_rho!r}")
     print(f"cv[{cv.scheme}] test_r2={cv.test_r2_mean!r}+-{cv.test_r2_std!r} "
           f"test_rmse={cv.test_rmse_mean!r}+-{cv.test_rmse_std!r}")
-    with atomic_write(out / "regression.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["n", "slope", "intercept", "r2", "rmse", "spearman_rho", "scheme",
-                  "test_r2_mean", "test_r2_std", "test_rmse_mean", "test_rmse_std",
-                  "train_r2_mean", "train_r2_std", "train_rmse_mean", "train_rmse_std"]
-        writer.writerow(header)
-        writer.writerow([report.n, _float_cell(report.slope), _float_cell(report.intercept),
-                         _float_cell(report.r2), _float_cell(report.rmse),
-                         _float_cell(report.spearman_rho), cv.scheme,
-                         _float_cell(cv.test_r2_mean), _float_cell(cv.test_r2_std),
-                         _float_cell(cv.test_rmse_mean), _float_cell(cv.test_rmse_std),
-                         _float_cell(cv.train_r2_mean), _float_cell(cv.train_r2_std),
-                         _float_cell(cv.train_rmse_mean), _float_cell(cv.train_rmse_std)])
+    header = ["n", "slope", "intercept", "r2", "rmse", "spearman_rho", "scheme",
+              "test_r2_mean", "test_r2_std", "test_rmse_mean", "test_rmse_std",
+              "train_r2_mean", "train_r2_std", "train_rmse_mean", "train_rmse_std"]
+    values = {**dataclasses.asdict(report), **dataclasses.asdict(cv)}
+    write_table(out / "regression.csv", header, [[values[name] for name in header]])
     return 0
 
 
 def cmd_baseline(args) -> int:
-    from .checkpoint import atomic_write
+    from .checkpoint import write_table
     from .dataset import baseline_comparison
     from .reward import RewardModel
     run = load_run_config(args.config)
@@ -342,23 +315,17 @@ def cmd_baseline(args) -> int:
     summary = baseline_comparison(model, run.env, reward_model, args.n, seed)
     print(f"trained_mean={summary.trained_mean!r} trained_max={summary.trained_max!r}")
     print(f"uniform_mean={summary.uniform_mean!r} uniform_max={summary.uniform_max!r}")
-    with atomic_write(out / "baseline.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_samples", "trained_mean", "trained_max", "uniform_mean", "uniform_max"])
-        writer.writerow([summary.n_samples, _float_cell(summary.trained_mean),
-                         _float_cell(summary.trained_max), _float_cell(summary.uniform_mean),
-                         _float_cell(summary.uniform_max)])
-    with atomic_write(out / "baseline_hist.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "trained_count", "uniform_count"])
-        for i in range(summary.trained_counts.shape[0]):
-            writer.writerow([_float_cell(summary.bin_edges[i]), _float_cell(summary.bin_edges[i + 1]),
-                             int(summary.trained_counts[i]), int(summary.uniform_counts[i])])
+    header = ["n_samples", "trained_mean", "trained_max", "uniform_mean", "uniform_max"]
+    write_table(out / "baseline.csv", header, [[getattr(summary, name) for name in header]])
+    edges = summary.bin_edges.tolist()
+    write_table(out / "baseline_hist.csv", ["bin_low", "bin_high", "trained_count", "uniform_count"],
+                zip(edges[:-1], edges[1:], summary.trained_counts.tolist(),
+                    summary.uniform_counts.tolist()))
     return 0
 
 
 def cmd_flows(args) -> int:
-    from .checkpoint import atomic_write
+    from .checkpoint import write_table
     from .dataset import exact_flows
     from .reward import RewardModel
     run = load_run_config(args.config)
@@ -369,18 +336,12 @@ def cmd_flows(args) -> int:
     })
     result = exact_flows(run.env, reward_model, bound=args.bound)
     vocab = run.env.vocabulary
-    with atomic_write(out / "flows.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "prefix", "flow"])
-        for prefix in sorted(result.flows, key=lambda p: (len(p), p)):
-            label = ",".join(vocab[i].token_id for i in prefix)
-            writer.writerow([len(prefix), label, _float_cell(result.flows[prefix])])
-    with atomic_write(out / "terminal_probs.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["assembly_record", "probability"])
-        records = run.env.format_assembly_records(list(result.terminal_probs))
-        for record, prob in zip(records, result.terminal_probs.values()):
-            writer.writerow([record, _float_cell(prob)])
+    write_table(out / "flows.csv", ["depth", "prefix", "flow"],
+                ([len(prefix), ",".join(vocab[i].token_id for i in prefix), result.flows[prefix]]
+                 for prefix in sorted(result.flows, key=lambda p: (len(p), p))))
+    write_table(out / "terminal_probs.csv", ["assembly_record", "probability"],
+                zip(run.env.format_assembly_records(list(result.terminal_probs)),
+                    result.terminal_probs.values()))
     print(f"terminals={len(result.terminal_probs)} log_z={result.log_z!r}")
     return 0
 

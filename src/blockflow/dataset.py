@@ -8,7 +8,6 @@ many external evaluations run at once is up to the reward model.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, read_table, write_table
 from .env import Environment
 from .errors import ConfigurationError, TerminalStateError, ValidationError
 from .reward import RewardModel
@@ -72,32 +71,20 @@ def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
 def save_dataset(path: str | Path, records: list[CandidateRecord],
                  manifest: dict | None = None) -> None:
     path = Path(path)
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for rec in records:
-            writer.writerow([
-                rec.record,
-                "" if rec.gsa is None else repr(float(rec.gsa)),
-                repr(float(rec.reward)),
-                str(rec.sample_count),
-                str(rec.first_seen_episode),
-            ])
+    write_table(path, DATASET_HEADER,
+                ([rec.record, rec.gsa, rec.reward, rec.sample_count, rec.first_seen_episode]
+                 for rec in records))
     if manifest is not None:
         with atomic_write(path.with_name(path.name + ".manifest.json")) as fh:
             fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def load_dataset(path: str | Path, env: Environment | None = None) -> list[CandidateRecord]:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != DATASET_HEADER:
+    header, rows = read_table(path)
+    if header != DATASET_HEADER:
         raise ValidationError(f"{path}: expected header {','.join(DATASET_HEADER)}")
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(DATASET_HEADER):
-            raise ValidationError(f"{path}:{lineno}: expected {len(DATASET_HEADER)} fields")
+    for lineno, row in rows:
         try:
             tokens = env.parse_assembly_record(row[0]) if env is not None else None
             out.append(CandidateRecord(

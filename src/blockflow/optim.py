@@ -93,13 +93,6 @@ class Adam:
                             self.eps, self._work[:, :block[0].size])
 
     # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "m": {name: arr.copy() for name, arr in self.m.items()},
-            "v": {name: arr.copy() for name, arr in self.v.items()},
-        }
-
     def load_state_dict(self, state: dict) -> None:
         if set(state["m"]) != set(self.params) or set(state["v"]) != set(self.params):
             raise ConfigurationError("optimizer state does not match parameter names")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import (atomic_write, load_checkpoint, restore_optimizer,
-                         restore_rng, save_checkpoint)
+                         restore_rng, save_checkpoint, write_table)
 from .env import Environment
 from .errors import ConfigurationError, TrainingAbort, ValidationError
 from .model import FlowModel
@@ -187,18 +187,6 @@ class TrainResult:
     first_evaluator_error: str | None
 
 
-def _format_row(episode: int, loss: float, smoothed: float | None,
-                log_z: float, rwd: float, best: float) -> list[str]:
-    return [
-        str(episode),
-        repr(float(loss)),
-        "" if smoothed is None else repr(float(smoothed)),
-        repr(float(log_z)),
-        repr(float(rwd)),
-        repr(float(best)),
-    ]
-
-
 def _window_means(losses: np.ndarray, n: int, window: int) -> list[float | None]:
     """The mean of the `window` losses up to each of the last `n` of `losses`,
     None for each that has fewer than `window` losses up to it."""
@@ -209,22 +197,22 @@ def _window_means(losses: np.ndarray, n: int, window: int) -> list[float | None]
 
 
 def _trim_metrics(path: Path, last_episode: int) -> None:
-    """Drop metric rows past a checkpoint so a resumed run appends cleanly.
+    """Rewrite the metrics file as the header and its rows up to `last_episode`,
+    so a run, fresh or resumed, appends its rows cleanly.
 
     A crash can cut the file at any byte, so a last line without its line
     terminator and any row without all the columns are dropped as well. The
     kept rows go to a temporary file that then replaces the old one, so a
     crash during the rewrite leaves the old file whole.
     """
-    if not path.exists():
-        return
-    with open(path, newline="") as fh:
-        complete_lines = fh.read().split("\n")[:-1]
-    rows = list(csv.reader(complete_lines))
-    kept = rows[:1] + [r for r in rows[1:]
-                       if len(r) == len(METRICS_HEADER) and int(r[0]) <= last_episode]
-    with atomic_write(path, newline="") as fh:
-        csv.writer(fh).writerows(kept)
+    try:
+        with open(path, newline="") as fh:
+            complete_lines = fh.read().split("\n")[:-1]
+    except FileNotFoundError:
+        complete_lines = []
+    write_table(path, METRICS_HEADER,
+                [r for r in csv.reader(complete_lines[1:])
+                 if len(r) == len(METRICS_HEADER) and int(r[0]) <= last_episode])
 
 
 # Train-config fields a resumed run may change without breaking exactness.
@@ -301,6 +289,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         best_reward = ckpt.best_reward
         best_record = ckpt.config.get("best_record")
         loss_tail = np.array(ckpt.loss_tail, dtype=np.float64)
+        del ckpt  # the model and the optimizer hold copies: free the file's buffer
     else:
         optimizer = Adam(model.parameters(), lr=config.learning_rate_model,
                          lr_overrides={"log_z": config.learning_rate_logz})
@@ -327,11 +316,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         metrics_path = out_dir / "metrics.csv"
         checkpoint_path = out_dir / "checkpoint.json"
         _trim_metrics(metrics_path, start_episode)
-        fresh = not metrics_path.exists() or metrics_path.stat().st_size == 0
         metrics_file = open(metrics_path, "a", newline="")
-        writer = csv.writer(metrics_file)
-        if fresh:
-            writer.writerow(METRICS_HEADER)
+        writer = csv.writer(metrics_file)  # appends each row as it comes
 
     saved_episode: int | None = None
 
@@ -381,8 +367,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                     best_reward = rwd
                     best_record = env.format_assembly_records(actions[i:i + 1])[0]
                 if writer is not None:
-                    writer.writerow(_format_row(episode, loss_val, smooth, model.log_z_value,
-                                                rwd, best_reward))
+                    writer.writerow([episode, loss_val, smooth, model.log_z_value, rwd,
+                                     best_reward])
             if not full:
                 break
             d_residual = (2.0 / n) * residual  # d mean(residual^2) / d residual

@@ -329,6 +329,12 @@ def test_load_isotherm_table(tmp_path):
                     "x,1.0,oops,0.5,0.5\n")
     with pytest.raises(ValidationError, match="bad2.csv:2"):
         load_isotherm_table(bad2)
+    bad3 = tmp_path / "bad3.csv"
+    bad3.write_text("material,q_co2_16bar,q_co2_015bar,q_mix_co2_015bar,q_mix_n2_015bar\n"
+                    "x,1.0,0.5,0.5,0.5\n"
+                    "y,1.0,0.5\n")
+    with pytest.raises(ValidationError, match="bad3.csv:3: expected 5 fields"):
+        load_isotherm_table(bad3)
 
 
 def test_percentile_rank():

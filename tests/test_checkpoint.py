@@ -1,4 +1,5 @@
 import builtins
+import csv
 import hashlib
 import json
 import math
@@ -11,8 +12,10 @@ import pytest
 from blockflow import (Adam, FlowModel, ModelConfig, load_checkpoint,
                        restore_model, restore_optimizer, restore_rng,
                        save_checkpoint)
-from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write
+from blockflow.analysis import load_isotherm_table
+from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, read_table, write_table
 from blockflow.cli import main
+from blockflow.dataset import load_dataset
 from blockflow.errors import ValidationError
 from conftest import FIXTURES, file_sha256
 
@@ -240,6 +243,47 @@ def test_atomic_write_replaces_the_file_whole_or_not_at_all(tmp_path):
         assert path.read_bytes() == b"old"  # nothing shows until the block exits
     assert path.read_bytes() == b"new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_write_table_gives_the_csv_writer_bytes(tmp_path):
+    header = ["name", "value", "count"]
+    rows = [["a,b", -0.0, 1], ['say "hi"', 5e-324, None], ["plain", 1e16, 7],
+            ["big", math.inf, 0]]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    path = tmp_path / "table.csv"
+    write_table(path, header, iter(rows))
+    assert path.read_bytes() == reference.read_bytes() == (
+        b'name,value,count\r\n"a,b",-0.0,1\r\n"say ""hi""",5e-324,\r\n'
+        b"plain,1e+16,7\r\nbig,inf,0\r\n")
+    assert read_table(path) == (header, [(2, ["a,b", "-0.0", "1"]), (3, ['say "hi"', "5e-324", ""]),
+                                         (4, ["plain", "1e+16", "7"]), (5, ["big", "inf", "0"])])
+    (tmp_path / "empty.csv").write_bytes(b"")
+    assert read_table(tmp_path / "empty.csv") == ([], [])
+
+
+@pytest.mark.parametrize("body", ["1,2\n1,2,3\n", "1,2\n\n"], ids=["long", "blank"])
+def test_read_table_refuses_a_row_of_another_width(tmp_path, body):
+    # a short row is refused through each loader's own tests
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(ValidationError, match="t.csv:3: expected 2 fields"):
+        read_table(path)
+
+
+@pytest.mark.parametrize("content", [None, b"material\r\n\xff\r\n",
+                                     b"material\r\n" + b"x" * (csv.field_size_limit() + 1)],
+                         ids=["missing", "not-utf8", "cell-over-the-csv-limit"])
+@pytest.mark.parametrize("load", [load_dataset, load_isotherm_table])
+def test_an_unreadable_table_is_refused_by_name(tmp_path, load, content):
+    path = tmp_path / "table.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ValidationError, match=f"cannot read {path}"):
+        load(path)
 
 
 def test_save_is_atomic_no_tmp_left_behind(tmp_path):

@@ -354,10 +354,11 @@ def test_regress_holdout_mode(tmp_path, capsys):
     assert "cv[holdout]" in capsys.readouterr().out
 
 
-def test_regress_bad_data_exits_2(tmp_path):
+def test_regress_bad_data_exits_2(tmp_path, capsys):
     data = tmp_path / "xy.csv"
     data.write_text("x,y\n1.0\n")
     assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    assert f"{data}:2: expected 2 fields" in capsys.readouterr().err
 
 
 def write_seeded_cifs(directory, seed, count):

@@ -156,6 +156,10 @@ def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_
                 raise OSError("no space left on device")
             self._writer.writerow(row)
 
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
     monkeypatch.setattr(csv, "writer", DiesOnThirdRow)
     with pytest.raises(OSError, match="no space"):
         save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=9),

@@ -42,15 +42,17 @@ if "replace" in hooks:  # the n-th replace of a file named so, 1-based
         real_replace(src, dst)
     os.replace = replace
 
-if "episode" in hooks:  # as the row of this episode is formatted, before it is written
-    real_format_row = trainer._format_row
-    def format_row(episode, *rest):
-        if episode == hooks["episode"]:
-            die()
-        return real_format_row(episode, *rest)
-    trainer._format_row = format_row
-
-trainer.open = lambda *args, **kw: builtins.open(*args, buffering=1, **kw)
+def line_buffered(*args, **kw):
+    fh = builtins.open(*args, buffering=1, **kw)
+    if "episode" in hooks:  # as the row of this episode is written, before it reaches the file
+        real_write = fh.write
+        def write(text):
+            if text.startswith(f"{hooks['episode']},"):
+                die()
+            return real_write(text)
+        fh.write = write
+    return fh
+trainer.open = line_buffered
 sys.exit(main(sys.argv[2:]))
 """
 

@@ -5,6 +5,7 @@ import math
 import os
 import time
 import tracemalloc
+import weakref
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -877,6 +878,38 @@ def test_final_checkpoint_is_saved_once(tmp_path, monkeypatch):
         assert ckpt.params[name].tobytes() == param.tobytes(), name
 
 
+def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monkeypatch):
+    # the model and the optimizer hold copies of the checkpoint's arrays, so
+    # the file's buffer (8.6 MB on the grid) must not live through the run
+    import blockflow.trainer as trainer_mod
+    run = load_run_config(CONFIGS / "train_grid.json")
+    cfg = dataclasses.replace(run.train_config, max_episodes=32)
+    train(cfg, FlowModel.init(run.model_config, seed=run.init_seed), run.env,
+          RewardModel(run.reward_spec, run.env), out_dir=tmp_path)
+    real_load = trainer_mod.load_checkpoint
+    moments = []
+
+    def loading(path):
+        ckpt = real_load(path)
+        moments.append(weakref.ref(ckpt.optimizer["m"]["log_z"]))
+        return ckpt
+
+    alive = []
+
+    class WatchesTheCheckpoint(RewardModel):
+        def score_batch(self, rows):
+            alive.append(moments[0]() is not None)
+            return super().score_batch(rows)
+
+    monkeypatch.setattr(trainer_mod, "load_checkpoint", loading)
+    result = train(dataclasses.replace(cfg, max_episodes=64),
+                   FlowModel.init(run.model_config, seed=run.init_seed), run.env,
+                   WatchesTheCheckpoint(run.reward_spec, run.env), out_dir=tmp_path,
+                   resume_from=tmp_path / "checkpoint.json")
+    assert result.episodes_run == 64
+    assert alive == [False, False]
+
+
 def test_resume_after_short_final_batch_matches_uninterrupted(tmp_path):
     # 20 episodes at batch 8 end with a short batch of 4 that is logged but
     # never trained on; resuming to 40 must still replay the 40-episode run
@@ -916,14 +949,19 @@ def test_resume_drops_torn_metrics_rows(tmp_path):
     row33, row34, row36 = starts[33], starts[34], starts[36]  # header is line 0
     offsets = [row33 + 1, row33 + 2, row33 + 3, (row33 + row34) // 2, row34 - 1,
                row34, row36, len(reference) - 1]
-    for cut in offsets:
+    # a cut in the header loses rows 1-32 with it: the file restarts from the header
+    after_torn_header = reference[:starts[1]] + reference[row33:]
+    expected = {cut: reference for cut in offsets}
+    expected.update({0: after_torn_header, starts[1] // 2: after_torn_header,
+                     starts[1] - 1: after_torn_header})
+    for cut, want in expected.items():
         run_dir = tmp_path / f"cut{cut}"
         run_dir.mkdir()
         (run_dir / "metrics.csv").write_bytes(reference[:cut])
         (run_dir / "checkpoint.json").write_bytes(checkpoint)
         train(quick_config(max_episodes=40), FlowModel.init(SMALL, seed=4), env, reward_model,
               out_dir=run_dir, resume_from=run_dir / "checkpoint.json")
-        assert (run_dir / "metrics.csv").read_bytes() == reference, f"cut at byte {cut}"
+        assert (run_dir / "metrics.csv").read_bytes() == want, f"cut at byte {cut}"
 
 
 def test_failed_metrics_trim_leaves_the_file_untouched(tmp_path, monkeypatch):
@@ -941,6 +979,9 @@ def test_failed_metrics_trim_leaves_the_file_untouched(tmp_path, monkeypatch):
     class DiesAfterTwoRows:
         def __init__(self, fh, *args, **kwargs):
             self._writer = real_writer(fh, *args, **kwargs)
+
+        def writerow(self, row):
+            self._writer.writerow(row)
 
         def writerows(self, rows):
             for i, row in enumerate(rows):
