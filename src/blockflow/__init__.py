@@ -18,7 +18,7 @@ _EXPORTS = {name: module for module, names in {
     "crystal": "AmdDescriptor CifStructure PeriodicPointSet amd cell_basis "
                "descriptor_distance_matrix kth_nearest_distances load_cif_file novelty_score "
                "parse_cif",
-    "dataset": "BaselineSummary CandidateRecord ExactFlows TabularPolicy baseline_comparison "
+    "dataset": "BaselineSummary CandidateRecord ExactFlows baseline_comparison "
                "exact_flows generate load_dataset save_dataset top_k",
     "env": "Environment Token Topology Vocabulary",
     "errors": "BlockflowError CoincidentPointsError ConfigurationError DeadEndError "

@@ -4,13 +4,13 @@ A `blockflow-checkpoint/2` file is one header line, then the body. The
 header is compact, sorted-key JSON that holds every field but the arrays,
 plus each array's shape and a `checksum`; it is padded with spaces so the
 body starts at a multiple of 8 bytes. The body is the raw little-endian
-float64 bytes of the parameters, then Adam's m, then its v, each in
-sorted-name order. The checksum is a sha256 over the header as dumped
-without the checksum, followed by the body.
+float64 bytes of the model's flat buffer, then Adam's m, then its v, each
+laid out by `model.named_views`. The checksum is a sha256 over the header
+as dumped without the checksum, followed by the body.
 
 Loading reads the file into one anonymous memory map, hashes it once, and
-hands out the arrays as writable, C-contiguous views of it; `restore_model`
-copies the parameters out, so the map is unmapped with the checkpoint.
+hands out the body as a writable (3, n_params) view of it; the restores
+copy rows out of it, so the map is unmapped with the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
@@ -97,7 +97,7 @@ def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
 @dataclass
 class Checkpoint:
     model_config: dict
-    params: dict[str, np.ndarray]
+    body: np.ndarray  # (3, n_params): the parameters, Adam's m, its v; each laid out as model.flat
     optimizer: dict
     rng_state: dict
     episode: int
@@ -111,8 +111,7 @@ class Checkpoint:
 def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
                     rng: np.random.Generator, episode: int, best_reward: float,
                     loss_tail: list[float], env_hash: str, config: dict | None = None) -> None:
-    groups = (model.parameters(), optimizer.m, optimizer.v)
-    shapes = [{name: list(arrays[name].shape) for name in sorted(arrays)} for arrays in groups]
+    shapes = {name: list(p.shape) for name, p in model.parameters().items()}
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "model_config": {
@@ -120,15 +119,15 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
             "embed_dim": model.config.embed_dim,
             "hidden_dim": model.config.hidden_dim,
         },
-        "params": shapes[0],
+        "params": shapes,
         "optimizer": {
             "step_count": optimizer.step_count,
             "lr": optimizer.lr,
             "beta1": optimizer.beta1,
             "beta2": optimizer.beta2,
             "eps": optimizer.eps,
-            "m": shapes[1],
-            "v": shapes[2],
+            "m": shapes,
+            "v": shapes,
         },
         "rng_state": rng.bit_generator.state,
         "episode": int(episode),
@@ -137,8 +136,7 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
         "env_hash": env_hash,
         "config": config or {},
     }
-    body = [np.ascontiguousarray(arrays[name], dtype="<f8").reshape(-1)
-            for arrays in groups for name in sorted(arrays)]
+    body = [a.astype("<f8", copy=False) for a in (model.flat, optimizer.m, optimizer.v)]
     digest = hashlib.sha256(_dump(header))
     for arr in body:
         digest.update(arr)
@@ -153,8 +151,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and check a checkpoint: its checksum, then the type and shape of every field.
 
     The checksum catches corruption; the structure is checked on its own,
-    so every reader refuses a malformed checkpoint the same way. The arrays
-    are views of the buffer the file was read into.
+    so every reader refuses a malformed checkpoint the same way. The body
+    is a view of the buffer the file was read into.
     """
     path = Path(path)
     try:
@@ -223,19 +221,15 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
         _require(_is_number(opt.get(key)), f"optimizer.{key} must be a number")
     _require(_is_int(opt.get("step_count")) and opt["step_count"] >= 0,
              "optimizer.step_count must be a non-negative integer")
-    names = sorted(shapes)
-    declared = {name: list(shapes[name]) for name in names}
+    declared = {name: list(shapes[name]) for name in sorted(shapes)}
     for where, doc in (("params", header.get("params")), ("optimizer.m", opt.get("m")),
                        ("optimizer.v", opt.get("v"))):
         _require(doc == declared, f"{where} declares the shapes {doc!r}, expected {declared}")
-    sizes = [math.prod(shapes[name]) for name in names]
-    n_params = sum(sizes)
+    n_params = sum(math.prod(shape) for shape in shapes.values())
     _require(len(body) == 8 * 3 * n_params,
              f"the body holds {len(body)} bytes, the declared shapes need {8 * 3 * n_params}")
-    flat = np.frombuffer(body, dtype="<f8")
-    _require(np.isfinite(flat[:n_params]).all(), "params hold non-finite values")
-    pieces = iter(np.split(flat, np.cumsum(sizes * 3)[:-1]))  # params, then m, then v
-    params, m, v = ({name: next(pieces).reshape(shapes[name]) for name in names} for _ in range(3))
+    rows = np.frombuffer(body, dtype="<f8").reshape(3, n_params)  # params, then m, then v
+    _require(np.isfinite(rows[0]).all(), "params hold non-finite values")
     _generator(header.get("rng_state"))
     episode, best_reward, loss_tail = (header.get(key)
                                        for key in ("episode", "best_reward", "loss_tail"))
@@ -247,8 +241,8 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
     _require(isinstance(header.get("config", {}), dict), "config must be an object")
     return Checkpoint(
         model_config=dims,
-        params=params,
-        optimizer={**opt, "m": m, "v": v},
+        body=rows,
+        optimizer=opt,
         rng_state=header["rng_state"],
         episode=episode,
         best_reward=float(best_reward),
@@ -260,10 +254,10 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
-    """The checkpoint's model on copies of its parameters, so the file's buffer is freed."""
-    from .model import FlowModel, ModelConfig
-    return FlowModel(ModelConfig(**ckpt.model_config),
-                     {name: param.copy() for name, param in ckpt.params.items()})
+    """The checkpoint's model; it copies the parameters out, so the file's buffer is freed."""
+    from .model import FlowModel, ModelConfig, named_views
+    config = ModelConfig(**ckpt.model_config)
+    return FlowModel(config, named_views(ckpt.body[0], FlowModel.param_shapes(config)))
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
@@ -272,7 +266,8 @@ def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
     # every parameter has its own rate, so the base rate only has to be valid
     opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"],
                beta1=float(doc["beta1"]), beta2=float(doc["beta2"]), eps=float(doc["eps"]))
-    opt.load_state_dict({"step_count": int(doc["step_count"]), "m": doc["m"], "v": doc["v"]})
+    opt.step_count = doc["step_count"]
+    opt.m[:], opt.v[:] = ckpt.body[1:]
     return opt
 
 

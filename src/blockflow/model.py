@@ -2,13 +2,15 @@
 
 The model also owns the learned log-partition scalar `log_z`, which is a
 free parameter and is never derived from the network outputs. Parameters
-are plain float64 arrays, updated in place; `balance_grad` is the one
-backward pass, written out by hand: one product over all slots per
+are named views of one flat float64 buffer, laid out by `named_views`, and
+are updated in place; `balance_grad` is the one backward pass, written out
+by hand into a second buffer of that layout: one product over all slots per
 weight, with only the recurrent gradients carried back through time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,20 @@ from .errors import ConfigurationError
 # Rows per block of the cell in a step without a cache: one block's gate
 # pre-activations, 256 x 1,024 x 8 B = 2 MB at hidden 256, fit in L2.
 _ROWS = 256
+
+
+def named_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of consecutive pieces of the 1-D `flat`, one of each shape in `shapes`.
+
+    The pieces lie in sorted-name order, the order of a checkpoint body; the
+    dict keeps the key order of `shapes`.
+    """
+    views, lo = {}, 0
+    for name in sorted(shapes):
+        size = math.prod(shapes[name])
+        views[name] = flat[lo:lo + size].reshape(shapes[name])
+        lo += size
+    return {name: views[name] for name in shapes}
 
 
 @dataclass(frozen=True)
@@ -36,7 +52,7 @@ class ModelConfig:
 class FlowModel:
     """LSTM policy over tokens plus the log-partition parameter.
 
-    Parameters (all float64 arrays):
+    Parameters, in this order, are views of `flat`, the model's own copy of them:
       embed  (vocab_size + 1, embed_dim)   last row is the start sentinel
       w_x    (embed_dim, 4 * hidden_dim)
       w_h    (hidden_dim, 4 * hidden_dim)
@@ -53,14 +69,16 @@ class FlowModel:
         expected = self.param_shapes(config)
         if set(params) != set(self.PARAM_NAMES):
             raise ConfigurationError(f"parameter names {sorted(params)} != {sorted(self.PARAM_NAMES)}")
-        for name, shape in expected.items():
-            if params[name].shape != shape:
+        self.flat = np.empty(sum(math.prod(shape) for shape in expected.values()))
+        self._params = named_views(self.flat, expected)
+        for name, view in self._params.items():
+            if params[name].shape != view.shape:
                 raise ConfigurationError(
-                    f"parameter {name!r} has shape {params[name].shape}, expected {shape}")
-            if not np.all(np.isfinite(params[name])):
+                    f"parameter {name!r} has shape {params[name].shape}, expected {view.shape}")
+            view[...] = params[name]
+            if not np.isfinite(view).all():
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
-        self._params = params
-        self._grads = None  # made by the first balance_grad, reused by every later one
+        self.grad = None  # made by the first balance_grad, reused by every later one
 
     @staticmethod
     def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -152,17 +170,17 @@ class FlowModel:
         and `cache` holds the per-slot records of the rollout that drew the
         episodes, one state row per episode: each is the record `step`
         appended, to which `rollout` added the slot's log-probs, mask and
-        picked actions. The gradients go into buffers the model keeps
-        across updates, which are returned by name.
+        picked actions. The gradients go into `grad`, a buffer laid out as
+        `flat` that the model keeps across updates; its views are returned.
 
         Each weight's gradient is one product over the stacked slots; only
         dh, dc and each slot's dz run back through time. The first slot
         starts from the zero state, so w_h's product takes the later slots
         only, and a one-slot topology leaves its gradient exactly zero.
         """
-        if self._grads is None:
-            self._grads = {name: np.zeros_like(p) for name, p in self._params.items()}
-        p, grads = self._params, self._grads
+        if self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+        p, grads = self._params, named_views(self.grad, self.param_shapes(self.config))
         n_slots, n = len(cache), d_residual.shape[0]
         hid = self.config.hidden_dim
         np.copyto(grads["log_z"], d_residual.sum())

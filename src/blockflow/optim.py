@@ -1,10 +1,11 @@
-"""Adam with bias correction and per-parameter learning-rate overrides."""
+"""Adam with bias correction and per-parameter learning rates, over flat buffers."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigurationError, TrainingAbort
+from .model import named_views
 
 
 def adam_update(value, grad, m, v, step, lr, beta1, beta2, eps, work) -> None:
@@ -44,11 +45,12 @@ _BLOCK = 1 << 14
 
 
 class Adam:
-    """Adam over a dict of named float64 arrays, updated in place.
+    """Adam over the named arrays `params`, updated in one flat buffer.
 
-    `lr_overrides` maps parameter names to their own learning rate; the
-    log-partition scalar usually trains on a separate rate from the network.
-    Each parameter must be C-contiguous: `step` updates it through flat views.
+    `step` takes the parameters and their gradient as flat buffers laid out
+    by `model.named_views`, the layout of `m` and `v` too. `lr_overrides`
+    maps parameter names to their own rate; the log-partition scalar usually
+    trains on a separate rate from the network.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
@@ -62,43 +64,29 @@ class Adam:
                 raise ConfigurationError(f"lr override for unknown parameter {name!r}")
             if rate <= 0:
                 raise ConfigurationError(f"lr override for {name!r} must be positive")
-        for name, p in params.items():
-            if not p.flags.c_contiguous:
-                raise ConfigurationError(f"parameter {name!r} must be C-contiguous")
-        self.params = params
         self.lr = {name: lr_overrides.get(name, lr) for name in params}
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self._sizes = {name: (p.size,) for name, p in params.items()}  # each one as a 1-D piece
+        self.m = np.zeros(sum(p.size for p in params.values()))
+        self.v = np.zeros_like(self.m)
         self._work = np.empty((2, _BLOCK))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Update every parameter in place from its gradient in `grads`.
+    def step(self, value: np.ndarray, grad: np.ndarray) -> None:
+        """Update the flat parameters `value` in place from the flat gradient `grad`.
 
-        All gradients are checked before anything changes, so a non-finite
-        one leaves the parameters, moments and step count as they were.
+        The gradient is checked before anything changes, so a non-finite one
+        leaves the parameters, moments and step count as they were.
         """
-        for name in self.params:
-            if not np.all(np.isfinite(grads[name])):
+        for name, finite in named_views(np.isfinite(grad), self._sizes).items():
+            if not finite.all():
                 raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
-        for name, value in self.params.items():
-            flat = [np.reshape(a, -1) for a in (value, grads[name], self.m[name], self.v[name])]
-            for lo in range(0, value.size, _BLOCK):
-                block = [a[lo:lo + _BLOCK] for a in flat]
-                adam_update(*block, self.step_count, self.lr[name], self.beta1, self.beta2,
+        spans = [named_views(a, self._sizes) for a in (value, grad, self.m, self.v)]
+        for name, rate in self.lr.items():
+            for lo in range(0, self._sizes[name][0], _BLOCK):
+                block = [span[name][lo:lo + _BLOCK] for span in spans]
+                adam_update(*block, self.step_count, rate, self.beta1, self.beta2,
                             self.eps, self._work[:, :block[0].size])
-
-    # -- checkpoint support ------------------------------------------------
-    def load_state_dict(self, state: dict) -> None:
-        if set(state["m"]) != set(self.params) or set(state["v"]) != set(self.params):
-            raise ConfigurationError("optimizer state does not match parameter names")
-        for name in self.params:
-            if any(state[key][name].shape != self.params[name].shape for key in ("m", "v")):
-                raise ConfigurationError(f"optimizer state for {name!r} has wrong shape")
-        self.step_count = int(state["step_count"])
-        self.m = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state["m"].items()}
-        self.v = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state["v"].items()}

@@ -109,7 +109,7 @@ def external_gsa(adapter: AdapterConfig, record: str, running: _RunningAdapters 
     The adapter runs in a session of its own. If its answer does not come
     (a timeout, an error, an interrupt), the whole process group is killed
     and reaped, so nothing it forked outlives the call; an interrupt is
-    re-raised after that. A parallel batch passes its `running` adapters.
+    re-raised after that. A batch passes its `running` adapters.
     """
     try:
         proc = (running or _RunningAdapters()).start(adapter.argv())
@@ -220,20 +220,17 @@ class RewardModel:
         from concurrent.futures import ThreadPoolExecutor
         keys = list(map(tuple, rows.tolist()))
         pending = list(dict.fromkeys(key for key in keys if key not in self._cache))
-        records = self.env.format_assembly_records(pending) if pending else []
-        slots = min(_evaluation_slots(), len(pending))
-        if slots > 1:
+        if pending:  # a pool of no workers is refused
+            records = self.env.format_assembly_records(pending)
             running = _RunningAdapters()
-            with ThreadPoolExecutor(max_workers=slots) as pool:
+            with ThreadPoolExecutor(max_workers=min(_evaluation_slots(), len(pending))) as pool:
                 try:
                     results = list(pool.map(
                         lambda record: external_gsa(self.adapter, record, running), records))
                 except BaseException:
                     running.stop()
                     raise
-        else:
-            results = [external_gsa(self.adapter, record) for record in records]
-        self._cache.update(zip(pending, results))
+            self._cache.update(zip(pending, results))
         results = [self._cache[key] for key in keys]
         gsa = np.array([np.nan if res.value is None else res.value for res in results])
         errors = {i: res.error for i, res in enumerate(results) if not res.ok}

@@ -281,8 +281,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         if ckpt.model_config != expected:
             raise ValidationError(f"checkpoint model dims {ckpt.model_config} != {expected}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
-        for name, param in model.parameters().items():
-            np.copyto(param, ckpt.params[name])
+        np.copyto(model.flat, ckpt.body[0])
         optimizer = restore_optimizer(ckpt, model)
         rng = restore_rng(ckpt)
         start_episode = ckpt.episode
@@ -372,7 +371,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             if not full:
                 break
             d_residual = (2.0 / n) * residual  # d mean(residual^2) / d residual
-            optimizer.step(model.balance_grad(cache, d_residual))
+            model.balance_grad(cache, d_residual)
+            optimizer.step(model.flat, model.grad)
             del cache  # free the forward values before a checkpoint save
             if (config.checkpoint_every > 0
                     and episode - last_snapshot >= config.checkpoint_every):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blockflow import (Environment, FlowModel, ModelConfig, RewardModel, RewardSpec, Topology,
-                       Vocabulary)
+from blockflow import (Environment, ExactFlows, FlowModel, ModelConfig, RewardModel, RewardSpec,
+                       Topology, Vocabulary)
+from blockflow.errors import TerminalStateError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -32,6 +33,55 @@ def zero_model(config: ModelConfig) -> FlowModel:
     """A model whose every parameter is zero: its policy is uniform over each slot's valid tokens."""
     return FlowModel(config, {name: np.zeros(shape)
                               for name, shape in FlowModel.param_shapes(config).items()})
+
+
+class TabularPolicy:
+    """Exact policy over an enumerable environment, behind the model's
+    batched step interface: the state holds each row's prefix and the
+    logits are the log flows of the prefix's children."""
+
+    def __init__(self, flows: ExactFlows, env: Environment):
+        self.flows = flows
+        self.env = env
+        self._child_rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    @property
+    def log_z_value(self) -> float:
+        return self.flows.log_z
+
+    @property
+    def start_token(self) -> int:
+        return len(self.env.vocabulary)
+
+    def step(self, tokens, state=None) -> tuple[np.ndarray, tuple[np.ndarray]]:
+        """Child log flows for a batch; `state` holds the prefixes before `tokens`.
+
+        The state is a 1-tuple: a (batch, slots filled) array of the tokens of
+        each row's prefix, so rows gather by index as the model's (h, c) do.
+        At sequence start (state None) the tokens are start sentinels and are
+        not part of any prefix.
+        """
+        tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
+        if state is None:
+            prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)
+        else:
+            prefixes = np.column_stack([state[0], tokens])
+        logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
+        return logits, (prefixes,)
+
+    def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
+        row = self._child_rows.get(prefix)
+        if row is None:
+            slot = len(prefix)
+            if slot >= self.env.n_slots:
+                raise TerminalStateError("episode already terminal")
+            row = np.full(len(self.env.vocabulary), -np.inf)
+            for action in np.flatnonzero(self.env.slot_masks[slot]):
+                flow = self.flows.flows.get(prefix + (int(action),))
+                if flow:
+                    row[action] = math.log(flow)
+            self._child_rows[prefix] = row
+        return row
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from blockflow import (Environment, FlowModel, ModelConfig, PeriodicPointSet,
-                       RewardModel, RewardSpec, TabularPolicy, Topology,
+                       RewardModel, RewardSpec, Topology,
                        TrainConfig, Vocabulary, amd, baseline_comparison,
                        cell_basis, cross_validate, exact_flows, external_gsa,
                        fit_univariate, reward, rollout,
                        selectivity, train, working_capacity)
+from blockflow.autodiff import masked_log_softmax
 from blockflow.reward import AdapterConfig
-from conftest import FIXTURES, flow_log_prob, stub_adapter_command
+from conftest import FIXTURES, TabularPolicy, flow_log_prob, stub_adapter_command
 
 
 def report(criterion: int, message: str) -> None:
@@ -122,39 +123,44 @@ def test_c04_gradients_match_finite_differences(bridge):
     worst = 0.0
     for instance in range(100):
         model = FlowModel.init(cfg, seed=1000 + instance)
-
-        def sampled_residual(cache=None):
-            # the same seed replays the same uniform draws on every call
-            rng = np.random.Generator(np.random.PCG64(2000 + instance))
-            actions, log_prob_sum = rollout(model, env, rng, 1, cache=cache)
-            [r] = reward_model.score_batch(actions).reward.tolist()
-            floored = max(r, reward_model.spec.reward_floor)
-            return actions, model.parameters()["log_z"] + log_prob_sum - math.log(floored)
-
+        rng = np.random.Generator(np.random.PCG64(2000 + instance))
         cache = []
-        actions, residual = sampled_residual(cache)
-        grads = model.balance_grad(cache, 2.0 * residual)
+        actions, log_prob_sum = rollout(model, env, rng, 1, cache=cache)
+        [r] = reward_model.score_batch(actions).reward.tolist()
+        log_floored = math.log(max(r, reward_model.spec.reward_floor))
+        residual = model.parameters()["log_z"] + log_prob_sum - log_floored
+        model.balance_grad(cache, 2.0 * residual)
+        [picks] = actions.tolist()
+
+        def episode_residual():
+            # the drawn episode's residual, stepping the model on its tokens
+            state, total = None, None
+            for t, (token, action) in enumerate(zip([model.start_token, *picks], picks)):
+                logits, state = model.step([token], state)
+                log_prob = masked_log_softmax(logits, env.slot_masks[t])[0, action]
+                total = log_prob if total is None else total + log_prob
+            return model.parameters()["log_z"] + total - log_floored
+
+        assert episode_residual() == residual[0]
 
         def loss_value():
-            again, value = sampled_residual()
-            assert np.array_equal(again, actions), "a perturbation changed the episode"
-            return float(np.mean(value * value))
+            value = episode_residual()
+            return float(value * value)
 
-        for name, param in model.parameters().items():
-            flat = param.reshape(-1)  # a view, so log_z is perturbed in place too
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_value()
-                flat[i] = orig - h
-                down = loss_value()
-                flat[i] = orig
-                fd = (up - down) / (2 * h)
-                an = grads[name].reshape(-1)[i]
-                # the 1e-4 floor keeps central-difference roundoff (~1e-9
-                # absolute here) from registering on dead coordinates
-                err = abs(fd - an) / max(abs(fd), abs(an), 1e-4)
-                worst = max(worst, err)
+        flat = model.flat
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_value()
+            flat[i] = orig - h
+            down = loss_value()
+            flat[i] = orig
+            fd = (up - down) / (2 * h)
+            an = model.grad[i]
+            # the 1e-4 floor keeps central-difference roundoff (~1e-9
+            # absolute here) from registering on dead coordinates
+            err = abs(fd - an) / max(abs(fd), abs(an), 1e-4)
+            worst = max(worst, err)
         assert worst < 1e-4, f"instance {instance}: max rel err {worst}"
     report(4, f"100 random (params, trajectory) instances, "
               f"max relative gradient error {worst:.2e} < 1e-4")

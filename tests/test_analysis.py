@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel, IsothermRow,
-                       ModelConfig, RewardModel, RewardSpec, Scores, TabularPolicy,
-                       Topology, Vocabulary, average_ranks,
+                       ModelConfig, RewardModel, RewardSpec, Scores, Topology, Vocabulary,
+                       average_ranks,
                        baseline_comparison, cross_validate, exact_flows,
                        fit_univariate, holdout_validate, load_isotherm_table,
                        pearson_r, percentile_rank, rollout, selectivity,
@@ -16,7 +16,7 @@ from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel,
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import (DegenerateInputError, EnumerationBoundError,
                               TerminalStateError, ValidationError)
-from conftest import flow_log_prob, zero_model
+from conftest import TabularPolicy, flow_log_prob, zero_model
 
 
 # -- rank and correlation -----------------------------------------------------

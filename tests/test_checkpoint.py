@@ -17,6 +17,7 @@ from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, read_table, wr
 from blockflow.cli import main
 from blockflow.dataset import load_dataset
 from blockflow.errors import ValidationError
+from blockflow.model import named_views
 from conftest import FIXTURES, file_sha256
 
 CFG = ModelConfig(vocab_size=5, embed_dim=4, hidden_dim=6)
@@ -28,9 +29,11 @@ def _trained_pieces(seed=0, updates=3):
     model = FlowModel.init(CFG, seed=seed)
     opt = Adam(model.parameters(), lr=1e-2, lr_overrides={"log_z": 0.1})
     rng = np.random.Generator(np.random.PCG64(77))
+    grad = np.empty_like(model.flat)
     for _ in range(updates):
-        opt.step({name: rng.standard_normal(p.shape) if p.shape else np.float64(rng.standard_normal())
-                  for name, p in model.parameters().items()})
+        for name, g in named_views(grad, FlowModel.param_shapes(CFG)).items():
+            g[...] = rng.standard_normal(g.shape) if g.shape else rng.standard_normal()
+        opt.step(model.flat, grad)
     return model, opt, rng
 
 
@@ -55,23 +58,22 @@ def test_roundtrip_params_bit_exact(tmp_path):
 
 
 def test_restored_model_copies_the_parameters_and_makes_no_gradients(tmp_path):
-    # the copies free the file's buffer, which also holds Adam's m and v, with
-    # the checkpoint; gradient buffers are made by the first balance_grad
+    # the copy frees the file's buffer, which also holds Adam's m and v, with
+    # the checkpoint; the gradient buffer is made by the first balance_grad
     cfg = ModelConfig(vocab_size=10, embed_dim=16, hidden_dim=64)
     model = FlowModel.init(cfg)
     path = _save(tmp_path, model, Adam(model.parameters(), lr=1e-2), np.random.default_rng(0))
     ckpt = load_checkpoint(path)
-    param_bytes = sum(p.nbytes for p in ckpt.params.values())
+    param_bytes = ckpt.body[0].nbytes
     tracemalloc.start()
     try:
         restored = restore_model(ckpt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    for name, p in restored.parameters().items():
-        assert not np.shares_memory(p, ckpt.params[name]), name
-        assert np.array_equal(p, model.parameters()[name]), name
-    assert param_bytes <= peak < 1.25 * param_bytes  # gradient buffers would double it
+    assert not np.shares_memory(restored.flat, ckpt.body)
+    assert restored.flat.tobytes() == model.flat.tobytes()
+    assert param_bytes <= peak < 1.25 * param_bytes  # a gradient buffer would double it
 
 
 def test_roundtrip_optimizer_state(tmp_path):
@@ -82,11 +84,10 @@ def test_roundtrip_optimizer_state(tmp_path):
     restored_opt = restore_optimizer(ckpt, restored_model)
 
     # stepping both with the same gradient must produce identical params
-    g = {name: np.full(p.shape, 0.37) for name, p in model.parameters().items()}
-    opt.step(g)
-    restored_opt.step(g)
-    for name in model.parameters():
-        assert np.array_equal(model.parameters()[name], restored_model.parameters()[name]), name
+    g = np.full_like(model.flat, 0.37)
+    opt.step(model.flat, g)
+    restored_opt.step(restored_model.flat, g)
+    assert restored_model.flat.tobytes() == model.flat.tobytes()
 
 
 def test_roundtrip_rng_stream_continues(tmp_path):
@@ -203,23 +204,35 @@ def test_schema_constant_embedded(tmp_path):
     line = path.read_bytes().partition(b"\n")[0]
     assert line.rstrip(b" ") == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     assert (len(line) + 1) % 8 == 0
-    groups = (model.parameters(), opt.m, opt.v)
-    assert [header["params"], header["optimizer"]["m"], header["optimizer"]["v"]] == [
-        {name: list(arrays[name].shape) for name in arrays} for arrays in groups]
+    shapes = {name: list(p.shape) for name, p in model.parameters().items()}
+    assert header["params"] == header["optimizer"]["m"] == header["optimizer"]["v"] == shapes
     # the raw little-endian float64 arrays: params, then m, then v, by name
+    groups = (model.parameters(),
+              *(named_views(moment, FlowModel.param_shapes(CFG)) for moment in (opt.m, opt.v)))
     assert body == b"".join(np.asarray(arrays[name], dtype="<f8").tobytes()
                             for arrays in groups for name in sorted(arrays))
+
+
+def test_the_body_is_the_model_and_optimizer_buffers(tmp_path):
+    model, opt, rng = _trained_pieces()
+    body = read_checkpoint(_save(tmp_path, model, opt, rng))[1]
+    assert body == model.flat.tobytes() + opt.m.tobytes() + opt.v.tobytes()
+    assert list(model.parameters()) == list(FlowModel.PARAM_NAMES)
+    # the model copies what it is given: the caller's arrays stay the caller's
+    params = {name: p.copy() for name, p in model.parameters().items()}
+    copy = FlowModel(CFG, params)
+    for p in params.values():
+        p += 1.0
+    assert copy.flat.tobytes() == model.flat.tobytes()
+    for name, p in copy.parameters().items():
+        assert p.base is copy.flat and p.tobytes() == model.parameters()[name].tobytes(), name
 
 
 def test_loaded_arrays_are_writable_contiguous_float64_views(tmp_path):
     model, opt, rng = _trained_pieces()
     ckpt = load_checkpoint(_save(tmp_path, model, opt, rng))
-    arrays = [*ckpt.params.values(), *ckpt.optimizer["m"].values(),
-              *ckpt.optimizer["v"].values()]
-    assert len(arrays) == 21
-    for arr in arrays:
-        assert arr.dtype == np.float64
-        assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
+    assert ckpt.body.shape == (3, model.flat.size) and ckpt.body.dtype == np.float64
+    assert ckpt.body.flags.writeable and ckpt.body.flags.c_contiguous and ckpt.body.flags.aligned
 
 
 def test_file_sha256_known_value(tmp_path):

@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockflow import (AdapterConfig, CandidateRecord, RewardModel, RewardSpec, TabularPolicy,
+from blockflow import (AdapterConfig, CandidateRecord, RewardModel, RewardSpec,
                        exact_flows, generate, load_dataset, rollout, save_dataset, top_k)
 from blockflow.errors import ConfigurationError, ValidationError
-from conftest import stub_adapter_command
+from conftest import TabularPolicy, stub_adapter_command
 
 
 @pytest.fixture(scope="module")

@@ -233,11 +233,12 @@ def test_external_adapter_interrupted_wait_kills_its_children(tmp_path, monkeypa
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("slots", [1, 2])
 def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path, monkeypatch,
-                                                          set_evaluation_slots):
-    # two slots, three sequences: the interrupt comes once two adapters
-    # run; they are killed, not waited on, and the third never starts
-    set_evaluation_slots(2)
+                                                          set_evaluation_slots, slots):
+    # three sequences: the interrupt comes once `slots` adapters run; they
+    # are killed, not waited on, and the rest never start
+    set_evaluation_slots(slots)
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
     body = ("import os, pathlib, time\n"
@@ -248,7 +249,7 @@ def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path,
 
     def interrupted(self, timeout=None):
         deadline = time.monotonic() + 5.0
-        while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+        while len(list(pid_dir.iterdir())) < slots and time.monotonic() < deadline:
             time.sleep(0.02)
         raise KeyboardInterrupt
 
@@ -258,7 +259,7 @@ def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path,
         rm.score_batch(list(bridge_env.enumerate_terminals())[:3])
     assert time.monotonic() - started < 5.0
     pids = [int(f.name) for f in pid_dir.iterdir()]
-    assert len(pids) == 2
+    assert len(pids) == slots
     assert not any(process_running(pid) for pid in pids)
 
 
