@@ -25,7 +25,7 @@ def main():
 
     for path in sorted(args.cif_dir.glob("*.cif")):
         ps = load_cif_file(path)
-        values = amd(ps, args.k).values
+        values = amd(ps, args.k)
         head = " ".join(f"{v:.3f}" for v in values[:8])
         print(f"{path.name:<16} motif={ps.motif.shape[0]:<3} amd[1..8] = {head}")
 

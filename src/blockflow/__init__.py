@@ -15,19 +15,16 @@ _EXPORTS = {name: module for module, names in {
                 "fit_univariate holdout_validate load_isotherm_table pearson_r percentile_rank "
                 "selectivity spearman_rho working_capacity",
     "checkpoint": "load_checkpoint restore_model restore_optimizer restore_rng save_checkpoint",
-    "crystal": "AmdDescriptor CifStructure PeriodicPointSet amd cell_basis "
-               "descriptor_distance_matrix kth_nearest_distances load_cif_file novelty_score "
-               "parse_cif",
+    "crystal": "PeriodicPointSet amd cell_basis descriptor_distance_matrix "
+               "kth_nearest_distances load_cif_file novelty_score parse_cif",
     "dataset": "BaselineSummary CandidateRecord ExactFlows baseline_comparison "
                "exact_flows generate load_dataset save_dataset top_k",
     "env": "Environment Token Topology Vocabulary",
     "errors": "BlockflowError CoincidentPointsError ConfigurationError DeadEndError "
-              "DegenerateInputError EnumerationBoundError TerminalStateError TrainingAbort "
-              "ValidationError",
+              "DegenerateInputError EnumerationBoundError TrainingAbort ValidationError",
     "model": "FlowModel ModelConfig",
     "optim": "Adam adam_update",
-    "reward": "AdapterConfig GsaResult RewardModel RewardSpec Scores external_gsa reward "
-              "surrogate_gsa",
+    "reward": "AdapterConfig RewardModel RewardSpec Scores external_gsa reward surrogate_gsa",
     "trainer": "TrainConfig TrainResult rollout train uniform_rollout",
 }.items() for name in names.split()}
 

@@ -238,7 +238,7 @@ def cmd_amd(args) -> int:
 
     names, descs = descriptors_of(files)
     write_table(out / "amd.csv", ["file"] + [f"amd_{i}" for i in range(1, args.k + 1)],
-                ([name, *d.values.tolist()] for name, d in zip(names, descs)))
+                ([name, *d.tolist()] for name, d in zip(names, descs)))
     # The matrix is bitwise symmetric (row j - row i negates row i - row j),
     # so each pair's text is made once, from the upper triangle.
     cells = np.empty((len(descs), len(descs)), dtype=object)

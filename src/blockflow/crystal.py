@@ -8,7 +8,8 @@ reported distances are exact, no cutoff heuristics.
 
 CIF support is deliberately a P1-only subset: cell parameters plus one
 atom-site loop with fractional coordinates. Files carrying a non-trivial
-symmetry group fail loudly instead of being silently misread.
+symmetry group fail loudly instead of being silently misread. `parse_cif`
+returns a `PeriodicPointSet`, and `amd` returns a plain (k,) float64 array.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ _SPACE_GROUP_TAGS = (
 _SPACE_GROUP_NUMBER_TAGS = ("_symmetry_int_tables_number", "_space_group_it_number")
 _SYMOP_TAGS = ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz")
 
+_FRACT_TAGS = ("_atom_site_fract_x", "_atom_site_fract_y", "_atom_site_fract_z")
 _CELL_TAGS = ("_cell_length_a", "_cell_length_b", "_cell_length_c",
               "_cell_angle_alpha", "_cell_angle_beta", "_cell_angle_gamma")
 
@@ -54,51 +56,31 @@ def _parse_number(text: str, where: str) -> float:
     return float(m.group(1).replace("d", "e").replace("D", "e"))
 
 
-@dataclass
-class CifStructure:
-    cell: tuple[float, float, float, float, float, float]  # a b c alpha beta gamma
-    positions: np.ndarray  # (m, 3) fractional, reduced mod 1
-    labels: list[str]
+def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
+    """Read the P1 subset of a CIF file into a point set; errors carry name:line positions.
 
-
-def parse_cif(text: str, name: str = "<cif>") -> CifStructure:
-    """Parse the P1 subset of a CIF file; errors carry name:line positions."""
-    lines = text.splitlines()
+    One pass sorts each line into one of four kinds: `loop_`, a header tag of
+    the open loop, a row of the open loop, or anything else. Anything else
+    closes the open loop, and a `_tag value` line is recorded as a tag.
+    """
     tags: dict[str, tuple[str, int]] = {}
     loops: list[tuple[list[str], list[tuple[int, list[str]]]]] = []
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("data_"):
-            i += 1
-            continue
-        if stripped.lower() == "loop_":
-            i += 1
-            header: list[str] = []
-            while i < len(lines):
-                s = lines[i].strip()
-                if s.startswith("_"):
-                    header.append(_split_fields(s)[0].lower())
-                    i += 1
-                else:
-                    break
-            rows: list[tuple[int, list[str]]] = []
-            while i < len(lines):
-                s = lines[i].strip()
-                if (not s or s.startswith("#") or s.startswith("_")
-                        or s.lower() == "loop_" or s.startswith("data_")):
-                    break
-                rows.append((i + 1, _split_fields(s)))
-                i += 1
-            loops.append((header, rows))
-            continue
-        if stripped.startswith("_"):
-            fields = _split_fields(stripped)
-            if len(fields) >= 2:
-                tags[fields[0].lower()] = (" ".join(fields[1:]), i + 1)
-            i += 1
-            continue
-        i += 1
+    loop = None  # the open loop's (header, rows)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        s = line.strip()
+        if s.lower() == "loop_":
+            loop = ([], [])
+            loops.append(loop)
+        elif loop is not None and s.startswith("_") and not loop[1]:
+            loop[0].append(_split_fields(s)[0].lower())
+        elif loop is not None and s and s[0] not in "#_" and not s.startswith("data_"):
+            loop[1].append((lineno, _split_fields(s)))
+        else:
+            loop = None
+            if s.startswith("_"):
+                fields = _split_fields(s)
+                if len(fields) >= 2:
+                    tags[fields[0].lower()] = (" ".join(fields[1:]), lineno)
 
     for tag in _SPACE_GROUP_TAGS:
         if tag in tags:
@@ -119,39 +101,27 @@ def parse_cif(text: str, name: str = "<cif>") -> CifStructure:
         value, lineno = tags[tag]
         cell.append(_parse_number(value, f"{name}:{lineno}"))
 
-    positions = None
-    labels: list[str] = []
+    motif = []
     for header, rows in loops:
         if any(tag in _SYMOP_TAGS for tag in header):
             col = next(i for i, tag in enumerate(header) if tag in _SYMOP_TAGS)
-            ops = [(lineno, row[col] if col < len(row) else "") for lineno, row in rows]
-            non_identity = [(ln, op) for ln, op in ops if not _IDENTITY_OP_RE.match(op.strip())]
-            if non_identity:
-                ln, op = non_identity[0]
-                raise ValidationError(
-                    f"{name}:{ln}: symmetry operation {op!r} beyond identity; only P1 is supported")
-            continue
-        wanted = ("_atom_site_fract_x", "_atom_site_fract_y", "_atom_site_fract_z")
-        if all(tag in header for tag in wanted):
-            cols = [header.index(tag) for tag in wanted]
-            label_col = None
-            for candidate in ("_atom_site_label", "_atom_site_type_symbol"):
-                if candidate in header:
-                    label_col = header.index(candidate)
-                    break
-            pts = []
+            for lineno, row in rows:
+                op = row[col] if col < len(row) else ""
+                if not _IDENTITY_OP_RE.match(op.strip()):
+                    raise ValidationError(f"{name}:{lineno}: symmetry operation {op!r} "
+                                          "beyond identity; only P1 is supported")
+        elif all(tag in header for tag in _FRACT_TAGS):
+            cols = [header.index(tag) for tag in _FRACT_TAGS]
+            motif = []
             for lineno, row in rows:
                 if len(row) != len(header):
-                    raise ValidationError(
-                        f"{name}:{lineno}: atom row has {len(row)} fields, loop declares {len(header)}")
-                pts.append([_parse_number(row[c], f"{name}:{lineno}") for c in cols])
-                labels.append(row[label_col] if label_col is not None else f"X{len(labels) + 1}")
-            positions = np.asarray(pts, dtype=np.float64)
+                    raise ValidationError(f"{name}:{lineno}: atom row has {len(row)} fields, "
+                                          f"loop declares {len(header)}")
+                motif.append([_parse_number(row[c], f"{name}:{lineno}") for c in cols])
 
-    if positions is None or positions.shape[0] == 0:
+    if not motif:
         raise ValidationError(f"{name}: no atom-site loop with fractional coordinates")
-    positions = np.mod(positions, 1.0)
-    return CifStructure(cell=tuple(cell), positions=positions, labels=labels)
+    return PeriodicPointSet(cell_basis(*cell), motif)
 
 
 def cell_basis(a: float, b: float, c: float,
@@ -180,22 +150,18 @@ def cell_basis(a: float, b: float, c: float,
 @dataclass
 class PeriodicPointSet:
     basis: np.ndarray  # (3,3), rows are the cell vectors in Angstrom
-    motif: np.ndarray  # (m,3) fractional, reduced mod 1
-    labels: list[str] | None = None
+    motif: np.ndarray  # (m,3) fractional, in [0, 1)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=np.float64)
-        self.motif = np.mod(np.asarray(self.motif, dtype=np.float64), 1.0)
+        # np.mod(-1e-20, 1.0) rounds to 1.0, which the second np.mod sends to 0.0
+        self.motif = np.mod(np.mod(np.asarray(self.motif, dtype=np.float64), 1.0), 1.0)
         if self.basis.shape != (3, 3):
             raise DegenerateInputError(f"basis must be 3x3, got {self.basis.shape}")
         if abs(np.linalg.det(self.basis)) <= 1e-6:
             raise DegenerateInputError("basis is singular (|det| <= 1e-6)")
         if self.motif.ndim != 2 or self.motif.shape[1] != 3 or self.motif.shape[0] == 0:
             raise DegenerateInputError("motif must be a non-empty (m, 3) array")
-
-    @classmethod
-    def from_cif(cls, structure: CifStructure) -> "PeriodicPointSet":
-        return cls(cell_basis(*structure.cell), structure.positions, structure.labels)
 
 
 # Shells are kept up to radius 16, 0.9 MB in all: a thin cell can walk to
@@ -257,23 +223,13 @@ def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
     return best[:, 1:k + 1]
 
 
-@dataclass
-class AmdDescriptor:
-    values: np.ndarray  # (k,) Angstrom
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-
-def amd(ps: PeriodicPointSet, k: int = 100) -> AmdDescriptor:
-    """Column means of the per-point nearest-distance matrix."""
-    return AmdDescriptor(kth_nearest_distances(ps, k).mean(axis=0))
+def amd(ps: PeriodicPointSet, k: int = 100) -> np.ndarray:
+    """The (k,) descriptor in Angstrom: column means of the per-point nearest-distance matrix."""
+    return kth_nearest_distances(ps, k).mean(axis=0)
 
 
 def _as_matrix(descriptors) -> np.ndarray:
-    rows = [d.values if isinstance(d, AmdDescriptor) else np.asarray(d, dtype=np.float64)
-            for d in descriptors]
+    rows = [np.asarray(d, dtype=np.float64) for d in descriptors]
     lengths = {r.shape[0] for r in rows}
     if len(lengths) > 1:
         raise ValidationError(f"descriptors have mixed lengths {sorted(lengths)}")
@@ -306,4 +262,4 @@ def novelty_score(candidates, references) -> np.ndarray:
 
 def load_cif_file(path: str | Path) -> PeriodicPointSet:
     path = Path(path)
-    return PeriodicPointSet.from_cif(parse_cif(path.read_text(), name=str(path)))
+    return parse_cif(path.read_text(), name=str(path))

@@ -22,10 +22,6 @@ class DeadEndError(BlockflowError):
     """A state with no valid action was reached (or an all-masked softmax)."""
 
 
-class TerminalStateError(BlockflowError):
-    """An operation that requires a non-terminal state got a terminal one."""
-
-
 class EnumerationBoundError(BlockflowError):
     """Exhaustive enumeration refused because the state space is too large."""
 

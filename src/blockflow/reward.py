@@ -42,24 +42,6 @@ class RewardSpec:
             raise ConfigurationError(f"unknown evaluator {self.evaluator!r}")
 
 
-@dataclass(frozen=True)
-class GsaResult:
-    value: float | None
-    error: str | None = None
-
-    @classmethod
-    def of(cls, value: float) -> "GsaResult":
-        return cls(value=float(value), error=None)
-
-    @classmethod
-    def fail(cls, message: str) -> "GsaResult":
-        return cls(value=None, error=message)
-
-    @property
-    def ok(self) -> bool:
-        return self.value is not None
-
-
 def reward(spec: RewardSpec, gsa):
     """The reward of each GSA in `gsa`; a float for a float (or None).
 
@@ -103,8 +85,9 @@ class AdapterConfig:
         ]
 
 
-def external_gsa(adapter: AdapterConfig, record: str, running: _RunningAdapters | None = None) -> GsaResult:
-    """Run the adapter once. Every failure mode becomes a GsaResult.fail.
+def external_gsa(adapter: AdapterConfig, record: str,
+                 running: _RunningAdapters | None = None) -> tuple[float, str | None]:
+    """Run the adapter once: `(gsa, None)` on success, `(nan, message)` on any failure.
 
     The adapter runs in a session of its own. If its answer does not come
     (a timeout, an error, an interrupt), the whole process group is killed
@@ -114,27 +97,27 @@ def external_gsa(adapter: AdapterConfig, record: str, running: _RunningAdapters 
     try:
         proc = (running or _RunningAdapters()).start(adapter.argv())
     except OSError as exc:
-        return GsaResult.fail(f"adapter did not run: {exc}")
+        return np.nan, f"adapter did not run: {exc}"
     try:
         stdout, stderr = proc.communicate(record + "\n", timeout=adapter.timeout_s)
     except Exception as exc:
         _kill_group(proc)
-        return GsaResult.fail(f"adapter did not run: {exc}")
+        return np.nan, f"adapter did not run: {exc}"
     except BaseException:
         _kill_group(proc)
         raise
     if proc.returncode != 0:
-        return GsaResult.fail(f"adapter exit code {proc.returncode}: {stderr.strip()[:200]}")
+        return np.nan, f"adapter exit code {proc.returncode}: {stderr.strip()[:200]}"
     fields = stdout.split()
     if not fields:
-        return GsaResult.fail("adapter produced no output")
+        return np.nan, "adapter produced no output"
     try:
         value = float(fields[0])
     except ValueError:
-        return GsaResult.fail(f"adapter output not a number: {fields[0]!r}")
+        return np.nan, f"adapter output not a number: {fields[0]!r}"
     if not np.isfinite(value):
-        return GsaResult.fail(f"adapter output not finite: {value!r}")
-    return GsaResult.of(value)
+        return np.nan, f"adapter output not finite: {value!r}"
+    return value, None
 
 
 class _RunningAdapters:
@@ -202,7 +185,7 @@ class RewardModel:
         self.spec = spec
         self.env = env
         self.adapter = adapter
-        self._cache: dict[tuple[int, ...], GsaResult] = {}
+        self._cache: dict[tuple[int, ...], tuple[float, str | None]] = {}
 
     def score_batch(self, rows) -> Scores:
         """The scores of each row of `rows`, an (m, n_slots) array of token indices.
@@ -232,6 +215,6 @@ class RewardModel:
                     raise
             self._cache.update(zip(pending, results))
         results = [self._cache[key] for key in keys]
-        gsa = np.array([np.nan if res.value is None else res.value for res in results])
-        errors = {i: res.error for i, res in enumerate(results) if not res.ok}
+        gsa = np.array([value for value, _ in results])
+        errors = {i: error for i, (_, error) in enumerate(results) if error is not None}
         return Scores(gsa, reward(self.spec, gsa), errors)

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from blockflow import (Environment, ExactFlows, FlowModel, ModelConfig, RewardModel, RewardSpec,
                        Topology, Vocabulary)
-from blockflow.errors import TerminalStateError
+from blockflow.errors import BlockflowError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -33,6 +33,10 @@ def zero_model(config: ModelConfig) -> FlowModel:
     """A model whose every parameter is zero: its policy is uniform over each slot's valid tokens."""
     return FlowModel(config, {name: np.zeros(shape)
                               for name, shape in FlowModel.param_shapes(config).items()})
+
+
+class TerminalStateError(BlockflowError):
+    """A step was asked of a prefix that is already terminal."""
 
 
 class TabularPolicy:

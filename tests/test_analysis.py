@@ -14,9 +14,8 @@ from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel,
                        pearson_r, percentile_rank, rollout, selectivity,
                        spearman_rho, working_capacity)
 from blockflow.autodiff import masked_log_softmax
-from blockflow.errors import (DegenerateInputError, EnumerationBoundError,
-                              TerminalStateError, ValidationError)
-from conftest import TabularPolicy, flow_log_prob, zero_model
+from blockflow.errors import DegenerateInputError, EnumerationBoundError, ValidationError
+from conftest import TabularPolicy, TerminalStateError, flow_log_prob, zero_model
 
 
 # -- rank and correlation -----------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +294,20 @@ def test_amd_command(cif_dir, tmp_path, capsys):
     dmat = read_csv(out / "distance_matrix.csv")
     # 6 coordinates each differing by 1.0 -> Euclidean distance sqrt(6)
     assert float(dmat[1][2]) == pytest.approx(np.sqrt(6.0), abs=1e-9)
+
+
+def test_amd_skips_a_file_whose_cell_does_not_close(cif_dir, tmp_path, capsys):
+    flat = cif_text(3.0, [(0, 0, 0)])
+    for angle, degrees in (("alpha", 30), ("beta", 30), ("gamma", 120)):
+        flat = flat.replace(f"_cell_angle_{angle} 90", f"_cell_angle_{angle} {degrees}")
+    (cif_dir / "d_flat.cif").write_text(flat)
+    out = tmp_path / "amd"
+    assert main(["amd", "--cif-dir", str(cif_dir), "-k", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "processed=2 skipped=2" in captured.out
+    assert ("warning: skipping d_flat.cif: cell angles (30.0, 30.0, 120.0) do not close a 3D cell"
+            in captured.err.splitlines())
+    assert [r[0] for r in read_csv(out / "amd.csv")[1:]] == ["a_small.cif", "b_large.cif"]
 
 
 def test_amd_with_reference_dir(cif_dir, tmp_path):
@@ -714,3 +729,19 @@ def test_cli_child_keeps_a_thread_count_the_user_set(tmp_path, monkeypatch, no_t
                        "--out", tmp_path / "out")
     assert seen["code"] == 0
     assert seen["env"] == ["3", "1", "1"]
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script, args, last_line", [
+    ("amd_demo.py", [], "full descriptors and distance matrix under {out}"),
+    ("train_bridge_demo.py", ["--samples", "2000"], r"L1 distance over 2000 draws: \d\.\d\d\d\d"),
+], ids=["amd_demo", "train_bridge_demo"])
+def test_quick_start_demo_scripts_run(script, args, last_line, tmp_path):
+    out = tmp_path / "out"
+    child = subprocess.run([sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
+                           capture_output=True, text=True, cwd=tmp_path,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert child.returncode == 0, child.stderr
+    assert re.fullmatch(last_line.format(out=re.escape(str(out))), child.stdout.splitlines()[-1])

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockflow import (AmdDescriptor, PeriodicPointSet, amd, cell_basis,
-                       descriptor_distance_matrix, kth_nearest_distances,
-                       load_cif_file, novelty_score, parse_cif)
+from blockflow import (PeriodicPointSet, amd, cell_basis, descriptor_distance_matrix,
+                       kth_nearest_distances, load_cif_file, novelty_score, parse_cif)
 from blockflow import crystal
 from blockflow.crystal import _parse_number
 from blockflow.errors import (CoincidentPointsError, DegenerateInputError,
@@ -51,33 +50,31 @@ def test_parse_number_uncertainty_and_exponents():
 
 
 def test_parse_cif_cubic_trivial():
-    s = parse_cif(cif_text(atoms=((0.25, 0.5, 0.75),)))
-    assert s.cell == (10.0, 10.0, 10.0, 90.0, 90.0, 90.0)
-    assert np.allclose(s.positions, [[0.25, 0.5, 0.75]])
-    assert s.labels == ["A1"]
-    basis = cell_basis(*s.cell)
-    assert np.allclose(basis, np.diag([10.0, 10.0, 10.0]), atol=1e-12)
+    ps = parse_cif(cif_text(atoms=((0.25, 0.5, 0.75),)))
+    assert np.array_equal(ps.basis, cell_basis(10.0, 10.0, 10.0, 90.0, 90.0, 90.0))
+    assert np.allclose(ps.motif, [[0.25, 0.5, 0.75]])
+    assert np.allclose(ps.basis, np.diag([10.0, 10.0, 10.0]), atol=1e-12)
 
 
 def test_parse_cif_wraps_out_of_cell_coordinates():
-    s = parse_cif(cif_text(atoms=((1.25, -0.25, 2.0),)))
-    assert np.allclose(s.positions, [[0.25, 0.75, 0.0]])
+    ps = parse_cif(cif_text(atoms=((1.25, -0.25, 2.0),)))
+    assert np.allclose(ps.motif, [[0.25, 0.75, 0.0]])
 
 
 def test_parse_cif_accepts_identity_symop():
     extra = "loop_\n_symmetry_equiv_pos_as_xyz\n'x, y, z'"
-    s = parse_cif(cif_text(extra=extra))
-    assert s.positions.shape == (1, 3)
+    ps = parse_cif(cif_text(extra=extra))
+    assert ps.motif.shape == (1, 3)
 
 
 def test_parse_cif_accepts_space_group_number_one():
-    s = parse_cif(cif_text(extra="_symmetry_Int_Tables_number 1"))
-    assert s.positions.shape == (1, 3)
+    ps = parse_cif(cif_text(extra="_symmetry_Int_Tables_number 1"))
+    assert ps.motif.shape == (1, 3)
 
 
 def test_parse_cif_uncertainty_cell_values():
-    s = parse_cif(cif_text(a="10.5(3)"))
-    assert s.cell[0] == 10.5
+    ps = parse_cif(cif_text(a="10.5(3)"))
+    assert ps.basis[0, 0] == 10.5  # a lies along x
 
 
 def test_parse_cif_rejects_non_p1_name():
@@ -120,6 +117,107 @@ def test_parse_cif_short_atom_row():
     text = cif_text().replace("A1 0.0 0.0 0.0", "A1 0.0 0.0")
     with pytest.raises(ValidationError, match="fields"):
         parse_cif(text)
+
+
+# -- the scanner: layouts a CIF may take --------------------------------------
+
+
+def atom_loop(*rows, label="_atom_site_label"):
+    return "\n".join(["loop_", label, "_atom_site_fract_x", "_atom_site_fract_y",
+                      "_atom_site_fract_z", *rows])
+
+
+CELL_TAGS = "\n".join(["_cell_length_a 7.0", "_cell_length_b 8.0", "_cell_length_c 9.0",
+                       "_cell_angle_alpha 90", "_cell_angle_beta 90", "_cell_angle_gamma 90"])
+
+
+@pytest.mark.parametrize("closer", ["# a comment", "", "   ", "data_second"])
+def test_parse_cif_a_comment_blank_or_data_line_ends_a_loop(closer):
+    # the row after the closing line belongs to no loop and is ignored
+    text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3"), closer, "A2 0.5 0.5 0.5"])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+
+
+def test_parse_cif_reads_a_tag_right_after_loop_rows():
+    text = "\n".join(["data_x", atom_loop("A1 0.1 0.2 0.3", "A2 0.6 0.7 0.8"), CELL_TAGS])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.basis, cell_basis(7.0, 8.0, 9.0, 90.0, 90.0, 90.0))
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+
+
+def test_parse_cif_checks_a_symop_loop_after_the_atom_loop():
+    symops = "loop_\n_symmetry_equiv_pos_as_xyz\n'x, y, z'\n'-x, y+1/2, -z'"
+    text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3"), symops])
+    with pytest.raises(ValidationError, match=r"^f\.cif:16: symmetry operation '-x, y\+1/2, -z'"):
+        parse_cif(text, "f.cif")
+    ps = parse_cif(text.replace("'-x, y+1/2, -z'", "'+x, +y, +z'"), "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+
+
+def test_parse_cif_skips_an_empty_loop():
+    text = "\n".join([CELL_TAGS, "loop_", atom_loop("A1 0.1 0.2 0.3"), "loop_"])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+
+
+def test_parse_cif_a_blank_line_after_loop_closes_it():
+    # the loop is empty; its would-be header lines are value-less tags and its rows are ignored
+    text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3").replace("loop_", "loop_\n")])
+    with pytest.raises(ValidationError, match=r"^f\.cif: no atom-site loop"):
+        parse_cif(text, "f.cif")
+
+
+def test_parse_cif_reads_uppercase_loop_and_tags():
+    text = "\n".join([CELL_TAGS.upper(), atom_loop("A1 0.1 0.2 0.3").upper(),
+                      "_SYMMETRY_SPACE_GROUP_NAME_H-M 'P 1'"])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.basis, cell_basis(7.0, 8.0, 9.0, 90.0, 90.0, 90.0))
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+    with pytest.raises(ValidationError, match=r"^f\.cif:13: only P1"):
+        parse_cif(text.replace("'P 1'", "'P -1'"), "f.cif")
+
+
+def test_parse_cif_reads_indented_lines():
+    flat = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3", "A2 0.6 0.7 0.8")])
+    indented = "\n".join("  " + line + " \t" for line in flat.splitlines())
+    ps, expect = parse_cif(indented, "f.cif"), parse_cif(flat, "f.cif")
+    assert np.array_equal(ps.basis, expect.basis)
+    assert np.array_equal(ps.motif, expect.motif)
+
+
+def test_parse_cif_reads_a_quoted_label_with_a_space():
+    text = "\n".join([CELL_TAGS, atom_loop("'Fe 1' 0.1 0.2 0.3", '"O 2" 0.6 0.7 0.8')])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+    with pytest.raises(ValidationError, match=r"^f\.cif:12: atom row has 5 fields, loop declares 4"):
+        parse_cif(text.replace("'Fe 1'", "Fe 1"), "f.cif")
+
+
+def test_parse_cif_the_last_atom_loop_wins():
+    text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3"),
+                      atom_loop("B1 0.4 0.5 0.6", "B2 0.7 0.8 0.9", label="_atom_site_type_symbol")])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+    # an earlier loop's bad row is still read, and reported first
+    with pytest.raises(ValidationError, match=r"^f\.cif:12: cannot parse number 'x'"):
+        parse_cif(text.replace("A1 0.1", "A1 x"), "f.cif")
+
+
+def test_parse_cif_a_bad_cell_value_wins_over_a_missing_cell_tag():
+    text = cif_text(a="oops")
+    no_gamma = "\n".join(line for line in text.splitlines() if "_cell_angle_gamma" not in line)
+    with pytest.raises(ValidationError, match=r"^f\.cif:2: cannot parse number 'oops'"):
+        parse_cif(no_gamma, "f.cif")
+    no_b = "\n".join(line for line in cif_text(gamma="oops").splitlines()
+                     if "_cell_length_b" not in line)
+    with pytest.raises(ValidationError, match=r"^f\.cif: missing cell parameter _cell_length_b"):
+        parse_cif(no_b, "f.cif")
+
+
+def test_parse_cif_refuses_a_degenerate_cell():
+    with pytest.raises(DegenerateInputError, match="do not close a 3D cell"):
+        parse_cif(cif_text(alpha=30.0, beta=30.0, gamma=120.0), "f.cif")
 
 
 # -- cell geometry ------------------------------------------------------------
@@ -173,6 +271,15 @@ def test_point_set_validation():
     assert np.allclose(ps.motif, [[0.5, 0.75, 0.0]])
 
 
+def test_a_motif_read_from_a_cif_matches_the_same_motif_given_directly():
+    # np.mod(-1e-20, 1.0) rounds to 1.0: both paths must land on 0.0, inside [0, 1)
+    motif = [[-1e-20, 0.0, 0.0], [0.25, -0.0, 1.0 - 2.0**-53]]
+    direct = PeriodicPointSet(5.0 * np.eye(3), motif).motif
+    read = parse_cif(cif_text(a=5.0, b=5.0, c=5.0, atoms=motif)).motif
+    assert np.array_equal(direct, read)
+    assert np.all((direct >= 0.0) & (direct < 1.0))
+
+
 # -- exact neighbor distances -------------------------------------------------
 
 
@@ -183,8 +290,8 @@ def test_simple_cubic_shells():
     assert np.allclose(d[0, :6], 3.0, atol=1e-9)
     assert np.allclose(d[0, 6:18], 3.0 * math.sqrt(2.0), atol=1e-9)
     desc = amd(ps, 7)
-    assert desc.k == 7
-    assert np.allclose(desc.values, [3, 3, 3, 3, 3, 3, 3 * math.sqrt(2)], atol=1e-9)
+    assert desc.shape == (7,) and desc.dtype == np.float64
+    assert np.allclose(desc, [3, 3, 3, 3, 3, 3, 3 * math.sqrt(2)], atol=1e-9)
 
 
 def test_body_centered_two_point_motif():
@@ -194,7 +301,7 @@ def test_body_centered_two_point_motif():
     expect = [math.sqrt(3.0)] * 8 + [2.0] * 6
     assert np.allclose(d[0], expect, atol=1e-9)
     assert np.allclose(d[1], expect, atol=1e-9)
-    assert np.allclose(amd(ps, 14).values, expect, atol=1e-9)
+    assert np.allclose(amd(ps, 14), expect, atol=1e-9)
 
 
 def test_rows_are_sorted_and_k_shaped():
@@ -222,7 +329,7 @@ def test_k_validation():
 def test_supercell_invariance():
     base = PeriodicPointSet(cell_basis(3.0, 3.5, 4.0, 85.0, 92.0, 101.0),
                             [[0.15, 0.3, 0.45], [0.7, 0.05, 0.8]])
-    ref = amd(base, 20).values
+    ref = amd(base, 20)
     for scale in ((2, 1, 1), (1, 2, 1), (2, 2, 2)):
         s = np.array(scale, dtype=float)
         motif = []
@@ -230,15 +337,15 @@ def test_supercell_invariance():
             for p in base.motif:
                 motif.append((p + np.array(shift)) / s)
         doubled = PeriodicPointSet(base.basis * s[:, None], motif)
-        assert np.allclose(amd(doubled, 20).values, ref, atol=1e-9), scale
+        assert np.allclose(amd(doubled, 20), ref, atol=1e-9), scale
 
 
 def test_translation_and_permutation_invariance():
     basis = cell_basis(3.0, 4.0, 3.5, 90.0, 104.0, 90.0)
     motif = np.array([[0.1, 0.2, 0.3], [0.55, 0.65, 0.05], [0.9, 0.4, 0.7]])
-    ref = amd(PeriodicPointSet(basis, motif), 15).values
-    shifted = amd(PeriodicPointSet(basis, motif + [0.37, 0.81, 0.29]), 15).values
-    permuted = amd(PeriodicPointSet(basis, motif[::-1]), 15).values
+    ref = amd(PeriodicPointSet(basis, motif), 15)
+    shifted = amd(PeriodicPointSet(basis, motif + [0.37, 0.81, 0.29]), 15)
+    permuted = amd(PeriodicPointSet(basis, motif[::-1]), 15)
     assert np.allclose(shifted, ref, atol=1e-9)
     assert np.allclose(permuted, ref, rtol=1e-14, atol=0.0)
 
@@ -316,8 +423,8 @@ def test_search_matches_the_uncached_norm_search_bit_for_bit():
 def test_descriptors_do_not_depend_on_what_ran_before():
     crystal._shells.clear()
     sets = fixture_point_sets()
-    forward = [amd(ps, 30).values for ps in sets]
-    backward = [amd(ps, 30).values for ps in reversed(sets)][::-1]
+    forward = [amd(ps, 30) for ps in sets]
+    backward = [amd(ps, 30) for ps in reversed(sets)][::-1]
     for a, b in zip(forward, backward):
         assert np.array_equal(a, b)
 
@@ -347,7 +454,7 @@ def test_brute_force_property_random_cells(a, b, c, alpha, beta, gamma):
 def test_amd_is_monotone_nondecreasing():
     ps = PeriodicPointSet(cell_basis(3.2, 4.1, 5.3, 77.0, 88.0, 99.0),
                           [[0.2, 0.4, 0.6], [0.8, 0.1, 0.35]])
-    values = amd(ps, 40).values
+    values = amd(ps, 40)
     assert np.all(np.diff(values) >= -1e-12)
 
 
@@ -363,9 +470,9 @@ def test_distance_matrix_hand_values():
     assert d[0, 2] == 0.0
 
 
-def test_distance_matrix_accepts_descriptor_objects():
-    a = AmdDescriptor(np.array([1.0, 2.0]))
-    b = AmdDescriptor(np.array([4.0, 6.0]))
+def test_distance_matrix_accepts_descriptor_arrays():
+    a = np.array([1.0, 2.0])
+    b = np.array([4.0, 6.0])
     d = descriptor_distance_matrix([a, b])
     assert d[0, 1] == pytest.approx(5.0)
 
@@ -413,7 +520,7 @@ def test_load_cif_file_roundtrip_and_error_positions(tmp_path):
     good = tmp_path / "good.cif"
     good.write_text(cif_text(a=3.0, b=3.0, c=3.0, atoms=((0.0, 0.0, 0.0),)))
     ps = load_cif_file(good)
-    assert np.allclose(amd(ps, 6).values, 3.0, atol=1e-9)
+    assert np.allclose(amd(ps, 6), 3.0, atol=1e-9)
 
     bad = tmp_path / "bad.cif"
     bad.write_text(cif_text().replace("'P 1'", "'Fm-3m'"))

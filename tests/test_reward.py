@@ -138,8 +138,7 @@ def test_reward_model_zero_below_cutoff(bridge_env):
 def test_external_adapter_happy_path():
     adapter = AdapterConfig(command=stub_adapter_command(
         "import sys; sys.stdin.read(); print(4321.5)"))
-    res = external_gsa(adapter, "bfx:N1,N4,E1")
-    assert res.ok and res.value == 4321.5
+    assert external_gsa(adapter, "bfx:N1,N4,E1") == (4321.5, None)
 
 
 def test_external_adapter_receives_record_and_flags():
@@ -151,8 +150,8 @@ def test_external_adapter_receives_record_and_flags():
         "assert '--samples=2000' in sys.argv, sys.argv\n"
         "print(123.0)\n"
     )
-    res = external_gsa(AdapterConfig(command=stub_adapter_command(body)), "bfx:N1,N4,E1")
-    assert res.ok, res.error
+    gsa, error = external_gsa(AdapterConfig(command=stub_adapter_command(body)), "bfx:N1,N4,E1")
+    assert error is None and gsa == 123.0, error
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -162,17 +161,17 @@ def test_external_adapter_receives_record_and_flags():
     ("print(float('nan'))", "not finite"),
 ])
 def test_external_adapter_failures_become_results(body, needle):
-    res = external_gsa(AdapterConfig(command=stub_adapter_command(body)), "x:N1")
-    assert not res.ok
-    assert needle in res.error
+    gsa, error = external_gsa(AdapterConfig(command=stub_adapter_command(body)), "x:N1")
+    assert np.isnan(gsa)
+    assert needle in error
 
 
 def test_external_adapter_timeout():
     adapter = AdapterConfig(command=stub_adapter_command("import time; time.sleep(30)"),
                             timeout_s=0.5)
-    res = external_gsa(adapter, "x:N1")
-    assert not res.ok
-    assert "did not run" in res.error
+    gsa, error = external_gsa(adapter, "x:N1")
+    assert np.isnan(gsa)
+    assert "did not run" in error
 
 
 def _gone_soon(pid: int, within_s: float = 1.0) -> bool:
@@ -195,8 +194,8 @@ def forking_adapter(pid_file) -> tuple[str, ...]:
 def test_external_adapter_timeout_kills_its_children(tmp_path):
     pid_file = tmp_path / "child.pid"
     adapter = AdapterConfig(command=forking_adapter(pid_file), timeout_s=1.0)
-    res = external_gsa(adapter, "x:N1")
-    assert not res.ok and "did not run" in res.error
+    gsa, error = external_gsa(adapter, "x:N1")
+    assert np.isnan(gsa) and "did not run" in error
     assert _gone_soon(int(pid_file.read_text()))
 
 
@@ -226,8 +225,8 @@ def test_external_adapter_interrupted_wait_kills_its_children(tmp_path, monkeypa
         with pytest.raises(KeyboardInterrupt):
             external_gsa(adapter, "x:N1")
     else:
-        res = external_gsa(adapter, "x:N1")
-        assert not res.ok and "wait cut short" in res.error
+        gsa, error = external_gsa(adapter, "x:N1")
+        assert np.isnan(gsa) and "wait cut short" in error
     assert adapters[0].returncode is not None  # the adapter was reaped
     assert _gone_soon(int(pid_file.read_text()))
 
@@ -264,8 +263,8 @@ def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path,
 
 
 def test_external_adapter_missing_binary():
-    res = external_gsa(AdapterConfig(command=("/no/such/binary",)), "x:N1")
-    assert not res.ok
+    gsa, error = external_gsa(AdapterConfig(command=("/no/such/binary",)), "x:N1")
+    assert np.isnan(gsa) and error
 
 
 def test_adapter_config_validation():
