@@ -177,16 +177,13 @@ def cross_validate(x, y, folds: int = 10, rounds: int = 50, seed: int = 0) -> Cr
     return _summarize("kfold", rounds, folds, train, test)
 
 
-def holdout_validate(x, y, test_fraction: float = 0.2, rounds: int = 50,
-                     seed: int = 0) -> CrossValSummary:
-    """Repeated random holdout (default 80-20), the alternative protocol."""
+def holdout_validate(x, y, rounds: int = 50, seed: int = 0) -> CrossValSummary:
+    """Repeated random 80-20 holdout, the alternative protocol."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigurationError("test fraction must be in (0, 1)")
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
-    n_test = max(1, int(round(test_fraction * x.shape[0])))
+    n_test = max(1, int(round(0.2 * x.shape[0])))
     if n_test >= x.shape[0]:
         raise DegenerateInputError("holdout leaves no training points")
     rng = np.random.Generator(np.random.PCG64(seed))

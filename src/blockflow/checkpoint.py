@@ -31,7 +31,7 @@ import json
 import math
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,18 +114,14 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
     shapes = {name: list(p.shape) for name, p in model.parameters().items()}
     header = {
         "schema": CHECKPOINT_SCHEMA,
-        "model_config": {
-            "vocab_size": model.config.vocab_size,
-            "embed_dim": model.config.embed_dim,
-            "hidden_dim": model.config.hidden_dim,
-        },
+        "model_config": asdict(model.config),
         "params": shapes,
         "optimizer": {
             "step_count": optimizer.step_count,
             "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
+            "beta1": optimizer.BETA1,
+            "beta2": optimizer.BETA2,
+            "eps": optimizer.EPS,
             "m": shapes,
             "v": shapes,
         },
@@ -205,6 +201,7 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
     """The checkpoint in `header` and `body`, once every field has its type and every
     array its shape, and the body holds exactly the declared arrays."""
     from .model import FlowModel, ModelConfig
+    from .optim import Adam
     dims = header.get("model_config")
     _require(isinstance(dims, dict) and set(dims) == {"vocab_size", "embed_dim", "hidden_dim"}
              and all(_is_int(v) for v in dims.values()),
@@ -218,7 +215,8 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
              and all(_is_number(rate) and rate > 0 for rate in lr.values()),
              f"optimizer.lr must give every parameter a positive rate, got {lr!r}")
     for key in ("beta1", "beta2", "eps"):
-        _require(_is_number(opt.get(key)), f"optimizer.{key} must be a number")
+        fixed = getattr(Adam, key.upper())
+        _require(opt.get(key) == fixed, f"optimizer.{key} must be {fixed}, got {opt.get(key)!r}")
     _require(_is_int(opt.get("step_count")) and opt["step_count"] >= 0,
              "optimizer.step_count must be a non-negative integer")
     declared = {name: list(shapes[name]) for name in sorted(shapes)}
@@ -264,8 +262,7 @@ def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
     from .optim import Adam
     doc = ckpt.optimizer
     # every parameter has its own rate, so the base rate only has to be valid
-    opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"],
-               beta1=float(doc["beta1"]), beta2=float(doc["beta2"]), eps=float(doc["eps"]))
+    opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"])
     opt.step_count = doc["step_count"]
     opt.m[:], opt.v[:] = ckpt.body[1:]
     return opt

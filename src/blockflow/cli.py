@@ -23,6 +23,7 @@ from pathlib import Path
 from .errors import BlockflowError, ValidationError
 
 RUN_CONFIG_SCHEMA = "blockflow-run/1"
+_RUN_CONFIG_KEYS = ("schema", "topology", "vocabulary", "model", "reward", "train")
 
 
 @dataclass
@@ -93,17 +94,17 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != RUN_CONFIG_SCHEMA:
         raise ValidationError(f"{path}: expected schema {RUN_CONFIG_SCHEMA!r}")
+    unknown = set(doc) - set(_RUN_CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(
+            f"{path}: unknown keys {sorted(unknown)}; allowed {sorted(_RUN_CONFIG_KEYS)}")
     for key in ("topology", "vocabulary"):
         if key not in doc:
             raise ValidationError(f"{path}: missing key {key!r}")
         _typed(doc[key], str, f"{path}: {key}")
-    edges_enabled = doc.get("edges_enabled")  # None leaves the topology's own setting
-    if edges_enabled is not None and not isinstance(edges_enabled, bool):
-        raise ValidationError(f"{path}: edges_enabled must be true or false, got {edges_enabled!r}")
     base = path.parent
     vocab = Vocabulary.load(base / doc["vocabulary"])
-    topo = Topology.load(base / doc["topology"], edges_enabled=edges_enabled)
-    env = Environment(topo, vocab)
+    env = Environment(Topology.load(base / doc["topology"]), vocab)
 
     model_doc = _object(doc.get("model", {}), f"{path}: model")
     init_seed = _typed(model_doc.pop("init_seed", 0), int, f"{path}: model.init_seed")

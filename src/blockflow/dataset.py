@@ -28,7 +28,7 @@ DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "
 @dataclass
 class CandidateRecord:
     record: str
-    tokens: tuple[int, ...] | None
+    tokens: tuple[int, ...]
     gsa: float | None
     reward: float
     sample_count: int
@@ -68,34 +68,31 @@ def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
     return sorted(records, key=lambda r: (-r.reward, r.record))[:k]
 
 
-def save_dataset(path: str | Path, records: list[CandidateRecord],
-                 manifest: dict | None = None) -> None:
+def save_dataset(path: str | Path, records: list[CandidateRecord], manifest: dict) -> None:
     path = Path(path)
     write_table(path, DATASET_HEADER,
                 ([rec.record, rec.gsa, rec.reward, rec.sample_count, rec.first_seen_episode]
                  for rec in records))
-    if manifest is not None:
-        with atomic_write(path.with_name(path.name + ".manifest.json")) as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=1))
+    with atomic_write(path.with_name(path.name + ".manifest.json")) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
 
-def load_dataset(path: str | Path, env: Environment | None = None) -> list[CandidateRecord]:
+def load_dataset(path: str | Path, env: Environment) -> list[CandidateRecord]:
     header, rows = read_table(path)
     if header != DATASET_HEADER:
         raise ValidationError(f"{path}: expected header {','.join(DATASET_HEADER)}")
     out = []
     for lineno, row in rows:
         try:
-            tokens = env.parse_assembly_record(row[0]) if env is not None else None
             out.append(CandidateRecord(
                 record=row[0],
-                tokens=tokens,
+                tokens=env.parse_assembly_record(row[0]),
                 gsa=float(row[1]) if row[1] else None,
                 reward=float(row[2]),
                 sample_count=int(row[3]),
                 first_seen_episode=int(row[4]),
             ))
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return out
 
@@ -117,8 +114,8 @@ class BaselineSummary:
 
 
 def baseline_comparison(model, env: Environment, reward_model: RewardModel,
-                        n_samples: int, seed: int, bins: int = 20) -> BaselineSummary:
-    """Sample the policy and a uniform policy on split RNG streams."""
+                        n_samples: int, seed: int) -> BaselineSummary:
+    """Sample the policy and a uniform policy on split RNG streams; bin both rewards in 20 bins."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
@@ -130,7 +127,7 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
     hi = max(r_trained.max(), r_uniform.max())
     if hi == lo:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, 21)
     return BaselineSummary(
         n_samples=n_samples,
         trained_mean=float(r_trained.mean()),

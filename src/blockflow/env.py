@@ -140,7 +140,7 @@ class Topology:
         return self.node_slots
 
     @classmethod
-    def load(cls, path: str | Path, edges_enabled: bool | None = None) -> "Topology":
+    def load(cls, path: str | Path) -> "Topology":
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
@@ -151,13 +151,21 @@ class Topology:
         for key in ("name", "node_slots", "edge_slots"):
             if key not in doc:
                 raise ValidationError(f"{path}: missing key {key!r}")
-        enabled = doc.get("edges_enabled", True) if edges_enabled is None else edges_enabled
+        for key in ("node_slots", "edge_slots"):
+            if not (isinstance(doc[key], list) and all(
+                    isinstance(slot, list) and all(isinstance(t, str) for t in slot)
+                    for slot in doc[key])):
+                raise ValidationError(
+                    f"{path}: {key} must be a list of lists of token ids, got {doc[key]!r}")
+        enabled = doc.get("edges_enabled", True)
+        if not isinstance(enabled, bool):
+            raise ValidationError(f"{path}: edges_enabled must be true or false, got {enabled!r}")
         try:
             return cls(
                 name=str(doc["name"]),
-                node_slots=tuple(tuple(str(t) for t in slot) for slot in doc["node_slots"]),
-                edge_slots=tuple(tuple(str(t) for t in slot) for slot in doc["edge_slots"]),
-                edges_enabled=bool(enabled),
+                node_slots=tuple(map(tuple, doc["node_slots"])),
+                edge_slots=tuple(map(tuple, doc["edge_slots"])),
+                edges_enabled=enabled,
             )
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None

@@ -50,12 +50,16 @@ class Adam:
     `step` takes the parameters and their gradient as flat buffers laid out
     by `model.named_views`, the layout of `m` and `v` too. `lr_overrides`
     maps parameter names to their own rate; the log-partition scalar usually
-    trains on a separate rate from the network.
+    trains on a separate rate from the network. The betas and eps are
+    fixed.
     """
 
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
     def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 lr_overrides: dict[str, float] | None = None,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 lr_overrides: dict[str, float] | None = None):
         if lr <= 0:
             raise ConfigurationError("learning rate must be positive")
         lr_overrides = dict(lr_overrides or {})
@@ -65,9 +69,6 @@ class Adam:
             if rate <= 0:
                 raise ConfigurationError(f"lr override for {name!r} must be positive")
         self.lr = {name: lr_overrides.get(name, lr) for name in params}
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._sizes = {name: (p.size,) for name, p in params.items()}  # each one as a 1-D piece
         self.m = np.zeros(sum(p.size for p in params.values()))
@@ -88,5 +89,5 @@ class Adam:
         for name, rate in self.lr.items():
             for lo in range(0, self._sizes[name][0], _BLOCK):
                 block = [span[name][lo:lo + _BLOCK] for span in spans]
-                adam_update(*block, self.step_count, rate, self.beta1, self.beta2,
-                            self.eps, self._work[:, :block[0].size])
+                adam_update(*block, self.step_count, rate, self.BETA1, self.BETA2,
+                            self.EPS, self._work[:, :block[0].size])

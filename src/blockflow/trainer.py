@@ -181,8 +181,6 @@ class TrainResult:
     best_record: str | None
     log_z: float
     final_loss_mean: float | None
-    metrics_path: Path | None
-    checkpoint_path: Path | None
     evaluator_failures: int  # episodes of this invocation a failed evaluation scored
     first_evaluator_error: str | None
 
@@ -252,9 +250,11 @@ def _check_resume_config(saved: dict, current: dict) -> None:
 
 
 def train(config: TrainConfig, model: FlowModel, env: Environment,
-          reward_model: RewardModel, out_dir: str | Path | None = None,
+          reward_model: RewardModel, out_dir: str | Path,
           resume_from: str | Path | None = None) -> TrainResult:
-    """Run the training loop; optionally resume from a checkpoint.
+    """Run the training loop into `out_dir`; optionally resume from a checkpoint.
+
+    `out_dir` gets the run's manifest, its metrics table and its checkpoint.
 
     Each update samples one batch with its forward values cached and takes
     the balance loss and its gradient from that same forward pass. Only
@@ -275,11 +275,9 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         ckpt = load_checkpoint(resume_from)
         if ckpt.env_hash != env.env_hash:
             raise ValidationError("checkpoint was produced for a different topology or vocabulary")
-        expected = {"vocab_size": model.config.vocab_size,
-                    "embed_dim": model.config.embed_dim,
-                    "hidden_dim": model.config.hidden_dim}
-        if ckpt.model_config != expected:
-            raise ValidationError(f"checkpoint model dims {ckpt.model_config} != {expected}")
+        if ckpt.model_config != asdict(model.config):
+            raise ValidationError(
+                f"checkpoint model dims {ckpt.model_config} != {asdict(model.config)}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
         np.copyto(model.flat, ckpt.body[0])
         optimizer = restore_optimizer(ckpt, model)
@@ -294,48 +292,38 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                          lr_overrides={"log_z": config.learning_rate_logz})
         rng = np.random.Generator(np.random.PCG64(config.seed))
 
-    metrics_path: Path | None = None
-    checkpoint_path: Path | None = None
-    metrics_file = None
-    writer = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "schema": "blockflow-run-manifest/1",
-            "command": "train",
-            "seed": config.seed,
-            "env_hash": env.env_hash,
-            "topology": env.topology.name,
-            "config": asdict(config),
-            "resume_from": None if resume_from is None else str(resume_from),
-        }
-        with atomic_write(out_dir / "run_manifest.json") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=1))
-        metrics_path = out_dir / "metrics.csv"
-        checkpoint_path = out_dir / "checkpoint.json"
-        _trim_metrics(metrics_path, start_episode)
-        metrics_file = open(metrics_path, "a", newline="")
-        writer = csv.writer(metrics_file)  # appends each row as it comes
-
-    saved_episode: int | None = None
-
-    def snapshot(episode: int) -> None:
-        nonlocal saved_episode
-        if checkpoint_path is None or saved_episode == episode:
-            return
-        if metrics_file is not None:
-            metrics_file.flush()
-        echo = {**_run_echo(config, reward_model, env), "best_record": best_record}
-        save_checkpoint(checkpoint_path, model, optimizer, rng, episode,
-                        best_reward, loss_tail.tolist(), env.env_hash, echo)
-        saved_episode = episode
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "schema": "blockflow-run-manifest/1",
+        "command": "train",
+        "seed": config.seed,
+        "env_hash": env.env_hash,
+        "topology": env.topology.name,
+        "config": asdict(config),
+        "resume_from": None if resume_from is None else str(resume_from),
+    }
+    with atomic_write(out_dir / "run_manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1))
+    _trim_metrics(out_dir / "metrics.csv", start_episode)
 
     episode = start_episode
     stopped_early = False
-    last_snapshot = start_episode
     full = True
-    try:
+    saved: int | None = None  # the episode of this run's last checkpoint save
+    with open(out_dir / "metrics.csv", "a", newline="") as metrics_file:
+        writer = csv.writer(metrics_file)  # appends each row as it comes
+
+        def snapshot(episode: int) -> None:
+            nonlocal saved
+            if saved == episode:
+                return
+            metrics_file.flush()
+            echo = {**_run_echo(config, reward_model, env), "best_record": best_record}
+            save_checkpoint(out_dir / "checkpoint.json", model, optimizer, rng, episode,
+                            best_reward, loss_tail.tolist(), env.env_hash, echo)
+            saved = episode
+
         while episode < config.max_episodes:
             n = min(config.batch_size, config.max_episodes - episode)
             full = n == config.batch_size
@@ -365,28 +353,22 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                 if rwd > best_reward:
                     best_reward = rwd
                     best_record = env.format_assembly_records(actions[i:i + 1])[0]
-                if writer is not None:
-                    writer.writerow([episode, loss_val, smooth, model.log_z_value, rwd,
-                                     best_reward])
+                writer.writerow([episode, loss_val, smooth, model.log_z_value, rwd, best_reward])
             if not full:
                 break
             d_residual = (2.0 / n) * residual  # d mean(residual^2) / d residual
             model.balance_grad(cache, d_residual)
             optimizer.step(model.flat, model.grad)
             del cache  # free the forward values before a checkpoint save
-            if (config.checkpoint_every > 0
-                    and episode - last_snapshot >= config.checkpoint_every):
+            since = episode - (start_episode if saved is None else saved)
+            if config.checkpoint_every > 0 and since >= config.checkpoint_every:
                 snapshot(episode)
-                last_snapshot = episode
             stop_mean = _window_means(loss_tail, 1, config.stop_window)[0]
             if stop_mean is not None and stop_mean < config.stop_threshold:
                 stopped_early = True
                 break
         if full:  # otherwise the boundary before the short batch was saved
             snapshot(episode)
-    finally:
-        if metrics_file is not None:
-            metrics_file.close()
 
     final_mean = _window_means(loss_tail, 1, config.stop_window)[0]
     return TrainResult(
@@ -396,8 +378,6 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         best_record=best_record,
         log_z=model.log_z_value,
         final_loss_mean=final_mean,
-        metrics_path=metrics_path,
-        checkpoint_path=checkpoint_path,
         evaluator_failures=evaluator_failures,
         first_evaluator_error=first_evaluator_error,
     )

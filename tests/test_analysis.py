@@ -160,15 +160,11 @@ def test_cross_validate_validation():
 
 def test_holdout_validate():
     x = np.linspace(0, 10, 50)
-    summary = holdout_validate(x, 3 * x + 2, test_fraction=0.2, rounds=25, seed=1)
+    summary = holdout_validate(x, 3 * x + 2, rounds=25, seed=1)
     assert summary.scheme == "holdout"
     assert summary.rounds == 25
     assert summary.splits == 1
     assert summary.test_r2_mean == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValidationError):
-        holdout_validate(x, x, test_fraction=0.0)
-    with pytest.raises(ValidationError):
-        holdout_validate(x, x, test_fraction=1.0)
     with pytest.raises(ValidationError, match="rounds"):
         holdout_validate(x, x, rounds=0)
 

@@ -290,13 +290,13 @@ def test_read_table_refuses_a_row_of_another_width(tmp_path, body):
 @pytest.mark.parametrize("content", [None, b"material\r\n\xff\r\n",
                                      b"material\r\n" + b"x" * (csv.field_size_limit() + 1)],
                          ids=["missing", "not-utf8", "cell-over-the-csv-limit"])
-@pytest.mark.parametrize("load", [load_dataset, load_isotherm_table])
-def test_an_unreadable_table_is_refused_by_name(tmp_path, load, content):
+@pytest.mark.parametrize("load", [load_dataset, lambda path, env: load_isotherm_table(path)])
+def test_an_unreadable_table_is_refused_by_name(tmp_path, load, content, bridge_env):
     path = tmp_path / "table.csv"
     if content is not None:
         path.write_bytes(content)
     with pytest.raises(ValidationError, match=f"cannot read {path}"):
-        load(path)
+        load(path, bridge_env)
 
 
 def test_save_is_atomic_no_tmp_left_behind(tmp_path):
@@ -404,6 +404,7 @@ def _nan_param(ckpt, name):
 # change, so only the structure is wrong.
 MALFORMED = {
     "optimizer.beta1 missing": lambda ckpt: ckpt["header"]["optimizer"].pop("beta1"),
+    "optimizer.beta2 another value": lambda ckpt: ckpt["header"]["optimizer"].update(beta2=0.99),
     "optimizer.lr empty": lambda ckpt: ckpt["header"]["optimizer"].update(lr={}),
     "optimizer.lr not positive": lambda ckpt: ckpt["header"]["optimizer"]["lr"].update(w_x=0.0),
     "optimizer.step_count text": lambda ckpt: ckpt["header"]["optimizer"].update(step_count="x"),

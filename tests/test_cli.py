@@ -177,6 +177,8 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ("train", 5, "train"),
     ("vocabulary", 5, "vocabulary"),
     ("edges_enabled", "yes", "edges_enabled"),
+    # a misspelled block would otherwise train on the default settings
+    ("trian", {"max_episodes": 8}, "unknown keys ['trian']"),
 ])
 def test_bad_run_config_values_exit_2_and_name_the_key(key, value, named, tmp_path, capsys):
     doc = json.loads(run_config(tmp_path).read_text())
@@ -305,8 +307,8 @@ def test_amd_skips_a_file_whose_cell_does_not_close(cif_dir, tmp_path, capsys):
     assert main(["amd", "--cif-dir", str(cif_dir), "-k", "3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "processed=2 skipped=2" in captured.out
-    assert ("warning: skipping d_flat.cif: cell angles (30.0, 30.0, 120.0) do not close a 3D cell"
-            in captured.err.splitlines())
+    assert (f"warning: skipping d_flat.cif: {cif_dir / 'd_flat.cif'}: "
+            "cell angles (30.0, 30.0, 120.0) do not close a 3D cell" in captured.err.splitlines())
     assert [r[0] for r in read_csv(out / "amd.csv")[1:]] == ["a_small.cif", "b_large.cif"]
 
 

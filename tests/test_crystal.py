@@ -220,6 +220,17 @@ def test_parse_cif_refuses_a_degenerate_cell():
         parse_cif(cif_text(alpha=30.0, beta=30.0, gamma=120.0), "f.cif")
 
 
+@pytest.mark.parametrize("cell, message", [
+    (dict(alpha=30.0, beta=30.0, gamma=120.0),
+     "cell angles (30.0, 30.0, 120.0) do not close a 3D cell"),
+    (dict(a=0.0), "cell length a must be positive, got 0.0"),
+])
+def test_parse_cif_names_the_file_for_a_degenerate_cell(cell, message):
+    with pytest.raises(DegenerateInputError) as err:
+        parse_cif(cif_text(**cell), "f.cif")
+    assert str(err.value) == f"f.cif: {message}"
+
+
 # -- cell geometry ------------------------------------------------------------
 
 

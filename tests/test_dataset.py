@@ -93,19 +93,19 @@ def test_top_k_orders_by_reward_then_record():
 def test_save_load_roundtrip(tmp_path, bridge_env, bridge_reward, tabular):
     records = generate(tabular, bridge_env, bridge_reward, n=60, seed=8)
     path = tmp_path / "dataset.csv"
-    save_dataset(path, records)
+    save_dataset(path, records, manifest={"seed": 8, "n": 60})
     loaded = load_dataset(path, env=bridge_env)
     assert loaded == records
 
 
-def test_save_none_gsa_roundtrips_as_empty_cell(tmp_path):
-    rec = CandidateRecord(record="x:N1", tokens=None, gsa=None, reward=0.0,
-                          sample_count=3, first_seen_episode=7)
+def test_save_none_gsa_roundtrips_as_empty_cell(tmp_path, bridge_env):
+    rec = CandidateRecord(record="bfx:N1,N4,E1", tokens=bridge_env.parse_assembly_record(
+        "bfx:N1,N4,E1"), gsa=None, reward=0.0, sample_count=3, first_seen_episode=7)
     path = tmp_path / "d.csv"
-    save_dataset(path, [rec])
-    raw = path.read_text().splitlines()
-    assert raw[1].split(",")[1] == ""
-    loaded = load_dataset(path)
+    save_dataset(path, [rec], manifest={})
+    raw = list(csv.reader(path.open(newline="")))
+    assert raw[1][1] == ""
+    loaded = load_dataset(path, bridge_env)
     assert loaded[0].gsa is None
     assert loaded[0].reward == 0.0
 
@@ -121,7 +121,7 @@ def test_failed_external_evaluation_writes_an_empty_gsa_cell_and_reward_0(
     records = generate(tabular, bridge_env, rm, n=300, seed=2)
     assert {"N1" in rec.record for rec in records} == {True, False}
     path = tmp_path / "d.csv"
-    save_dataset(path, records)
+    save_dataset(path, records, manifest={"seed": 2, "n": 300})
     for rec, row in zip(records, list(csv.reader(path.open(newline="")))[1:]):
         failed = "N1" in rec.record
         assert (rec.gsa is None, rec.reward == 0.0) == (failed, failed)
@@ -133,8 +133,6 @@ def test_save_writes_manifest_sidecar(tmp_path):
     save_dataset(path, [], manifest={"seed": 1, "n": 0})
     sidecar = tmp_path / "d.csv.manifest.json"
     assert json.loads(sidecar.read_text()) == {"seed": 1, "n": 0}
-    save_dataset(tmp_path / "bare.csv", [])
-    assert not (tmp_path / "bare.csv.manifest.json").exists()
 
 
 def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_env,
@@ -167,33 +165,33 @@ def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no .tmp
 
 
-def test_load_rejects_bad_header(tmp_path):
+def test_load_rejects_bad_header(tmp_path, bridge_env):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError, match="header"):
-        load_dataset(path)
+        load_dataset(path, bridge_env)
 
 
-def test_load_rejects_bad_row_with_line_number(tmp_path):
+def test_load_rejects_bad_row_with_line_number(tmp_path, bridge_env):
     path = tmp_path / "bad.csv"
     path.write_text("assembly_record,gsa_m2_per_g,reward,sample_count,first_seen_episode\n"
-                    "x:N1,12.5,1.0,1,1\n"
-                    "x:N2,12.5,not-a-float,1,2\n")
+                    '"bfx:N1,N4,E1",12.5,1.0,1,1\n'
+                    '"bfx:N2,N4,E1",12.5,not-a-float,1,2\n')
     with pytest.raises(ValidationError, match="bad.csv:3"):
-        load_dataset(path)
+        load_dataset(path, bridge_env)
 
 
-def test_load_rejects_short_row(tmp_path):
+def test_load_rejects_short_row(tmp_path, bridge_env):
     path = tmp_path / "bad.csv"
     path.write_text("assembly_record,gsa_m2_per_g,reward,sample_count,first_seen_episode\n"
-                    "x:N1,12.5\n")
+                    '"bfx:N1,N4,E1",12.5\n')
     with pytest.raises(ValidationError, match="bad.csv:2"):
-        load_dataset(path)
+        load_dataset(path, bridge_env)
 
 
 def test_load_validates_records_against_env(tmp_path, bridge_env):
     path = tmp_path / "bad.csv"
     path.write_text("assembly_record,gsa_m2_per_g,reward,sample_count,first_seen_episode\n"
-                    "bfx:N1,N4,ZZ,12.5,1.0,1,1\n")
-    with pytest.raises(ValidationError):
+                    '"bfx:N1,N4,ZZ",12.5,1.0,1,1\n')
+    with pytest.raises(ValidationError, match="bad.csv:2: unknown token 'ZZ'"):
         load_dataset(path, env=bridge_env)

@@ -61,8 +61,11 @@ def test_topology_load_and_slots():
     assert topo.slots == (("N1", "N2", "N3"), ("N4", "N5"), ("E1", "E2"))
 
 
-def test_topology_edges_disabled_drops_edge_slots():
-    topo = Topology.load(FIXTURES / "topo_bridge.json", edges_enabled=False)
+def test_topology_edges_disabled_drops_edge_slots(tmp_path):
+    doc = json.loads((FIXTURES / "topo_bridge.json").read_text())
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps({**doc, "edges_enabled": False}))
+    topo = Topology.load(path)
     assert topo.slots == (("N1", "N2", "N3"), ("N4", "N5"))
     env = Environment(topo, Vocabulary.load(FIXTURES / "vocab_bridge.csv"))
     assert env.n_slots == 2
@@ -80,6 +83,14 @@ def test_topology_edges_disabled_drops_edge_slots():
       "edge_slots": [], "edges_enabled": False}, "empty token set"),
     ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
       "edge_slots": [], "edges_enabled": True}, "no edge slots"),
+    ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
+      "edge_slots": [["E1"]], "edges_enabled": "false"}, "topo.json: edges_enabled must be"),
+    ({"schema": "topology/1", "name": "x", "node_slots": 5,
+      "edge_slots": []}, "topo.json: node_slots must be"),
+    ({"schema": "topology/1", "name": "x", "node_slots": ["N1"],
+      "edge_slots": []}, "topo.json: node_slots must be"),
+    ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
+      "edge_slots": [[1]]}, "topo.json: edge_slots must be"),
 ])
 def test_topology_load_rejects_bad_files(tmp_path, doc, needle):
     path = tmp_path / "topo.json"

@@ -377,11 +377,11 @@ def balance_grad(model, env, reward_model, seed, n):
     return actions, model.balance_grad(cache, 2.0 * residual / n)
 
 
-def test_train_update_is_adam_on_mean_squared_residual():
+def test_train_update_is_adam_on_mean_squared_residual(tmp_path):
     env, reward_model = _fresh_setup()
     cfg = quick_config(max_episodes=8)
     trained = small_model(seed=3)
-    train(cfg, trained, env, reward_model)
+    train(cfg, trained, env, reward_model, out_dir=tmp_path)
 
     model = small_model(seed=3)
     actions, residual, loss = balance_loss(model, env, reward_model, cfg.seed, 8)
@@ -424,7 +424,7 @@ def test_rollout_gradient_fd_spot_check(bridge_env, bridge_reward):
         assert abs(fd - grad) / denom < 1e-4, (name, idx)
 
 
-def test_one_slot_topology_leaves_w_h_alone(bridge_env, bridge_reward, single_env):
+def test_one_slot_topology_leaves_w_h_alone(bridge_env, bridge_reward, single_env, tmp_path):
     # one slot starts from the zero state, so nothing reaches w_h: its
     # gradient is exactly zero, even in a buffer a longer rollout filled
     model = small_model(seed=6)
@@ -434,7 +434,8 @@ def test_one_slot_topology_leaves_w_h_alone(bridge_env, bridge_reward, single_en
     _, grads = balance_grad(model, single_env, single_reward, 0, 4)
     assert np.all(grads["w_h"] == 0.0) and np.any(grads["b"] != 0.0)
     w_h = model.parameters()["w_h"].copy()
-    result = train(quick_config(max_episodes=16), model, single_env, single_reward)
+    result = train(quick_config(max_episodes=16), model, single_env, single_reward,
+                   out_dir=tmp_path)
     assert result.episodes_run == 16
     assert model.parameters()["w_h"].tobytes() == w_h.tobytes()
 
@@ -571,7 +572,7 @@ def _fresh_setup():
     return env, reward_model
 
 
-def test_train_scores_each_batch_in_one_call():
+def test_train_scores_each_batch_in_one_call(tmp_path):
     env, reward_model = _fresh_setup()
     received = []
 
@@ -581,7 +582,7 @@ def test_train_scores_each_batch_in_one_call():
             return super().score_batch(rows)
 
     train(quick_config(max_episodes=20), small_model(), env,
-          RecordsBatches(reward_model.spec, env))
+          RecordsBatches(reward_model.spec, env), out_dir=tmp_path)
     assert received == [8, 8, 4]
 
 
@@ -757,7 +758,7 @@ def test_train_runs_and_reports(tmp_path):
     assert result.best_record is not None and result.best_record.startswith("bfx:")
     assert (tmp_path / "metrics.csv").exists()
     assert (tmp_path / "run_manifest.json").exists()
-    assert result.checkpoint_path is not None and result.checkpoint_path.exists()
+    assert (tmp_path / "checkpoint.json").exists()
     assert result.evaluator_failures == 0 and result.first_evaluator_error is None
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == "episode,loss,smoothedLoss,logZ,reward,bestReward"
@@ -823,12 +824,24 @@ def test_train_resume_rejects_other_env(tmp_path):
               out_dir=tmp_path / "x", resume_from=tmp_path / "checkpoint.json")
 
 
-def test_train_aborts_on_poisoned_params():
+def test_train_resume_rejects_other_model_dims(tmp_path):
+    env, reward_model = _fresh_setup()
+    train(quick_config(max_episodes=8), FlowModel.init(SMALL, seed=0), env,
+          reward_model, out_dir=tmp_path)
+    wider = FlowModel.init(dataclasses.replace(SMALL, hidden_dim=13), seed=0)
+    from blockflow.errors import ValidationError
+    with pytest.raises(ValidationError, match="'hidden_dim': 12.* != .*'hidden_dim': 13"):
+        train(quick_config(), wider, env, reward_model, out_dir=tmp_path / "x",
+              resume_from=tmp_path / "checkpoint.json")
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_aborts_on_poisoned_params(tmp_path):
     env, reward_model = _fresh_setup()
     model = small_model(seed=0)
     model.parameters()["w_out"][0, 0] = np.nan
     with pytest.raises(TrainingAbort):
-        train(quick_config(max_episodes=8), model, env, reward_model)
+        train(quick_config(max_episodes=8), model, env, reward_model, out_dir=tmp_path)
 
 
 def test_train_config_validation():
@@ -842,14 +855,6 @@ def test_train_config_validation():
         TrainConfig(stop_window=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(max_episodes=0)
-
-
-def test_train_without_out_dir():
-    env, reward_model = _fresh_setup()
-    result = train(quick_config(max_episodes=16), small_model(seed=6), env, reward_model)
-    assert result.metrics_path is None
-    assert result.checkpoint_path is None
-    assert result.episodes_run == 16
 
 
 # -- checkpoint and resume contracts -------------------------------------------
@@ -876,6 +881,56 @@ def test_final_checkpoint_is_saved_once(tmp_path, monkeypatch):
     ckpt = load_checkpoint(tmp_path / "checkpoint.json")
     assert ckpt.episode == 64
     assert ckpt.body[0].tobytes() == model.flat.tobytes()
+
+
+def _record_saved_episodes(monkeypatch) -> list[int]:
+    """Make the trainer's checkpoint saves also append their episode to the returned list."""
+    import blockflow.trainer as trainer_mod
+    real_save = trainer_mod.save_checkpoint
+    episodes = []
+
+    def recording_save(path, model, optimizer, rng, episode, *rest):
+        real_save(path, model, optimizer, rng, episode, *rest)
+        episodes.append(episode)
+
+    monkeypatch.setattr(trainer_mod, "save_checkpoint", recording_save)
+    return episodes
+
+
+def test_short_last_batch_after_a_periodic_save_saves_nothing_more(tmp_path, monkeypatch):
+    # 36 episodes at batch 8: the periodic save at 32 is already the last
+    # full-batch boundary, so the short batch of 4 must not save it again
+    saves = _record_saved_episodes(monkeypatch)
+    env, reward_model = _fresh_setup()
+    result = train(quick_config(max_episodes=36, checkpoint_every=32), small_model(seed=4),
+                   env, reward_model, out_dir=tmp_path)
+    assert result.episodes_run == 36
+    assert saves == [32]
+    from blockflow import load_checkpoint
+    assert load_checkpoint(tmp_path / "checkpoint.json").episode == 32
+
+
+def test_resume_with_nothing_left_to_train_writes_the_new_run_directory(tmp_path):
+    env, reward_model = _fresh_setup()
+    cfg = quick_config(max_episodes=32)
+    first, again = tmp_path / "first", tmp_path / "again"
+    train(cfg, small_model(seed=4), env, reward_model, out_dir=first)
+    result = train(cfg, small_model(seed=4), env, reward_model, out_dir=again,
+                   resume_from=first / "checkpoint.json")
+    assert result.episodes_run == 32
+    assert (again / "checkpoint.json").read_bytes() == (first / "checkpoint.json").read_bytes()
+    assert (again / "metrics.csv").read_text() == "episode,loss,smoothedLoss,logZ,reward,bestReward\n"
+    assert (again / "run_manifest.json").exists()
+
+
+def test_periodic_saves_count_from_the_resumed_episode(tmp_path, monkeypatch):
+    env, reward_model = _fresh_setup()
+    train(quick_config(max_episodes=24), small_model(seed=4), env, reward_model, out_dir=tmp_path)
+    saves = _record_saved_episodes(monkeypatch)
+    train(quick_config(max_episodes=64, checkpoint_every=16), small_model(seed=4), env,
+          reward_model, out_dir=tmp_path, resume_from=tmp_path / "checkpoint.json")
+    # every 16 episodes from the resume at 24, then the final state
+    assert saves == [40, 56, 64]
 
 
 def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monkeypatch):
