@@ -13,22 +13,23 @@ import numpy as np
 from .errors import DeadEndError
 
 
-def lstm_cell(x, state, w_x, w_h, b):
+def lstm_cell(x, state, w_x, b):
     """One LSTM step; returns (h_new, c_new, gates, tanh_c).
 
     The pre-activations z = x @ w_x + h @ w_h + b hold the input, forget,
     cell and output gates side by side, each `hidden` wide:
     i, f, o = sigmoid(z_i, z_f, z_o), g = tanh(z_g), c_new = f * c + i * g
-    and h_new = o * tanh(c_new). `state` is the previous (h, c), or None for
-    the zero state, where the h @ w_h product and the f * c term are skipped.
-    `gates` holds i, f, g and o side by side and `tanh_c` is tanh(c_new):
-    the forward values `lstm_cell_vjp` reads.
+    and h_new = o * tanh(c_new). `state` is the previous h's product h @ w_h
+    and the previous c, or None for the zero state, where both terms are
+    skipped; the caller takes the product, so rows that share a previous h
+    can share it. `gates` holds i, f, g and o side by side and `tanh_c` is
+    tanh(c_new): the forward values `lstm_cell_vjp` reads.
     """
-    hid = w_h.shape[0]
+    hid = w_x.shape[1] // 4
     z = x @ w_x
     if state is not None:
-        h, c = state
-        z += h @ w_h
+        h_w, c = state
+        z += h_w
     z += b
     # activations in place; sigmoid(a) = 0.5 * (tanh(0.5 * a) + 1), exact at 0
     for gates in (z[:, :2 * hid], z[:, 3 * hid:]):

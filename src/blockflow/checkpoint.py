@@ -8,9 +8,10 @@ float64 bytes of the model's flat buffer, then Adam's m, then its v, each
 laid out by `model.named_views`. The checksum is a sha256 over the header
 as dumped without the checksum, followed by the body.
 
-Loading reads the file into one anonymous memory map, hashes it once, and
-hands out the body as a writable (3, n_params) view of it; the restores
-copy rows out of it, so the map is unmapped with the checkpoint.
+Loading reads the header line, then each body row straight into its own
+anonymous memory map, hashing it as it is read, and hands out the rows as
+writable float64 views. The restores adopt the rows rather than copy them,
+and a row that nothing adopted is unmapped with the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
@@ -97,7 +98,9 @@ def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
 @dataclass
 class Checkpoint:
     model_config: dict
-    body: np.ndarray  # (3, n_params): the parameters, Adam's m, its v; each laid out as model.flat
+    params: np.ndarray  # each of the three body rows is laid out as model.flat
+    m: np.ndarray  # Adam's first moment
+    v: np.ndarray  # and its second
     optimizer: dict
     rng_state: dict
     episode: int
@@ -147,23 +150,43 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and check a checkpoint: its checksum, then the type and shape of every field.
 
     The checksum catches corruption; the structure is checked on its own,
-    so every reader refuses a malformed checkpoint the same way. The body
-    is a view of the buffer the file was read into.
+    so every reader refuses a malformed checkpoint the same way. The three
+    body rows are views of the buffers the file was read into.
     """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            # not a malloc'd block: freeing one this large raises glibc's mmap
-            # threshold, and the arrays made after it stay resident on the heap
             size = os.fstat(fh.fileno()).st_size
-            buf = mmap.mmap(-1, size) if size else bytearray()
-            if fh.readinto(buf) != len(buf):
+            line = fh.readline()
+            header, claimed = _header(path, line)
+            digest = hashlib.sha256(_dump(header))
+            body = size - len(line)  # < 0 if the file grew while its header was read
+            third = max(body, 0) // 24 * 8  # the last row takes any rest, which _checked refuses
+            rows = []
+            for length in (third, third, body - 2 * third):
+                # not a malloc'd block: freeing one this large raises glibc's mmap
+                # threshold, and the arrays made after it stay resident on the heap
+                rows.append(mmap.mmap(-1, length) if length > 0 else bytearray())
+                if fh.readinto(rows[-1]) != length:
+                    raise OSError("the file changed while it was read")
+                digest.update(rows[-1])
+            if fh.read(1):
                 raise OSError("the file changed while it was read")
     except OSError as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from None
-    end = buf.find(b"\n")
+    if digest.hexdigest() != claimed:
+        raise ValidationError(f"{path}: checksum mismatch, checkpoint is corrupted")
     try:
-        header = json.loads(buf[:end]) if end >= 0 else None
+        return _checked(header, rows, claimed)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _header(path: Path, line: bytes) -> tuple[dict, str]:
+    """The header in the first `line` of the checkpoint at `path`, without its
+    checksum, and the checksum."""
+    try:
+        header = json.loads(line) if line.endswith(b"\n") else None
     except ValueError:
         header = None
     if not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA:
@@ -173,15 +196,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     claimed = header.pop("checksum", None)
     if not isinstance(claimed, str):
         raise ValidationError(f"{path}: checkpoint has no checksum")
-    body = memoryview(buf)[end + 1:]
-    digest = hashlib.sha256(_dump(header))
-    digest.update(body)
-    if digest.hexdigest() != claimed:
-        raise ValidationError(f"{path}: checksum mismatch, checkpoint is corrupted")
-    try:
-        return _checked(header, body, claimed)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return header, claimed
 
 
 def _require(condition: bool, message: str) -> None:
@@ -197,9 +212,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
-    """The checkpoint in `header` and `body`, once every field has its type and every
-    array its shape, and the body holds exactly the declared arrays."""
+def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
+    """The checkpoint in `header` and the body `rows`, once every field has its type
+    and every array its shape, and the body holds exactly the declared arrays."""
     from .model import FlowModel, ModelConfig
     from .optim import Adam
     dims = header.get("model_config")
@@ -224,10 +239,11 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
                        ("optimizer.v", opt.get("v"))):
         _require(doc == declared, f"{where} declares the shapes {doc!r}, expected {declared}")
     n_params = sum(math.prod(shape) for shape in shapes.values())
-    _require(len(body) == 8 * 3 * n_params,
-             f"the body holds {len(body)} bytes, the declared shapes need {8 * 3 * n_params}")
-    rows = np.frombuffer(body, dtype="<f8").reshape(3, n_params)  # params, then m, then v
-    _require(np.isfinite(rows[0]).all(), "params hold non-finite values")
+    length = sum(len(row) for row in rows)
+    _require(length == 8 * 3 * n_params,
+             f"the body holds {length} bytes, the declared shapes need {8 * 3 * n_params}")
+    params, m, v = (np.frombuffer(row, dtype="<f8") for row in rows)
+    _require(np.isfinite(params).all(), "params hold non-finite values")
     _generator(header.get("rng_state"))
     episode, best_reward, loss_tail = (header.get(key)
                                        for key in ("episode", "best_reward", "loss_tail"))
@@ -239,7 +255,9 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
     _require(isinstance(header.get("config", {}), dict), "config must be an object")
     return Checkpoint(
         model_config=dims,
-        body=rows,
+        params=params,
+        m=m,
+        v=v,
         optimizer=opt,
         rng_state=header["rng_state"],
         episode=episode,
@@ -252,19 +270,19 @@ def _checked(header: dict, body: memoryview, checksum: str) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
-    """The checkpoint's model; it copies the parameters out, so the file's buffer is freed."""
-    from .model import FlowModel, ModelConfig, named_views
-    config = ModelConfig(**ckpt.model_config)
-    return FlowModel(config, named_views(ckpt.body[0], FlowModel.param_shapes(config)))
+    """The checkpoint's model, built on its parameter row: the two share the buffer."""
+    from .model import FlowModel, ModelConfig
+    return FlowModel(ModelConfig(**ckpt.model_config), ckpt.params)
 
 
 def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
+    """The checkpoint's optimizer for `model`, holding the checkpoint's m and v rows."""
     from .optim import Adam
     doc = ckpt.optimizer
     # every parameter has its own rate, so the base rate only has to be valid
     opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"])
     opt.step_count = doc["step_count"]
-    opt.m[:], opt.v[:] = ckpt.body[1:]
+    opt.m, opt.v = ckpt.m, ckpt.v
     return opt
 
 

@@ -230,11 +230,14 @@ def cmd_amd(args) -> int:
     def descriptors_of(paths):
         names, descs = [], []
         for f in paths:
+            where = ""  # an error of the read names the file itself
             try:
-                descs.append(amd(load_cif_file(f), k=args.k))
+                structure = load_cif_file(f)
+                where = f"{f}: "
+                descs.append(amd(structure, k=args.k))
                 names.append(f.name)
             except BlockflowError as exc:
-                print(f"warning: skipping {f.name}: {exc}", file=sys.stderr)
+                print(f"warning: skipping {where}{exc}", file=sys.stderr)
         return names, descs
 
     names, descs = descriptors_of(files)

@@ -122,10 +122,9 @@ def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
     if not motif:
         raise ValidationError(f"{name}: no atom-site loop with fractional coordinates")
     try:
-        basis = cell_basis(*cell)
+        return PeriodicPointSet(cell_basis(*cell), motif)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"{name}: {exc}") from None
-    return PeriodicPointSet(basis, motif)
 
 
 def cell_basis(a: float, b: float, c: float,

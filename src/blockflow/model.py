@@ -18,9 +18,12 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError
 
-# Rows per block of the cell in a step without a cache: one block's gate
-# pre-activations, 256 x 1,024 x 8 B = 2 MB at hidden 256, fit in L2.
-_ROWS = 256
+# Rows per block of the cell in a step without a cache. Measured on a grid
+# rollout(8000), 1,000 rows at its last slot: 256-, 128-, 64- and 32-row
+# blocks peaked at 10.9, 7.5, 5.7 and 4.9 MiB traced, and 32-row blocks ran
+# as fast as any; a block's gate pre-activations, and its rows of the
+# parents' h @ w_h, are then 32 x 1,024 x 8 B = 256 KB each at hidden 256.
+_ROWS = 32
 
 
 def named_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -52,7 +55,7 @@ class ModelConfig:
 class FlowModel:
     """LSTM policy over tokens plus the log-partition parameter.
 
-    Parameters, in this order, are views of `flat`, the model's own copy of them:
+    Parameters, in this order, are views of `flat`, the one buffer that holds them:
       embed  (vocab_size + 1, embed_dim)   last row is the start sentinel
       w_x    (embed_dim, 4 * hidden_dim)
       w_h    (hidden_dim, 4 * hidden_dim)
@@ -62,20 +65,18 @@ class FlowModel:
       log_z  ()
     """
 
-    PARAM_NAMES = ("embed", "w_x", "w_h", "b", "w_out", "b_out", "log_z")
-
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        """The model whose parameters are views of `flat`, which it adopts, not copies."""
         self.config = config
-        expected = self.param_shapes(config)
-        if set(params) != set(self.PARAM_NAMES):
-            raise ConfigurationError(f"parameter names {sorted(params)} != {sorted(self.PARAM_NAMES)}")
-        self.flat = np.empty(sum(math.prod(shape) for shape in expected.values()))
-        self._params = named_views(self.flat, expected)
+        shapes = self.param_shapes(config)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ConfigurationError(
+                f"parameters must be one contiguous float64 buffer of shape ({size},), "
+                f"got {flat.dtype} {flat.shape}")
+        self.flat = flat
+        self._params = named_views(flat, shapes)
         for name, view in self._params.items():
-            if params[name].shape != view.shape:
-                raise ConfigurationError(
-                    f"parameter {name!r} has shape {params[name].shape}, expected {view.shape}")
-            view[...] = params[name]
             if not np.isfinite(view).all():
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         self.grad = None  # made by the first balance_grad, reused by every later one
@@ -101,12 +102,14 @@ class FlowModel:
         rng = np.random.Generator(np.random.PCG64(seed))
         bound = 1.0 / np.sqrt(config.hidden_dim)
         shapes = cls.param_shapes(config)
-        params = {name: rng.uniform(-bound, bound, size=shapes[name])
-                  for name in ("embed", "w_x", "w_h", "b", "w_out", "b_out")}
+        flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+        params = named_views(flat, shapes)
+        for name in ("embed", "w_x", "w_h", "b", "w_out", "b_out"):
+            params[name][...] = rng.uniform(-bound, bound, size=shapes[name])
         h = config.hidden_dim
         params["b"][h:2 * h] += 1.0
-        params["log_z"] = np.zeros(())
-        return cls(config, params)
+        params["log_z"][...] = 0.0
+        return cls(config, flat)
 
     # -- accessors ---------------------------------------------------------
     def parameters(self) -> dict[str, np.ndarray]:
@@ -121,17 +124,24 @@ class FlowModel:
         return self.config.vocab_size
 
     # -- forward -----------------------------------------------------------
-    def step(self, tokens, state=None, cache: list | None = None):
+    def step(self, tokens, state=None, cache: list | None = None, *, parents=None, last=False):
         """One recurrent step over a batch of tokens.
 
         `tokens` are vocabulary indices or the start sentinel; `state` is the
         (h, c) pair from the previous step, or None at sequence start.
         Returns next-token logits (batch, vocab_size) and the new state.
         With a `cache` list, the step appends a record of the forward values
-        that `balance_grad` reads. Without one, the cell runs over the fewest
-        balanced blocks of at most `_ROWS` rows, and the head over all rows at
-        once: the values are those of one cell over all rows, as BLAS rounds a
-        1-row product, and the narrow head at small row counts, on other kernels.
+        that `balance_grad` reads.
+
+        Without one, `parents` may map each token to its row of `state`, so
+        rows that share a previous state share its h @ w_h: the product is
+        taken once over all of `state`. The cell runs over the fewest balanced
+        blocks of at most `_ROWS` rows, each gathering its rows of the product
+        and of c, and the head over all rows at once. The values are those of
+        one cell over all rows, each with its own state, up to how BLAS rounds
+        a 1-row product (one parent, or the narrow head at small row counts)
+        on some kernels. A `last` step builds no c and returns None for the
+        new state: nothing steps from it.
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if tokens.min() < 0 or tokens.max() > self.config.vocab_size:
@@ -139,28 +149,33 @@ class FlowModel:
                 f"token index out of range [0, {self.config.vocab_size}]: {tokens.min()}..{tokens.max()}")
         if state is not None:
             h, c = state
-            expected = (tokens.shape[0], self.config.hidden_dim)
+            expected = (tokens.shape[0] if parents is None else h.shape[0], self.config.hidden_dim)
             if h.shape != expected or c.shape != expected:
                 raise ConfigurationError(
                     f"recurrent state shape {h.shape}/{c.shape} does not match "
                     f"(batch={expected[0]}, hidden={expected[1]})")
 
         p = self._params
-        x = p["embed"][tokens]
         if cache is None:
             m, hid = tokens.shape[0], self.config.hidden_dim
-            h_new, c_new = np.empty((m, hid)), np.empty((m, hid))
+            h_w = None if state is None else state[0] @ p["w_h"]
+            h_new, c_new = np.empty((m, hid)), None if last else np.empty((m, hid))
             k = -(-m // _ROWS)
             for lo, hi in ((i * m // k, (i + 1) * m // k) for i in range(k)):
-                rows = None if state is None else (state[0][lo:hi], state[1][lo:hi])
-                h_new[lo:hi], c_new[lo:hi], _, _ = ad.lstm_cell(
-                    x[lo:hi], rows, p["w_x"], p["w_h"], p["b"])
+                rows = slice(lo, hi) if parents is None else parents[lo:hi]
+                h_new[lo:hi], c, _, _ = ad.lstm_cell(
+                    p["embed"][tokens[lo:hi]],
+                    None if state is None else (h_w[rows], state[1][rows]), p["w_x"], p["b"])
+                if c_new is not None:
+                    c_new[lo:hi] = c
         else:
-            h_new, c_new, gates, tanh_c = ad.lstm_cell(x, state, p["w_x"], p["w_h"], p["b"])
+            x = p["embed"][tokens]
+            recurrent = None if state is None else (state[0] @ p["w_h"], state[1])
+            h_new, c_new, gates, tanh_c = ad.lstm_cell(x, recurrent, p["w_x"], p["b"])
             cache.append({"tokens": tokens, "x": x, "state": state, "gates": gates,
                           "tanh_c": tanh_c, "h": h_new})
         logits = h_new @ p["w_out"] + p["b_out"]
-        return logits, (h_new, c_new)
+        return logits, None if last else (h_new, c_new)
 
     # -- backward ----------------------------------------------------------
     def balance_grad(self, cache: list[dict], d_residual: np.ndarray) -> dict[str, np.ndarray]:

@@ -85,7 +85,8 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
     reads. Without one, episodes that share a prefix share a row: slots are
     filled in a fixed order, so the prefix is the whole state, and the
     policy steps once per distinct prefix. Each episode then draws from its
-    prefix's row.
+    prefix's row. Each step is given the previous step's state, one row per
+    parent prefix, and each new row's parent; the last step returns no state.
 
     Returns the (n, n_slots) actions and each episode's summed log-prob.
     """
@@ -98,11 +99,14 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
     shared = cache is None
     rows = np.zeros(n, dtype=np.intp) if shared else np.arange(n)  # each episode's state row
     tokens = np.full(1 if shared else n, policy.start_token, dtype=np.intp)  # one per state row
-    state = None
+    state = parents = None  # parents: each state row's row in the previous step's state
     log_prob_sum = None
     for t in range(env.n_slots):
         mask = env.slot_masks[t]
-        logits, state = policy.step(tokens, state) if shared else policy.step(tokens, state, cache)
+        if shared:
+            logits, state = policy.step(tokens, state, parents=parents, last=t + 1 == env.n_slots)
+        else:
+            logits, state = policy.step(tokens, state, cache)
         picked, log_probs = _draw_slot(logits, rows, mask, u[:, t], epsilon)
         actions[:, t] = picked
         log_prob = log_probs[rows, picked]
@@ -113,9 +117,7 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
         elif t + 1 < env.n_slots:
             # one row per distinct (state row, token) pair: the next slot's prefixes
             next_rows, first = distinct_rows(np.column_stack([rows, picked]))
-            tokens = picked[first]
-            state = tuple(part[rows[first]] for part in state)
-            rows = next_rows
+            tokens, parents, rows = picked[first], rows[first], next_rows
     return actions, log_prob_sum
 
 
@@ -279,14 +281,14 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             raise ValidationError(
                 f"checkpoint model dims {ckpt.model_config} != {asdict(model.config)}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
-        np.copyto(model.flat, ckpt.body[0])
+        np.copyto(model.flat, ckpt.params)
         optimizer = restore_optimizer(ckpt, model)
         rng = restore_rng(ckpt)
         start_episode = ckpt.episode
         best_reward = ckpt.best_reward
         best_record = ckpt.config.get("best_record")
         loss_tail = np.array(ckpt.loss_tail, dtype=np.float64)
-        del ckpt  # the model and the optimizer hold copies: free the file's buffer
+        del ckpt  # the optimizer adopted m and v; the model copied the parameter row: free it
     else:
         optimizer = Adam(model.parameters(), lr=config.learning_rate_model,
                          lr_overrides={"log_z": config.learning_rate_logz})

@@ -31,8 +31,8 @@ def file_sha256(path: str | Path) -> str:
 
 def zero_model(config: ModelConfig) -> FlowModel:
     """A model whose every parameter is zero: its policy is uniform over each slot's valid tokens."""
-    return FlowModel(config, {name: np.zeros(shape)
-                              for name, shape in FlowModel.param_shapes(config).items()})
+    shapes = FlowModel.param_shapes(config).values()
+    return FlowModel(config, np.zeros(sum(math.prod(shape) for shape in shapes)))
 
 
 class TerminalStateError(BlockflowError):
@@ -57,21 +57,23 @@ class TabularPolicy:
     def start_token(self) -> int:
         return len(self.env.vocabulary)
 
-    def step(self, tokens, state=None) -> tuple[np.ndarray, tuple[np.ndarray]]:
+    def step(self, tokens, state=None, *, parents=None, last=False):
         """Child log flows for a batch; `state` holds the prefixes before `tokens`.
 
-        The state is a 1-tuple: a (batch, slots filled) array of the tokens of
-        each row's prefix, so rows gather by index as the model's (h, c) do.
-        At sequence start (state None) the tokens are start sentinels and are
-        not part of any prefix.
+        The state is a 1-tuple: a (rows, slots filled) array of the tokens of
+        each row's prefix. As in the model's step, `parents` maps each token
+        to its row of `state` (None: the token's own row), and a `last` step
+        returns None for the new state. At sequence start (state None) the
+        tokens are start sentinels and are not part of any prefix.
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if state is None:
             prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)
         else:
-            prefixes = np.column_stack([state[0], tokens])
+            before = state[0] if parents is None else state[0][parents]
+            prefixes = np.column_stack([before, tokens])
         logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
-        return logits, (prefixes,)
+        return logits, None if last else (prefixes,)
 
     def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
         row = self._child_rows.get(prefix)

@@ -126,12 +126,17 @@ def _reference_cell(p, carried):
     return o * np.tanh(c), c
 
 
+def _cell(p, carried):
+    """`lstm_cell` on the parameters `p`, given the product h @ w_h as the model gives it."""
+    state = (p["h"] @ p["w_h"], p["c"]) if carried else None
+    return ad.lstm_cell(p["x"], state, p["w_x"], p["b"])
+
+
 def _cell_grads(p, carried, dh, dc):
     """Every input's gradient, from the cell's VJP and the chain rule the
     model applies to dz: through the products into x, w_x, b (and h, w_h),
     and through f * c into c."""
-    state = (p["h"], p["c"]) if carried else None
-    _, _, gates, tanh_c = ad.lstm_cell(p["x"], state, p["w_x"], p["w_h"], p["b"])
+    _, _, gates, tanh_c = _cell(p, carried)
     dz = np.empty_like(gates)
     dc = ad.lstm_cell_vjp(gates, tanh_c, p["c"] if carried else None, dh, dc, dz)
     hid = p["w_h"].shape[0]
@@ -145,8 +150,7 @@ def _cell_grads(p, carried, dh, dc):
 def test_lstm_cell_vjp_writes_only_the_given_dz(carried):
     rng = np.random.Generator(np.random.PCG64(4))
     p = _cell_params(rng, batch=3, embed=2, hidden=3)
-    state = (p["h"], p["c"]) if carried else None
-    _, _, gates, tanh_c = ad.lstm_cell(p["x"], state, p["w_x"], p["w_h"], p["b"])
+    _, _, gates, tanh_c = _cell(p, carried)
     dh, dc = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
     buf = np.full((2, *gates.shape), np.nan)
     ad.lstm_cell_vjp(gates, tanh_c, p["c"] if carried else None, dh, dc, buf[1])
@@ -167,8 +171,7 @@ def test_lstm_cell_gradients_match_fd(carried, uses):
         h, c = _reference_cell(p, carried)
         return float((w_h_out * h).sum() + (w_c_out * c).sum())
 
-    state = (p0["h"], p0["c"]) if carried else None
-    h_new, c_new, _, _ = ad.lstm_cell(p0["x"], state, p0["w_x"], p0["w_h"], p0["b"])
+    h_new, c_new, _, _ = _cell(p0, carried)
     ref_h, ref_c = _reference_cell(p0, carried)
     np.testing.assert_allclose(h_new, ref_h, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(c_new, ref_c, rtol=1e-13, atol=1e-15)
@@ -194,14 +197,13 @@ def test_lstm_cell_gates_match_sigmoid_reference(arr):
     batch, hid = arr.shape
     ref = 1.0 / (1.0 + np.exp(-arr))
     x, b = np.eye(batch), np.zeros(4 * hid)
-    w_h = np.zeros((hid, 4 * hid))
     # zero state: c_new = i * tanh(40) = i; h_new = o * tanh(c_new)
     w_x = np.hstack([arr, np.zeros_like(arr), np.full_like(arr, 40.0), arr])
-    h_new, c_new, _, _ = ad.lstm_cell(x, None, w_x, w_h, b)
+    h_new, c_new, _, _ = ad.lstm_cell(x, None, w_x, b)
     np.testing.assert_allclose(c_new, ref, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(h_new, ref * np.tanh(ref), rtol=1e-12, atol=1e-15)
     # carried c = 1 and input gate 0: c_new = f
     w_x = np.hstack([np.full_like(arr, -40.0), arr, np.zeros_like(arr), arr])
-    state = (np.zeros((batch, hid)), np.ones((batch, hid)))
-    _, c_new, _, _ = ad.lstm_cell(x, state, w_x, w_h, b)
+    state = (np.zeros((batch, 4 * hid)), np.ones((batch, hid)))  # h @ w_h is zero
+    _, c_new, _, _ = ad.lstm_cell(x, state, w_x, b)
     np.testing.assert_allclose(c_new, ref, rtol=1e-12, atol=1e-15)

@@ -3,8 +3,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -57,23 +59,27 @@ def test_roundtrip_params_bit_exact(tmp_path):
         assert restored.parameters()[name].dtype == np.float64
 
 
-def test_restored_model_copies_the_parameters_and_makes_no_gradients(tmp_path):
-    # the copy frees the file's buffer, which also holds Adam's m and v, with
-    # the checkpoint; the gradient buffer is made by the first balance_grad
+def test_restored_model_adopts_the_parameters_and_makes_no_gradients(tmp_path):
+    # each body row is read into a buffer of its own; the model is built on the
+    # parameter row, so restoring copies nothing, and dropping the checkpoint
+    # releases m and v. The gradient buffer is made by the first balance_grad.
     cfg = ModelConfig(vocab_size=10, embed_dim=16, hidden_dim=64)
     model = FlowModel.init(cfg)
     path = _save(tmp_path, model, Adam(model.parameters(), lr=1e-2), np.random.default_rng(0))
     ckpt = load_checkpoint(path)
-    param_bytes = ckpt.body[0].nbytes
+    moments = [weakref.ref(row) for row in (ckpt.m, ckpt.v)]
     tracemalloc.start()
     try:
         restored = restore_model(ckpt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not np.shares_memory(restored.flat, ckpt.body)
+    assert restored.flat is ckpt.params and restored.grad is None
+    assert restored.flat.base.nbytes == restored.flat.nbytes  # a buffer the size of the params
+    assert peak < 0.25 * restored.flat.nbytes  # neither a copy of w_h (76%) nor a gradient
+    del ckpt
+    assert [ref() for ref in moments] == [None, None]
     assert restored.flat.tobytes() == model.flat.tobytes()
-    assert param_bytes <= peak < 1.25 * param_bytes  # a gradient buffer would double it
 
 
 def test_roundtrip_optimizer_state(tmp_path):
@@ -217,22 +223,48 @@ def test_the_body_is_the_model_and_optimizer_buffers(tmp_path):
     model, opt, rng = _trained_pieces()
     body = read_checkpoint(_save(tmp_path, model, opt, rng))[1]
     assert body == model.flat.tobytes() + opt.m.tobytes() + opt.v.tobytes()
-    assert list(model.parameters()) == list(FlowModel.PARAM_NAMES)
-    # the model copies what it is given: the caller's arrays stay the caller's
-    params = {name: p.copy() for name, p in model.parameters().items()}
-    copy = FlowModel(CFG, params)
-    for p in params.values():
-        p += 1.0
-    assert copy.flat.tobytes() == model.flat.tobytes()
-    for name, p in copy.parameters().items():
-        assert p.base is copy.flat and p.tobytes() == model.parameters()[name].tobytes(), name
+    assert list(model.parameters()) == ["embed", "w_x", "w_h", "b", "w_out", "b_out", "log_z"]
+    # the model adopts the buffer it is given: every parameter is a view of it
+    flat = model.flat.copy()
+    adopted = FlowModel(CFG, flat)
+    assert adopted.flat is flat
+    for name, p in adopted.parameters().items():
+        assert p.base is flat and p.tobytes() == model.parameters()[name].tobytes(), name
 
 
 def test_loaded_arrays_are_writable_contiguous_float64_views(tmp_path):
     model, opt, rng = _trained_pieces()
     ckpt = load_checkpoint(_save(tmp_path, model, opt, rng))
-    assert ckpt.body.shape == (3, model.flat.size) and ckpt.body.dtype == np.float64
-    assert ckpt.body.flags.writeable and ckpt.body.flags.c_contiguous and ckpt.body.flags.aligned
+    rows = (ckpt.params, ckpt.m, ckpt.v)
+    for row, want in zip(rows, (model.flat, opt.m, opt.v)):
+        assert row.shape == (model.flat.size,) and row.dtype == np.float64
+        assert row.flags.writeable and row.flags.c_contiguous and row.flags.aligned
+        assert row.tobytes() == want.tobytes()
+    # one buffer per row, so each is freed on its own
+    assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:] + rows[:1]))
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, change):
+    # the loader takes the file's size, then reads the header line and the
+    # body rows; here the file changes right after its size is taken
+    import blockflow.checkpoint as checkpoint_mod
+    model, opt, rng = _trained_pieces()
+    path = _save(tmp_path, model, opt, rng)
+    fstat = os.fstat
+
+    def fstat_then_change(fd):
+        stat = fstat(fd)
+        if change == "grows":
+            with open(path, "ab") as fh:
+                fh.write(bytes(8))
+        else:
+            os.truncate(path, stat.st_size - 8)
+        return stat
+
+    monkeypatch.setattr(checkpoint_mod.os, "fstat", fstat_then_change)
+    with pytest.raises(ValidationError, match="the file changed while it was read"):
+        load_checkpoint(path)
 
 
 def test_file_sha256_known_value(tmp_path):

@@ -307,9 +307,23 @@ def test_amd_skips_a_file_whose_cell_does_not_close(cif_dir, tmp_path, capsys):
     assert main(["amd", "--cif-dir", str(cif_dir), "-k", "3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "processed=2 skipped=2" in captured.out
-    assert (f"warning: skipping d_flat.cif: {cif_dir / 'd_flat.cif'}: "
+    assert (f"warning: skipping {cif_dir / 'd_flat.cif'}: "
             "cell angles (30.0, 30.0, 120.0) do not close a 3D cell" in captured.err.splitlines())
     assert [r[0] for r in read_csv(out / "amd.csv")[1:]] == ["a_small.cif", "b_large.cif"]
+
+
+def test_amd_names_each_skipped_file_once(cif_dir, tmp_path, capsys):
+    # a read error names its file already; an error of amd() itself does not
+    (cif_dir / "e_twice.cif").write_text(cif_text(3.0, [(0, 0, 0), (0, 0, 0)]))
+    (cif_dir / "f_tiny.cif").write_text(cif_text(0.005, [(0, 0, 0)]))
+    out = tmp_path / "amd"
+    assert main(["amd", "--cif-dir", str(cif_dir), "-k", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "processed=2 skipped=3" in captured.out
+    warnings = captured.err.splitlines()
+    assert f"warning: skipping {cif_dir / 'e_twice.cif'}: motif contains coincident points" in warnings
+    assert f"warning: skipping {cif_dir / 'f_tiny.cif'}: basis is singular (|det| <= 1e-6)" in warnings
+    assert [line.count(".cif") for line in warnings] == [1, 1, 1]
 
 
 def test_amd_with_reference_dir(cif_dir, tmp_path):

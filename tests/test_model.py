@@ -4,6 +4,7 @@ import pytest
 from blockflow import FlowModel, ModelConfig, rollout
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import ConfigurationError
+from blockflow.model import named_views
 from conftest import zero_model
 
 
@@ -47,7 +48,7 @@ def test_init_is_seed_deterministic():
     a = FlowModel.init(ModelConfig(4, 3, 5), seed=9)
     b = FlowModel.init(ModelConfig(4, 3, 5), seed=9)
     c = FlowModel.init(ModelConfig(4, 3, 5), seed=10)
-    for name in a.PARAM_NAMES:
+    for name in a.parameters():
         np.testing.assert_array_equal(a.parameters()[name], b.parameters()[name])
     assert not np.array_equal(a.parameters()["w_x"], c.parameters()["w_x"])
 
@@ -105,19 +106,32 @@ def test_step_rejects_mismatched_state():
         m.step(np.array([0]), (h, h))  # batch 1 vs state batch 2
 
 
-def test_constructor_rejects_bad_shapes_and_nonfinite():
+def test_step_with_parents_matches_each_row_given_its_parents_state():
+    # rows that share a parent share its h @ w_h; a last step builds no state
+    m = FlowModel.init(ModelConfig(6, 4, 8), seed=2)
+    rng = np.random.Generator(np.random.PCG64(3))
+    state = (rng.uniform(-1, 1, (5, 8)), rng.uniform(-2, 2, (5, 8)))
+    parents, tokens = rng.integers(0, 5, 40), rng.integers(0, 7, 40)
+    logits, (h, c) = m.step(tokens, state, parents=parents)
+    each_logits, (each_h, each_c) = m.step(tokens, tuple(part[parents] for part in state))
+    for got, want in ((logits, each_logits), (h, each_h), (c, each_c)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    last_logits, nothing = m.step(tokens, state, parents=parents, last=True)
+    assert nothing is None
+    np.testing.assert_array_equal(last_logits, logits)
+
+
+def test_constructor_rejects_bad_buffers_and_nonfinite():
     cfg = ModelConfig(3, 2, 2)
-    good = FlowModel.init(cfg, seed=0).parameters()
-    bad = dict(good)
-    bad["w_x"] = np.zeros((2, 7))
-    with pytest.raises(ConfigurationError):
+    good = FlowModel.init(cfg, seed=0).flat
+    for bad in (good[:-1], np.append(good, 0.0), good.astype(np.float32),
+                good.reshape(1, -1), np.repeat(good, 2)[::2]):  # the last is strided
+        with pytest.raises(ConfigurationError, match="one contiguous float64 buffer"):
+            FlowModel(cfg, bad)
+    bad = good.copy()
+    named_views(bad, FlowModel.param_shapes(cfg))["b"][3] = np.nan
+    with pytest.raises(ConfigurationError, match="'b' contains non-finite"):
         FlowModel(cfg, bad)
-    bad = dict(good)
-    bad["b"] = np.full(8, np.nan)
-    with pytest.raises(ConfigurationError):
-        FlowModel(cfg, bad)
-    with pytest.raises(ConfigurationError):
-        FlowModel(cfg, {k: v for k, v in good.items() if k != "log_z"})
 
 
 def test_zero_init_gives_uniform_policy(single_env):

@@ -125,9 +125,7 @@ def test_state_roundtrip_resumes_identically():
         flat = np.zeros(3) if start is None else start.copy()
         opt = Adam({"w": flat}, lr=0.05)
         if state is not None:  # as restore_optimizer restores it
-            opt.step_count = state[0]
-            np.copyto(opt.m, state[1])
-            np.copyto(opt.v, state[2])
+            opt.step_count, opt.m, opt.v = state
         for g in steps:
             opt.step(flat, g.copy())
         return flat, (opt.step_count, opt.m, opt.v)

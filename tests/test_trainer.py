@@ -187,9 +187,9 @@ class StepRecorder:
         self.start_token = policy.start_token
         self.rows = []
 
-    def step(self, tokens, state=None, *cache):
+    def step(self, tokens, state=None, *cache, **shared):
         self.rows.append(len(tokens))
-        return self.policy.step(tokens, state, *cache)
+        return self.policy.step(tokens, state, *cache, **shared)
 
 
 def replay_episode(policy, env, u, epsilon):
@@ -312,10 +312,12 @@ def test_blocked_step_matches_one_cell_over_all_rows(m, start, monkeypatch):
 
 
 def test_shared_rollout_memory_is_bounded_by_the_row_block():
-    # numpy reports its buffers to tracemalloc. Past the h and c of the last
-    # slot's prefixes, in and out, the working memory is a few blocks of gate
-    # pre-activations: one cell over all 1,000 prefixes peaked at 20.8 MiB in
-    # this test, and blocks of 256 rows at 13.5 MiB.
+    # numpy reports its buffers to tracemalloc. Past the episodes' uniforms
+    # and actions, the last slot holds its prefixes' h for the head, its
+    # parents' (h, c) and their h @ w_h, and a few blocks of the cell: no c
+    # and no state gathered out to the prefixes. Gathering (h, c) to the
+    # 1,000 prefixes, building their c and multiplying each by w_h peaked at
+    # 13.5 MiB in this test with 256-row blocks; without, 4.9 MiB.
     env = _grid_env()
     model = FlowModel.init(load_run_config(CONFIGS / "train_grid.json").model_config, seed=0)
     hid = model.config.hidden_dim
@@ -325,10 +327,13 @@ def test_shared_rollout_memory_is_bounded_by_the_row_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len({tuple(row[:-1]) for row in actions.tolist()}) > 3 * _ROWS
-    state = 2 * 1000 * hid * 8  # h and c over the last slot's 1,000 prefixes at most
+    prefixes = [len({tuple(row[:t]) for row in actions.tolist()}) for t in (2, 3)]
+    assert prefixes[0] == 100 and 3 * _ROWS < prefixes[1] <= 1000
+    draws = 2 * actions.nbytes  # the uniforms and the actions
+    h = 1000 * hid * 8  # the last slot's h over its 1,000 prefixes at most
+    parents = 100 * (2 * hid + 4 * hid) * 8  # its 100 parents' (h, c) and h @ w_h
     block = _ROWS * 4 * hid * 8  # one block's gate pre-activations
-    assert peak < 2 * state + 4 * block
+    assert peak < draws + h + parents + 8 * block
 
 
 def test_rollout_validation(bridge_env, rng):
@@ -880,7 +885,7 @@ def test_final_checkpoint_is_saved_once(tmp_path, monkeypatch):
     from blockflow import load_checkpoint
     ckpt = load_checkpoint(tmp_path / "checkpoint.json")
     assert ckpt.episode == 64
-    assert ckpt.body[0].tobytes() == model.flat.tobytes()
+    assert ckpt.params.tobytes() == model.flat.tobytes()
 
 
 def _record_saved_episodes(monkeypatch) -> list[int]:
@@ -934,8 +939,9 @@ def test_periodic_saves_count_from_the_resumed_episode(tmp_path, monkeypatch):
 
 
 def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monkeypatch):
-    # the model and the optimizer hold copies of the checkpoint's arrays, so
-    # the file's buffer (8.6 MB on the grid) must not live through the run
+    # the model copies the checkpoint's parameter row and the optimizer adopts
+    # its m and v, so the parameter row (2.7 MB on the grid) must not live
+    # through the run
     import blockflow.trainer as trainer_mod
     run = load_run_config(CONFIGS / "train_grid.json")
     cfg = dataclasses.replace(run.train_config, max_episodes=32)
@@ -946,7 +952,7 @@ def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monke
 
     def loading(path):
         ckpt = real_load(path)
-        bodies.append(weakref.ref(ckpt.body))
+        bodies.append(weakref.ref(ckpt.params))
         return ckpt
 
     alive = []
