@@ -161,19 +161,10 @@ def cmd_train(args) -> int:
     from .reward import RewardModel
     from .trainer import train
     run = load_run_config(args.config)
-    tc = run.train_config
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    for flag, field in (("max_episodes", "max_episodes"), ("batch_size", "batch_size"),
-                        ("stop_window", "stop_window"), ("stop_threshold", "stop_threshold"),
-                        ("smooth_window", "smooth_window"), ("epsilon", "exploration_epsilon"),
-                        ("checkpoint_every", "checkpoint_every")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        tc = dataclasses.replace(tc, **overrides)
+    overrides = {field: getattr(args, field) for field in
+                 ("seed", "max_episodes", "stop_threshold", "checkpoint_every")
+                 if getattr(args, field) is not None}
+    tc = dataclasses.replace(run.train_config, **overrides)
     model = FlowModel.init(run.model_config, seed=run.init_seed)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
@@ -379,11 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
     p.add_argument("--max-episodes", dest="max_episodes", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--stop-window", dest="stop_window", type=int, default=None)
     p.add_argument("--stop-threshold", dest="stop_threshold", type=float, default=None)
-    p.add_argument("--smooth-window", dest="smooth_window", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="exploration mix-in")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

@@ -6,10 +6,10 @@ search expands concentric shells of lattice images and stops only when every
 unexplored image is provably farther than the current k-th candidate, so the
 reported distances are exact, no cutoff heuristics.
 
-CIF support is deliberately a P1-only subset: cell parameters plus one
-atom-site loop with fractional coordinates. Files carrying a non-trivial
-symmetry group fail loudly instead of being silently misread. `parse_cif`
-returns a `PeriodicPointSet`, and `amd` returns a plain (k,) float64 array.
+CIF support is a P1-only subset read as CIF 1.1's token stream, in any legal
+layout: cell parameters plus one atom-site loop with fractional coordinates.
+A symmetry group beyond P1, a second data block, a save frame, a value of no
+tag or loop, or a loop of partial rows fails loudly at name:line, not misread.
 """
 
 from __future__ import annotations
@@ -23,30 +23,23 @@ import numpy as np
 from .errors import (BlockflowError, CoincidentPointsError,
                      DegenerateInputError, ValidationError)
 
+# CIF 1.1's tokens (Hall, Allen & Brown, Acta Cryst. A47 (1991) 655), comments included. A quote
+# closes only before whitespace; a ';' text field or a quote that never closes is an `open` token.
+_TOKEN_RE = re.compile(r"""\s*(?:^;(?P<text>(?s:.*?))\n;|(?P<q>['"])(?P<quoted>.*?)(?P=q)(?=\s|\Z)"""
+                       r"""|#.*|(?P<open>^;|['"])|(?P<tag>_\S*)"""
+                       r"""|(?P<reserved>(?i:data_|loop_|save_|global_|stop_)\S*)|(?P<word>\S+))""",
+                       re.MULTILINE)
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][+-]?\d+)?)(?:\(\d+\))?$")
 _IDENTITY_OP_RE = re.compile(r"^(?:1\s+)?\+?x\s*,\s*\+?y\s*,\s*\+?z$", re.IGNORECASE)
 
-_SPACE_GROUP_TAGS = (
-    "_symmetry_space_group_name_h-m",
-    "_space_group_name_h-m_alt",
-    "_symmetry_space_group_name_hall",
-)
+_SPACE_GROUP_TAGS = ("_symmetry_space_group_name_h-m", "_space_group_name_h-m_alt",
+                     "_symmetry_space_group_name_hall")
 _SPACE_GROUP_NUMBER_TAGS = ("_symmetry_int_tables_number", "_space_group_it_number")
 _SYMOP_TAGS = ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz")
 
 _FRACT_TAGS = ("_atom_site_fract_x", "_atom_site_fract_y", "_atom_site_fract_z")
 _CELL_TAGS = ("_cell_length_a", "_cell_length_b", "_cell_length_c",
               "_cell_angle_alpha", "_cell_angle_beta", "_cell_angle_gamma")
-
-
-def _split_fields(line: str) -> list[str]:
-    # quoted values ('P 1') count as one field
-    out = []
-    for piece in re.findall(r"'[^']*'|\"[^\"]*\"|\S+", line):
-        if piece[0] in "'\"" and piece[-1] == piece[0] and len(piece) >= 2:
-            piece = piece[1:-1]
-        out.append(piece)
-    return out
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -59,65 +52,70 @@ def _parse_number(text: str, where: str) -> float:
 def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
     """Read the P1 subset of a CIF file into a point set; errors carry name:line positions.
 
-    One pass sorts each line into one of four kinds: `loop_`, a header tag of
-    the open loop, a row of the open loop, or anything else. Anything else
-    closes the open loop, and a `_tag value` line is recorded as a tag.
+    A `_tag` takes the next value. A `loop_` takes its header tags, then every
+    value up to the next tag or reserved word, and fills its rows in order.
     """
-    tags: dict[str, tuple[str, int]] = {}
-    loops: list[tuple[list[str], list[tuple[int, list[str]]]]] = []
-    loop = None  # the open loop's (header, rows)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        s = line.strip()
-        if s.lower() == "loop_":
-            loop = ([], [])
+    tags: dict[str, tuple[str, str]] = {}  # each value with its name:line
+    loops: list[tuple[list[str], list[tuple[str, str]]]] = []  # header and values
+    tag = loop = None  # the tag awaiting its value; the open loop
+    line, at = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # a comment
+            continue
+        line += text.count("\n", at, m.start(kind))
+        at, token = m.start(kind), m.group(kind)
+        if kind == "open":
+            raise ValidationError(f"{name}:{line}: {token!r} opens a value that never closes")
+        elif kind == "tag" and loop is not None and not loop[1]:
+            loop[0].append(token.lower())
+        elif kind == "tag":
+            tag, loop = token.lower(), None
+        elif kind == "reserved" and token.lower() == "loop_":
+            tag, loop = None, ([], [])
             loops.append(loop)
-        elif loop is not None and s.startswith("_") and not loop[1]:
-            loop[0].append(_split_fields(s)[0].lower())
-        elif loop is not None and s and s[0] not in "#_" and not s.startswith("data_"):
-            loop[1].append((lineno, _split_fields(s)))
+        elif kind == "reserved" and token[:5].lower() == "data_" and not (tags or loops or tag):
+            continue  # the file's one data block
+        elif kind == "reserved":
+            raise ValidationError(f"{name}:{line}: {token!r} is not supported: "
+                                  "a file is read as one data block of tags and loops")
+        elif tag is not None:
+            tags[tag], tag = (token, f"{name}:{line}"), None
+        elif loop is not None and loop[0]:
+            loop[1].append((token, f"{name}:{line}"))
         else:
-            loop = None
-            if s.startswith("_"):
-                fields = _split_fields(s)
-                if len(fields) >= 2:
-                    tags[fields[0].lower()] = (" ".join(fields[1:]), lineno)
+            raise ValidationError(f"{name}:{line}: value {token!r} belongs to no tag or loop")
 
-    for tag in _SPACE_GROUP_TAGS:
-        if tag in tags:
-            value, lineno = tags[tag]
-            if value.replace(" ", "").upper() != "P1":
-                raise ValidationError(
-                    f"{name}:{lineno}: only P1 structures are supported, got space group {value!r}")
-    for tag in _SPACE_GROUP_NUMBER_TAGS:
-        if tag in tags:
-            value, lineno = tags[tag]
-            if _parse_number(value, f"{name}:{lineno}") != 1:
-                raise ValidationError(f"{name}:{lineno}: only space group number 1 is supported")
+    for tag in _SPACE_GROUP_TAGS + _SPACE_GROUP_NUMBER_TAGS:
+        if tag not in tags:
+            continue
+        value, where = tags[tag]
+        if tag in _SPACE_GROUP_TAGS and value.replace(" ", "").upper() != "P1":
+            raise ValidationError(f"{where}: only P1 structures are supported, got space group {value!r}")
+        if tag in _SPACE_GROUP_NUMBER_TAGS and _parse_number(value, where) != 1:
+            raise ValidationError(f"{where}: only space group number 1 is supported")
 
     cell = []
     for tag in _CELL_TAGS:
         if tag not in tags:
             raise ValidationError(f"{name}: missing cell parameter {tag}")
-        value, lineno = tags[tag]
-        cell.append(_parse_number(value, f"{name}:{lineno}"))
+        cell.append(_parse_number(*tags[tag]))
 
     motif = []
-    for header, rows in loops:
+    for header, values in loops:
+        width = len(header)
+        if len(values) % (width or 1):
+            raise ValidationError(f"{values[-1][1]}: loop of {width} fields holds "
+                                  f"{len(values)} values, not whole rows")
         if any(tag in _SYMOP_TAGS for tag in header):
             col = next(i for i, tag in enumerate(header) if tag in _SYMOP_TAGS)
-            for lineno, row in rows:
-                op = row[col] if col < len(row) else ""
+            for op, where in values[col::width]:
                 if not _IDENTITY_OP_RE.match(op.strip()):
-                    raise ValidationError(f"{name}:{lineno}: symmetry operation {op!r} "
+                    raise ValidationError(f"{where}: symmetry operation {op!r} "
                                           "beyond identity; only P1 is supported")
         elif all(tag in header for tag in _FRACT_TAGS):
             cols = [header.index(tag) for tag in _FRACT_TAGS]
-            motif = []
-            for lineno, row in rows:
-                if len(row) != len(header):
-                    raise ValidationError(f"{name}:{lineno}: atom row has {len(row)} fields, "
-                                          f"loop declares {len(header)}")
-                motif.append([_parse_number(row[c], f"{name}:{lineno}") for c in cols])
+            motif = [[_parse_number(*values[i + c]) for c in cols] for i in range(0, len(values), width)]
 
     if not motif:
         raise ValidationError(f"{name}: no atom-site loop with fractional coordinates")
@@ -264,5 +262,7 @@ def novelty_score(candidates, references) -> np.ndarray:
 
 
 def load_cif_file(path: str | Path) -> PeriodicPointSet:
-    path = Path(path)
-    return parse_cif(path.read_text(), name=str(path))
+    try:
+        return parse_cif(Path(path).read_text(), name=str(path))
+    except (OSError, UnicodeDecodeError) as exc:  # the error of a read, not of the parse
+        raise ValidationError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None

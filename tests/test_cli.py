@@ -97,6 +97,10 @@ def test_train_flag_overrides(tmp_path, capsys):
     ["regress", "--data", "xy.csv", "--workers", "2"],
     ["baseline", "--config", "run.json", "--checkpoint", "c.json", "--workers", "2"],
     ["train", "--config", "run.json", "--workers", "2"],
+    ["train", "--config", "run.json", "--batch-size", "4"],
+    ["train", "--config", "run.json", "--stop-window", "8"],
+    ["train", "--config", "run.json", "--smooth-window", "8"],
+    ["train", "--config", "run.json", "--epsilon", "0.1"],
     ["sample", "--config", "run.json", "--checkpoint", "c.json", "-n", "5", "--workers", "2"],
 ])
 def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
@@ -316,14 +320,21 @@ def test_amd_names_each_skipped_file_once(cif_dir, tmp_path, capsys):
     # a read error names its file already; an error of amd() itself does not
     (cif_dir / "e_twice.cif").write_text(cif_text(3.0, [(0, 0, 0), (0, 0, 0)]))
     (cif_dir / "f_tiny.cif").write_text(cif_text(0.005, [(0, 0, 0)]))
+    # a file that is not UTF-8, and a directory, are skipped like any unreadable CIF
+    (cif_dir / "g_binary.cif").write_bytes(cif_text(3.0, [(0, 0, 0)]).encode() + b"\xff\n")
+    (cif_dir / "h_folder.cif").mkdir()
     out = tmp_path / "amd"
     assert main(["amd", "--cif-dir", str(cif_dir), "-k", "3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "processed=2 skipped=3" in captured.out
+    assert "processed=2 skipped=5" in captured.out
     warnings = captured.err.splitlines()
     assert f"warning: skipping {cif_dir / 'e_twice.cif'}: motif contains coincident points" in warnings
     assert f"warning: skipping {cif_dir / 'f_tiny.cif'}: basis is singular (|det| <= 1e-6)" in warnings
-    assert [line.count(".cif") for line in warnings] == [1, 1, 1]
+    assert f"warning: skipping {cif_dir / 'h_folder.cif'}: cannot read: Is a directory" in warnings
+    assert any(line.startswith(f"warning: skipping {cif_dir / 'g_binary.cif'}: cannot read: ")
+               and "0xff" in line for line in warnings)
+    assert [line.count(".cif") for line in warnings] == [1, 1, 1, 1, 1]
+    assert [r[0] for r in read_csv(out / "amd.csv")[1:]] == ["a_small.cif", "b_large.cif"]
 
 
 def test_amd_with_reference_dir(cif_dir, tmp_path):
@@ -546,6 +557,20 @@ def test_bridge_training_to_the_stop_rule_is_pinned(tmp_path, capsys):
         assert file_sha256(out / name) == digest, name
 
 
+FLOWS_BRIDGE_SHA256 = {
+    "flows.csv": "29ab4270f697af1b07b4872a28354cfff277848a0f73d3794469e1add56e74d8",
+    "terminal_probs.csv": "2e8acee3b8d8995ff171b95f2428f9e0718eb90a6138a180f20e94e2ecc5eb72",
+}
+
+
+def test_bridge_flows_are_pinned(tmp_path, capsys):
+    out = tmp_path / "flows"
+    assert main(["flows", "--config", str(CONFIGS / "train_bridge.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "terminals=12 log_z=5.749408893984552\n"
+    for name, digest in FLOWS_BRIDGE_SHA256.items():
+        assert file_sha256(out / name) == digest, name
+
+
 def test_flows_command(tmp_path, capsys):
     cfg = run_config(tmp_path)
     out = tmp_path / "f"
@@ -596,7 +621,7 @@ def test_shipped_demo_config_loads():
 
 
 @pytest.mark.parametrize("flags, reward, named", [
-    (["--batch-size", "4", "--seed", "5"], {}, ["batch_size", "seed"]),
+    (["--stop-threshold", "0.5", "--seed", "5"], {}, ["stop_threshold", "seed"]),
     ([], {"cutoff": 1000.0}, ["reward.cutoff"]),
 ], ids=["train_block", "reward_block"])
 def test_resume_refuses_config_drift(tmp_path, capsys, flags, reward, named):

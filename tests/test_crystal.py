@@ -114,9 +114,10 @@ def test_parse_cif_bad_coordinate_carries_line_number():
 
 
 def test_parse_cif_short_atom_row():
+    # three values cannot fill a row of four fields; the loop's last value is on line 15
     text = cif_text().replace("A1 0.0 0.0 0.0", "A1 0.0 0.0")
-    with pytest.raises(ValidationError, match="fields"):
-        parse_cif(text)
+    with pytest.raises(ValidationError, match=r"^f\.cif:15: loop of 4 fields holds 3 values, not whole rows$"):
+        parse_cif(text, "f.cif")
 
 
 # -- the scanner: layouts a CIF may take --------------------------------------
@@ -133,10 +134,15 @@ CELL_TAGS = "\n".join(["_cell_length_a 7.0", "_cell_length_b 8.0", "_cell_length
 
 @pytest.mark.parametrize("closer", ["# a comment", "", "   ", "data_second"])
 def test_parse_cif_a_comment_blank_or_data_line_ends_a_loop(closer):
-    # the row after the closing line belongs to no loop and is ignored
+    # none ends the loop: a comment or a blank line lies between two of its
+    # values, and a second data block is refused
     text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3"), closer, "A2 0.5 0.5 0.5"])
+    if closer.startswith("data_"):
+        with pytest.raises(ValidationError, match=r"^f\.cif:13: 'data_second' is not supported"):
+            parse_cif(text, "f.cif")
+        return
     ps = parse_cif(text, "f.cif")
-    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
 
 
 def test_parse_cif_reads_a_tag_right_after_loop_rows():
@@ -162,10 +168,10 @@ def test_parse_cif_skips_an_empty_loop():
 
 
 def test_parse_cif_a_blank_line_after_loop_closes_it():
-    # the loop is empty; its would-be header lines are value-less tags and its rows are ignored
+    # it does not: a blank line is whitespace, so the header and rows after it are the loop's
     text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3").replace("loop_", "loop_\n")])
-    with pytest.raises(ValidationError, match=r"^f\.cif: no atom-site loop"):
-        parse_cif(text, "f.cif")
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
 
 
 def test_parse_cif_reads_uppercase_loop_and_tags():
@@ -190,7 +196,8 @@ def test_parse_cif_reads_a_quoted_label_with_a_space():
     text = "\n".join([CELL_TAGS, atom_loop("'Fe 1' 0.1 0.2 0.3", '"O 2" 0.6 0.7 0.8')])
     ps = parse_cif(text, "f.cif")
     assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
-    with pytest.raises(ValidationError, match=r"^f\.cif:12: atom row has 5 fields, loop declares 4"):
+    # unquoted, the label is two values, and the loop's nine values fill no whole rows of four
+    with pytest.raises(ValidationError, match=r"^f\.cif:13: loop of 4 fields holds 9 values, not whole rows$"):
         parse_cif(text.replace("'Fe 1'", "Fe 1"), "f.cif")
 
 
@@ -229,6 +236,105 @@ def test_parse_cif_names_the_file_for_a_degenerate_cell(cell, message):
     with pytest.raises(DegenerateInputError) as err:
         parse_cif(cif_text(**cell), "f.cif")
     assert str(err.value) == f"f.cif: {message}"
+
+
+# -- the token stream: what CIF 1.1 allows is read, and what it does not is refused
+
+
+def test_parse_cif_a_text_field_is_one_value_whatever_its_lines_hold():
+    field = "_publ_section_title\n;\n_cell_length_a 12.0\nloop_\n_atom_site_fract_x\n0.9\n;"
+    text = "\n".join([CELL_TAGS, field, atom_loop("A1 0.1 0.2 0.3")])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.basis, cell_basis(7.0, 8.0, 9.0, 90.0, 90.0, 90.0))
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3]])
+
+
+def test_parse_cif_reads_trailing_comments():
+    text = "\n".join([CELL_TAGS.replace("_cell_length_a 7.0", "_cell_length_a 7.0 # angstrom"),
+                      atom_loop("A1 0.1 0.2 0.3  # the first atom", "A2 0.6 0.7 0.8\t#")])
+    ps = parse_cif(text, "f.cif")
+    assert ps.basis[0, 0] == 7.0
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+    # '#' inside a word does not start a comment
+    with pytest.raises(ValidationError, match=r"^f\.cif:13: cannot parse number '0\.8#'"):
+        parse_cif(text.replace("0.8\t#", "0.8#"), "f.cif")
+
+
+def test_parse_cif_reads_a_value_on_the_next_line():
+    text = "\n".join([CELL_TAGS.replace("_cell_length_a 7.0", "_cell_length_a\n\n  7.0"),
+                      atom_loop("A1 0.1 0.2 0.3")])
+    ps = parse_cif(text, "f.cif")
+    assert ps.basis[0, 0] == 7.0
+    # a bad value is named at its own line
+    with pytest.raises(ValidationError, match=r"^f\.cif:3: cannot parse number 'x'"):
+        parse_cif(text.replace("  7.0", "  x"), "f.cif")
+
+
+def test_parse_cif_reads_wrapped_rows_and_a_one_line_header():
+    header = "loop_ _atom_site_label _atom_site_fract_x\n_atom_site_fract_y _atom_site_fract_z"
+    text = "\n".join([CELL_TAGS, header, "A1 0.1", "0.2 0.3 A2", "0.6 0.7 0.8"])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+
+
+def test_parse_cif_a_quote_closes_only_before_whitespace():
+    text = "\n".join([CELL_TAGS, atom_loop("'O1'' 0.1 0.2 0.3", "\"N \"2\" 0.6 0.7 0.8",
+                                           "'C3' 0.4 0.5 0.6")])
+    ps = parse_cif(text, "f.cif")
+    assert np.array_equal(ps.motif, [[0.1, 0.2, 0.3], [0.6, 0.7, 0.8], [0.4, 0.5, 0.6]])
+    # a quoted reserved word or tag is a plain value
+    text = "\n".join([CELL_TAGS, atom_loop("'loop_' 0.1 0.2 0.3", "'_cell_length_a' 0.6 0.7 0.8")])
+    assert parse_cif(text, "f.cif").motif.shape == (2, 3)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("_cell_length_a 7.0", "_cell_length_a 10 12", r"^f\.cif:1: value '12' belongs to no tag or loop"),
+    ("_cell_angle_gamma 90", "_cell_angle_gamma 90\n_symmetry_space_group_name_H-M P 1",
+     r"^f\.cif:7: value '1' belongs to no tag or loop"),
+    ("_cell_angle_gamma 90", "_cell_angle_gamma 90\nloop_\n0.5",
+     r"^f\.cif:8: value '0\.5' belongs to no tag or loop"),
+    ("_cell_length_c 9.0", "_cell_length_c 9.0\nsave_frame", r"^f\.cif:4: 'save_frame' is not supported"),
+    ("_cell_length_c 9.0", "_cell_length_c 9.0\nGLOBAL_", r"^f\.cif:4: 'GLOBAL_' is not supported"),
+    ("_cell_length_c 9.0", "_cell_length_c 9.0\nstop_", r"^f\.cif:4: 'stop_' is not supported"),
+    ("_cell_length_c 9.0", "_cell_length_c 'x\n9.0", r"^f\.cif:3: \"'\" opens a value that never closes"),
+    ("_cell_length_c 9.0", "_cell_length_c\n;\n9.0", r"^f\.cif:4: ';' opens a value that never closes"),
+], ids=["two_values", "unquoted_p_1", "headerless_loop", "save_frame", "global", "stop",
+        "open_quote", "open_text_field"])
+def test_parse_cif_refuses_what_cif_does_not_allow(old, new, message):
+    text = "\n".join([CELL_TAGS, atom_loop("A1 0.1 0.2 0.3")])
+    assert old in text
+    with pytest.raises(ValidationError, match=message):
+        parse_cif(text.replace(old, new), "f.cif")
+
+
+GAPS = (" ", "\t", "\n", "  # a note\n", "\n\n#_cell_length_a 99\n   ")
+LABELS = ("X{}", "'X {}'", "\"X'{}\"", "'X{}''")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=st.tuples(*[st.floats(2.0, 20.0)] * 3, *[st.floats(70.0, 110.0)] * 3),
+       atoms=st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=1, max_size=4),
+       data=st.data())
+def test_parse_cif_reads_every_legal_layout_as_the_canonical_one(cell, atoms, data):
+    def gap():
+        return data.draw(st.sampled_from(GAPS))
+
+    tags = [f"_cell_{name} " for name in ("length_a", "length_b", "length_c",
+                                          "angle_alpha", "angle_beta", "angle_gamma")]
+    parts = [f"{tag}{gap()}{value!r}\n" for tag, value in zip(tags, cell)]
+    parts.append("_symmetry_space_group_name_H-M 'P 1'\n")
+    parts.append("_publ_section_title\n;\n_cell_length_a 99\nloop_\n_atom_site_fract_x\n;\n")
+    loop = ["loop_", "_atom_site_label", "_atom_site_fract_x", "_atom_site_fract_y",
+            "_atom_site_fract_z"]
+    for i, xyz in enumerate(atoms):
+        loop += [data.draw(st.sampled_from(LABELS)).format(i + 1), *map(repr, xyz)]
+    parts.append("".join(token + gap() for token in loop) + "\n")
+    order = data.draw(st.permutations(range(len(parts))))
+    text = "data_layout # a comment\n" + "".join(parts[i] for i in order)
+    ps = parse_cif(text, "f.cif")
+    expect = parse_cif(cif_text(*cell, atoms=atoms), "f.cif")
+    assert np.array_equal(ps.basis, expect.basis)
+    assert np.array_equal(ps.motif, expect.motif)
 
 
 # -- cell geometry ------------------------------------------------------------
@@ -537,3 +643,15 @@ def test_load_cif_file_roundtrip_and_error_positions(tmp_path):
     bad.write_text(cif_text().replace("'P 1'", "'Fm-3m'"))
     with pytest.raises(ValidationError, match=r"bad\.cif:8"):
         load_cif_file(bad)
+
+
+def test_load_cif_file_names_a_file_it_cannot_read(tmp_path):
+    binary = tmp_path / "binary.cif"
+    binary.write_bytes(cif_text().encode() + b"\xff\n")
+    with pytest.raises(ValidationError, match=r"binary\.cif: cannot read: .*0xff"):
+        load_cif_file(binary)
+    (tmp_path / "folder.cif").mkdir()
+    with pytest.raises(ValidationError, match=r"folder\.cif: cannot read: Is a directory$"):
+        load_cif_file(tmp_path / "folder.cif")
+    with pytest.raises(ValidationError, match=r"missing\.cif: cannot read: No such file"):
+        load_cif_file(tmp_path / "missing.cif")
