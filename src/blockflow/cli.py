@@ -330,13 +330,12 @@ def cmd_flows(args) -> int:
         "config": str(run.source), "bound": args.bound, "env_hash": run.env.env_hash,
     })
     result = exact_flows(run.env, reward_model, bound=args.bound)
-    vocab = run.env.vocabulary
+    token_ids = run.env.vocabulary.token_ids
     write_table(out / "flows.csv", ["depth", "prefix", "flow"],
-                ([len(prefix), ",".join(vocab[i].token_id for i in prefix), result.flows[prefix]]
-                 for prefix in sorted(result.flows, key=lambda p: (len(p), p))))
+                ([depth, ",".join(ids), flow] for depth, level in enumerate(result.flows)
+                 for ids, flow in zip(token_ids[result.prefixes(depth)].tolist(), level.tolist())))
     write_table(out / "terminal_probs.csv", ["assembly_record", "probability"],
-                zip(run.env.format_assembly_records(list(result.terminal_probs)),
-                    result.terminal_probs.values()))
+                zip(run.env.format_assembly_records(result.terminals), result.terminal_probs.values()))
     print(f"terminals={len(result.terminal_probs)} log_z={result.log_z!r}")
     return 0
 

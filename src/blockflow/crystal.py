@@ -8,8 +8,8 @@ reported distances are exact, no cutoff heuristics.
 
 CIF support is a P1-only subset read as CIF 1.1's token stream, in any legal
 layout: cell parameters plus one atom-site loop with fractional coordinates.
-A symmetry group beyond P1, a second data block, a save frame, a value of no
-tag or loop, or a loop of partial rows fails loudly at name:line, not misread.
+A symmetry group beyond P1, a second data block, a save frame, a value of no tag
+or loop, a tag of no value, or a loop of partial rows fails at name:line, not misread.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ _CELL_TAGS = ("_cell_length_a", "_cell_length_b", "_cell_length_c",
               "_cell_angle_alpha", "_cell_angle_beta", "_cell_angle_gamma")
 
 
-def _parse_number(text: str, where: str) -> float:
+def _parse_number(text: str, line: int, name: str) -> float:
     m = _NUMBER_RE.match(text.strip())
     if m is None:
-        raise ValidationError(f"{where}: cannot parse number {text!r}")
+        raise ValidationError(f"{name}:{line}: cannot parse number {text!r}")
     return float(m.group(1).replace("d", "e").replace("D", "e"))
 
 
@@ -55,9 +55,9 @@ def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
     A `_tag` takes the next value. A `loop_` takes its header tags, then every
     value up to the next tag or reserved word, and fills its rows in order.
     """
-    tags: dict[str, tuple[str, str]] = {}  # each value with its name:line
-    loops: list[tuple[list[str], list[tuple[str, str]]]] = []  # header and values
-    tag = loop = None  # the tag awaiting its value; the open loop
+    tags: dict[str, tuple[str, int]] = {}  # each value with its line
+    loops: list[tuple[list[str], list[tuple[str, int]]]] = []  # header and values
+    tag = loop = None  # the tag awaiting its value, with its line; the open loop
     line, at = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -67,55 +67,61 @@ def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
         at, token = m.start(kind), m.group(kind)
         if kind == "open":
             raise ValidationError(f"{name}:{line}: {token!r} opens a value that never closes")
+        elif tag is not None and kind in ("tag", "reserved"):
+            break  # the pending tag has no value: refused below
         elif kind == "tag" and loop is not None and not loop[1]:
             loop[0].append(token.lower())
         elif kind == "tag":
-            tag, loop = token.lower(), None
+            tag, loop = (token.lower(), line), None
         elif kind == "reserved" and token.lower() == "loop_":
             tag, loop = None, ([], [])
             loops.append(loop)
-        elif kind == "reserved" and token[:5].lower() == "data_" and not (tags or loops or tag):
+        elif kind == "reserved" and token[:5].lower() == "data_" and not (tags or loops):
             continue  # the file's one data block
         elif kind == "reserved":
             raise ValidationError(f"{name}:{line}: {token!r} is not supported: "
                                   "a file is read as one data block of tags and loops")
         elif tag is not None:
-            tags[tag], tag = (token, f"{name}:{line}"), None
+            tags[tag[0]], tag = (token, line), None
         elif loop is not None and loop[0]:
-            loop[1].append((token, f"{name}:{line}"))
+            loop[1].append((token, line))
         else:
             raise ValidationError(f"{name}:{line}: value {token!r} belongs to no tag or loop")
+    if tag is not None:
+        raise ValidationError(f"{name}:{tag[1]}: tag {tag[0]!r} has no value")
 
     for tag in _SPACE_GROUP_TAGS + _SPACE_GROUP_NUMBER_TAGS:
         if tag not in tags:
             continue
-        value, where = tags[tag]
+        value, line = tags[tag]
         if tag in _SPACE_GROUP_TAGS and value.replace(" ", "").upper() != "P1":
-            raise ValidationError(f"{where}: only P1 structures are supported, got space group {value!r}")
-        if tag in _SPACE_GROUP_NUMBER_TAGS and _parse_number(value, where) != 1:
-            raise ValidationError(f"{where}: only space group number 1 is supported")
+            raise ValidationError(f"{name}:{line}: only P1 structures are supported, "
+                                  f"got space group {value!r}")
+        if tag in _SPACE_GROUP_NUMBER_TAGS and _parse_number(value, line, name) != 1:
+            raise ValidationError(f"{name}:{line}: only space group number 1 is supported")
 
     cell = []
     for tag in _CELL_TAGS:
         if tag not in tags:
             raise ValidationError(f"{name}: missing cell parameter {tag}")
-        cell.append(_parse_number(*tags[tag]))
+        cell.append(_parse_number(*tags[tag], name))
 
     motif = []
     for header, values in loops:
         width = len(header)
         if len(values) % (width or 1):
-            raise ValidationError(f"{values[-1][1]}: loop of {width} fields holds "
+            raise ValidationError(f"{name}:{values[-1][1]}: loop of {width} fields holds "
                                   f"{len(values)} values, not whole rows")
         if any(tag in _SYMOP_TAGS for tag in header):
             col = next(i for i, tag in enumerate(header) if tag in _SYMOP_TAGS)
-            for op, where in values[col::width]:
+            for op, line in values[col::width]:
                 if not _IDENTITY_OP_RE.match(op.strip()):
-                    raise ValidationError(f"{where}: symmetry operation {op!r} "
+                    raise ValidationError(f"{name}:{line}: symmetry operation {op!r} "
                                           "beyond identity; only P1 is supported")
         elif all(tag in header for tag in _FRACT_TAGS):
             cols = [header.index(tag) for tag in _FRACT_TAGS]
-            motif = [[_parse_number(*values[i + c]) for c in cols] for i in range(0, len(values), width)]
+            motif = [[_parse_number(*values[i + c], name) for c in cols]
+                     for i in range(0, len(values), width)]
 
     if not motif:
         raise ValidationError(f"{name}: no atom-site loop with fractional coordinates")

@@ -1,5 +1,6 @@
 """Sampling-to-dataset pipeline (draw, deduplicate, score, rank, persist), the
-trained-versus-uniform baseline, and the exact-flow oracle for the sampler.
+trained-versus-uniform baseline, and the exact-flow oracle for the sampler: one
+flow array per depth over the terminals' enumeration order, O(terminals) in memory.
 
 The draws come from one RNG stream, the first child of the seed's seed
 sequence, so the same (seed, n) pair always yields the same dataset. How
@@ -146,28 +147,30 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
 
 @dataclass
 class ExactFlows:
-    """Prefix flows: each prefix maps to the floored-reward mass below it."""
+    """Terminals in enumeration order; `flows[d][i]` is the floored-reward mass below `prefixes(d)[i]`."""
 
-    flows: dict[tuple[int, ...], float]
+    terminals: np.ndarray
+    flows: list[np.ndarray]
     log_z: float
     terminal_probs: dict[tuple[int, ...], float]
+
+    def prefixes(self, depth: int) -> np.ndarray:
+        """The depth-d prefixes in order: the first d tokens of every stride-th terminal."""
+        return self.terminals[::len(self.terminals) // len(self.flows[depth]), :depth]
 
 
 def exact_flows(env: Environment, reward_model: RewardModel,
                 bound: int = 1_000_000) -> ExactFlows:
     """Enumerate terminals and push floored rewards up every prefix.
 
-    The induced policy P(a|s) = F(child)/F(parent) satisfies the balance
-    identity exactly, so its squared residual is 0 on every trajectory and
-    its terminal distribution is floored-R / Z.
+    A prefix's flow sums its terminals, one run of the enumeration, left to right: the
+    last column of a cumsum. The induced policy P(a|s) = F(child)/F(parent) satisfies the
+    balance identity exactly: zero residual on every trajectory, terminals at floored-R / Z.
     """
-    terminals = list(env.enumerate_terminals(bound))
+    terminals = env.enumerate_terminals(bound)
     floored = np.maximum(reward_model.score_batch(terminals).reward, reward_model.spec.reward_floor)
-    flows: dict[tuple[int, ...], float] = {}
-    for seq, value in zip(terminals, floored.tolist()):
-        for cut in range(len(seq) + 1):
-            prefix = seq[:cut]
-            flows[prefix] = flows.get(prefix, 0.0) + value
-    z = flows[()]
-    probs = {seq: flows[seq] / z for seq in terminals}
-    return ExactFlows(flows=flows, log_z=float(np.log(z)), terminal_probs=probs)
+    counts = [1, *np.cumprod(env.slot_masks.sum(axis=1)).tolist()]  # prefixes at each depth
+    flows = [np.cumsum(floored.reshape(count, -1), axis=1)[:, -1] for count in counts]
+    z = flows[0][0]
+    probs = dict(zip(map(tuple, terminals.tolist()), (flows[-1] / z).tolist()))
+    return ExactFlows(terminals=terminals, flows=flows, log_z=float(np.log(z)), terminal_probs=probs)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -235,19 +235,15 @@ class Environment:
 
     # -- enumeration ---------------------------------------------------------
     def count_terminals(self) -> int:
-        n = 1
-        for s in range(self.n_slots):
-            n *= int(self.slot_masks[s].sum())
-        return n
+        return math.prod(self.slot_masks.sum(axis=1).tolist())
 
-    def enumerate_terminals(self, bound: int = 1_000_000):
-        """All terminal sequences in slot-wise index order."""
+    def enumerate_terminals(self, bound: int = 1_000_000) -> np.ndarray:
+        """Every terminal as one (count, n_slots) index array, in slot-wise index order."""
         total = self.count_terminals()
         if total > bound:
             raise EnumerationBoundError(f"{total} terminal states exceed the bound {bound}")
-        choices = [np.flatnonzero(self.slot_masks[s]).tolist() for s in range(self.n_slots)]
-        for combo in itertools.product(*choices):
-            yield tuple(combo)
+        grids = np.meshgrid(*map(np.flatnonzero, self.slot_masks), indexing="ij", copy=False)
+        return np.stack(grids, axis=-1).reshape(total, self.n_slots)
 
     # -- record syntax -------------------------------------------------------
     def format_assembly_records(self, rows) -> list[str]:

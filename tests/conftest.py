@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import math
 import os
 import sys
@@ -47,7 +48,6 @@ class TabularPolicy:
     def __init__(self, flows: ExactFlows, env: Environment):
         self.flows = flows
         self.env = env
-        self._child_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def log_z_value(self) -> float:
@@ -72,22 +72,26 @@ class TabularPolicy:
         else:
             before = state[0] if parents is None else state[0][parents]
             prefixes = np.column_stack([before, tokens])
-        logits = np.stack([self._child_log_flows(tuple(p)) for p in prefixes.tolist()])
+        slot = prefixes.shape[1]
+        if slot >= self.env.n_slots:
+            raise TerminalStateError("episode already terminal")
+        # a prefix's children are one run of the next depth's flows
+        mask = self.env.slot_masks[slot]
+        children = self.flows.flows[slot + 1].reshape(-1, mask.sum())[self._prefix_index(prefixes)]
+        logits = np.full((len(prefixes), len(mask)), -np.inf)
+        with np.errstate(divide="ignore"):
+            logits[:, mask] = np.log(children)
         return logits, None if last else (prefixes,)
 
-    def _child_log_flows(self, prefix: tuple[int, ...]) -> np.ndarray:
-        row = self._child_rows.get(prefix)
-        if row is None:
-            slot = len(prefix)
-            if slot >= self.env.n_slots:
-                raise TerminalStateError("episode already terminal")
-            row = np.full(len(self.env.vocabulary), -np.inf)
-            for action in np.flatnonzero(self.env.slot_masks[slot]):
-                flow = self.flows.flows.get(prefix + (int(action),))
-                if flow:
-                    row[action] = math.log(flow)
-            self._child_rows[prefix] = row
-        return row
+    def _prefix_index(self, prefixes: np.ndarray) -> np.ndarray:
+        """Each row's place among the prefixes of its depth: the ranks of its
+        tokens among their slots' valid tokens, read as mixed-radix digits."""
+        masks = self.env.slot_masks
+        ranks, widths = np.cumsum(masks, axis=1) - 1, masks.sum(axis=1)
+        index = np.zeros(len(prefixes), dtype=np.intp)
+        for slot, tokens in enumerate(prefixes.T):
+            index = index * widths[slot] + ranks[slot, tokens]
+        return index
 
 
 @pytest.fixture(scope="session")
@@ -121,12 +125,60 @@ def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(1234))
 
 
-def flow_log_prob(flows, prefix: tuple[int, ...], action: int) -> float:
+def terminal_tuples(env: Environment) -> list[tuple[int, ...]]:
+    """Every terminal of `env` as a tuple of Python ints, in enumeration order."""
+    return list(map(tuple, env.enumerate_terminals().tolist()))
+
+
+def prefix_flow(flows: ExactFlows, prefix: tuple[int, ...]) -> float:
+    """F(prefix), found by searching its depth's prefixes; 0 when none matches."""
+    depth = len(prefix)
+    [rows] = np.nonzero((flows.prefixes(depth) == prefix).all(axis=1))
+    return float(flows.flows[depth][rows[0]]) if rows.size else 0.0
+
+
+def flow_log_prob(flows: ExactFlows, prefix: tuple[int, ...], action: int) -> float:
     """log P(action | prefix) of the exact-flow policy: log F(child) - log F(prefix)."""
-    child = prefix + (int(action),)
-    if child not in flows.flows:
+    child = prefix_flow(flows, prefix + (int(action),))
+    if not child:
         return -math.inf
-    return math.log(flows.flows[child]) - math.log(flows.flows[prefix])
+    return math.log(child) - math.log(prefix_flow(flows, prefix))
+
+
+def reference_flows(env: Environment, reward_model) -> dict[tuple[int, ...], float]:
+    """Each prefix's flow by definition: every terminal's floored reward added,
+    in `itertools.product` order over the slots' valid tokens, to each of its prefixes."""
+    terminals = list(itertools.product(*(np.flatnonzero(mask).tolist() for mask in env.slot_masks)))
+    floored = np.maximum(reward_model.score_batch(terminals).reward, reward_model.spec.reward_floor)
+    flows: dict[tuple[int, ...], float] = {}
+    for seq, value in zip(terminals, floored.tolist()):
+        for cut in range(len(seq) + 1):
+            prefix = seq[:cut]
+            flows[prefix] = flows.get(prefix, 0.0) + value
+    return flows
+
+
+def reference_flow_rows(env: Environment, flows: dict[tuple[int, ...], float]) -> list[list]:
+    """The `flows.csv` rows of a prefix-flow dict: by depth, then by token indices."""
+    vocab = env.vocabulary
+    return [[len(prefix), ",".join(vocab[i].token_id for i in prefix), flows[prefix]]
+            for prefix in sorted(flows, key=lambda p: (len(p), p))]
+
+
+def assert_flows_match_reference(flows: ExactFlows, env: Environment, reward_model) -> None:
+    """`==` on every flow, prefix, log Z* and terminal probability against `reference_flows`."""
+    reference = reference_flows(env, reward_model)
+    assert len(flows.flows) == env.n_slots + 1
+    for depth, level in enumerate(flows.flows):
+        prefixes = sorted(p for p in reference if len(p) == depth)
+        assert flows.prefixes(depth).tolist() == list(map(list, prefixes))
+        assert level.tolist() == [reference[p] for p in prefixes]
+    z = reference[()]
+    assert flows.log_z == float(np.log(z))
+    assert list(flows.terminal_probs.items()) == [(p, reference[p] / z) for p in reference
+                                                  if len(p) == env.n_slots]
+    assert type(flows.log_z) is float
+    assert all(type(i) is int for seq in flows.terminal_probs for i in seq)
 
 
 def relative_error(a: float, b: float) -> float:

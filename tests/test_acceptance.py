@@ -21,7 +21,7 @@ from blockflow import (Environment, FlowModel, ModelConfig, PeriodicPointSet,
                        selectivity, train, working_capacity)
 from blockflow.autodiff import masked_log_softmax
 from blockflow.reward import AdapterConfig
-from conftest import FIXTURES, TabularPolicy, flow_log_prob, stub_adapter_command
+from conftest import FIXTURES, TabularPolicy, flow_log_prob, stub_adapter_command, terminal_tuples
 
 
 def report(criterion: int, message: str) -> None:
@@ -60,7 +60,7 @@ def trained(bridge, tmp_path_factory):
 def exact(bridge):
     env, reward_model = bridge
     flows = exact_flows(env, reward_model)
-    terminals = list(env.enumerate_terminals())
+    terminals = terminal_tuples(env)
     rewards = reward_model.score_batch(terminals).reward
     return flows, terminals, rewards
 

@@ -15,7 +15,9 @@ from blockflow import (BaselineSummary, CrossValSummary, Environment, FlowModel,
                        spearman_rho, working_capacity)
 from blockflow.autodiff import masked_log_softmax
 from blockflow.errors import DegenerateInputError, EnumerationBoundError, ValidationError
-from conftest import TabularPolicy, TerminalStateError, flow_log_prob, zero_model
+from blockflow.cli import load_run_config
+from conftest import (CONFIGS, TabularPolicy, TerminalStateError, assert_flows_match_reference,
+                      flow_log_prob, zero_model)
 
 
 # -- rank and correlation -----------------------------------------------------
@@ -379,7 +381,7 @@ def test_baseline_trained_policy_beats_uniform(bridge_env, bridge_reward):
     summary = baseline_comparison(policy, bridge_env, bridge_reward,
                                   n_samples=4000, seed=1)
     assert summary.trained_mean > summary.uniform_mean
-    rewards = bridge_reward.score_batch(list(bridge_env.enumerate_terminals())).reward
+    rewards = bridge_reward.score_batch(bridge_env.enumerate_terminals()).reward
     expect_uniform = rewards.mean()
     expect_trained = (rewards ** 2).sum() / rewards.sum()
     assert expect_trained > expect_uniform  # sanity: the ordering is structural
@@ -405,6 +407,7 @@ def test_exact_flows_single_terminal(tmp_path):
     assert flows.terminal_probs == {(0,): 1.0}
     [r] = rm.score_batch([(0,)]).reward.tolist()
     assert flows.log_z == pytest.approx(math.log(r), abs=1e-12)
+    assert_flows_match_reference(flows, env, rm)
 
 
 def test_exact_flows_two_terminal_ratio(tmp_path):
@@ -430,8 +433,23 @@ def test_exact_flows_two_terminal_ratio(tmp_path):
     flows = exact_flows(env, FakeReward())
     assert flows.terminal_probs[(0,)] == pytest.approx(0.25, abs=1e-12)
     assert flows.terminal_probs[(1,)] == pytest.approx(0.75, abs=1e-12)
-    assert flows.flows[()] == pytest.approx(4.0, abs=1e-12)
+    assert flows.flows[0].tolist() == [pytest.approx(4.0, abs=1e-12)]
     assert flows.log_z == pytest.approx(math.log(4.0), abs=1e-12)
+    assert_flows_match_reference(flows, env, FakeReward())
+
+
+@pytest.mark.parametrize("config", ["train_bridge.json", "train_grid.json"])
+def test_exact_flows_equal_the_reference_sums(config):
+    run = load_run_config(CONFIGS / config)
+    rm = RewardModel(run.reward_spec, run.env)
+    flows = exact_flows(run.env, rm)
+    assert [len(level) for level in flows.flows] == [1, *np.cumprod(run.env.slot_masks.sum(axis=1))]
+    assert_flows_match_reference(flows, run.env, rm)
+
+
+def test_exact_flows_on_one_slot_equal_the_reference_sums(single_env):
+    rm = RewardModel(RewardSpec(cutoff=2500.0, surrogate_scale=1000.0), single_env)
+    assert_flows_match_reference(exact_flows(single_env, rm), single_env, rm)
 
 
 def test_exact_flows_respects_enumeration_bound():
@@ -463,6 +481,24 @@ def test_tabular_policy_probabilities_sum_to_one(bridge_env, bridge_reward):
         tokens = np.flatnonzero(mask)[[0, -1, 0]]
     with pytest.raises(TerminalStateError):
         policy.step(tokens, state)
+
+
+def test_tabular_policy_steps_every_prefix_by_its_own_flows(bridge_env):
+    # cutoff 7000 floors 4 terminals, so a slot's child flows depend on the earlier tokens
+    rm = RewardModel(RewardSpec(cutoff=7000.0, surrogate_scale=1000.0), bridge_env)
+    flows = exact_flows(bridge_env, rm)
+    policy = TabularPolicy(flows, bridge_env)
+    for depth in range(bridge_env.n_slots):
+        prefixes = flows.prefixes(depth)
+        if depth == 0:
+            logits, _ = policy.step([policy.start_token])
+        else:
+            logits, _ = policy.step(prefixes[:, -1], (prefixes[:, :-1],))
+        log_probs = masked_log_softmax(logits, bridge_env.slot_masks[depth])
+        expected = [[flow_log_prob(flows, tuple(prefix), action) for action in range(logits.shape[1])]
+                    for prefix in prefixes.tolist()]
+        np.testing.assert_allclose(log_probs, expected, rtol=0, atol=1e-12)
+    assert len({tuple(row) for row in np.round(log_probs, 6).tolist()}) > 1
 
 
 def test_tabular_policy_rejects_other_env(bridge_env, bridge_reward, single_env):

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockflow import Adam, FlowModel
-from blockflow.checkpoint import save_checkpoint
+from blockflow import Adam, FlowModel, RewardModel
+from blockflow.checkpoint import save_checkpoint, write_table
 from blockflow.cli import load_run_config, main
-from conftest import CONFIGS, FIXTURES, file_sha256
+from conftest import CONFIGS, FIXTURES, file_sha256, reference_flow_rows, reference_flows
 
 
 def run_config(tmp_path, train_overrides=None, reward_overrides=None):
@@ -569,6 +569,26 @@ def test_bridge_flows_are_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == "terminals=12 log_z=5.749408893984552\n"
     for name, digest in FLOWS_BRIDGE_SHA256.items():
         assert file_sha256(out / name) == digest, name
+
+
+@pytest.mark.parametrize("config", ["train_bridge.json", "train_grid.json"])
+def test_flows_writes_the_bytes_of_the_reference_sums(tmp_path, capsys, config):
+    # the reference: a dict of prefix sums, written sorted by depth, then token indices
+    run = load_run_config(CONFIGS / config)
+    reference = reference_flows(run.env, RewardModel(run.reward_spec, run.env))
+    z = reference[()]
+    probs = {seq: flow / z for seq, flow in reference.items() if len(seq) == run.env.n_slots}
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    write_table(expected / "flows.csv", ["depth", "prefix", "flow"],
+                reference_flow_rows(run.env, reference))
+    write_table(expected / "terminal_probs.csv", ["assembly_record", "probability"],
+                zip(run.env.format_assembly_records(list(probs)), probs.values()))
+    out = tmp_path / "flows"
+    assert main(["flows", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"terminals={len(probs)} log_z={float(np.log(z))!r}\n"
+    for name in ("flows.csv", "terminal_probs.csv"):
+        assert filecmp.cmp(out / name, expected / name, shallow=False), name
 
 
 def test_flows_command(tmp_path, capsys):

@@ -41,12 +41,12 @@ def cif_text(a=10.0, b=10.0, c=10.0, alpha=90.0, beta=90.0, gamma=90.0,
 
 
 def test_parse_number_uncertainty_and_exponents():
-    assert _parse_number("10.5(3)", "x") == 10.5
-    assert _parse_number("-0.25", "x") == -0.25
-    assert _parse_number("1.2d-3", "x") == pytest.approx(1.2e-3)
-    assert _parse_number("3.4E2(1)", "x") == 340.0
-    with pytest.raises(ValidationError, match="here:9"):
-        _parse_number("abc", "here:9")
+    assert _parse_number("10.5(3)", 1, "x") == 10.5
+    assert _parse_number("-0.25", 1, "x") == -0.25
+    assert _parse_number("1.2d-3", 1, "x") == pytest.approx(1.2e-3)
+    assert _parse_number("3.4E2(1)", 1, "x") == 340.0
+    with pytest.raises(ValidationError, match="^here:9: cannot parse number 'abc'$"):
+        _parse_number("abc", 9, "here")
 
 
 def test_parse_cif_cubic_trivial():
@@ -305,6 +305,22 @@ def test_parse_cif_refuses_what_cif_does_not_allow(old, new, message):
     assert old in text
     with pytest.raises(ValidationError, match=message):
         parse_cif(text.replace(old, new), "f.cif")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("data_x\n_symmetry_space_group_name_H-M\n" + CELL_TAGS.replace("7.0", "10"),
+     r"^f\.cif:2: tag '_symmetry_space_group_name_h-m' has no value$"),
+    (CELL_TAGS + "\n_symmetry_Int_Tables_number\n" + atom_loop("A1 0.1 0.2 0.3"),
+     r"^f\.cif:7: tag '_symmetry_int_tables_number' has no value$"),
+    (CELL_TAGS + "\n" + atom_loop("A1 0.1 0.2 0.3") + "\n_symmetry_space_group_name_H-M  # P 1",
+     r"^f\.cif:13: tag '_symmetry_space_group_name_h-m' has no value$"),
+    ("_cell_length_a\ndata_x\n" + CELL_TAGS, r"^f\.cif:1: tag '_cell_length_a' has no value$"),
+    (CELL_TAGS + "\n_cell_measurement_temperature\nsave_x", r"^f\.cif:7: tag '_cell_measurement_"
+                                                              r"temperature' has no value$"),
+], ids=["before_a_tag", "before_loop", "at_the_end", "before_data", "before_save"])
+def test_parse_cif_refuses_a_tag_with_no_value(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_cif(text, "f.cif")
 
 
 GAPS = (" ", "\t", "\n", "  # a note\n", "\n\n#_cell_length_a 99\n   ")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockflow import Environment, Token, Topology, Vocabulary
+from blockflow import Environment, RewardSpec, Scores, Token, Topology, Vocabulary, exact_flows
 from blockflow.errors import EnumerationBoundError, ValidationError
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_flows_match_reference, terminal_tuples
 
 
 def write_vocab(tmp_path, body, name="vocab.csv"):
@@ -139,7 +139,7 @@ def test_check_sequences_rejects_masked_token(bridge_env):
     ((0, 4, 4), "slot 2: token 'N5' not in the slot's allowed set"),
 ])
 def test_check_sequences_names_the_first_bad_token_among_many_rows(bridge_env, bad, message):
-    rows = np.array(list(bridge_env.enumerate_terminals()) * 3)
+    rows = np.tile(bridge_env.enumerate_terminals(), (3, 1))
     assert bridge_env.check_sequences(rows).tolist() == rows.tolist()
     rows[20] = bad
     with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -147,14 +147,14 @@ def test_check_sequences_names_the_first_bad_token_among_many_rows(bridge_env, b
 
 
 def test_records_of_many_rows_are_the_records_of_each(bridge_env):
-    terminals = list(bridge_env.enumerate_terminals())
-    records = bridge_env.format_assembly_records(np.array(terminals))
+    terminals = terminal_tuples(bridge_env)
+    records = bridge_env.format_assembly_records(bridge_env.enumerate_terminals())
     assert records[0] == "bfx:N1,N4,E1" and records[-1] == "bfx:N3,N5,E2"
     assert [bridge_env.parse_assembly_record(r) for r in records] == terminals
 
 
 def test_enumeration_order_and_count(bridge_env):
-    terms = list(bridge_env.enumerate_terminals())
+    terms = terminal_tuples(bridge_env)
     assert len(terms) == 12
     assert bridge_env.count_terminals() == 12
     assert terms[0] == (0, 3, 5)
@@ -165,7 +165,7 @@ def test_enumeration_order_and_count(bridge_env):
 
 def test_enumeration_bound_refuses(bridge_env):
     with pytest.raises(EnumerationBoundError, match="12"):
-        list(bridge_env.enumerate_terminals(bound=5))
+        bridge_env.enumerate_terminals(bound=5)
 
 
 def test_record_roundtrip(bridge_env):
@@ -209,13 +209,33 @@ def test_env_hash_is_content_addressed(bridge_env):
     assert other.env_hash != bridge_env.env_hash
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(2, 5))
-def test_counts_match_enumeration_on_random_layouts(sizes, vocab_n):
+class TableReward:
+    """A reward model whose reward is a product of per-slot, per-token random factors."""
+
+    def __init__(self, env: Environment, seed: int):
+        self.spec = RewardSpec(cutoff=1.0)
+        self.factors = np.random.Generator(np.random.PCG64(seed)).lognormal(
+            0.0, 3.0, env.slot_masks.shape)
+
+    def score_batch(self, rows) -> Scores:
+        rows = np.asarray(rows, dtype=np.intp)
+        reward = self.factors[np.arange(rows.shape[1]), rows].prod(axis=1)
+        return Scores(reward, reward, {})
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(2, 5),
+       st.integers(0, 2**32 - 1))
+def test_counts_match_enumeration_on_random_layouts(sizes, vocab_n, seed):
     tokens = [Token(f"N{i}", "node", 1.0 + i, 10.0 * i) for i in range(1, vocab_n + 1)]
     vocab = Vocabulary(tokens)
-    slots = tuple(tuple(f"N{j + 1}" for j in range(min(size, vocab_n))) for size in sizes)
+    # uneven widths; a slot's valid tokens wrap round the vocabulary, so they need not start at 0
+    slots = tuple(tuple(f"N{(s + j) % vocab_n + 1}" for j in range(min(size, vocab_n)))
+                  for s, size in enumerate(sizes))
     env = Environment(Topology("rand", slots, (), edges_enabled=False), vocab)
-    terms = list(env.enumerate_terminals())
+    terms = terminal_tuples(env)
     assert len(terms) == env.count_terminals()
     assert len(set(terms)) == len(terms)
+    assert terms == sorted(terms)  # slot-wise index order
     env.check_sequences(terms)
+    reward_model = TableReward(env, seed)
+    assert_flows_match_reference(exact_flows(env, reward_model), env, reward_model)

@@ -9,6 +9,7 @@ changed.
 
 import importlib
 import inspect
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import blockflow
-from blockflow import load_checkpoint, restore_model
+from blockflow import RewardModel, exact_flows, load_checkpoint, restore_model, reward, surrogate_gsa
 from blockflow.cli import load_run_config, main
 from conftest import CONFIGS
 
@@ -48,6 +49,26 @@ def test_dataset_check_accepts_a_sample(perfbench, tmp_path):
     run = load_run_config(GRID)
     counts = perfbench("checks").dataset_csv(out / "dataset.csv", 200, run.env, run.reward_spec)
     assert sum(counts.values()) == 200
+
+
+def test_terminal_l1_reads_the_exact_flows_of_the_bridge(perfbench):
+    # pipeline_bridge scores its pooled draws against exact_flows' log Z* and R/Z
+    run = load_run_config(CONFIGS / "train_bridge.json")
+    flows = exact_flows(run.env, RewardModel(run.reward_spec, run.env))
+    assert type(flows.log_z) is float
+    # the independent sum: every terminal spelled out by its records, scored one at a time
+    records = [f"bfx:{a},{b},{c}" for a in ("N1", "N2", "N3") for b in ("N4", "N5") for c in ("E1", "E2")]
+    terminals = [run.env.parse_assembly_record(record) for record in records]
+    rewards = [max(reward(run.reward_spec, surrogate_gsa(run.env.vocabulary, seq,
+                                                         run.reward_spec.surrogate_scale)),
+                   run.reward_spec.reward_floor) for seq in terminals]
+    counts = {terminals[0]: 5, terminals[7]: 2, terminals[11]: 1}
+    expected = sum(abs(counts.get(seq, 0) / 8 - r / sum(rewards)) for seq, r in zip(terminals, rewards))
+    l1 = perfbench("checks").terminal_l1(counts, flows.terminal_probs)
+    assert l1 == pytest.approx(expected, rel=1e-12)
+    assert flows.log_z == pytest.approx(math.log(sum(rewards)), rel=1e-12)
+    with pytest.raises(perfbench("checks").CheckFailed, match="outside the enumeration"):
+        perfbench("checks").terminal_l1({(0, 3, 4): 1}, flows.terminal_probs)
 
 
 def _package_names() -> dict[tuple[str, ...], object]:

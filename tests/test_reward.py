@@ -12,7 +12,7 @@ from blockflow import (AdapterConfig, RewardModel, RewardSpec, exact_flows, exte
                        reward, surrogate_gsa)
 from blockflow.cli import load_run_config
 from blockflow.errors import ConfigurationError
-from conftest import CONFIGS, process_running, stub_adapter_command
+from conftest import CONFIGS, prefix_flow, process_running, stub_adapter_command, terminal_tuples
 
 SPEC = RewardSpec(cutoff=5000.0)
 
@@ -47,12 +47,12 @@ def test_reward_floor_enters_the_flows_but_not_the_reported_reward(bridge_env, f
     # cutoff 7000: 4 of the 12 bridge terminals score 0 and flow at the floor
     rm = RewardModel(RewardSpec(cutoff=7000.0, reward_floor=floor, surrogate_scale=1000.0),
                      bridge_env)
-    terminals = list(bridge_env.enumerate_terminals())
+    terminals = terminal_tuples(bridge_env)
     rewards = rm.score_batch(terminals).reward.tolist()
-    flows = exact_flows(bridge_env, rm).flows
+    flows = exact_flows(bridge_env, rm)
     assert sum(r == 0.0 for r in rewards) == 4
     for seq, r in zip(terminals, rewards):
-        assert flows[seq] == (floor if r == 0.0 else r)
+        assert prefix_flow(flows, seq) == (floor if r == 0.0 else r)
 
 
 def test_spec_validation():
@@ -71,7 +71,7 @@ def test_spec_validation():
 def test_surrogate_matches_independent_recompute(bridge_env):
     # plain-python recompute over token objects, no shared numpy path
     vocab = bridge_env.vocabulary
-    for seq in bridge_env.enumerate_terminals():
+    for seq in terminal_tuples(bridge_env):
         mass = sum(vocab[i].mass_g_mol for i in seq)
         surface = sum(vocab[i].surface_a2 for i in seq)
         expect = 1000.0 * surface / mass
@@ -91,7 +91,7 @@ def test_array_scores_bit_equal_the_scalar_formula_on_every_terminal(config):
     # the benchmark checks each written score with `==` against the scalar calls
     run = load_run_config(CONFIGS / config)
     spec, vocab = run.reward_spec, run.env.vocabulary
-    terminals = list(run.env.enumerate_terminals())
+    terminals = terminal_tuples(run.env)
     scores = RewardModel(spec, run.env).score_batch(terminals)
     gsa = [surrogate_gsa(vocab, seq, spec.surrogate_scale) for seq in terminals]
     assert scores.gsa.tolist() == gsa
@@ -110,7 +110,7 @@ def test_surrogate_rows_bit_equal_single_sequences_on_long_rows(bridge_env):
 def test_reward_model_twelve_terminal_table(bridge_env, bridge_reward):
     spec = bridge_reward.spec
     rewards = {}
-    terminals = list(bridge_env.enumerate_terminals())
+    terminals = terminal_tuples(bridge_env)
     scores = bridge_reward.score_batch(terminals)
     assert scores.errors == {} and not np.isnan(scores.gsa).any()
     for seq, r in zip(terminals, scores.reward.tolist()):
@@ -255,7 +255,7 @@ def test_interrupted_parallel_batch_kills_running_adapters(bridge_env, tmp_path,
     monkeypatch.setattr(Future, "result", interrupted)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        rm.score_batch(list(bridge_env.enumerate_terminals())[:3])
+        rm.score_batch(bridge_env.enumerate_terminals()[:3])
     assert time.monotonic() - started < 5.0
     pids = [int(f.name) for f in pid_dir.iterdir()]
     assert len(pids) == slots
@@ -310,7 +310,7 @@ def test_memoization_calls_adapter_once(bridge_env, tmp_path):
 
 def test_score_batch_matches_direct_reward(bridge_env, bridge_reward):
     spec = bridge_reward.spec
-    seqs = list(bridge_env.enumerate_terminals())[:5] * 2
+    seqs = terminal_tuples(bridge_env)[:5] * 2
     batch = bridge_reward.score_batch(seqs)
     assert batch.gsa.shape == batch.reward.shape == (10,)
     for seq, r, g in zip(seqs, batch.reward.tolist(), batch.gsa.tolist()):
@@ -347,7 +347,7 @@ def test_score_batch_runs_at_most_slots_adapters_at_once(bridge_env, tmp_path,
             "mark('end')\n")
     spec = RewardSpec(cutoff=100.0, evaluator="external")
     rm = RewardModel(spec, bridge_env, adapter=AdapterConfig(command=stub_adapter_command(body)))
-    seqs = list(bridge_env.enumerate_terminals())
+    seqs = terminal_tuples(bridge_env)
     seqs = seqs[::-1] + seqs[:4]  # repeats are read from the cache
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show

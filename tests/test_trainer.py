@@ -23,7 +23,7 @@ from blockflow.errors import ConfigurationError, TrainingAbort
 from blockflow.model import _ROWS
 from blockflow.trainer import _window_means
 from conftest import (CONFIGS, FIXTURES, TabularPolicy, flow_log_prob, process_running,
-                      stub_adapter_command, surrogate_adapter_command, zero_model)
+                      stub_adapter_command, surrogate_adapter_command, terminal_tuples, zero_model)
 
 SMALL = ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12)
 
@@ -102,7 +102,7 @@ def test_epsilon_one_is_uniform_chi_squared(bridge_env):
     actions, _ = rollout(model, bridge_env, rng, n, epsilon=1.0)
     counts = Counter(map(tuple, actions.tolist()))
     assert sum(counts.values()) == n
-    chi2 = chi_squared(counts, {seq: n / 12.0 for seq in bridge_env.enumerate_terminals()})
+    chi2 = chi_squared(counts, {seq: n / 12.0 for seq in terminal_tuples(bridge_env)})
     # 11 dof, alpha = 1e-3
     assert chi2 < stats.chi2.ppf(0.999, 11)
 
@@ -134,7 +134,7 @@ def test_rollout_zero_init_draws_are_uniform(bridge_env):
     rng = np.random.Generator(np.random.PCG64(11))
     actions, _ = rollout(model, bridge_env, rng, 6000)
     counts = Counter(map(tuple, actions.tolist()))
-    chi2 = chi_squared(counts, {seq: 6000 / 12.0 for seq in bridge_env.enumerate_terminals()})
+    chi2 = chi_squared(counts, {seq: 6000 / 12.0 for seq in terminal_tuples(bridge_env)})
     assert chi2 < stats.chi2.ppf(0.999, 11)
 
 
@@ -144,7 +144,7 @@ def test_rollout_matches_model_distribution(bridge_env):
     model = small_model(seed=8)
     model.parameters()["w_out"] *= 6.0
     probs = {seq: math.exp(episode_log_prob(model, bridge_env, seq))
-             for seq in bridge_env.enumerate_terminals()}
+             for seq in terminal_tuples(bridge_env)}
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert max(probs.values()) > 2 * min(probs.values())
     n = 6000
@@ -537,7 +537,7 @@ def test_exact_flow_policy_zeroes_every_residual(bridge_env, bridge_reward):
     flows = exact_flows(bridge_env, bridge_reward)
     policy = TabularPolicy(flows, bridge_env)
     floor = bridge_reward.spec.reward_floor
-    terminals = list(bridge_env.enumerate_terminals())
+    terminals = terminal_tuples(bridge_env)
     for seq, r in zip(terminals, bridge_reward.score_batch(terminals).reward.tolist()):
         log_probs = []
         prefix = ()
@@ -556,7 +556,7 @@ def test_exact_flow_terminal_probs_are_reward_over_z(bridge_env, bridge_reward):
     flows = exact_flows(bridge_env, bridge_reward)
     z = math.exp(flows.log_z)
     total = 0.0
-    terminals = list(bridge_env.enumerate_terminals())
+    terminals = terminal_tuples(bridge_env)
     for seq, r in zip(terminals, bridge_reward.score_batch(terminals).reward.tolist()):
         floored = max(r, bridge_reward.spec.reward_floor)
         p = flows.terminal_probs[seq]
