@@ -14,7 +14,7 @@ _EXPORTS = {name: module for module, names in {
     "analysis": "CrossValSummary IsothermRow RegressionReport average_ranks cross_validate "
                 "fit_univariate holdout_validate load_isotherm_table pearson_r percentile_rank "
                 "selectivity spearman_rho working_capacity",
-    "checkpoint": "load_checkpoint restore_model restore_optimizer restore_rng save_checkpoint",
+    "checkpoint": "load_checkpoint restore_model save_checkpoint",
     "crystal": "PeriodicPointSet amd cell_basis descriptor_distance_matrix "
                "kth_nearest_distances load_cif_file novelty_score parse_cif",
     "dataset": "BaselineSummary CandidateRecord ExactFlows baseline_comparison "

@@ -10,8 +10,9 @@ as dumped without the checksum, followed by the body.
 
 Loading reads the header line, then each body row straight into its own
 anonymous memory map, hashing it as it is read, and hands out the rows as
-writable float64 views. The restores adopt the rows rather than copy them,
-and a row that nothing adopted is unmapped with the checkpoint.
+writable float64 views. `restore_model` and a resumed optimizer adopt the
+rows rather than copy them, and a row that nothing adopted is unmapped with
+the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
@@ -97,12 +98,14 @@ def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
 
 @dataclass
 class Checkpoint:
+    """A checked checkpoint: the header's fields, the body rows it adopted, and
+    `rng`, the run's generator, built from the header's `rng_state`."""
     model_config: dict
     params: np.ndarray  # each of the three body rows is laid out as model.flat
     m: np.ndarray  # Adam's first moment
     v: np.ndarray  # and its second
     optimizer: dict
-    rng_state: dict
+    rng: np.random.Generator
     episode: int
     best_reward: float
     loss_tail: list[float]
@@ -244,7 +247,7 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
              f"the body holds {length} bytes, the declared shapes need {8 * 3 * n_params}")
     params, m, v = (np.frombuffer(row, dtype="<f8") for row in rows)
     _require(np.isfinite(params).all(), "params hold non-finite values")
-    _generator(header.get("rng_state"))
+    rng = _generator(header.get("rng_state"))
     episode, best_reward, loss_tail = (header.get(key)
                                        for key in ("episode", "best_reward", "loss_tail"))
     _require(_is_int(episode) and episode >= 0, "episode must be a non-negative integer")
@@ -259,7 +262,7 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
         m=m,
         v=v,
         optimizer=opt,
-        rng_state=header["rng_state"],
+        rng=rng,
         episode=episode,
         best_reward=float(best_reward),
         loss_tail=[float(x) for x in loss_tail],
@@ -275,17 +278,6 @@ def restore_model(ckpt: Checkpoint) -> FlowModel:
     return FlowModel(ModelConfig(**ckpt.model_config), ckpt.params)
 
 
-def restore_optimizer(ckpt: Checkpoint, model: FlowModel) -> Adam:
-    """The checkpoint's optimizer for `model`, holding the checkpoint's m and v rows."""
-    from .optim import Adam
-    doc = ckpt.optimizer
-    # every parameter has its own rate, so the base rate only has to be valid
-    opt = Adam(model.parameters(), lr=min(doc["lr"].values()), lr_overrides=doc["lr"])
-    opt.step_count = doc["step_count"]
-    opt.m, opt.v = ckpt.m, ckpt.v
-    return opt
-
-
 def _generator(state) -> np.random.Generator:
     """A generator in the serialized bit-generator `state`."""
     rng = np.random.Generator(np.random.PCG64())
@@ -297,7 +289,3 @@ def _generator(state) -> np.random.Generator:
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"invalid RNG state in checkpoint: {exc}") from None
     return rng
-
-
-def restore_rng(ckpt: Checkpoint) -> np.random.Generator:
-    return _generator(ckpt.rng_state)

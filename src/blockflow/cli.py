@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -260,10 +261,13 @@ def _load_xy(path: Path) -> tuple[list[float], list[float]]:
     xs, ys = [], []
     for lineno, row in rows:
         try:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
+            x, y = float(row[0]), float(row[1])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"{path}:{lineno}: x and y must be finite, got {row[0]!r}, {row[1]!r}")
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 

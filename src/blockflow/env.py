@@ -47,6 +47,8 @@ class Vocabulary:
                 raise ValidationError(f"token {tok.token_id!r} has unknown kind {tok.kind!r}")
             if tok.token_id in seen:
                 raise ValidationError(f"duplicate token id {tok.token_id!r}")
+            if "," in tok.token_id:  # a record joins the ids of its tokens with commas
+                raise ValidationError(f"token id {tok.token_id!r} must not hold a comma")
             seen.add(tok.token_id)
             if not (tok.mass_g_mol > 0):
                 raise ValidationError(f"token {tok.token_id!r} must have positive mass")

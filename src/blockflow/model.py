@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError
 
-# Rows per block of the cell in a step without a cache. Measured on a grid
+# Rows per block of the cell in a step. Measured on a grid
 # rollout(8000), 1,000 rows at its last slot: 256-, 128-, 64- and 32-row
 # blocks peaked at 10.9, 7.5, 5.7 and 4.9 MiB traced, and 32-row blocks ran
 # as fast as any; a block's gate pre-activations, and its rows of the
@@ -128,20 +128,18 @@ class FlowModel:
         """One recurrent step over a batch of tokens.
 
         `tokens` are vocabulary indices or the start sentinel; `state` is the
-        (h, c) pair from the previous step, or None at sequence start.
-        Returns next-token logits (batch, vocab_size) and the new state.
-        With a `cache` list, the step appends a record of the forward values
-        that `balance_grad` reads.
-
-        Without one, `parents` may map each token to its row of `state`, so
-        rows that share a previous state share its h @ w_h: the product is
-        taken once over all of `state`. The cell runs over the fewest balanced
-        blocks of at most `_ROWS` rows, each gathering its rows of the product
-        and of c, and the head over all rows at once. The values are those of
-        one cell over all rows, each with its own state, up to how BLAS rounds
-        a 1-row product (one parent, or the narrow head at small row counts)
-        on some kernels. A `last` step builds no c and returns None for the
-        new state: nothing steps from it.
+        (h, c) pair from the previous step, or None at sequence start, and
+        `parents` maps each token to its row of `state` (None: its own row).
+        Returns next-token logits (batch, vocab_size) and the new state; a
+        `last` step builds no c and returns None for it: nothing steps from it.
+        The parents' h @ w_h is taken once over all of `state`; the cell runs
+        over the fewest balanced blocks of at most `_ROWS` rows, each gathering
+        its rows of that product and of c, and the head over all rows at once.
+        The values are those of one cell over all rows up to how BLAS rounds a
+        1-row product (one parent, or the narrow head at small row counts) on
+        some kernels. With a `cache` list, the step appends the record that
+        `balance_grad` reads: the tokens, the given state, the new h, and the
+        gates and tanh(c) of all blocks, one array each.
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if tokens.min() < 0 or tokens.max() > self.config.vocab_size:
@@ -155,25 +153,22 @@ class FlowModel:
                     f"recurrent state shape {h.shape}/{c.shape} does not match "
                     f"(batch={expected[0]}, hidden={expected[1]})")
 
-        p = self._params
-        if cache is None:
-            m, hid = tokens.shape[0], self.config.hidden_dim
-            h_w = None if state is None else state[0] @ p["w_h"]
-            h_new, c_new = np.empty((m, hid)), None if last else np.empty((m, hid))
-            k = -(-m // _ROWS)
-            for lo, hi in ((i * m // k, (i + 1) * m // k) for i in range(k)):
-                rows = slice(lo, hi) if parents is None else parents[lo:hi]
-                h_new[lo:hi], c, _, _ = ad.lstm_cell(
-                    p["embed"][tokens[lo:hi]],
-                    None if state is None else (h_w[rows], state[1][rows]), p["w_x"], p["b"])
-                if c_new is not None:
-                    c_new[lo:hi] = c
-        else:
-            x = p["embed"][tokens]
-            recurrent = None if state is None else (state[0] @ p["w_h"], state[1])
-            h_new, c_new, gates, tanh_c = ad.lstm_cell(x, recurrent, p["w_x"], p["b"])
-            cache.append({"tokens": tokens, "x": x, "state": state, "gates": gates,
-                          "tanh_c": tanh_c, "h": h_new})
+        p, m, hid = self._params, tokens.shape[0], self.config.hidden_dim
+        h_w = None if state is None else state[0] @ p["w_h"]
+        h_new, c_new = np.empty((m, hid)), None if last else np.empty((m, hid))
+        if cache is not None:
+            gates, tanh_c = np.empty((m, 4 * hid)), np.empty((m, hid))
+            cache.append(dict(tokens=tokens, state=state, gates=gates, tanh_c=tanh_c, h=h_new))
+        k = -(-m // _ROWS)
+        for lo, hi in ((i * m // k, (i + 1) * m // k) for i in range(k)):
+            rows = slice(lo, hi) if parents is None else parents[lo:hi]
+            h_new[lo:hi], c, block_gates, block_tanh_c = ad.lstm_cell(
+                p["embed"][tokens[lo:hi]],
+                None if state is None else (h_w[rows], state[1][rows]), p["w_x"], p["b"])
+            if c_new is not None:
+                c_new[lo:hi] = c
+            if cache is not None:
+                gates[lo:hi], tanh_c[lo:hi] = block_gates, block_tanh_c
         logits = h_new @ p["w_out"] + p["b_out"]
         return logits, None if last else (h_new, c_new)
 
@@ -185,7 +180,8 @@ class FlowModel:
         and `cache` holds the per-slot records of the rollout that drew the
         episodes, one state row per episode: each is the record `step`
         appended, to which `rollout` added the slot's log-probs, mask and
-        picked actions. The gradients go into `grad`, a buffer laid out as
+        picked actions. The embedding rows a slot read are gathered again
+        from its tokens. The gradients go into `grad`, a buffer laid out as
         `flat` that the model keeps across updates; its views are returned.
 
         Each weight's gradient is one product over the stacked slots; only
@@ -221,10 +217,11 @@ class FlowModel:
                 dh = dh_head[t - 1] + dz[t] @ p["w_h"].T
                 dc = dc * rec["gates"][:, hid:2 * hid]
         dz = dz.reshape(n_slots * n, -1)
-        np.matmul(np.concatenate([rec["x"] for rec in cache]).T, dz, out=grads["w_x"])
+        tokens = np.concatenate([rec["tokens"] for rec in cache])
+        np.matmul(p["embed"][tokens].T, dz, out=grads["w_x"])
         dz.sum(axis=0, out=grads["b"])
         # slot t's incoming h is slot t - 1's output
         np.matmul(h[:-n].T, dz[n:], out=grads["w_h"])
         grads["embed"].fill(0.0)
-        np.add.at(grads["embed"], np.concatenate([rec["tokens"] for rec in cache]), dz @ p["w_x"].T)
+        np.add.at(grads["embed"], tokens, dz @ p["w_x"].T)
         return grads

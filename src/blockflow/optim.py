@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, TrainingAbort
@@ -60,14 +62,15 @@ class Adam:
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  lr_overrides: dict[str, float] | None = None):
-        if lr <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not (0 < lr < math.inf):  # NaN fails this test too
+            raise ConfigurationError(f"learning rate must be finite and positive, got {lr!r}")
         lr_overrides = dict(lr_overrides or {})
         for name, rate in lr_overrides.items():
             if name not in params:
                 raise ConfigurationError(f"lr override for unknown parameter {name!r}")
-            if rate <= 0:
-                raise ConfigurationError(f"lr override for {name!r} must be positive")
+            if not (0 < rate < math.inf):
+                raise ConfigurationError(
+                    f"lr override for {name!r} must be finite and positive, got {rate!r}")
         self.lr = {name: lr_overrides.get(name, lr) for name in params}
         self.step_count = 0
         self._sizes = {name: (p.size,) for name, p in params.items()}  # each one as a 1-D piece

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import (atomic_write, load_checkpoint, restore_optimizer,
-                         restore_rng, save_checkpoint, write_table)
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint, write_table
 from .env import Environment
 from .errors import ConfigurationError, TrainingAbort, ValidationError
 from .model import FlowModel
@@ -55,13 +54,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate_model <= 0 or self.learning_rate_logz <= 0:
-            raise ConfigurationError("learning rates must be positive")
+        for rate in (self.learning_rate_model, self.learning_rate_logz):  # NaN fails both tests
+            if not (0 < rate < math.inf):
+                raise ConfigurationError(f"learning rates must be finite and positive, got {rate!r}")
         for name in ("max_episodes", "batch_size", "stop_window", "smooth_window"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"TrainConfig.{name} must be >= 1")
-        if self.stop_threshold < 0:
-            raise ConfigurationError("stop threshold must be non-negative")
+        if not (0 <= self.stop_threshold < math.inf):
+            raise ConfigurationError(
+                f"stop threshold must be finite and non-negative, got {self.stop_threshold!r}")
         if not (0.0 <= self.exploration_epsilon <= 1.0):
             raise ConfigurationError("exploration epsilon must be in [0, 1]")
         if self.checkpoint_every < 0:
@@ -79,14 +80,14 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
     behavior policy is mixed with uniform over the slot's valid tokens; the
     returned log-probs are always the pure policy's.
 
-    With a `cache` list (training), every episode is its own state row, and
-    each slot appends one record of its forward values: the model's, plus
-    the slot's log-probs, mask and picks, which `FlowModel.balance_grad`
-    reads. Without one, episodes that share a prefix share a row: slots are
-    filled in a fixed order, so the prefix is the whole state, and the
-    policy steps once per distinct prefix. Each episode then draws from its
-    prefix's row. Each step is given the previous step's state, one row per
-    parent prefix, and each new row's parent; the last step returns no state.
+    Each slot is one policy step, given the previous step's state and each
+    new state row's parent row in it; the last returns no state. Only the
+    row numbering differs between the jobs. With a `cache` list (training),
+    every episode is its own row, and each slot appends a record of its
+    forward values, plus its log-probs, mask and picks, for `balance_grad`.
+    Without one, episodes that share a prefix share a row: slots fill in a
+    fixed order, so the prefix is the whole state, and the policy steps once
+    per distinct prefix. Each episode draws from its row.
 
     Returns the (n, n_slots) actions and each episode's summed log-prob.
     """
@@ -96,27 +97,21 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
         raise ConfigurationError("exploration epsilon must be in [0, 1]")
     u = rng.random((n, env.n_slots))
     actions = np.empty((n, env.n_slots), dtype=np.intp)
-    shared = cache is None
-    rows = np.zeros(n, dtype=np.intp) if shared else np.arange(n)  # each episode's state row
-    tokens = np.full(1 if shared else n, policy.start_token, dtype=np.intp)  # one per state row
+    rows = np.arange(n) if cache is not None else np.zeros(n, dtype=np.intp)  # each episode's row
+    tokens = np.full(rows.max() + 1, policy.start_token, dtype=np.intp)  # one per state row
     state = parents = None  # parents: each state row's row in the previous step's state
-    log_prob_sum = None
+    log_prob_sum = np.zeros(n)
     for t in range(env.n_slots):
-        mask = env.slot_masks[t]
-        if shared:
-            logits, state = policy.step(tokens, state, parents=parents, last=t + 1 == env.n_slots)
-        else:
-            logits, state = policy.step(tokens, state, cache)
+        mask, last = env.slot_masks[t], t + 1 == env.n_slots
+        logits, state = policy.step(tokens, state, cache, parents=parents, last=last)
         picked, log_probs = _draw_slot(logits, rows, mask, u[:, t], epsilon)
         actions[:, t] = picked
-        log_prob = log_probs[rows, picked]
-        log_prob_sum = log_prob if log_prob_sum is None else log_prob_sum + log_prob
-        if not shared:
+        log_prob_sum += log_probs[rows, picked]
+        if cache is not None:
             cache[-1].update(log_probs=log_probs, mask=mask, actions=picked)
-            tokens = picked
-        elif t + 1 < env.n_slots:
-            # one row per distinct (state row, token) pair: the next slot's prefixes
-            next_rows, first = distinct_rows(np.column_stack([rows, picked]))
+        if not last:  # the next rows: one per episode, or one per distinct (row, token) pair
+            next_rows, first = ((rows, rows) if cache is not None
+                                else distinct_rows(np.column_stack([rows, picked])))
             tokens, parents, rows = picked[first], rows[first], next_rows
     return actions, log_prob_sum
 
@@ -273,6 +268,9 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
     evaluator_failures = 0
     first_evaluator_error: str | None = None
 
+    optimizer = Adam(model.parameters(), lr=config.learning_rate_model,
+                     lr_overrides={"log_z": config.learning_rate_logz})
+    rng = np.random.Generator(np.random.PCG64(config.seed))
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         if ckpt.env_hash != env.env_hash:
@@ -281,18 +279,16 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             raise ValidationError(
                 f"checkpoint model dims {ckpt.model_config} != {asdict(model.config)}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
+        if ckpt.optimizer["lr"] != optimizer.lr:
+            raise ValidationError(f"checkpoint optimizer.lr {ckpt.optimizer['lr']} != {optimizer.lr}")
         np.copyto(model.flat, ckpt.params)
-        optimizer = restore_optimizer(ckpt, model)
-        rng = restore_rng(ckpt)
+        optimizer.step_count, optimizer.m, optimizer.v = ckpt.optimizer["step_count"], ckpt.m, ckpt.v
+        rng = ckpt.rng
         start_episode = ckpt.episode
         best_reward = ckpt.best_reward
         best_record = ckpt.config.get("best_record")
         loss_tail = np.array(ckpt.loss_tail, dtype=np.float64)
         del ckpt  # the optimizer adopted m and v; the model copied the parameter row: free it
-    else:
-        optimizer = Adam(model.parameters(), lr=config.learning_rate_model,
-                         lr_overrides={"log_z": config.learning_rate_logz})
-        rng = np.random.Generator(np.random.PCG64(config.seed))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -57,15 +57,17 @@ class TabularPolicy:
     def start_token(self) -> int:
         return len(self.env.vocabulary)
 
-    def step(self, tokens, state=None, *, parents=None, last=False):
+    def step(self, tokens, state=None, cache=None, *, parents=None, last=False):
         """Child log flows for a batch; `state` holds the prefixes before `tokens`.
 
         The state is a 1-tuple: a (rows, slots filled) array of the tokens of
         each row's prefix. As in the model's step, `parents` maps each token
         to its row of `state` (None: the token's own row), and a `last` step
         returns None for the new state. At sequence start (state None) the
-        tokens are start sentinels and are not part of any prefix.
+        tokens are start sentinels and are not part of any prefix. The
+        policy has no parameters, so it keeps no `cache`: it must be None.
         """
+        assert cache is None, "an exact policy has no gradient to cache for"
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if state is None:
             prefixes = np.empty((tokens.shape[0], 0), dtype=np.intp)

@@ -11,9 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blockflow import (Adam, FlowModel, ModelConfig, load_checkpoint,
-                       restore_model, restore_optimizer, restore_rng,
-                       save_checkpoint)
+from blockflow import Adam, FlowModel, ModelConfig, load_checkpoint, restore_model, save_checkpoint
 from blockflow.analysis import load_isotherm_table
 from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, read_table, write_table
 from blockflow.cli import main
@@ -87,7 +85,12 @@ def test_roundtrip_optimizer_state(tmp_path):
     path = _save(tmp_path, model, opt, rng)
     ckpt = load_checkpoint(path)
     restored_model = restore_model(ckpt)
-    restored_opt = restore_optimizer(ckpt, restored_model)
+    # as a resumed train does: an optimizer built from the run's rates, then
+    # the checkpoint's step count and moments loaded into it
+    restored_opt = Adam(restored_model.parameters(), lr=1e-2, lr_overrides={"log_z": 0.1})
+    assert restored_opt.lr == ckpt.optimizer["lr"]
+    restored_opt.step_count, restored_opt.m, restored_opt.v = (
+        ckpt.optimizer["step_count"], ckpt.m, ckpt.v)
 
     # stepping both with the same gradient must produce identical params
     g = np.full_like(model.flat, 0.37)
@@ -101,7 +104,7 @@ def test_roundtrip_rng_stream_continues(tmp_path):
     rng.random(17)  # advance to an arbitrary stream position
     path = _save(tmp_path, model, opt, rng)
     future = rng.random(5)
-    restored = restore_rng(load_checkpoint(path))
+    restored = load_checkpoint(path).rng
     assert np.array_equal(restored.random(5), future)
 
 
@@ -485,6 +488,26 @@ def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2
     return errors
+
+
+def test_a_resume_refuses_a_checkpoint_whose_rates_are_not_the_configs(bridge_run, tmp_path,
+                                                                       capsys):
+    # a resumed run trains on its config's rates; a header that records other
+    # rates is not this run's checkpoint, though it is well formed
+    cfg, run = bridge_run
+    header, body = read_checkpoint(run / "checkpoint.json")
+    header["optimizer"]["lr"]["w_x"] *= 2
+    ckpt = tmp_path / "rates.json"
+    write_checkpoint(ckpt, header, body)
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--max-episodes", "32",
+                 "--resume", str(ckpt)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert "optimizer.lr" in capsys.readouterr().err
+    assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
+                 "--out", str(tmp_path / "sample")]) == 0
 
 
 # A checkpoint the former writer wrote for the bridge_run config: base64

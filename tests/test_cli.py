@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -173,6 +174,11 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ("train.batch_size", 0, "batch_size"),
     ("train.seed", True, "train.seed"),
     ("train.learning_rate_model", "fast", "train.learning_rate_model"),
+    # json reads NaN and Infinity literals, and NaN passes `rate <= 0` and `threshold < 0`
+    ("train.learning_rate_model", math.nan, "learning rates must be finite and positive, got nan"),
+    ("train.learning_rate_logz", math.nan, "learning rates must be finite and positive, got nan"),
+    ("train.learning_rate_model", math.inf, "learning rates must be finite and positive, got inf"),
+    ("train.stop_threshold", math.nan, "stop threshold must be finite and non-negative"),
     ("reward.cutoff", None, "reward.cutoff"),
     ("reward.adapter", {"command": "python3"}, "reward.adapter.command"),
     ("reward.adapter", {}, "command"),
@@ -195,6 +201,7 @@ def test_bad_run_config_values_exit_2_and_name_the_key(key, value, named, tmp_pa
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +408,28 @@ def test_regress_bad_data_exits_2(tmp_path, capsys):
     data.write_text("x,y\n1.0\n")
     assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
     assert f"{data}:2: expected 2 fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_regress_refuses_a_non_finite_cell(tmp_path, capsys, cell, column):
+    # float() reads these cells; a fit over them writes nan for every figure
+    rows = [[float(i), 2.0 * i + 1.0] for i in range(10)]
+    rows[6][column] = cell
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows))
+    assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    assert f"{data}:8: x and y must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_stop_threshold_flag_exits_2_before_any_file(tmp_path, capsys, value):
+    # NaN passes a `threshold < 0` test, and would turn the stop rule off
+    assert main(["train", "--config", str(run_config(tmp_path)), "--out", str(tmp_path / "o"),
+                 "--stop-threshold", value]) == 2
+    assert f"stop threshold must be finite and non-negative, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def write_seeded_cifs(directory, seed, count):

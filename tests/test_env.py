@@ -43,11 +43,15 @@ def test_vocab_load_happy_path(tmp_path):
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,0,100\n", "positive mass"),
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,10,-1\n", "non-negative"),
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,10,1\nN1,node,9,2\n", "duplicate"),
+    # a record joins its token ids with commas, so such an id could not be read back
+    ('# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\n"N1,x",node,10,1\n',
+     "token id 'N1,x' must not hold a comma"),
 ])
 def test_vocab_load_rejects_bad_files(tmp_path, body, needle):
+    path = write_vocab(tmp_path, body)
     with pytest.raises(ValidationError) as err:
-        Vocabulary.load(write_vocab(tmp_path, body))
-    assert needle in str(err.value)
+        Vocabulary.load(path)
+    assert needle in str(err.value) and str(err.value).startswith(f"{path}:")
 
 
 def test_vocab_requires_tokens():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,12 @@ def test_validation_errors():
         Adam(params, lr=0.1, lr_overrides={"nope": 0.1})
     with pytest.raises(ConfigurationError):
         Adam(params, lr=0.1, lr_overrides={"w": -1.0})
+    # NaN passes a `rate <= 0` test; a non-finite rate is refused by value
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            Adam(params, lr=rate)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            Adam(params, lr=0.1, lr_overrides={"w": rate})
 
 
 def test_state_roundtrip_resumes_identically():
@@ -124,7 +132,7 @@ def test_state_roundtrip_resumes_identically():
     def run(steps, start=None, state=None):
         flat = np.zeros(3) if start is None else start.copy()
         opt = Adam({"w": flat}, lr=0.05)
-        if state is not None:  # as restore_optimizer restores it
+        if state is not None:  # as a resumed train restores it
             opt.step_count, opt.m, opt.v = state
         for g in steps:
             opt.step(flat, g.copy())

@@ -187,9 +187,9 @@ class StepRecorder:
         self.start_token = policy.start_token
         self.rows = []
 
-    def step(self, tokens, state=None, *cache, **shared):
+    def step(self, tokens, state=None, cache=None, **rows):
         self.rows.append(len(tokens))
-        return self.policy.step(tokens, state, *cache, **shared)
+        return self.policy.step(tokens, state, cache, **rows)
 
 
 def replay_episode(policy, env, u, epsilon):
@@ -249,9 +249,13 @@ def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward
     grid_env = _grid_env()
     grid_model = FlowModel.init(ModelConfig(vocab_size=len(grid_env.vocabulary),
                                             embed_dim=8, hidden_dim=16), seed=seed)
+    # bridge_reward is of product form, so its exact policy's conditionals never
+    # depend on the earlier tokens; cutoff 7000 floors 4 terminals, so they do
+    floored = RewardModel(RewardSpec(cutoff=7000.0, surrogate_scale=1000.0), bridge_env)
     cases = [
         (bridge_env, small_model(seed), 400, 0.0),
         (bridge_env, TabularPolicy(exact_flows(bridge_env, bridge_reward), bridge_env), 400, 0.0),
+        (bridge_env, TabularPolicy(exact_flows(bridge_env, floored), bridge_env), 400, 0.0),
         (grid_env, grid_model, 3000, 0.0),
         (grid_env, grid_model, 3000, 0.1),
     ]
@@ -290,8 +294,9 @@ def test_shared_prefix_rollout_matches_the_cached_path(bridge_env, bridge_reward
 @pytest.mark.parametrize("start", [True, False])
 def test_blocked_step_matches_one_cell_over_all_rows(m, start, monkeypatch):
     # a 256-row split of 257, 513 or 769 rows would leave a 1-row block, whose
-    # products BLAS takes on its matrix-vector path and can round differently;
-    # a cached step runs the cell over all rows at once
+    # products BLAS takes on its matrix-vector path and can round differently.
+    # The reference is one cell over all rows and the head, computed here; a
+    # cached step records each block's forward values in place
     env = _grid_env()
     model = FlowModel.init(load_run_config(CONFIGS / "train_grid.json").model_config, seed=1)
     rng = np.random.Generator(np.random.PCG64(m))
@@ -304,11 +309,22 @@ def test_blocked_step_matches_one_cell_over_all_rows(m, start, monkeypatch):
     cell_rows = record_cell_rows(monkeypatch)
     logits, (h, c) = model.step(tokens, state)
     assert len(slot_blocks(cell_rows, [m])[0]) == -(-m // _ROWS)
-    whole_logits, (whole_h, whole_c) = model.step(tokens, state, [])
+    p = model.parameters()
+    whole_h, whole_c, whole_gates, whole_tanh_c = autodiff.lstm_cell(
+        p["embed"][tokens], None if state is None else (state[0] @ p["w_h"], state[1]),
+        p["w_x"], p["b"])
+    whole_logits = whole_h @ p["w_out"] + p["b_out"]
     assert cell_rows[-1] == m
     np.testing.assert_array_equal(logits, whole_logits)
     np.testing.assert_array_equal(h, whole_h)
     np.testing.assert_array_equal(c, whole_c)
+    cache = []
+    cached_logits, (cached_h, cached_c) = model.step(tokens, state, cache)
+    for got, want in ((cached_logits, logits), (cached_h, h), (cached_c, c),
+                      (cache[0]["h"], h), (cache[0]["gates"], whole_gates),
+                      (cache[0]["tanh_c"], whole_tanh_c)):
+        np.testing.assert_array_equal(got, want)
+    assert cache[0]["state"] is state and cache[0]["tokens"].tolist() == list(tokens)
 
 
 def test_shared_rollout_memory_is_bounded_by_the_row_block():
@@ -493,27 +509,34 @@ def test_log_z_gradient_is_the_sum_of_d_residual(bridge_env, bridge_reward):
         assert np.all(grad == 0.0), name
 
 
-def test_balance_grad_sums_the_episodes_it_shares_rows_with(bridge_env, bridge_reward):
+def test_balance_grad_sums_the_episodes_it_shares_rows_with(bridge_env, bridge_reward,
+                                                            monkeypatch):
     # the gradient is linear in d_residual: the whole batch's gradient is the
-    # sum of each episode's alone, even where episodes read one embed row
-    model, cache = small_model(seed=10), []
-    actions, residual, _ = balance_loss(model, bridge_env, bridge_reward, 5, 6, cache)
-    d = 2.0 * residual / 6
-    whole = _snapshot(model.balance_grad(cache, d))
-    parts = {name: np.zeros_like(g) for name, g in whole.items()}
-    for i in range(len(d)):
-        alone = model.balance_grad(cache, np.where(np.arange(len(d)) == i, d, 0.0))
-        for name, grad in alone.items():
-            parts[name] += grad
-    for name in whole:
-        np.testing.assert_allclose(whole[name], parts[name], rtol=1e-12, atol=1e-15,
-                                   err_msg=name)
-    # every episode reads the start row first; no one reads the last slot's pick
-    read = {model.start_token, *actions[:, :-1].ravel().tolist()}
-    assert np.any(whole["embed"][model.start_token] != 0.0)
-    for token in range(model.start_token + 1):
-        if token not in read:
-            assert np.all(whole["embed"][token] == 0.0), token
+    # sum of each episode's alone, even where episodes read one embed row.
+    # 40 episodes step each slot in two 20-row blocks
+    model = small_model(seed=10)
+    cell_rows = record_cell_rows(monkeypatch)
+    for n, blocks in ((6, [6]), (40, [20, 20])):
+        cell_rows.clear()
+        cache = []
+        actions, residual, _ = balance_loss(model, bridge_env, bridge_reward, 5, n, cache)
+        assert slot_blocks(cell_rows, [n] * bridge_env.n_slots) == [blocks] * bridge_env.n_slots
+        d = 2.0 * residual / n
+        whole = _snapshot(model.balance_grad(cache, d))
+        parts = {name: np.zeros_like(g) for name, g in whole.items()}
+        for i in range(len(d)):
+            alone = model.balance_grad(cache, np.where(np.arange(len(d)) == i, d, 0.0))
+            for name, grad in alone.items():
+                parts[name] += grad
+        for name in whole:
+            np.testing.assert_allclose(whole[name], parts[name], rtol=1e-12, atol=1e-15,
+                                       err_msg=f"{name}, {n} episodes")
+        # every episode reads the start row first; no one reads the last slot's pick
+        read = {model.start_token, *actions[:, :-1].ravel().tolist()}
+        assert np.any(whole["embed"][model.start_token] != 0.0)
+        for token in range(model.start_token + 1):
+            if token not in read:
+                assert np.all(whole["embed"][token] == 0.0), (token, n)
 
 
 def test_train_nonfinite_residual_names_its_episode(tmp_path):
@@ -860,6 +883,14 @@ def test_train_config_validation():
         TrainConfig(stop_window=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(max_episodes=0)
+    # NaN passes `rate <= 0` and `threshold < 0` tests; each bound is checked as what must hold
+    for value in (math.nan, math.inf):
+        for field in ("learning_rate_model", "learning_rate_logz"):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                TrainConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            TrainConfig(stop_threshold=value)
+    assert TrainConfig(stop_threshold=0.0).stop_threshold == 0.0
 
 
 # -- checkpoint and resume contracts -------------------------------------------
