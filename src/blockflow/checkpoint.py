@@ -1,12 +1,15 @@
 """Single-file binary checkpoints with integrity checking.
 
-A `blockflow-checkpoint/2` file is one header line, then the body. The
-header is compact, sorted-key JSON that holds every field but the arrays,
-plus each array's shape and a `checksum`; it is padded with spaces so the
-body starts at a multiple of 8 bytes. The body is the raw little-endian
-float64 bytes of the model's flat buffer, then Adam's m, then its v, each
-laid out by `model.named_views`. The checksum is a sha256 over the header
-as dumped without the checksum, followed by the body.
+A `blockflow-checkpoint/3` file is one header line, then the body. The
+header is compact, sorted-key JSON that holds only what cannot be derived:
+the model dims, the RNG state, the episode, the best reward, the loss tail,
+the environment hash, the run's config echo and a `checksum`. It is padded
+with spaces so the body starts at a multiple of 8 bytes. The body is the raw
+little-endian float64 bytes of the model's flat buffer, then Adam's m, then
+its v, each laid out by `model.named_views`; the shapes follow from the
+dims. The checksum is a sha256 over the header as dumped without the
+checksum, followed by the body. A resumed run takes Adam's rates from its
+config and its step count from the episode.
 
 Loading reads the header line, then each body row straight into its own
 anonymous memory map, hashing it as it is read, and hands out the rows as
@@ -20,8 +23,8 @@ CSV table goes through `write_table`, and every table the package reads back
 through `read_table`. A table is `csv.writer`'s default dialect: a header row,
 then one row per record, each line ended by `\r\n`. A float cell is the
 float's `repr`, so it reads back to the same bits, and an empty cell is a
-missing value. The model and the optimizer are imported where a checkpoint is
-read or restored, so a command that only writes files does not load them.
+missing value. The model is imported where a checkpoint is read or restored,
+so a command that only writes files does not load it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-CHECKPOINT_SCHEMA = "blockflow-checkpoint/2"
-_FORMER_SCHEMA = "blockflow-checkpoint/1"  # base64 arrays inside one JSON document
+CHECKPOINT_SCHEMA = "blockflow-checkpoint/3"
+# /1: base64 arrays inside one JSON document; /2: this layout, with a header
+# that restated Adam's rates and step count and each array's shape
+_FORMER_SCHEMAS = ("blockflow-checkpoint/1", "blockflow-checkpoint/2")
 
 
 def _dump(header: dict) -> bytes:
@@ -104,7 +109,6 @@ class Checkpoint:
     params: np.ndarray  # each of the three body rows is laid out as model.flat
     m: np.ndarray  # Adam's first moment
     v: np.ndarray  # and its second
-    optimizer: dict
     rng: np.random.Generator
     episode: int
     best_reward: float
@@ -117,20 +121,9 @@ class Checkpoint:
 def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
                     rng: np.random.Generator, episode: int, best_reward: float,
                     loss_tail: list[float], env_hash: str, config: dict | None = None) -> None:
-    shapes = {name: list(p.shape) for name, p in model.parameters().items()}
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "model_config": asdict(model.config),
-        "params": shapes,
-        "optimizer": {
-            "step_count": optimizer.step_count,
-            "lr": optimizer.lr,
-            "beta1": optimizer.BETA1,
-            "beta2": optimizer.BETA2,
-            "eps": optimizer.EPS,
-            "m": shapes,
-            "v": shapes,
-        },
         "rng_state": rng.bit_generator.state,
         "episode": int(episode),
         "best_reward": float(best_reward),
@@ -195,7 +188,8 @@ def _header(path: Path, line: bytes) -> tuple[dict, str]:
     if not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA:
         raise ValidationError(
             f"{path}: expected schema {CHECKPOINT_SCHEMA!r} in a JSON header line; checkpoints "
-            f"of the former schema {_FORMER_SCHEMA!r} are no longer read, so train a new one")
+            f"of the former schemas {' and '.join(map(repr, _FORMER_SCHEMAS))} are no longer "
+            f"read, so train a new one")
     claimed = header.pop("checksum", None)
     if not isinstance(claimed, str):
         raise ValidationError(f"{path}: checkpoint has no checksum")
@@ -217,34 +211,18 @@ def _is_number(value) -> bool:
 
 def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
     """The checkpoint in `header` and the body `rows`, once every field has its type
-    and every array its shape, and the body holds exactly the declared arrays."""
+    and the body holds exactly the arrays that the model dims need."""
     from .model import FlowModel, ModelConfig
-    from .optim import Adam
     dims = header.get("model_config")
     _require(isinstance(dims, dict) and set(dims) == {"vocab_size", "embed_dim", "hidden_dim"}
              and all(_is_int(v) for v in dims.values()),
              f"model_config must give vocab_size, embed_dim and hidden_dim as integers, "
              f"got {dims!r}")
-    shapes = FlowModel.param_shapes(ModelConfig(**dims))
-    opt = header.get("optimizer")
-    _require(isinstance(opt, dict), "optimizer must be an object")
-    lr = opt.get("lr")
-    _require(isinstance(lr, dict) and set(lr) == set(shapes)
-             and all(_is_number(rate) and rate > 0 for rate in lr.values()),
-             f"optimizer.lr must give every parameter a positive rate, got {lr!r}")
-    for key in ("beta1", "beta2", "eps"):
-        fixed = getattr(Adam, key.upper())
-        _require(opt.get(key) == fixed, f"optimizer.{key} must be {fixed}, got {opt.get(key)!r}")
-    _require(_is_int(opt.get("step_count")) and opt["step_count"] >= 0,
-             "optimizer.step_count must be a non-negative integer")
-    declared = {name: list(shapes[name]) for name in sorted(shapes)}
-    for where, doc in (("params", header.get("params")), ("optimizer.m", opt.get("m")),
-                       ("optimizer.v", opt.get("v"))):
-        _require(doc == declared, f"{where} declares the shapes {doc!r}, expected {declared}")
-    n_params = sum(math.prod(shape) for shape in shapes.values())
+    shapes = FlowModel.param_shapes(ModelConfig(**dims)).values()
+    n_params = sum(math.prod(shape) for shape in shapes)
     length = sum(len(row) for row in rows)
     _require(length == 8 * 3 * n_params,
-             f"the body holds {length} bytes, the declared shapes need {8 * 3 * n_params}")
+             f"the body holds {length} bytes, the model dims need {8 * 3 * n_params}")
     params, m, v = (np.frombuffer(row, dtype="<f8") for row in rows)
     _require(np.isfinite(params).all(), "params hold non-finite values")
     rng = _generator(header.get("rng_state"))
@@ -255,19 +233,22 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
     _require(isinstance(loss_tail, list) and all(_is_number(x) for x in loss_tail),
              "loss_tail must be a list of numbers")
     _require(isinstance(header.get("env_hash"), str), "env_hash must be a string")
-    _require(isinstance(header.get("config", {}), dict), "config must be an object")
+    config = header.get("config", {})
+    _require(isinstance(config, dict), "config must be an object")
+    _require(isinstance(config.get("reward", {}), dict), "config.reward must be an object")
+    _require(isinstance(config.get("best_record"), (str, type(None))),
+             "config.best_record must be a string or null")
     return Checkpoint(
         model_config=dims,
         params=params,
         m=m,
         v=v,
-        optimizer=opt,
         rng=rng,
         episode=episode,
         best_reward=float(best_reward),
         loss_tail=[float(x) for x in loss_tail],
         env_hash=header["env_hash"],
-        config=header.get("config", {}),
+        config=config,
         checksum=checksum,
     )
 

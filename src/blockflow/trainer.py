@@ -234,7 +234,7 @@ def _check_resume_config(saved: dict, current: dict) -> None:
     def flat(echo):
         return {**{key: value for key, value in echo["train"].items()
                    if key not in RESUMABLE_FIELDS},
-                **{f"reward.{key}": value for key, value in (echo.get("reward") or {}).items()},
+                **{f"reward.{key}": value for key, value in echo.get("reward", {}).items()},
                 "topology": echo.get("topology")}
 
     old, new = flat(saved), flat(current)
@@ -279,10 +279,14 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             raise ValidationError(
                 f"checkpoint model dims {ckpt.model_config} != {asdict(model.config)}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
-        if ckpt.optimizer["lr"] != optimizer.lr:
-            raise ValidationError(f"checkpoint optimizer.lr {ckpt.optimizer['lr']} != {optimizer.lr}")
+        if ckpt.episode % config.batch_size:
+            raise ValidationError(
+                f"checkpoint episode {ckpt.episode} is not a multiple of batch_size "
+                f"{config.batch_size}, and only full batches train")
         np.copyto(model.flat, ckpt.params)
-        optimizer.step_count, optimizer.m, optimizer.v = ckpt.optimizer["step_count"], ckpt.m, ckpt.v
+        # Adam took one step per full batch; its rates are the config's
+        optimizer.step_count = ckpt.episode // config.batch_size
+        optimizer.m, optimizer.v = ckpt.m, ckpt.v
         rng = ckpt.rng
         start_episode = ckpt.episode
         best_reward = ckpt.best_reward

@@ -81,16 +81,15 @@ def test_restored_model_adopts_the_parameters_and_makes_no_gradients(tmp_path):
 
 
 def test_roundtrip_optimizer_state(tmp_path):
-    model, opt, rng = _trained_pieces()
-    path = _save(tmp_path, model, opt, rng)
+    model, opt, rng = _trained_pieces(updates=3)
+    path = _save(tmp_path, model, opt, rng, episode=12)
     ckpt = load_checkpoint(path)
     restored_model = restore_model(ckpt)
-    # as a resumed train does: an optimizer built from the run's rates, then
-    # the checkpoint's step count and moments loaded into it
+    # as a resumed train does: an optimizer built from the run's rates, its
+    # step count taken from the episode (3 full batches of 4), and the
+    # checkpoint's moments loaded into it
     restored_opt = Adam(restored_model.parameters(), lr=1e-2, lr_overrides={"log_z": 0.1})
-    assert restored_opt.lr == ckpt.optimizer["lr"]
-    restored_opt.step_count, restored_opt.m, restored_opt.v = (
-        ckpt.optimizer["step_count"], ckpt.m, ckpt.v)
+    restored_opt.step_count, restored_opt.m, restored_opt.v = ckpt.episode // 4, ckpt.m, ckpt.v
 
     # stepping both with the same gradient must produce identical params
     g = np.full_like(model.flat, 0.37)
@@ -181,7 +180,7 @@ def test_wrong_schema_is_rejected(tmp_path):
     header, body = read_checkpoint(path)
     header["schema"] = "blockflow-checkpoint/999"
     write_checkpoint(path, header, body)
-    with pytest.raises(ValidationError, match="expected schema 'blockflow-checkpoint/2'"):
+    with pytest.raises(ValidationError, match=f"expected schema '{CHECKPOINT_SCHEMA}'"):
         load_checkpoint(path)
 
 
@@ -199,7 +198,7 @@ def test_missing_field_is_rejected(tmp_path):
 def test_not_json_is_rejected(tmp_path, text):
     path = tmp_path / "junk.json"
     path.write_text(text)
-    with pytest.raises(ValidationError, match="blockflow-checkpoint/2"):
+    with pytest.raises(ValidationError, match=CHECKPOINT_SCHEMA):
         load_checkpoint(path)
 
 
@@ -207,14 +206,16 @@ def test_schema_constant_embedded(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     header, body = read_checkpoint(path)
-    assert header["schema"] == CHECKPOINT_SCHEMA == "blockflow-checkpoint/2"
+    assert header["schema"] == CHECKPOINT_SCHEMA == "blockflow-checkpoint/3"
     assert len(header["checksum"]) == 64
+    # nothing that follows from the dims, the config or the episode: no shape
+    # table, no rates and no step count
+    assert sorted(header) == ["best_reward", "checksum", "config", "env_hash", "episode",
+                              "loss_tail", "model_config", "rng_state", "schema"]
     # one compact, sorted-key header line, padded so the body starts at a multiple of 8 bytes
     line = path.read_bytes().partition(b"\n")[0]
     assert line.rstrip(b" ") == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     assert (len(line) + 1) % 8 == 0
-    shapes = {name: list(p.shape) for name, p in model.parameters().items()}
-    assert header["params"] == header["optimizer"]["m"] == header["optimizer"]["v"] == shapes
     # the raw little-endian float64 arrays: params, then m, then v, by name
     groups = (model.parameters(),
               *(named_views(moment, FlowModel.param_shapes(CFG)) for moment in (opt.m, opt.v)))
@@ -395,8 +396,8 @@ TRICKY_ECHO = {
     "\x000:3": "marker as a key",
     "newlines": "a\nb\r\n",
 }
-# sha256 of the blockflow-checkpoint/2 file written for this checkpoint.
-TRICKY_ECHO_SHA256 = "016d5db4208eaa4c082a06cacc87eb8d4fc62d8fe29eb06567a08c0c848b1185"
+# sha256 of the blockflow-checkpoint/3 file written for this checkpoint.
+TRICKY_ECHO_SHA256 = "e8148eea2759f58b9ec0bb4e7a73d4c519a7cea5938a7e81386b707486b3c5af"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -428,7 +429,7 @@ def bridge_run(tmp_path_factory):
 
 def _nan_param(ckpt, name):
     """The body with the parameter `name` all NaN."""
-    shapes = ckpt["header"]["params"]
+    shapes = FlowModel.param_shapes(ModelConfig(**ckpt["header"]["model_config"]))
     names = sorted(shapes)
     start = 8 * sum(math.prod(shapes[n]) for n in names[:names.index(name)])
     end = start + 8 * math.prod(shapes[name])
@@ -438,25 +439,22 @@ def _nan_param(ckpt, name):
 # Structurally wrong checkpoints; the checksum is recomputed after each
 # change, so only the structure is wrong.
 MALFORMED = {
-    "optimizer.beta1 missing": lambda ckpt: ckpt["header"]["optimizer"].pop("beta1"),
-    "optimizer.beta2 another value": lambda ckpt: ckpt["header"]["optimizer"].update(beta2=0.99),
-    "optimizer.lr empty": lambda ckpt: ckpt["header"]["optimizer"].update(lr={}),
-    "optimizer.lr not positive": lambda ckpt: ckpt["header"]["optimizer"]["lr"].update(w_x=0.0),
-    "optimizer.step_count text": lambda ckpt: ckpt["header"]["optimizer"].update(step_count="x"),
-    "optimizer.m lacks w_x": lambda ckpt: ckpt["header"]["optimizer"]["m"].pop("w_x"),
-    "optimizer.v b_out misshapen": lambda ckpt: ckpt["header"]["optimizer"]["v"].update(
-        b_out=[1]),
     "body short": lambda ckpt: ckpt.update(body=ckpt["body"][:-8]),
     "body with trailing bytes": lambda ckpt: ckpt.update(body=ckpt["body"] + bytes(8)),
     "rng_state a number": lambda ckpt: ckpt["header"].update(rng_state=5),
     "rng_state inner text": lambda ckpt: ckpt["header"]["rng_state"]["state"].update(state="x"),
-    "params lack w_h": lambda ckpt: ckpt["header"]["params"].pop("w_h"),
     "params b_out not finite": lambda ckpt: ckpt.update(body=_nan_param(ckpt, "b_out")),
     "model_config.hidden_dim text": lambda ckpt: ckpt["header"]["model_config"].update(
         hidden_dim="x"),
+    # the body's length follows from the dims alone
+    "model_config.embed_dim not the body's": lambda ckpt: ckpt["header"]["model_config"].update(
+        embed_dim=5),
     "episode text": lambda ckpt: ckpt["header"].update(episode="x"),
     "loss_tail a number": lambda ckpt: ckpt["header"].update(loss_tail=5),
     "config a list": lambda ckpt: ckpt["header"].update(config=[]),
+    "config.reward a list": lambda ckpt: ckpt["header"]["config"].update(reward=[1]),
+    "config.reward null": lambda ckpt: ckpt["header"]["config"].update(reward=None),
+    "config.best_record a number": lambda ckpt: ckpt["header"]["config"].update(best_record=5),
 }
 
 
@@ -474,8 +472,8 @@ def test_malformed_checkpoint_with_a_valid_checksum_exits_2_on_every_reader(
 
 
 def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:
-    """`train --resume` and `sample` each exit 2 on `ckpt` and write nothing;
-    returns their two error lines."""
+    """`train --resume`, `sample` and `baseline` each exit 2 on `ckpt` and write
+    nothing; returns their three error lines."""
     out = tmp_path / "run"
     shutil.copytree(run, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -485,19 +483,23 @@ def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:
     assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
                  "--out", str(tmp_path / "sample")]) == 2
     assert not (tmp_path / "sample").exists()
+    assert main(["baseline", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
+                 "--out", str(tmp_path / "baseline")]) == 2
+    assert not (tmp_path / "baseline").exists()
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 2
+    assert len(errors) == 3
     return errors
 
 
-def test_a_resume_refuses_a_checkpoint_whose_rates_are_not_the_configs(bridge_run, tmp_path,
-                                                                       capsys):
-    # a resumed run trains on its config's rates; a header that records other
-    # rates is not this run's checkpoint, though it is well formed
+def test_a_resume_refuses_an_episode_that_is_not_a_whole_number_of_batches(
+        bridge_run, tmp_path, capsys):
+    # only full batches train, so Adam's step count is episode // batch_size
+    # only where the episode is a multiple of batch_size; a header that says
+    # otherwise was not written by this run
     cfg, run = bridge_run
     header, body = read_checkpoint(run / "checkpoint.json")
-    header["optimizer"]["lr"]["w_x"] *= 2
-    ckpt = tmp_path / "rates.json"
+    header["episode"] = 12
+    ckpt = tmp_path / "episode.json"
     write_checkpoint(ckpt, header, body)
     out = tmp_path / "run"
     shutil.copytree(run, out)
@@ -505,28 +507,55 @@ def test_a_resume_refuses_a_checkpoint_whose_rates_are_not_the_configs(bridge_ru
     assert main(["train", "--config", str(cfg), "--out", str(out), "--max-episodes", "32",
                  "--resume", str(ckpt)]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert "optimizer.lr" in capsys.readouterr().err
+    assert "episode 12 is not a multiple of batch_size 8" in capsys.readouterr().err
     assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
                  "--out", str(tmp_path / "sample")]) == 0
 
 
-# A checkpoint the former writer wrote for the bridge_run config: base64
-# arrays inside one indented JSON document.
+# Checkpoints the former writers wrote for the bridge_run config: /1 holds
+# base64 arrays inside one indented JSON document; /2 is the current layout
+# with an optimizer block and a shape table in its header.
 FORMER_CHECKPOINT = FIXTURES / "checkpoint_v1_bridge.json"
+FORMER_V2_CHECKPOINT = FIXTURES / "checkpoint_v2_bridge.json"
+FORMER_SCHEMAS = ("blockflow-checkpoint/1", "blockflow-checkpoint/2")
 
 
-@pytest.mark.parametrize("content", ["former schema", "header not JSON", "no header line"])
-def test_a_former_or_foreign_checkpoint_exits_2_and_names_both_schemas(
+@pytest.mark.parametrize("content", ["schema /1", "schema /2", "header not JSON",
+                                     "no header line"])
+def test_a_former_or_foreign_checkpoint_exits_2_and_names_every_schema(
         bridge_run, content, tmp_path, capsys):
     cfg, run = bridge_run
     ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_bytes({"former schema": FORMER_CHECKPOINT.read_bytes(),
+    ckpt.write_bytes({"schema /1": FORMER_CHECKPOINT.read_bytes(),
+                      "schema /2": FORMER_V2_CHECKPOINT.read_bytes(),
                       "header not JSON": b"blockflow\n" + bytes(64),
-                      "no header line": b'{"schema": "blockflow-checkpoint/2"}'}[content])
+                      "no header line": json.dumps({"schema": CHECKPOINT_SCHEMA}).encode()}[content])
     for line in _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys):
-        assert "blockflow-checkpoint/1" in line and "blockflow-checkpoint/2" in line, line
+        assert all(schema in line for schema in (CHECKPOINT_SCHEMA, *FORMER_SCHEMAS)), line
 
 
-def test_the_former_checkpoint_fixture_is_a_valid_former_checkpoint():
+def test_a_former_checkpoint_with_a_rewritten_step_count_is_refused(bridge_run, tmp_path,
+                                                                    capsys):
+    # a /2 header restated Adam's step count; rewritten, with the checksum
+    # recomputed, it resumed with the bias correction at the wrong step and
+    # matched no uninterrupted run
+    cfg, run = bridge_run
+    header, body = read_checkpoint(FORMER_V2_CHECKPOINT)
+    assert (header["episode"], header["config"]["train"]["batch_size"]) == (16, 8)
+    assert header["optimizer"]["step_count"] == 2
+    header["optimizer"]["step_count"] = 7
+    ckpt = tmp_path / "steps.json"
+    write_checkpoint(ckpt, header, body)
+    for line in _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys):
+        assert "blockflow-checkpoint/2" in line, line
+
+
+def test_the_former_checkpoint_fixtures_are_valid_former_checkpoints():
     doc = json.loads(FORMER_CHECKPOINT.read_text())
     assert doc["schema"] == "blockflow-checkpoint/1" and len(doc["checksum"]) == 64
+    header, body = read_checkpoint(FORMER_V2_CHECKPOINT)
+    assert header["schema"] == "blockflow-checkpoint/2"
+    claimed = header.pop("checksum")
+    dump = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(dump + body).hexdigest() == claimed
+    assert len(body) == 3 * 8 * sum(math.prod(shape) for shape in header["params"].values())

@@ -547,10 +547,10 @@ def test_grid_sample_and_baseline_bytes_are_pinned(tmp_path):
 # Digests of a short grid run under the backward that takes each weight's
 # gradient as one product over the stacked slots: they pin its summation
 # order, and so every byte of training, on this seed and config. The
-# checkpoint digest is that of the blockflow-checkpoint/2 layout.
+# checkpoint digest is that of the blockflow-checkpoint/3 layout.
 GRID_TRAIN_SHA256 = {
     "metrics.csv": "274ff45d91fdcc5d68676001f811ab7c880361bde63ccfa6e9b86e076ff75feb",
-    "checkpoint.json": "c704aac825ab793b254f64e62eedcafbc2bd2ef9b60fd0a000e2005fa1662f6e",
+    "checkpoint.json": "f04c928ca41c1ace0cfb4b9337ea644a5b906db3b1945bcb6b12fb7cd35a7605",
 }
 
 
@@ -574,7 +574,7 @@ def test_grid_training_bytes_are_pinned(tmp_path):
 # grid pin this one covers the smoothedLoss column.
 BRIDGE_TRAIN_SHA256 = {
     "metrics.csv": "6e8a324252aced564ae85cbefa94b02004b37785971c70b9e235b0cc042ca8c1",
-    "checkpoint.json": "f6b787f6d2053e32fca18b6c3a378c3f3a03487df7de3992d2c5e8977e92bf7d",
+    "checkpoint.json": "f4a45f615a977b8cbdcaa4b5361c0aa192f267a3d4fcfdfd791c00e28ff56912",
 }
 
 
@@ -669,11 +669,14 @@ def test_shipped_demo_config_loads():
     assert run_big.env.count_terminals() == 10_000
 
 
-@pytest.mark.parametrize("flags, reward, named", [
+@pytest.mark.parametrize("flags, overrides, named", [
     (["--stop-threshold", "0.5", "--seed", "5"], {}, ["stop_threshold", "seed"]),
-    ([], {"cutoff": 1000.0}, ["reward.cutoff"]),
-], ids=["train_block", "reward_block"])
-def test_resume_refuses_config_drift(tmp_path, capsys, flags, reward, named):
+    ([], {"reward_overrides": {"cutoff": 1000.0}}, ["reward.cutoff"]),
+    ([], {"train_overrides": {"learning_rate_logz": 0.1}}, ["learning_rate_logz"]),
+], ids=["train_block", "reward_block", "rates"])
+def test_resume_refuses_config_drift(tmp_path, capsys, flags, overrides, named):
+    # a resumed run's Adam takes its rates from the config, so the echo's
+    # rates are the checkpoint's
     cfg = run_config(tmp_path)
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--max-episodes", "16", "--out", str(out)]) == 0
@@ -681,9 +684,9 @@ def test_resume_refuses_config_drift(tmp_path, capsys, flags, reward, named):
     before = (out / "metrics.csv").read_bytes()
     capsys.readouterr()
     drifted = cfg
-    if reward:
+    if overrides:
         (tmp_path / "drifted").mkdir()
-        drifted = run_config(tmp_path / "drifted", reward_overrides=reward)
+        drifted = run_config(tmp_path / "drifted", **overrides)
     assert main(["train", "--config", str(drifted), "--resume", str(ckpt), *flags,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -24,16 +24,22 @@ def test_generate_counts_sum_to_n(bridge_env, bridge_reward, tabular):
     assert len({r.record for r in records}) == len(records)
 
 
-def test_generate_frequencies_match_exact_probs(bridge_env, bridge_reward, tabular):
-    # drawing from the exact policy, empirical frequencies must sit within
-    # 4 sigma of the flow-derived terminal probabilities
+@pytest.mark.parametrize("cutoff", [2500.0, 7000.0], ids=["product-form", "prefix-dependent"])
+def test_generate_frequencies_match_exact_probs(bridge_env, cutoff):
+    # drawing from the exact policy, every terminal's empirical frequency must
+    # sit within 4 sigma of its flow-derived probability. At cutoff 2500 the
+    # floored reward is a product over the slots, so every prefix has the same
+    # conditionals; cutoff 7000 floors 4 terminals, so a slot's conditionals
+    # depend on the earlier tokens, and a policy that misreads a prefix fails
+    reward_model = RewardModel(RewardSpec(cutoff=cutoff, surrogate_scale=1000.0), bridge_env)
+    flows = exact_flows(bridge_env, reward_model)
     n = 20000
-    records = generate(tabular, bridge_env, bridge_reward, n=n, seed=1)
-    probs = exact_flows(bridge_env, bridge_reward).terminal_probs
-    for rec in records:
-        p = probs[rec.tokens]
+    records = generate(TabularPolicy(flows, bridge_env), bridge_env, reward_model, n=n, seed=1)
+    counts = {rec.tokens: rec.sample_count for rec in records}
+    assert counts.keys() <= flows.terminal_probs.keys()
+    for tokens, p in flows.terminal_probs.items():
         sigma = math.sqrt(n * p * (1 - p))
-        assert abs(rec.sample_count - n * p) < 4 * sigma, rec.record
+        assert abs(counts.get(tokens, 0) - n * p) < 4 * sigma, tokens
 
 
 def test_generate_first_seen_is_min_over_draws(bridge_env, bridge_reward, tabular):
