@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +223,6 @@ def selectivity(q_co2: float, q_n2: float, f_co2: float = 0.15, f_n2: float = 0.
     return (q_co2 / q_n2) / (f_co2 / f_n2)
 
 
-ISOTHERM_HEADER = ["material", "q_co2_16bar", "q_co2_015bar", "q_mix_co2_015bar", "q_mix_n2_015bar"]
-
-
 @dataclass(frozen=True)
 class IsothermRow:
     material: str
@@ -235,7 +232,7 @@ class IsothermRow:
     q_mix_n2_015bar: float
 
     def __post_init__(self):
-        for name in ("q_co2_16bar", "q_co2_015bar", "q_mix_co2_015bar", "q_mix_n2_015bar"):
+        for name in ISOTHERM_HEADER[1:]:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{self.material}: {name} must be non-negative")
 
@@ -244,6 +241,9 @@ class IsothermRow:
 
     def selectivity(self) -> float:
         return selectivity(self.q_mix_co2_015bar, self.q_mix_n2_015bar)
+
+
+ISOTHERM_HEADER = [f.name for f in fields(IsothermRow)]
 
 
 def load_isotherm_table(path: str | Path) -> list[IsothermRow]:

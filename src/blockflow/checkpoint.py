@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _build_dataclass, _typed
 
 CHECKPOINT_SCHEMA = "blockflow-checkpoint/3"
 # /1: base64 arrays inside one JSON document; /2: this layout, with a header
@@ -105,7 +105,7 @@ def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
 class Checkpoint:
     """A checked checkpoint: the header's fields, the body rows it adopted, and
     `rng`, the run's generator, built from the header's `rng_state`."""
-    model_config: dict
+    model_config: ModelConfig
     params: np.ndarray  # each of the three body rows is laid out as model.flat
     m: np.ndarray  # Adam's first moment
     v: np.ndarray  # and its second
@@ -196,17 +196,12 @@ def _header(path: Path, line: bytes) -> tuple[dict, str]:
     return header, claimed
 
 
+_MALFORMED = "malformed checkpoint: "
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ValidationError(f"malformed checkpoint: {message}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        raise ValidationError(_MALFORMED + message)
 
 
 def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
@@ -214,11 +209,10 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
     and the body holds exactly the arrays that the model dims need."""
     from .model import FlowModel, ModelConfig
     dims = header.get("model_config")
-    _require(isinstance(dims, dict) and set(dims) == {"vocab_size", "embed_dim", "hidden_dim"}
-             and all(_is_int(v) for v in dims.values()),
-             f"model_config must give vocab_size, embed_dim and hidden_dim as integers, "
-             f"got {dims!r}")
-    shapes = FlowModel.param_shapes(ModelConfig(**dims)).values()
+    model_config = _build_dataclass(ModelConfig, dims, f"{_MALFORMED}model_config")
+    _require(asdict(model_config) == dims,  # a missing dim must not take its default
+             f"model_config must give vocab_size, embed_dim and hidden_dim, got {dims!r}")
+    shapes = FlowModel.param_shapes(model_config).values()
     n_params = sum(math.prod(shape) for shape in shapes)
     length = sum(len(row) for row in rows)
     _require(length == 8 * 3 * n_params,
@@ -226,20 +220,19 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
     params, m, v = (np.frombuffer(row, dtype="<f8") for row in rows)
     _require(np.isfinite(params).all(), "params hold non-finite values")
     rng = _generator(header.get("rng_state"))
-    episode, best_reward, loss_tail = (header.get(key)
-                                       for key in ("episode", "best_reward", "loss_tail"))
-    _require(_is_int(episode) and episode >= 0, "episode must be a non-negative integer")
-    _require(_is_number(best_reward), "best_reward must be a number")
-    _require(isinstance(loss_tail, list) and all(_is_number(x) for x in loss_tail),
-             "loss_tail must be a list of numbers")
-    _require(isinstance(header.get("env_hash"), str), "env_hash must be a string")
+    episode = _typed(header.get("episode"), int, f"{_MALFORMED}episode")
+    best_reward = _typed(header.get("best_reward"), float, f"{_MALFORMED}best_reward")
+    loss_tail = _typed(header.get("loss_tail"), list[float], f"{_MALFORMED}loss_tail")
+    _require(episode >= 0, "episode must be non-negative")
+    _require(all(map(math.isfinite, [best_reward, *loss_tail])),
+             "best_reward and loss_tail must be finite")
     config = header.get("config", {})
     _require(isinstance(config, dict), "config must be an object")
     _require(isinstance(config.get("reward", {}), dict), "config.reward must be an object")
     _require(isinstance(config.get("best_record"), (str, type(None))),
              "config.best_record must be a string or null")
     return Checkpoint(
-        model_config=dims,
+        model_config=model_config,
         params=params,
         m=m,
         v=v,
@@ -247,7 +240,7 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
         episode=episode,
         best_reward=float(best_reward),
         loss_tail=[float(x) for x in loss_tail],
-        env_hash=header["env_hash"],
+        env_hash=_typed(header.get("env_hash"), str, f"{_MALFORMED}env_hash"),
         config=config,
         checksum=checksum,
     )
@@ -255,8 +248,8 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
     """The checkpoint's model, built on its parameter row: the two share the buffer."""
-    from .model import FlowModel, ModelConfig
-    return FlowModel(ModelConfig(**ckpt.model_config), ckpt.params)
+    from .model import FlowModel
+    return FlowModel(ckpt.model_config, ckpt.params)
 
 
 def _generator(state) -> np.random.Generator:

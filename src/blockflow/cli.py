@@ -17,11 +17,10 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BlockflowError, ValidationError
+from .errors import BlockflowError, ValidationError, _build_dataclass, _typed
 
 RUN_CONFIG_SCHEMA = "blockflow-run/1"
 _RUN_CONFIG_KEYS = ("schema", "topology", "vocabulary", "model", "reward", "train")
@@ -36,51 +35,6 @@ class RunConfig:
     adapter: AdapterConfig | None
     train_config: TrainConfig
     source: Path
-
-
-# What each annotated field type accepts from JSON, and its name in errors;
-# a bool is never a number.
-_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"),
-               str: ((str,), "string")}
-
-
-def _typed(value, kind, where: str):
-    """`value` if JSON gave it the annotated type `kind`, a list standing for a tuple."""
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        if isinstance(value, list) and all(isinstance(v, item) for v in value):
-            return tuple(value)
-        expected = f"a list of {_JSON_TYPES[item][1]}s"
-    else:
-        accepted, name = _JSON_TYPES[kind]
-        if isinstance(value, accepted) and not isinstance(value, bool):
-            return value
-        expected = f"of type {name}"
-    raise ValidationError(f"{where} must be {expected}, got {value!r}")
-
-
-def _object(value, where: str) -> dict:
-    """A copy of `value`, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _build_dataclass(cls, doc: dict, where: str):
-    """`cls` built from the JSON object `doc`, each value checked against its field's type."""
-    kinds = typing.get_type_hints(cls)
-    unknown = set(doc) - set(kinds)
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(kinds)}")
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
-               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ValidationError(f"{where}: missing keys {missing}")
-    values = {key: _typed(value, kinds[key], f"{where}.{key}") for key, value in doc.items()}
-    try:
-        return cls(**values)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -107,7 +61,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     vocab = Vocabulary.load(base / doc["vocabulary"])
     env = Environment(Topology.load(base / doc["topology"]), vocab)
 
-    model_doc = _object(doc.get("model", {}), f"{path}: model")
+    model_doc = _typed(doc.get("model", {}), dict, f"{path}: model")
     init_seed = _typed(model_doc.pop("init_seed", 0), int, f"{path}: model.init_seed")
     if init_seed < 0:
         raise ValidationError(f"{path}: model.init_seed must be >= 0, got {init_seed}")
@@ -116,16 +70,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValidationError(f"{path}: model.vocab_size must match the vocabulary ({len(vocab)})")
     model_config = _build_dataclass(ModelConfig, model_doc, f"{path}: model")
 
-    reward_doc = _object(doc.get("reward", {}), f"{path}: reward")
+    reward_doc = _typed(doc.get("reward", {}), dict, f"{path}: reward")
     adapter_doc = reward_doc.pop("adapter", None)
     adapter = None
     if adapter_doc is not None:
-        where = f"{path}: reward.adapter"
-        adapter = _build_dataclass(AdapterConfig, _object(adapter_doc, where), where)
+        adapter = _build_dataclass(AdapterConfig, adapter_doc, f"{path}: reward.adapter")
     reward_spec = _build_dataclass(RewardSpec, reward_doc, f"{path}: reward")
 
-    train_config = _build_dataclass(TrainConfig, _object(doc.get("train", {}), f"{path}: train"),
-                                    f"{path}: train")
+    train_config = _build_dataclass(TrainConfig, doc.get("train", {}), f"{path}: train")
     return RunConfig(env=env, model_config=model_config, init_seed=init_seed,
                      reward_spec=reward_spec, adapter=adapter,
                      train_config=train_config, source=path)

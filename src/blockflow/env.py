@@ -14,12 +14,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EnumerationBoundError, ValidationError
+from .errors import EnumerationBoundError, ValidationError, _build_dataclass
 
 VOCAB_SCHEMA = "vocabulary/1"
 TOPOLOGY_SCHEMA = "topology/1"
@@ -50,10 +50,11 @@ class Vocabulary:
             if "," in tok.token_id:  # a record joins the ids of its tokens with commas
                 raise ValidationError(f"token id {tok.token_id!r} must not hold a comma")
             seen.add(tok.token_id)
-            if not (tok.mass_g_mol > 0):
-                raise ValidationError(f"token {tok.token_id!r} must have positive mass")
-            if not (tok.surface_a2 >= 0):
-                raise ValidationError(f"token {tok.token_id!r} must have non-negative surface area")
+            if not (0 < tok.mass_g_mol < math.inf):
+                raise ValidationError(f"token {tok.token_id!r} must have a finite positive mass")
+            if not (0 <= tok.surface_a2 < math.inf):
+                raise ValidationError(
+                    f"token {tok.token_id!r} must have a finite non-negative surface area")
         self.tokens = list(tokens)
         self.index = {tok.token_id: i for i, tok in enumerate(tokens)}
         self.masses = np.array([tok.mass_g_mol for tok in tokens], dtype=np.float64)
@@ -67,9 +68,6 @@ class Vocabulary:
 
     def __getitem__(self, i: int) -> Token:
         return self.tokens[i]
-
-    def canonical_payload(self) -> list[list]:
-        return [[t.token_id, t.kind, t.mass_g_mol, t.surface_a2] for t in self.tokens]
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -148,29 +146,9 @@ class Topology:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{path}: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("schema") != TOPOLOGY_SCHEMA:
+        if not isinstance(doc, dict) or doc.pop("schema", None) != TOPOLOGY_SCHEMA:
             raise ValidationError(f"{path}: expected schema {TOPOLOGY_SCHEMA!r}")
-        for key in ("name", "node_slots", "edge_slots"):
-            if key not in doc:
-                raise ValidationError(f"{path}: missing key {key!r}")
-        for key in ("node_slots", "edge_slots"):
-            if not (isinstance(doc[key], list) and all(
-                    isinstance(slot, list) and all(isinstance(t, str) for t in slot)
-                    for slot in doc[key])):
-                raise ValidationError(
-                    f"{path}: {key} must be a list of lists of token ids, got {doc[key]!r}")
-        enabled = doc.get("edges_enabled", True)
-        if not isinstance(enabled, bool):
-            raise ValidationError(f"{path}: edges_enabled must be true or false, got {enabled!r}")
-        try:
-            return cls(
-                name=str(doc["name"]),
-                node_slots=tuple(map(tuple, doc["node_slots"])),
-                edge_slots=tuple(map(tuple, doc["edge_slots"])),
-                edges_enabled=enabled,
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        return _build_dataclass(cls, doc, str(path))
 
 
 @dataclass(eq=False)
@@ -199,15 +177,8 @@ class Environment:
                 masks[s, idx] = True
         masks.setflags(write=False)
         self.slot_masks = masks
-        payload = {
-            "topology": {
-                "name": self.topology.name,
-                "node_slots": [list(s) for s in self.topology.node_slots],
-                "edge_slots": [list(s) for s in self.topology.edge_slots],
-                "edges_enabled": self.topology.edges_enabled,
-            },
-            "vocabulary": self.vocabulary.canonical_payload(),
-        }
+        payload = {"topology": asdict(self.topology),
+                   "vocabulary": [astuple(token) for token in self.vocabulary.tokens]}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         self.env_hash = hashlib.sha256(blob).hexdigest()
 

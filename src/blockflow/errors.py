@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one typed reader of JSON records.
 
 ValidationError and its subclasses mean "the inputs are wrong" (CLI exit
 code 2); the remaining BlockflowError subclasses mean "the run failed at
 runtime" (CLI exit code 1).
 """
+
+import dataclasses
+import typing
 
 
 class BlockflowError(Exception):
@@ -36,3 +39,52 @@ class DegenerateInputError(ValidationError):
 
 class CoincidentPointsError(BlockflowError):
     """Two motif points of a periodic structure sit at the same position."""
+
+
+# What each annotated field type accepts from JSON, and its name in errors;
+# a bool is never a number, and a number never a bool.
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string"),
+               bool: ((bool,), "boolean"), dict: ((dict,), "object")}
+
+
+def _plural(kind) -> str:
+    if typing.get_origin(kind) in (list, tuple):
+        return f"lists of {_plural(typing.get_args(kind)[0])}"
+    return f"{_JSON_TYPES[kind][1]}s"
+
+
+def _typed(value, kind, where: str):
+    """`value` if JSON gave it the annotated type `kind`; a list of a `list[...]`
+    or `tuple[..., ...]` kind is checked item by item and returned as that container."""
+    container = typing.get_origin(kind)
+    if container in (list, tuple):
+        item = typing.get_args(kind)[0]
+        if isinstance(value, list):
+            try:
+                return container(_typed(v, item, where) for v in value)
+            except ValidationError:
+                pass
+        expected = f"a list of {_plural(item)}"
+    else:
+        accepted, name = _JSON_TYPES[kind]
+        if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+            return value
+        expected = f"of type {name}"
+    raise ValidationError(f"{where} must be {expected}, got {value!r}")
+
+
+def _build_dataclass(cls, doc: dict, where: str):
+    """`cls` built from the JSON object `doc`, each value checked against its field's type."""
+    kinds = typing.get_type_hints(cls)
+    unknown = set(_typed(doc, dict, where)) - set(kinds)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(kinds)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"{where}: missing keys {missing}")
+    values = {key: _typed(value, kinds[key], f"{where}.{key}") for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None

@@ -13,6 +13,7 @@ needs are imported where it runs, so a surrogate run does not load them.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -75,8 +76,14 @@ class AdapterConfig:
     def __post_init__(self):
         if not self.command:
             raise ConfigurationError("adapter command is empty")
-        if not (self.timeout_s > 0):
-            raise ConfigurationError("adapter timeout must be positive")
+        if not (0 < self.timeout_s < math.inf):
+            raise ConfigurationError(
+                f"adapter timeout must be finite and positive, got {self.timeout_s!r}")
+        if not (0 <= self.probe_radius < math.inf):
+            raise ConfigurationError(
+                f"probe radius must be finite and non-negative, got {self.probe_radius!r}")
+        if self.sample_count < 1:
+            raise ConfigurationError(f"sample count must be >= 1, got {self.sample_count!r}")
 
     def argv(self) -> list[str]:
         return list(self.command) + [
@@ -180,8 +187,10 @@ class RewardModel:
 
     def __init__(self, spec: RewardSpec, env: Environment,
                  adapter: AdapterConfig | None = None):
-        if spec.evaluator == "external" and adapter is None:
-            raise ConfigurationError("external evaluator requires an adapter config")
+        if (spec.evaluator == "external") != (adapter is not None):
+            raise ConfigurationError(
+                f"an adapter config goes with the external evaluator and only with it; got "
+                f"evaluator {spec.evaluator!r} {'with' if adapter else 'without'} an adapter")
         self.spec = spec
         self.env = env
         self.adapter = adapter

@@ -216,13 +216,8 @@ RESUMABLE_FIELDS = ("max_episodes", "checkpoint_every")
 
 def _run_echo(config: TrainConfig, reward_model: RewardModel, env: Environment) -> dict:
     """What a checkpoint records of the run, and what a resume must match."""
-    spec = reward_model.spec
-    return {
-        "train": asdict(config),
-        "reward": {"cutoff": spec.cutoff, "reward_floor": spec.reward_floor,
-                   "surrogate_scale": spec.surrogate_scale, "evaluator": spec.evaluator},
-        "topology": env.topology.name,
-    }
+    return {"train": asdict(config), "reward": asdict(reward_model.spec),
+            "topology": env.topology.name}
 
 
 def _check_resume_config(saved: dict, current: dict) -> None:
@@ -275,14 +270,18 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         ckpt = load_checkpoint(resume_from)
         if ckpt.env_hash != env.env_hash:
             raise ValidationError("checkpoint was produced for a different topology or vocabulary")
-        if ckpt.model_config != asdict(model.config):
+        if ckpt.model_config != model.config:
             raise ValidationError(
-                f"checkpoint model dims {ckpt.model_config} != {asdict(model.config)}")
+                f"checkpoint model dims {asdict(ckpt.model_config)} != {asdict(model.config)}")
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
         if ckpt.episode % config.batch_size:
             raise ValidationError(
                 f"checkpoint episode {ckpt.episode} is not a multiple of batch_size "
                 f"{config.batch_size}, and only full batches train")
+        if len(ckpt.loss_tail) != min(ckpt.episode, tail_len):
+            raise ValidationError(
+                f"checkpoint loss tail holds {len(ckpt.loss_tail)} losses, and episode "
+                f"{ckpt.episode} needs {min(ckpt.episode, tail_len)}")
         np.copyto(model.flat, ckpt.params)
         # Adam took one step per full batch; its rates are the config's
         optimizer.step_count = ckpt.episode // config.batch_size

@@ -491,14 +491,25 @@ def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:
     return errors
 
 
-def test_a_resume_refuses_an_episode_that_is_not_a_whole_number_of_batches(
-        bridge_run, tmp_path, capsys):
+# Headers this run's writer cannot have written, each with the refusal it gets.
+INCONSISTENT = {
     # only full batches train, so Adam's step count is episode // batch_size
-    # only where the episode is a multiple of batch_size; a header that says
-    # otherwise was not written by this run
+    # only where the episode is a multiple of batch_size
+    "episode": (lambda header: header.update(episode=12),
+                "episode 12 is not a multiple of batch_size 8"),
+    # the tail holds the last max(stop_window, smooth_window) losses, or every
+    # loss before that many episodes; a shorter one changes the smoothed losses
+    "loss_tail": (lambda header: header.update(loss_tail=header["loss_tail"][-8:]),
+                  "loss tail holds 8 losses, and episode 16 needs 16"),
+}
+
+
+@pytest.mark.parametrize("damage, message", INCONSISTENT.values(), ids=INCONSISTENT.keys())
+def test_a_resume_refuses_an_episode_that_is_not_a_whole_number_of_batches(
+        bridge_run, damage, message, tmp_path, capsys):
     cfg, run = bridge_run
     header, body = read_checkpoint(run / "checkpoint.json")
-    header["episode"] = 12
+    damage(header)
     ckpt = tmp_path / "episode.json"
     write_checkpoint(ckpt, header, body)
     out = tmp_path / "run"
@@ -507,7 +518,7 @@ def test_a_resume_refuses_an_episode_that_is_not_a_whole_number_of_batches(
     assert main(["train", "--config", str(cfg), "--out", str(out), "--max-episodes", "32",
                  "--resume", str(ckpt)]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert "episode 12 is not a multiple of batch_size 8" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "-n", "5",
                  "--out", str(tmp_path / "sample")]) == 0
 

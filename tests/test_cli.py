@@ -165,6 +165,10 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+# the bridge config's reward block, scored by an external evaluator
+EXTERNAL = {"cutoff": 2500.0, "surrogate_scale": 1000.0, "evaluator": "external"}
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("model.init_seed", -1, "model.init_seed"),
     ("model.init_seed", "7", "model.init_seed"),
@@ -184,6 +188,16 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ("reward.adapter", {}, "command"),
     ("reward.adapter", {"command": ["python3"], "sample_count": 1.5},
      "reward.adapter.sample_count"),
+    # an adapter that the surrogate evaluator would never run
+    ("reward.adapter", {"command": ["/bin/false"]}, "evaluator"),
+    ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "timeout_s": math.inf}},
+     "adapter timeout must be finite and positive, got inf"),
+    ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "probe_radius": math.nan}},
+     "probe radius must be finite and non-negative, got nan"),
+    ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "probe_radius": -1.0}},
+     "probe radius must be finite and non-negative, got -1.0"),
+    ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "sample_count": -5}},
+     "sample count must be >= 1, got -5"),
     ("train", 5, "train"),
     ("vocabulary", 5, "vocabulary"),
     ("edges_enabled", "yes", "edges_enabled"),

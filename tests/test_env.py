@@ -42,6 +42,9 @@ def test_vocab_load_happy_path(tmp_path):
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nE1,node,10,100\n", "must start with"),
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,0,100\n", "positive mass"),
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,10,-1\n", "non-negative"),
+    ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,inf,100\n", "finite positive mass"),
+    ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,10,inf\n",
+     "finite non-negative surface"),
     ("# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\nN1,node,10,1\nN1,node,9,2\n", "duplicate"),
     # a record joins its token ids with commas, so such an id could not be read back
     ('# schema=vocabulary/1\ntoken,kind,mass_g_mol,surface_a2\n"N1,x",node,10,1\n',
@@ -88,13 +91,16 @@ def test_topology_edges_disabled_drops_edge_slots(tmp_path):
     ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
       "edge_slots": [], "edges_enabled": True}, "no edge slots"),
     ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
-      "edge_slots": [["E1"]], "edges_enabled": "false"}, "topo.json: edges_enabled must be"),
+      "edge_slots": [["E1"]], "edges_enabled": "false"}, "topo.json.edges_enabled must be"),
     ({"schema": "topology/1", "name": "x", "node_slots": 5,
-      "edge_slots": []}, "topo.json: node_slots must be"),
+      "edge_slots": []}, "topo.json.node_slots must be"),
     ({"schema": "topology/1", "name": "x", "node_slots": ["N1"],
-      "edge_slots": []}, "topo.json: node_slots must be"),
+      "edge_slots": []}, "topo.json.node_slots must be"),
     ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
-      "edge_slots": [[1]]}, "topo.json: edge_slots must be"),
+      "edge_slots": [[1]]}, "topo.json.edge_slots must be"),
+    # a misspelled switch would otherwise leave the edge slots on
+    ({"schema": "topology/1", "name": "x", "node_slots": [["N1"]],
+      "edge_slots": [], "edge_enabled": False}, "topo.json: unknown keys ['edge_enabled']"),
 ])
 def test_topology_load_rejects_bad_files(tmp_path, doc, needle):
     path = tmp_path / "topo.json"
@@ -211,6 +217,21 @@ def test_env_hash_is_content_addressed(bridge_env):
     tokens[0] = Token("N1", "node", 999.0, 300.0)
     other = Environment(bridge_env.topology, Vocabulary(tokens))
     assert other.env_hash != bridge_env.env_hash
+
+
+@pytest.mark.parametrize("topology, vocabulary, env_hash", [
+    ("topo_bridge.json", "vocab_bridge.csv",
+     "4c2b78dedca8920cb927c51386bf57bc791935133acad1153305b04b259600fe"),
+    ("topo_grid.json", "vocab_grid.csv",
+     "fa484884ec47836335edfa43ca21898d142e0161a32fc75d825825a70565ec99"),
+    ("topo_single.json", "vocab_bridge.csv",
+     "7799d78fc0c7e024e8f5ba2d7278f37f421429dd364169024fe15957c6f6ff9c"),
+])
+def test_env_hash_pins(topology, vocabulary, env_hash):
+    # a checkpoint names its environment by this hash, so a change to its
+    # payload would refuse every checkpoint written before it
+    env = Environment(Topology.load(FIXTURES / topology), Vocabulary.load(FIXTURES / vocabulary))
+    assert env.env_hash == env_hash
 
 
 class TableReward:
