@@ -233,8 +233,9 @@ class IsothermRow:
 
     def __post_init__(self):
         for name in ISOTHERM_HEADER[1:]:
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{self.material}: {name} must be non-negative")
+            if not (0 <= getattr(self, name) < math.inf):  # NaN fails both tests
+                raise ValidationError(f"{self.material}: {name} must be finite and non-negative, "
+                                      f"got {getattr(self, name)!r}")
 
     def working_capacity(self) -> float:
         return working_capacity(self.q_co2_16bar, self.q_co2_015bar)
@@ -254,7 +255,7 @@ def load_isotherm_table(path: str | Path) -> list[IsothermRow]:
     for lineno, row in rows:
         try:
             out.append(IsothermRow(row[0], *(float(v) for v in row[1:])))
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return out
 

@@ -19,12 +19,13 @@ the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
-CSV table goes through `write_table`, and every table the package reads back
-through `read_table`. A table is `csv.writer`'s default dialect: a header row,
-then one row per record, each line ended by `\r\n`. A float cell is the
-float's `repr`, so it reads back to the same bits, and an empty cell is a
-missing value. The model is imported where a checkpoint is read or restored,
-so a command that only writes files does not load it.
+command's manifest goes through `write_manifest`, every CSV table through
+`write_table`, and every table the package reads back through `read_table`.
+A table is `csv.writer`'s default dialect: a header row, then one row per
+record, each line ended by `\r\n`. A float cell is the float's `repr`, so it
+reads back to the same bits, and an empty cell is a missing value. The model
+is imported where a checkpoint is read or restored, so a command that only
+writes files does not load it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kw):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_manifest(path: str | Path, command: str, inputs: dict) -> None:
+    """Write the manifest at `path`: the `command` and the resolved `inputs` it runs on."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps({"schema": "blockflow-run-manifest/1", "command": command, **inputs},
+                            sort_keys=True, indent=1))
 
 
 def write_table(path: str | Path, header: list[str], rows) -> None:
@@ -178,6 +186,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def load_run_checkpoint(path: str | Path, env_hash: str, model_config: ModelConfig) -> Checkpoint:
+    """The checkpoint at `path`, refused unless a run of this environment and
+    these model dims wrote it."""
+    ckpt = load_checkpoint(path)
+    if ckpt.env_hash != env_hash:
+        raise ValidationError("checkpoint was produced for a different topology or vocabulary")
+    if ckpt.model_config != model_config:
+        raise ValidationError(
+            f"checkpoint model dims {asdict(ckpt.model_config)} != {asdict(model_config)}")
+    return ckpt
+
+
 def _header(path: Path, line: bytes) -> tuple[dict, str]:
     """The header in the first `line` of the checkpoint at `path`, without its
     checksum, and the checksum."""
@@ -238,8 +258,8 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
         v=v,
         rng=rng,
         episode=episode,
-        best_reward=float(best_reward),
-        loss_tail=[float(x) for x in loss_tail],
+        best_reward=best_reward,
+        loss_tail=loss_tail,
         env_hash=_typed(header.get("env_hash"), str, f"{_MALFORMED}env_hash"),
         config=config,
         checksum=checksum,

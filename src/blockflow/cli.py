@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BlockflowError, ValidationError, _build_dataclass, _typed
+from .errors import BlockflowError, ValidationError, _build_dataclass, _read_json, _typed
 
 RUN_CONFIG_SCHEMA = "blockflow-run/1"
 _RUN_CONFIG_KEYS = ("schema", "topology", "vocabulary", "model", "reward", "train")
@@ -43,12 +42,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     from .reward import AdapterConfig, RewardSpec
     from .trainer import TrainConfig
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != RUN_CONFIG_SCHEMA:
-        raise ValidationError(f"{path}: expected schema {RUN_CONFIG_SCHEMA!r}")
+    doc = _read_json(path, RUN_CONFIG_SCHEMA)
     unknown = set(doc) - set(_RUN_CONFIG_KEYS)
     if unknown:
         raise ValidationError(
@@ -89,20 +83,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, payload: dict) -> None:
-    from .checkpoint import atomic_write
-    doc = {"schema": "blockflow-run-manifest/1", "command": command}
-    doc.update(payload)
-    with atomic_write(out / f"{command}_manifest.json") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
-
-
 def _restore_from_checkpoint(args, run: RunConfig) -> tuple[FlowModel, str]:
-    from .checkpoint import load_checkpoint, restore_model
-    ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.env_hash != run.env.env_hash:
-        raise ValidationError(
-            "checkpoint does not match the configured topology and vocabulary")
+    from .checkpoint import load_run_checkpoint, restore_model
+    ckpt = load_run_checkpoint(args.checkpoint, run.env.env_hash, run.model_config)
     return restore_model(ckpt), ckpt.checksum
 
 
@@ -133,24 +116,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .checkpoint import write_manifest
     from .dataset import generate, save_dataset
     from .reward import RewardModel
     run = load_run_config(args.config)
     model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    manifest = {
-        "seed": seed,
+    write_manifest(out / "sample_manifest.json", "sample", {
+        "seed": args.seed,
         "n": args.n,
         "checkpoint": str(args.checkpoint),
         "checkpoint_checksum": checksum,
         "env_hash": run.env.env_hash,
         "config": str(run.source),
-    }
-    _write_manifest(out, "sample", manifest)
-    records = generate(model, run.env, reward_model, args.n, seed)
-    save_dataset(out / "dataset.csv", records, manifest=manifest)
+    })
+    records = generate(model, run.env, reward_model, args.n, args.seed)
+    save_dataset(out / "dataset.csv", records)
     total = sum(r.sample_count for r in records)
     print(f"drawn={total} unique={len(records)} out={out / 'dataset.csv'}")
     return 0
@@ -159,14 +141,14 @@ def cmd_sample(args) -> int:
 def cmd_amd(args) -> int:
     import numpy as np
 
-    from .checkpoint import write_table
+    from .checkpoint import write_manifest, write_table
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
     out = _out_dir(args)
     cif_dir = Path(args.cif_dir)
     if not cif_dir.is_dir():
         raise ValidationError(f"{cif_dir} is not a directory")
     files = sorted(cif_dir.glob("*.cif"))
-    _write_manifest(out, "amd", {
+    write_manifest(out / "amd_manifest.json", "amd", {
         "cif_dir": str(cif_dir), "k": args.k, "files": [f.name for f in files],
         "reference_dir": None if args.reference_dir is None else str(args.reference_dir),
     })
@@ -225,19 +207,18 @@ def _load_xy(path: Path) -> tuple[list[float], list[float]]:
 
 def cmd_regress(args) -> int:
     from .analysis import cross_validate, fit_univariate, holdout_validate
-    from .checkpoint import write_table
+    from .checkpoint import write_manifest, write_table
     x, y = _load_xy(Path(args.data))
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "regress", {
+    write_manifest(out / "regress_manifest.json", "regress", {
         "data": str(args.data), "folds": args.folds, "rounds": args.rounds,
-        "seed": seed, "holdout": args.holdout, "n": len(x),
+        "seed": args.seed, "holdout": args.holdout, "n": len(x),
     })
     report = fit_univariate(x, y)
     if args.holdout:
-        cv = holdout_validate(x, y, rounds=args.rounds, seed=seed)
+        cv = holdout_validate(x, y, rounds=args.rounds, seed=args.seed)
     else:
-        cv = cross_validate(x, y, folds=args.folds, rounds=args.rounds, seed=seed)
+        cv = cross_validate(x, y, folds=args.folds, rounds=args.rounds, seed=args.seed)
     print(f"n={report.n} slope={report.slope!r} intercept={report.intercept!r}")
     print(f"r2={report.r2!r} rmse={report.rmse!r} spearman_rho={report.spearman_rho!r}")
     print(f"cv[{cv.scheme}] test_r2={cv.test_r2_mean!r}+-{cv.test_r2_std!r} "
@@ -251,19 +232,18 @@ def cmd_regress(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .checkpoint import write_table
+    from .checkpoint import write_manifest, write_table
     from .dataset import baseline_comparison
     from .reward import RewardModel
     run = load_run_config(args.config)
     model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "baseline", {
-        "seed": seed, "n": args.n, "checkpoint": str(args.checkpoint),
+    write_manifest(out / "baseline_manifest.json", "baseline", {
+        "seed": args.seed, "n": args.n, "checkpoint": str(args.checkpoint),
         "checkpoint_checksum": checksum, "env_hash": run.env.env_hash,
     })
-    summary = baseline_comparison(model, run.env, reward_model, args.n, seed)
+    summary = baseline_comparison(model, run.env, reward_model, args.n, args.seed)
     print(f"trained_mean={summary.trained_mean!r} trained_max={summary.trained_max!r}")
     print(f"uniform_mean={summary.uniform_mean!r} uniform_max={summary.uniform_max!r}")
     header = ["n_samples", "trained_mean", "trained_max", "uniform_mean", "uniform_max"]
@@ -276,13 +256,13 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_flows(args) -> int:
-    from .checkpoint import write_table
+    from .checkpoint import write_manifest, write_table
     from .dataset import exact_flows
     from .reward import RewardModel
     run = load_run_config(args.config)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
     out = _out_dir(args)
-    _write_manifest(out, "flows", {
+    write_manifest(out / "flows_manifest.json", "flows", {
         "config": str(run.source), "bound": args.bound, "env_hash": run.env.env_hash,
     })
     result = exact_flows(run.env, reward_model, bound=args.bound)
@@ -315,14 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="seed override")
+    seeded.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
 
     parser = argparse.ArgumentParser(prog="blockflow",
                                      description="Reward-proportional assembly sampler and analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[seeded, out], help="train the sampler from a run config")
+    p = sub.add_parser("train", parents=[out], help="train the sampler from a run config")
     p.add_argument("--config", required=True, type=Path)
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="overrides the config's seed")
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to resume from")
     p.add_argument("--max-episodes", dest="max_episodes", type=int, default=None)
     p.add_argument("--stop-threshold", dest="stop_threshold", type=float, default=None)

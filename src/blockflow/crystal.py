@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BlockflowError, CoincidentPointsError,
-                     DegenerateInputError, ValidationError)
+                     DegenerateInputError, ValidationError, _read_text)
 
 # CIF 1.1's tokens (Hall, Allen & Brown, Acta Cryst. A47 (1991) 655), comments included. A quote
 # closes only before whitespace; a ';' text field or a quote that never closes is an `open` token.
@@ -268,7 +268,4 @@ def novelty_score(candidates, references) -> np.ndarray:
 
 
 def load_cif_file(path: str | Path) -> PeriodicPointSet:
-    try:
-        return parse_cif(Path(path).read_text(), name=str(path))
-    except (OSError, UnicodeDecodeError) as exc:  # the error of a read, not of the parse
-        raise ValidationError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_cif(_read_text(path), name=str(path))

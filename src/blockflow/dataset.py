@@ -9,7 +9,6 @@ many external evaluations run at once is up to the reward model.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_table, write_table
+from .checkpoint import read_table, write_table
 from .env import Environment
 from .errors import ConfigurationError, ValidationError
 from .reward import RewardModel
@@ -69,13 +68,10 @@ def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
     return sorted(records, key=lambda r: (-r.reward, r.record))[:k]
 
 
-def save_dataset(path: str | Path, records: list[CandidateRecord], manifest: dict) -> None:
-    path = Path(path)
+def save_dataset(path: str | Path, records: list[CandidateRecord]) -> None:
     write_table(path, DATASET_HEADER,
                 ([rec.record, rec.gsa, rec.reward, rec.sample_count, rec.first_seen_episode]
                  for rec in records))
-    with atomic_write(path.with_name(path.name + ".manifest.json")) as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def load_dataset(path: str | Path, env: Environment) -> list[CandidateRecord]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnumerationBoundError, ValidationError, _build_dataclass
+from .errors import EnumerationBoundError, ValidationError, _build_dataclass, _read_json, _read_text
 
 VOCAB_SCHEMA = "vocabulary/1"
 TOPOLOGY_SCHEMA = "topology/1"
@@ -71,11 +71,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        path = Path(path)
-        try:
-            lines = path.read_text().splitlines()
-        except OSError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        lines = _read_text(path).splitlines()
         if not lines or not lines[0].strip().startswith("#"):
             raise ValidationError(f"{path}:1: missing schema comment line")
         m = re.search(r"schema=(\S+)", lines[0])
@@ -141,14 +137,7 @@ class Topology:
 
     @classmethod
     def load(cls, path: str | Path) -> "Topology":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        if not isinstance(doc, dict) or doc.pop("schema", None) != TOPOLOGY_SCHEMA:
-            raise ValidationError(f"{path}: expected schema {TOPOLOGY_SCHEMA!r}")
-        return _build_dataclass(cls, doc, str(path))
+        return _build_dataclass(cls, _read_json(path, TOPOLOGY_SCHEMA), str(path))
 
 
 @dataclass(eq=False)

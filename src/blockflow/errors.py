@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one typed reader of JSON records.
+"""Exception hierarchy shared across the package, the one reader of a user's file,
+and the one typed reader of JSON records.
 
 ValidationError and its subclasses mean "the inputs are wrong" (CLI exit
 code 2); the remaining BlockflowError subclasses mean "the run failed at
@@ -6,7 +7,9 @@ runtime" (CLI exit code 1).
 """
 
 import dataclasses
+import json
 import typing
+from pathlib import Path
 
 
 class BlockflowError(Exception):
@@ -41,6 +44,25 @@ class CoincidentPointsError(BlockflowError):
     """Two motif points of a periodic structure sit at the same position."""
 
 
+def _read_text(path) -> str:
+    """The text of the user's file at `path`, refused unless it can be read as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _read_json(path, schema: str) -> dict:
+    """The JSON object in the user's file at `path`, without its `"schema": schema` key."""
+    try:
+        doc = json.loads(_read_text(path))
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+        raise ValidationError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict) or doc.pop("schema", None) != schema:
+        raise ValidationError(f"{path}: expected schema {schema!r}")
+    return doc
+
+
 # What each annotated field type accepts from JSON, and its name in errors;
 # a bool is never a number, and a number never a bool.
 _JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string"),
@@ -68,7 +90,13 @@ def _typed(value, kind, where: str):
     else:
         accepted, name = _JSON_TYPES[kind]
         if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
-            return value
+            if kind is not float:
+                return value
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValidationError(f"{where} must be a number a float can hold, "
+                                      f"got an integer of {len(str(value))} digits") from None
         expected = f"of type {name}"
     raise ValidationError(f"{where} must be {expected}, got {value!r}")
 

@@ -66,12 +66,11 @@ def surrogate_gsa(vocabulary: Vocabulary, tokens, scale: float = 1.0):
 
 @dataclass(frozen=True)
 class AdapterConfig:
-    """External evaluator invocation: record on stdin, one number on stdout."""
+    """External evaluator invocation: `command` as given, the record on stdin,
+    one number on stdout."""
 
     command: tuple[str, ...]
     timeout_s: float = 60.0
-    probe_radius: float = 1.525
-    sample_count: int = 2000
 
     def __post_init__(self):
         if not self.command:
@@ -79,17 +78,6 @@ class AdapterConfig:
         if not (0 < self.timeout_s < math.inf):
             raise ConfigurationError(
                 f"adapter timeout must be finite and positive, got {self.timeout_s!r}")
-        if not (0 <= self.probe_radius < math.inf):
-            raise ConfigurationError(
-                f"probe radius must be finite and non-negative, got {self.probe_radius!r}")
-        if self.sample_count < 1:
-            raise ConfigurationError(f"sample count must be >= 1, got {self.sample_count!r}")
-
-    def argv(self) -> list[str]:
-        return list(self.command) + [
-            f"--probe-radius={self.probe_radius}",
-            f"--samples={self.sample_count}",
-        ]
 
 
 def external_gsa(adapter: AdapterConfig, record: str,
@@ -102,7 +90,7 @@ def external_gsa(adapter: AdapterConfig, record: str,
     re-raised after that. A batch passes its `running` adapters.
     """
     try:
-        proc = (running or _RunningAdapters()).start(adapter.argv())
+        proc = (running or _RunningAdapters()).start(list(adapter.command))
     except OSError as exc:
         return np.nan, f"adapter did not run: {exc}"
     try:

@@ -22,7 +22,6 @@ Parameter updates happen only on full batches.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import atomic_write, load_checkpoint, save_checkpoint, write_table
+from .checkpoint import load_run_checkpoint, save_checkpoint, write_manifest, write_table
 from .env import Environment
 from .errors import ConfigurationError, TrainingAbort, ValidationError
 from .model import FlowModel
@@ -267,12 +266,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                      lr_overrides={"log_z": config.learning_rate_logz})
     rng = np.random.Generator(np.random.PCG64(config.seed))
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        if ckpt.env_hash != env.env_hash:
-            raise ValidationError("checkpoint was produced for a different topology or vocabulary")
-        if ckpt.model_config != model.config:
-            raise ValidationError(
-                f"checkpoint model dims {asdict(ckpt.model_config)} != {asdict(model.config)}")
+        ckpt = load_run_checkpoint(resume_from, env.env_hash, model.config)
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
         if ckpt.episode % config.batch_size:
             raise ValidationError(
@@ -295,17 +289,13 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema": "blockflow-run-manifest/1",
-        "command": "train",
+    write_manifest(out_dir / "run_manifest.json", "train", {
         "seed": config.seed,
         "env_hash": env.env_hash,
         "topology": env.topology.name,
         "config": asdict(config),
         "resume_from": None if resume_from is None else str(resume_from),
-    }
-    with atomic_write(out_dir / "run_manifest.json") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=1))
+    })
     _trim_metrics(out_dir / "metrics.csv", start_episode)
 
     episode = start_episode

@@ -332,6 +332,14 @@ def test_load_isotherm_table(tmp_path):
                     "y,1.0,0.5\n")
     with pytest.raises(ValidationError, match="bad3.csv:3: expected 5 fields"):
         load_isotherm_table(bad3)
+    # an uptake must be finite and non-negative, and a refused row names path:line
+    for name, cells in [("nan", "x,nan,0.5,0.5,0.5"), ("inf", "x,1.0,0.5,inf,0.5"),
+                        ("negative", "x,1.0,0.5,0.5,0.5\nm2,-1.0,0.5,0.5,0.5")]:
+        table = tmp_path / f"{name}.csv"
+        table.write_text("material,q_co2_16bar,q_co2_015bar,q_mix_co2_015bar,q_mix_n2_015bar\n"
+                         + cells + "\n")
+        with pytest.raises(ValidationError, match=rf"{name}\.csv:\d: .*must be finite and non-negative"):
+            load_isotherm_table(table)
 
 
 def test_percentile_rank():

@@ -14,7 +14,7 @@ import pytest
 from blockflow import Adam, FlowModel, ModelConfig, load_checkpoint, restore_model, save_checkpoint
 from blockflow.analysis import load_isotherm_table
 from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, read_table, write_table
-from blockflow.cli import main
+from blockflow.cli import load_run_config, main
 from blockflow.dataset import load_dataset
 from blockflow.errors import ValidationError
 from blockflow.model import named_views
@@ -450,6 +450,8 @@ MALFORMED = {
     "model_config.embed_dim not the body's": lambda ckpt: ckpt["header"]["model_config"].update(
         embed_dim=5),
     "episode text": lambda ckpt: ckpt["header"].update(episode="x"),
+    "best_reward an integer too large for a float": lambda ckpt: ckpt["header"].update(
+        best_reward=10**400),
     "loss_tail a number": lambda ckpt: ckpt["header"].update(loss_tail=5),
     "config a list": lambda ckpt: ckpt["header"].update(config=[]),
     "config.reward a list": lambda ckpt: ckpt["header"]["config"].update(reward=[1]),
@@ -469,6 +471,26 @@ def test_malformed_checkpoint_with_a_valid_checksum_exits_2_on_every_reader(
     write_checkpoint(ckpt, damaged["header"], damaged["body"])
     errors = _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys)
     assert all(line.startswith("error: ") for line in errors)
+
+
+# Model dims other than the bridge run's, saved on the bridge run's environment
+OTHER_DIMS = {
+    "vocab_size 9": ModelConfig(vocab_size=9, embed_dim=4, hidden_dim=6),
+    "embed 8 hidden 12": ModelConfig(vocab_size=7, embed_dim=8, hidden_dim=12),
+}
+
+
+@pytest.mark.parametrize("dims", OTHER_DIMS.values(), ids=OTHER_DIMS.keys())
+def test_a_checkpoint_of_other_model_dims_exits_2_on_every_reader(
+        bridge_run, dims, tmp_path, capsys):
+    cfg, run = bridge_run
+    model = FlowModel.init(dims, seed=0)
+    ckpt = tmp_path / "other_dims.json"
+    save_checkpoint(ckpt, model, Adam(model.parameters(), lr=1e-3),
+                    np.random.Generator(np.random.PCG64(0)), 0, 0.0, [],
+                    load_run_config(cfg).env.env_hash)
+    errors = _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys)
+    assert all("checkpoint model dims" in line for line in errors), errors
 
 
 def _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys) -> list[str]:

@@ -183,21 +183,26 @@ EXTERNAL = {"cutoff": 2500.0, "surrogate_scale": 1000.0, "evaluator": "external"
     ("train.learning_rate_logz", math.nan, "learning rates must be finite and positive, got nan"),
     ("train.learning_rate_model", math.inf, "learning rates must be finite and positive, got inf"),
     ("train.stop_threshold", math.nan, "stop threshold must be finite and non-negative"),
+    # a JSON integer too large for a float
+    pytest.param("train.learning_rate_model", 10**400, "train.learning_rate_model", id="train.learning_rate_model-10**400"),
+    pytest.param("train.stop_threshold", 10**400, "train.stop_threshold", id="train.stop_threshold-10**400"),
+    pytest.param("reward.cutoff", 10**400, "reward.cutoff", id="reward.cutoff-10**400"),
     ("reward.cutoff", None, "reward.cutoff"),
     ("reward.adapter", {"command": "python3"}, "reward.adapter.command"),
     ("reward.adapter", {}, "command"),
+    # the adapter runs its command as given: a flag it needs goes in the command
     ("reward.adapter", {"command": ["python3"], "sample_count": 1.5},
-     "reward.adapter.sample_count"),
+     "unknown keys ['sample_count']"),
     # an adapter that the surrogate evaluator would never run
     ("reward.adapter", {"command": ["/bin/false"]}, "evaluator"),
     ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "timeout_s": math.inf}},
      "adapter timeout must be finite and positive, got inf"),
     ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "probe_radius": math.nan}},
-     "probe radius must be finite and non-negative, got nan"),
+     "unknown keys ['probe_radius']"),
     ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "probe_radius": -1.0}},
-     "probe radius must be finite and non-negative, got -1.0"),
+     "unknown keys ['probe_radius']"),
     ("reward", {**EXTERNAL, "adapter": {"command": ["/bin/false"], "sample_count": -5}},
-     "sample count must be >= 1, got -5"),
+     "unknown keys ['sample_count']"),
     ("train", 5, "train"),
     ("vocabulary", 5, "vocabulary"),
     ("edges_enabled", "yes", "edges_enabled"),
@@ -215,6 +220,23 @@ def test_bad_run_config_values_exit_2_and_name_the_key(key, value, named, tmp_pa
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("which", ["config", "topology", "vocabulary"])
+def test_a_file_that_is_not_utf8_exits_2_and_names_it(which, command, tmp_path, capsys):
+    cfg = broken = run_config(tmp_path)
+    if which != "config":  # a copy of the fixture, named by the config
+        doc = json.loads(cfg.read_text())
+        broken = tmp_path / Path(doc[which]).name
+        broken.write_bytes(Path(doc[which]).read_bytes())
+        doc[which] = str(broken)
+        cfg.write_text(json.dumps(doc))
+    broken.write_bytes(broken.read_bytes() + b"\xe9\n")  # a Latin-1 byte, not UTF-8
+    argv = {"train": ["train"], "sample": ["sample", "--checkpoint", "c.json", "-n", "5"]}
+    assert main(argv[command] + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{broken}: cannot read:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -240,8 +262,7 @@ def test_sample_dataset_counts(trained_run, tmp_path, capsys):
     assert manifest["n"] == 50
     header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
     assert manifest["checkpoint_checksum"] == header["checksum"]
-    sidecar = json.loads((out / "dataset.csv.manifest.json").read_text())
-    assert sidecar["n"] == 50
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "sample_manifest.json"]
 
 
 def test_sample_zero_draws(trained_run, tmp_path):
@@ -273,7 +294,7 @@ def test_sample_env_mismatch_exits_2(trained_run, tmp_path, capsys):
     other_cfg.write_text(json.dumps(doc))
     assert main(["sample", "--config", str(other_cfg), "--checkpoint", str(ckpt),
                  "-n", "5", "--out", str(tmp_path / "o")]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert "checkpoint was produced for a different topology or vocabulary" in capsys.readouterr().err
 
 
 def cif_text(a, atoms):
@@ -509,6 +530,45 @@ def test_amd_and_regress_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     cells = [row[1:] for row in read_csv(tmp_path / "amd" / "distance_matrix.csv")[1:]]
     assert len(cells) == 6
     assert all(cells[i][j] == cells[j][i] for i in range(6) for j in range(6))
+
+
+# Digests of every manifest the sampler's commands write (run from their
+# parent with relative paths): a fresh and a resumed `train`, then `sample`,
+# `baseline` and `regress` on their default seed, and `flows`.
+MANIFEST_SHA256 = {
+    "fresh/run_manifest.json":
+        "0da6f31877673545bf7a2c6ad9c2c1bd9125072d28b6397a6ef14037270096a8",
+    "resumed/run_manifest.json":
+        "76eadcf83aa03608b3aded37a21152491454bcf9a635f5bc2ad0749a237549af",
+    "sample/sample_manifest.json":
+        "e5d944a00d3bd162b3b72a7a193bfbcfc1b2034ae03de9875c064c164d97bdc0",
+    "baseline/baseline_manifest.json":
+        "d889976193f5c6c63b7392a7527f1971bc45320c471b4001664ebac4f4b2e555",
+    "regress/regress_manifest.json":
+        "9587a203ba90940b096365e3b71071b17878110c7de61dc0ad18d64b7665affa",
+    "flows/flows_manifest.json":
+        "a27f8ea3821e8c5eece2759cadc5800b78820135c863fa689ca66a61682ba809",
+}
+
+
+def test_every_manifest_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_config(tmp_path)
+    write_seeded_xy(tmp_path / "xy.csv", 5, 40)
+    runs = [
+        ["train", "--config", "run.json", "--max-episodes", "16", "--out", "fresh"],
+        ["train", "--config", "run.json", "--max-episodes", "32", "--out", "resumed",
+         "--resume", "fresh/checkpoint.json"],
+        ["sample", "--config", "run.json", "--checkpoint", "resumed/checkpoint.json",
+         "-n", "20", "--out", "sample"],
+        ["baseline", "--config", "run.json", "--checkpoint", "resumed/checkpoint.json",
+         "-n", "20", "--out", "baseline"],
+        ["regress", "--data", "xy.csv", "--folds", "4", "--rounds", "2", "--out", "regress"],
+        ["flows", "--config", "run.json", "--out", "flows"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert {name: file_sha256(tmp_path / name) for name in MANIFEST_SHA256} == MANIFEST_SHA256
 
 
 def test_baseline_command(trained_run, tmp_path, capsys):

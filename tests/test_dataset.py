@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 from collections import Counter
 
@@ -99,7 +98,7 @@ def test_top_k_orders_by_reward_then_record():
 def test_save_load_roundtrip(tmp_path, bridge_env, bridge_reward, tabular):
     records = generate(tabular, bridge_env, bridge_reward, n=60, seed=8)
     path = tmp_path / "dataset.csv"
-    save_dataset(path, records, manifest={"seed": 8, "n": 60})
+    save_dataset(path, records)
     loaded = load_dataset(path, env=bridge_env)
     assert loaded == records
 
@@ -108,7 +107,7 @@ def test_save_none_gsa_roundtrips_as_empty_cell(tmp_path, bridge_env):
     rec = CandidateRecord(record="bfx:N1,N4,E1", tokens=bridge_env.parse_assembly_record(
         "bfx:N1,N4,E1"), gsa=None, reward=0.0, sample_count=3, first_seen_episode=7)
     path = tmp_path / "d.csv"
-    save_dataset(path, [rec], manifest={})
+    save_dataset(path, [rec])
     raw = list(csv.reader(path.open(newline="")))
     assert raw[1][1] == ""
     loaded = load_dataset(path, bridge_env)
@@ -127,26 +126,18 @@ def test_failed_external_evaluation_writes_an_empty_gsa_cell_and_reward_0(
     records = generate(tabular, bridge_env, rm, n=300, seed=2)
     assert {"N1" in rec.record for rec in records} == {True, False}
     path = tmp_path / "d.csv"
-    save_dataset(path, records, manifest={"seed": 2, "n": 300})
+    save_dataset(path, records)
     for rec, row in zip(records, list(csv.reader(path.open(newline="")))[1:]):
         failed = "N1" in rec.record
         assert (rec.gsa is None, rec.reward == 0.0) == (failed, failed)
         assert (row[1] == "", row[2]) == (failed, "0.0" if failed else repr(rec.reward))
 
 
-def test_save_writes_manifest_sidecar(tmp_path):
-    path = tmp_path / "d.csv"
-    save_dataset(path, [], manifest={"seed": 1, "n": 0})
-    sidecar = tmp_path / "d.csv.manifest.json"
-    assert json.loads(sidecar.read_text()) == {"seed": 1, "n": 0}
-
-
 def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_env,
                                                  bridge_reward, tabular):
     # a write that dies partway must leave the old file byte for byte
     path = tmp_path / "dataset.csv"
-    save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=8),
-                 manifest={"seed": 8})
+    save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=8))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     real_writer = csv.writer
 
@@ -166,8 +157,7 @@ def test_failed_save_leaves_the_old_dataset_whole(tmp_path, monkeypatch, bridge_
 
     monkeypatch.setattr(csv, "writer", DiesOnThirdRow)
     with pytest.raises(OSError, match="no space"):
-        save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=9),
-                     manifest={"seed": 9})
+        save_dataset(path, generate(tabular, bridge_env, bridge_reward, n=60, seed=9))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # and no .tmp
 
 

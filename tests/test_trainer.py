@@ -973,12 +973,12 @@ def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monke
     # the model copies the checkpoint's parameter row and the optimizer adopts
     # its m and v, so the parameter row (2.7 MB on the grid) must not live
     # through the run
-    import blockflow.trainer as trainer_mod
+    import blockflow.checkpoint as checkpoint_mod
     run = load_run_config(CONFIGS / "train_grid.json")
     cfg = dataclasses.replace(run.train_config, max_episodes=32)
     train(cfg, FlowModel.init(run.model_config, seed=run.init_seed), run.env,
           RewardModel(run.reward_spec, run.env), out_dir=tmp_path)
-    real_load = trainer_mod.load_checkpoint
+    real_load = checkpoint_mod.load_checkpoint
     bodies = []
 
     def loading(path):
@@ -993,7 +993,7 @@ def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monke
             alive.append(bodies[0]() is not None)
             return super().score_batch(rows)
 
-    monkeypatch.setattr(trainer_mod, "load_checkpoint", loading)
+    monkeypatch.setattr(checkpoint_mod, "load_checkpoint", loading)
     result = train(dataclasses.replace(cfg, max_episodes=64),
                    FlowModel.init(run.model_config, seed=run.init_seed), run.env,
                    WatchesTheCheckpoint(run.reward_spec, run.env), out_dir=tmp_path,
