@@ -20,8 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "dataset": "BaselineSummary CandidateRecord ExactFlows baseline_comparison "
                "exact_flows generate load_dataset save_dataset top_k",
     "env": "Environment Token Topology Vocabulary",
-    "errors": "BlockflowError CoincidentPointsError ConfigurationError DeadEndError "
-              "DegenerateInputError EnumerationBoundError TrainingAbort ValidationError",
+    "errors": "BlockflowError ValidationError",
     "model": "FlowModel ModelConfig",
     "optim": "Adam adam_update",
     "reward": "AdapterConfig RewardModel RewardSpec Scores external_gsa reward surrogate_gsa",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_table
-from .errors import ConfigurationError, DegenerateInputError, ValidationError
+from .errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # regression
@@ -27,14 +27,10 @@ def average_ranks(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
     sv = v[order]
+    first = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])  # where each run of equal values starts
+    last = np.r_[first[1:], v.shape[0]] - 1
     ranks = np.empty(v.shape[0])
-    i = 0
-    while i < v.shape[0]:
-        j = i
-        while j + 1 < v.shape[0] and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -45,7 +41,7 @@ def pearson_r(x, y) -> float:
     yc = y - y.mean()
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
     if denom == 0.0:
-        raise DegenerateInputError("correlation undefined for a constant series")
+        raise ValidationError("correlation undefined for a constant series")
     return float((xc * yc).sum() / denom)
 
 
@@ -93,7 +89,7 @@ def _fit_splits(x, y, train_idx, test_idx):
     xc = xt - x_mean
     sxx = (xc * xc).sum(axis=-1, keepdims=True)
     if (sxx <= 0.0).any():
-        raise DegenerateInputError("x is constant; the regression is degenerate")
+        raise ValidationError("x is constant; the regression is degenerate")
     slope = (xc * (yt - y_mean)).sum(axis=-1, keepdims=True) / sxx
     intercept = y_mean - slope * x_mean
     scores = []
@@ -114,7 +110,7 @@ def fit_univariate(x, y) -> RegressionReport:
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("x and y must be 1-D arrays of equal length")
     if x.shape[0] < 3:
-        raise DegenerateInputError("need at least 3 points to fit")
+        raise ValidationError("need at least 3 points to fit")
     rows = np.arange(x.shape[0])
     slope, intercept, (r2, rmse), _ = _fit_splits(x, y, rows, rows)
     return RegressionReport(slope=float(slope), intercept=float(intercept), r2=float(r2),
@@ -149,11 +145,11 @@ def cross_validate(x, y, folds: int = 10, rounds: int = 50, seed: int = 0) -> Cr
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if folds < 2:
-        raise ConfigurationError("folds must be >= 2")
+        raise ValidationError("folds must be >= 2")
     if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
+        raise ValidationError("rounds must be >= 1")
     if x.shape[0] < folds:
-        raise DegenerateInputError(f"{folds}-fold split needs at least {folds} points")
+        raise ValidationError(f"{folds}-fold split needs at least {folds} points")
     n = x.shape[0]
     # array_split's first n % folds folds are one row longer, and a fold
     # trains on the rest of the permutation, in order. Folds of one size are
@@ -182,10 +178,10 @@ def holdout_validate(x, y, rounds: int = 50, seed: int = 0) -> CrossValSummary:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
+        raise ValidationError("rounds must be >= 1")
     n_test = max(1, int(round(0.2 * x.shape[0])))
     if n_test >= x.shape[0]:
-        raise DegenerateInputError("holdout leaves no training points")
+        raise ValidationError("holdout leaves no training points")
     rng = np.random.Generator(np.random.PCG64(seed))
     train, test = [], []
     per_call = max(1, _SPLIT_BATCH // x.shape[0])
@@ -264,5 +260,5 @@ def percentile_rank(value: float, reference) -> float:
     """100 times the fraction of reference values strictly below `value`."""
     ref = np.asarray(reference, dtype=np.float64)
     if ref.size == 0:
-        raise DegenerateInputError("reference set is empty")
+        raise ValidationError("reference set is empty")
     return float(100.0 * (ref < value).sum() / ref.size)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DeadEndError
+from .errors import BlockflowError
 
 
 def lstm_cell(x, state, w_x, b):
@@ -90,7 +90,7 @@ def masked_log_softmax(logits, mask):
     """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
     if not mask.any(axis=-1).all():
-        raise DeadEndError("masked_log_softmax: a row has no unmasked entry")
+        raise BlockflowError("masked_log_softmax: a row has no unmasked entry")
     zmax = np.max(np.where(mask, logits, -np.inf), axis=-1, keepdims=True)
     expz = np.where(mask, np.exp(logits - zmax), 0.0)
     lse = np.log(expz.sum(axis=-1, keepdims=True)) + zmax

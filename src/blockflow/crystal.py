@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BlockflowError, CoincidentPointsError,
-                     DegenerateInputError, ValidationError, _read_text)
+from .errors import BlockflowError, ValidationError, _read_text
 
 # CIF 1.1's tokens (Hall, Allen & Brown, Acta Cryst. A47 (1991) 655), comments included. A quote
 # closes only before whitespace; a ';' text field or a quote that never closes is an `open` token.
@@ -127,8 +126,8 @@ def parse_cif(text: str, name: str = "<cif>") -> PeriodicPointSet:
         raise ValidationError(f"{name}: no atom-site loop with fractional coordinates")
     try:
         return PeriodicPointSet(cell_basis(*cell), motif)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"{name}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def cell_basis(a: float, b: float, c: float,
@@ -136,16 +135,16 @@ def cell_basis(a: float, b: float, c: float,
     """Cell vectors as rows, a along x and b in the xy-plane. Angles in degrees."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not (value > 0):
-            raise DegenerateInputError(f"cell length {name} must be positive, got {value}")
+            raise ValidationError(f"cell length {name} must be positive, got {value}")
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not (0.0 < value < 180.0):
-            raise DegenerateInputError(f"cell angle {name} must be in (0, 180), got {value}")
+            raise ValidationError(f"cell angle {name} must be in (0, 180), got {value}")
     ca, cb, cg = (np.cos(np.radians(v)) for v in (alpha, beta, gamma))
     sg = np.sin(np.radians(gamma))
     cy = (ca - cb * cg) / sg
     arg = 1.0 - cb * cb - cy * cy
     if arg <= 0.0:
-        raise DegenerateInputError(f"cell angles ({alpha}, {beta}, {gamma}) do not close a 3D cell")
+        raise ValidationError(f"cell angles ({alpha}, {beta}, {gamma}) do not close a 3D cell")
     basis = np.array([
         [a, 0.0, 0.0],
         [b * cg, b * sg, 0.0],
@@ -164,11 +163,11 @@ class PeriodicPointSet:
         # np.mod(-1e-20, 1.0) rounds to 1.0, which the second np.mod sends to 0.0
         self.motif = np.mod(np.mod(np.asarray(self.motif, dtype=np.float64), 1.0), 1.0)
         if self.basis.shape != (3, 3):
-            raise DegenerateInputError(f"basis must be 3x3, got {self.basis.shape}")
+            raise ValidationError(f"basis must be 3x3, got {self.basis.shape}")
         if abs(np.linalg.det(self.basis)) <= 1e-6:
-            raise DegenerateInputError("basis is singular (|det| <= 1e-6)")
+            raise ValidationError("basis is singular (|det| <= 1e-6)")
         if self.motif.ndim != 2 or self.motif.shape[1] != 3 or self.motif.shape[0] == 0:
-            raise DegenerateInputError("motif must be a non-empty (m, 3) array")
+            raise ValidationError("motif must be a non-empty (m, 3) array")
 
 
 # Shells are kept up to radius 16, 0.9 MB in all: a thin cell can walk to
@@ -201,7 +200,7 @@ def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
     unexplored image can matter.
     """
     if k < 1:
-        raise DegenerateInputError("k must be >= 1")
+        raise ValidationError("k must be >= 1")
     inv = np.linalg.inv(ps.basis)
     h_min = 1.0 / np.linalg.norm(inv, axis=0).max()
     cart = ps.motif @ ps.basis
@@ -226,7 +225,7 @@ def kth_nearest_distances(ps: PeriodicPointSet, k: int) -> np.ndarray:
     if best[:, 0].max() > tol:
         raise BlockflowError("self-image distance is not zero; numerical inconsistency")
     if best[:, 1].min() < tol:
-        raise CoincidentPointsError("motif contains coincident points")
+        raise BlockflowError("motif contains coincident points")
     return best[:, 1:k + 1]
 
 

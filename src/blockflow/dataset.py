@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import read_table, write_table
 from .env import Environment
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .reward import RewardModel
 from .trainer import distinct_rows, rollout, uniform_rollout
 
@@ -43,7 +43,7 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
     reward for such a record is 0 by definition.
     """
     if n < 0:
-        raise ConfigurationError("sample count must be >= 0")
+        raise ValidationError("sample count must be >= 0")
     if n == 0:
         return []
     [stream] = np.random.SeedSequence(seed).spawn(1)
@@ -61,7 +61,7 @@ def generate(model, env: Environment, reward_model: RewardModel, n: int,
 def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
     """Best k by reward; ties broken by record string for a stable order."""
     if k < 1:
-        raise ConfigurationError("k must be >= 1")
+        raise ValidationError("k must be >= 1")
     if k > len(records):
         warnings.warn(f"asked for top {k} of {len(records)} records; returning all")
         k = len(records)
@@ -114,7 +114,7 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
                         n_samples: int, seed: int) -> BaselineSummary:
     """Sample the policy and a uniform policy on split RNG streams; bin both rewards in 20 bins."""
     if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
+        raise ValidationError("n_samples must be >= 1")
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
     trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)), n_samples)
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnumerationBoundError, ValidationError, _build_dataclass, _read_json, _read_text
+from .errors import BlockflowError, ValidationError, _build_dataclass, _read_json, _read_text
 
 VOCAB_SCHEMA = "vocabulary/1"
 TOPOLOGY_SCHEMA = "topology/1"
@@ -203,7 +203,7 @@ class Environment:
         """Every terminal as one (count, n_slots) index array, in slot-wise index order."""
         total = self.count_terminals()
         if total > bound:
-            raise EnumerationBoundError(f"{total} terminal states exceed the bound {bound}")
+            raise BlockflowError(f"{total} terminal states exceed the bound {bound}")
         grids = np.meshgrid(*map(np.flatnonzero, self.slot_masks), indexing="ij", copy=False)
         return np.stack(grids, axis=-1).reshape(total, self.n_slots)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError
+from .errors import ValidationError
 
 # Rows per block of the cell in a step. Measured on a grid
 # rollout(8000), 1,000 rows at its last slot: 256-, 128-, 64- and 32-row
@@ -49,7 +49,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("vocab_size", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"ModelConfig.{name} must be >= 1")
+                raise ValidationError(f"ModelConfig.{name} must be >= 1")
 
 
 class FlowModel:
@@ -71,14 +71,14 @@ class FlowModel:
         shapes = self.param_shapes(config)
         size = sum(math.prod(shape) for shape in shapes.values())
         if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"parameters must be one contiguous float64 buffer of shape ({size},), "
                 f"got {flat.dtype} {flat.shape}")
         self.flat = flat
         self._params = named_views(flat, shapes)
         for name, view in self._params.items():
             if not np.isfinite(view).all():
-                raise ConfigurationError(f"parameter {name!r} contains non-finite values")
+                raise ValidationError(f"parameter {name!r} contains non-finite values")
         self.grad = None  # made by the first balance_grad, reused by every later one
 
     @staticmethod
@@ -143,13 +143,13 @@ class FlowModel:
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if tokens.min() < 0 or tokens.max() > self.config.vocab_size:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"token index out of range [0, {self.config.vocab_size}]: {tokens.min()}..{tokens.max()}")
         if state is not None:
             h, c = state
             expected = (tokens.shape[0] if parents is None else h.shape[0], self.config.hidden_dim)
             if h.shape != expected or c.shape != expected:
-                raise ConfigurationError(
+                raise ValidationError(
                     f"recurrent state shape {h.shape}/{c.shape} does not match "
                     f"(batch={expected[0]}, hidden={expected[1]})")
 

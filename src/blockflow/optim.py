@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingAbort
+from .errors import BlockflowError, ValidationError
 from .model import named_views
 
 
@@ -63,13 +63,13 @@ class Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  lr_overrides: dict[str, float] | None = None):
         if not (0 < lr < math.inf):  # NaN fails this test too
-            raise ConfigurationError(f"learning rate must be finite and positive, got {lr!r}")
+            raise ValidationError(f"learning rate must be finite and positive, got {lr!r}")
         lr_overrides = dict(lr_overrides or {})
         for name, rate in lr_overrides.items():
             if name not in params:
-                raise ConfigurationError(f"lr override for unknown parameter {name!r}")
+                raise ValidationError(f"lr override for unknown parameter {name!r}")
             if not (0 < rate < math.inf):
-                raise ConfigurationError(
+                raise ValidationError(
                     f"lr override for {name!r} must be finite and positive, got {rate!r}")
         self.lr = {name: lr_overrides.get(name, lr) for name in params}
         self.step_count = 0
@@ -86,7 +86,7 @@ class Adam:
         """
         for name, finite in named_views(np.isfinite(grad), self._sizes).items():
             if not finite.all():
-                raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
+                raise BlockflowError(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
         spans = [named_views(a, self._sizes) for a in (value, grad, self.m, self.v)]
         for name, rate in self.lr.items():

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import Environment, Vocabulary
-from .errors import ConfigurationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,15 @@ class RewardSpec:
     evaluator: str = "surrogate"  # "surrogate" or "external"
 
     def __post_init__(self):
-        if not (self.cutoff > 0):
-            raise ConfigurationError("reward cutoff must be positive")
+        if not (0 < self.cutoff < math.inf):
+            raise ValidationError(f"reward cutoff must be finite and positive, got {self.cutoff!r}")
         if not (0 < self.reward_floor <= 1):
-            raise ConfigurationError("reward floor must be in (0, 1]")
-        if not (self.surrogate_scale > 0):
-            raise ConfigurationError("surrogate scale must be positive")
+            raise ValidationError("reward floor must be in (0, 1]")
+        if not (0 < self.surrogate_scale < math.inf):
+            raise ValidationError(
+                f"surrogate scale must be finite and positive, got {self.surrogate_scale!r}")
         if self.evaluator not in ("surrogate", "external"):
-            raise ConfigurationError(f"unknown evaluator {self.evaluator!r}")
+            raise ValidationError(f"unknown evaluator {self.evaluator!r}")
 
 
 def reward(spec: RewardSpec, gsa):
@@ -74,9 +75,9 @@ class AdapterConfig:
 
     def __post_init__(self):
         if not self.command:
-            raise ConfigurationError("adapter command is empty")
+            raise ValidationError("adapter command is empty")
         if not (0 < self.timeout_s < math.inf):
-            raise ConfigurationError(
+            raise ValidationError(
                 f"adapter timeout must be finite and positive, got {self.timeout_s!r}")
 
 
@@ -176,7 +177,7 @@ class RewardModel:
     def __init__(self, spec: RewardSpec, env: Environment,
                  adapter: AdapterConfig | None = None):
         if (spec.evaluator == "external") != (adapter is not None):
-            raise ConfigurationError(
+            raise ValidationError(
                 f"an adapter config goes with the external evaluator and only with it; got "
                 f"evaluator {spec.evaluator!r} {'with' if adapter else 'without'} an adapter")
         self.spec = spec

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_run_checkpoint, save_checkpoint, write_manifest, write_table
 from .env import Environment
-from .errors import ConfigurationError, TrainingAbort, ValidationError
+from .errors import BlockflowError, ValidationError
 from .model import FlowModel
 from .optim import Adam
 from .reward import RewardModel
@@ -55,19 +55,19 @@ class TrainConfig:
     def __post_init__(self):
         for rate in (self.learning_rate_model, self.learning_rate_logz):  # NaN fails both tests
             if not (0 < rate < math.inf):
-                raise ConfigurationError(f"learning rates must be finite and positive, got {rate!r}")
+                raise ValidationError(f"learning rates must be finite and positive, got {rate!r}")
         for name in ("max_episodes", "batch_size", "stop_window", "smooth_window"):
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"TrainConfig.{name} must be >= 1")
+                raise ValidationError(f"TrainConfig.{name} must be >= 1")
         if not (0 <= self.stop_threshold < math.inf):
-            raise ConfigurationError(
+            raise ValidationError(
                 f"stop threshold must be finite and non-negative, got {self.stop_threshold!r}")
         if not (0.0 <= self.exploration_epsilon <= 1.0):
-            raise ConfigurationError("exploration epsilon must be in [0, 1]")
+            raise ValidationError("exploration epsilon must be in [0, 1]")
         if self.checkpoint_every < 0:
-            raise ConfigurationError("checkpoint_every must be >= 0 (0 disables)")
+            raise ValidationError("checkpoint_every must be >= 0 (0 disables)")
         if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+            raise ValidationError("seed must be non-negative")
 
 
 def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
@@ -91,9 +91,9 @@ def rollout(policy, env: Environment, rng: np.random.Generator, n: int,
     Returns the (n, n_slots) actions and each episode's summed log-prob.
     """
     if n < 1:
-        raise ConfigurationError("rollout size must be >= 1")
+        raise ValidationError("rollout size must be >= 1")
     if not (0.0 <= epsilon <= 1.0):
-        raise ConfigurationError("exploration epsilon must be in [0, 1]")
+        raise ValidationError("exploration epsilon must be in [0, 1]")
     u = rng.random((n, env.n_slots))
     actions = np.empty((n, env.n_slots), dtype=np.intp)
     rows = np.arange(n) if cache is not None else np.zeros(n, dtype=np.intp)  # each episode's row
@@ -161,7 +161,7 @@ def distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def uniform_rollout(env: Environment, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n sequences uniformly over each slot's valid tokens: an (n, n_slots) array."""
     if n < 1:
-        raise ConfigurationError("rollout size must be >= 1")
+        raise ValidationError("rollout size must be >= 1")
     sequences = np.empty((n, env.n_slots), dtype=np.intp)
     for t in range(env.n_slots):
         valid = np.flatnonzero(env.slot_masks[t])
@@ -176,7 +176,6 @@ class TrainResult:
     best_reward: float
     best_record: str | None
     log_z: float
-    final_loss_mean: float | None
     evaluator_failures: int  # episodes of this invocation a failed evaluation scored
     first_evaluator_error: str | None
 
@@ -337,7 +336,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
             for i, (res, loss_val, smooth, rwd) in enumerate(rows):
                 episode += 1
                 if not math.isfinite(res):
-                    raise TrainingAbort(
+                    raise BlockflowError(
                         f"non-finite residual at episode {episode}; actions "
                         f"{tuple(actions[i].tolist())} log-prob sum {float(log_prob_sum[i])!r} "
                         f"reward {float(floored[i])!r}")
@@ -361,14 +360,12 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         if full:  # otherwise the boundary before the short batch was saved
             snapshot(episode)
 
-    final_mean = _window_means(loss_tail, 1, config.stop_window)[0]
     return TrainResult(
         episodes_run=episode,
         stopped_early=stopped_early,
         best_reward=best_reward,
         best_record=best_record,
         log_z=model.log_z_value,
-        final_loss_mean=final_mean,
         evaluator_failures=evaluator_failures,
         first_evaluator_error=first_evaluator_error,
     )

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockflow import autodiff as ad
-from blockflow.errors import DeadEndError
+from blockflow.errors import BlockflowError, ValidationError
 
 
 def numeric_grad(f, arr, h=1e-6):
@@ -98,8 +98,9 @@ def test_masked_log_softmax_broadcasts_the_mask_over_rows():
 
 
 def test_masked_log_softmax_all_masked_row_is_dead_end():
-    with pytest.raises(DeadEndError):
+    with pytest.raises(BlockflowError, match="a row has no unmasked entry") as err:
         ad.masked_log_softmax(np.zeros((1, 3)), np.array([False, False, False]))
+    assert not isinstance(err.value, ValidationError)
 
 
 def _cell_params(rng, batch, embed, hidden):

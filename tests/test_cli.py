@@ -187,6 +187,8 @@ EXTERNAL = {"cutoff": 2500.0, "surrogate_scale": 1000.0, "evaluator": "external"
     pytest.param("train.learning_rate_model", 10**400, "train.learning_rate_model", id="train.learning_rate_model-10**400"),
     pytest.param("train.stop_threshold", 10**400, "train.stop_threshold", id="train.stop_threshold-10**400"),
     pytest.param("reward.cutoff", 10**400, "reward.cutoff", id="reward.cutoff-10**400"),
+    ("reward.cutoff", math.inf, "reward cutoff must be finite and positive, got inf"),
+    ("reward.surrogate_scale", math.inf, "surrogate scale must be finite and positive, got inf"),
     ("reward.cutoff", None, "reward.cutoff"),
     ("reward.adapter", {"command": "python3"}, "reward.adapter.command"),
     ("reward.adapter", {}, "command"),
@@ -438,11 +440,15 @@ def test_regress_holdout_mode(tmp_path, capsys):
     assert "cv[holdout]" in capsys.readouterr().out
 
 
-def test_regress_bad_data_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("table, message", [
+    ("x,y\n1.0\n", "{data}:2: expected 2 fields"),
+    ("x,y\n1,2\n1,3\n1,5\n1,4\n", "x is constant"),
+])
+def test_regress_bad_data_exits_2(tmp_path, capsys, table, message):
     data = tmp_path / "xy.csv"
-    data.write_text("x,y\n1.0\n")
+    data.write_text(table)
     assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
-    assert f"{data}:2: expected 2 fields" in capsys.readouterr().err
+    assert message.format(data=data) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

@@ -9,8 +9,7 @@ from blockflow import (PeriodicPointSet, amd, cell_basis, descriptor_distance_ma
                        kth_nearest_distances, load_cif_file, novelty_score, parse_cif)
 from blockflow import crystal
 from blockflow.crystal import _parse_number
-from blockflow.errors import (CoincidentPointsError, DegenerateInputError,
-                              ValidationError)
+from blockflow.errors import BlockflowError, ValidationError
 from conftest import FIXTURES
 
 
@@ -223,7 +222,7 @@ def test_parse_cif_a_bad_cell_value_wins_over_a_missing_cell_tag():
 
 
 def test_parse_cif_refuses_a_degenerate_cell():
-    with pytest.raises(DegenerateInputError, match="do not close a 3D cell"):
+    with pytest.raises(ValidationError, match="do not close a 3D cell"):
         parse_cif(cif_text(alpha=30.0, beta=30.0, gamma=120.0), "f.cif")
 
 
@@ -233,7 +232,7 @@ def test_parse_cif_refuses_a_degenerate_cell():
     (dict(a=0.0), "cell length a must be positive, got 0.0"),
 ])
 def test_parse_cif_names_the_file_for_a_degenerate_cell(cell, message):
-    with pytest.raises(DegenerateInputError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_cif(cif_text(**cell), "f.cif")
     assert str(err.value) == f"f.cif: {message}"
 
@@ -384,21 +383,24 @@ def test_cell_basis_triclinic_geometry_recovered():
     assert np.linalg.det(basis) == pytest.approx(volume, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
-    dict(a=0.0), dict(b=-1.0), dict(alpha=0.0), dict(beta=180.0),
-    dict(alpha=30.0, beta=30.0, gamma=120.0),  # angles cannot close a cell
+@pytest.mark.parametrize("bad, message", [
+    (dict(a=0.0), "cell length a must be positive, got 0.0"),
+    (dict(b=-1.0), "cell length b must be positive, got -1.0"),
+    (dict(alpha=0.0), r"cell angle alpha must be in \(0, 180\), got 0.0"),
+    (dict(beta=180.0), r"cell angle beta must be in \(0, 180\), got 180.0"),
+    (dict(alpha=30.0, beta=30.0, gamma=120.0), "do not close a 3D cell"),
 ])
-def test_cell_basis_degenerate_inputs(bad):
+def test_cell_basis_degenerate_inputs(bad, message):
     kw = dict(a=3.0, b=3.0, c=3.0, alpha=90.0, beta=90.0, gamma=90.0)
     kw.update(bad)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValidationError, match=message):
         cell_basis(**kw)
 
 
 def test_point_set_validation():
-    with pytest.raises(DegenerateInputError, match="singular"):
+    with pytest.raises(ValidationError, match="singular"):
         PeriodicPointSet(np.zeros((3, 3)), [[0, 0, 0]])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValidationError, match=r"motif must be a non-empty \(m, 3\) array"):
         PeriodicPointSet(np.eye(3), np.empty((0, 3)))
     ps = PeriodicPointSet(np.eye(3), [[1.5, -0.25, 0.0]])
     assert np.allclose(ps.motif, [[0.5, 0.75, 0.0]])
@@ -447,15 +449,17 @@ def test_rows_are_sorted_and_k_shaped():
 
 
 def test_coincident_points_rejected():
-    with pytest.raises(CoincidentPointsError):
+    with pytest.raises(BlockflowError, match="motif contains coincident points") as err:
         kth_nearest_distances(PeriodicPointSet(np.eye(3) * 4, [[0, 0, 0], [1.0, 0, 0]]), 3)
-    with pytest.raises(CoincidentPointsError):
+    assert not isinstance(err.value, ValidationError)
+    with pytest.raises(BlockflowError, match="motif contains coincident points") as err:
         amd(PeriodicPointSet(np.eye(3) * 4, [[0.2, 0.2, 0.2], [0.2, 0.2, 0.2]]), 3)
+    assert not isinstance(err.value, ValidationError)
 
 
 def test_k_validation():
     ps = PeriodicPointSet(np.eye(3), [[0, 0, 0]])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValidationError, match="k must be >= 1"):
         kth_nearest_distances(ps, 0)
 
 

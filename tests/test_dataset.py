@@ -7,7 +7,7 @@ import pytest
 
 from blockflow import (AdapterConfig, CandidateRecord, RewardModel, RewardSpec,
                        exact_flows, generate, load_dataset, rollout, save_dataset, top_k)
-from blockflow.errors import ConfigurationError, ValidationError
+from blockflow.errors import ValidationError
 from conftest import TabularPolicy, stub_adapter_command
 
 
@@ -60,7 +60,7 @@ def test_generate_edge_sizes(bridge_env, bridge_reward, tabular):
     assert generate(tabular, bridge_env, bridge_reward, n=0, seed=0) == []
     one = generate(tabular, bridge_env, bridge_reward, n=1, seed=0)
     assert len(one) == 1 and one[0].sample_count == 1
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="sample count must be >= 0"):
         generate(tabular, bridge_env, bridge_reward, n=-1, seed=0)
 
 
@@ -88,7 +88,7 @@ def test_top_k_orders_by_reward_then_record():
     rows = [rec("x:B", 2.0), rec("x:A", 2.0), rec("x:C", 5.0), rec("x:D", 1.0)]
     best = top_k(rows, 3)
     assert [r.record for r in best] == ["x:C", "x:A", "x:B"]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="k must be >= 1"):
         top_k(rows, 0)
     with pytest.warns(UserWarning, match="returning all"):
         everything = top_k(rows, 10)

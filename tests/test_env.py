@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockflow import Environment, RewardSpec, Scores, Token, Topology, Vocabulary, exact_flows
-from blockflow.errors import EnumerationBoundError, ValidationError
+from blockflow.errors import BlockflowError, ValidationError
 from conftest import FIXTURES, assert_flows_match_reference, terminal_tuples
 
 
@@ -174,8 +174,9 @@ def test_enumeration_order_and_count(bridge_env):
 
 
 def test_enumeration_bound_refuses(bridge_env):
-    with pytest.raises(EnumerationBoundError, match="12"):
+    with pytest.raises(BlockflowError, match="12 terminal states exceed the bound 5") as err:
         bridge_env.enumerate_terminals(bound=5)
+    assert not isinstance(err.value, ValidationError)
 
 
 def test_record_roundtrip(bridge_env):

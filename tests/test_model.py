@@ -3,7 +3,7 @@ import pytest
 
 from blockflow import FlowModel, ModelConfig, rollout
 from blockflow.autodiff import masked_log_softmax
-from blockflow.errors import ConfigurationError
+from blockflow.errors import ValidationError
 from blockflow.model import named_views
 from conftest import zero_model
 
@@ -93,16 +93,16 @@ def test_step_batch_equals_stacked_singles():
 
 def test_step_rejects_out_of_range_tokens():
     m = tiny_model()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"token index out of range \[0, 3\]: 4\.\.4"):
         m.step(np.array([4]))  # beyond the start sentinel
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"token index out of range \[0, 3\]: -1\.\.-1"):
         m.step(np.array([-1]))
 
 
 def test_step_rejects_mismatched_state():
     m = tiny_model()
     h = np.zeros((2, 2))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"recurrent state shape .* \(batch=1, hidden=2\)"):
         m.step(np.array([0]), (h, h))  # batch 1 vs state batch 2
 
 
@@ -126,11 +126,11 @@ def test_constructor_rejects_bad_buffers_and_nonfinite():
     good = FlowModel.init(cfg, seed=0).flat
     for bad in (good[:-1], np.append(good, 0.0), good.astype(np.float32),
                 good.reshape(1, -1), np.repeat(good, 2)[::2]):  # the last is strided
-        with pytest.raises(ConfigurationError, match="one contiguous float64 buffer"):
+        with pytest.raises(ValidationError, match="one contiguous float64 buffer"):
             FlowModel(cfg, bad)
     bad = good.copy()
     named_views(bad, FlowModel.param_shapes(cfg))["b"][3] = np.nan
-    with pytest.raises(ConfigurationError, match="'b' contains non-finite"):
+    with pytest.raises(ValidationError, match="'b' contains non-finite"):
         FlowModel(cfg, bad)
 
 
@@ -181,7 +181,7 @@ def test_step_is_a_pure_function_of_tokens_and_state(bridge_env):
 
 
 def test_model_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="ModelConfig.vocab_size must be >= 1"):
         ModelConfig(vocab_size=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="ModelConfig.embed_dim must be >= 1"):
         ModelConfig(vocab_size=3, embed_dim=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockflow import Adam, adam_update
-from blockflow.errors import ConfigurationError, TrainingAbort
+from blockflow.errors import BlockflowError, ValidationError
 from blockflow.model import named_views
 
 
@@ -92,8 +92,9 @@ def test_zero_gradient_means_zero_update():
 def test_nonfinite_gradient_aborts_naming_parameter():
     flat, params = flat_params({"oddball": np.zeros(2)})
     opt = Adam(params, lr=0.1)
-    with pytest.raises(TrainingAbort, match="oddball"):
+    with pytest.raises(BlockflowError, match="non-finite gradient in parameter 'oddball'") as err:
         opt.step(flat, np.array([1.0, np.inf]))
+    assert not isinstance(err.value, ValidationError)
 
 
 def test_nonfinite_gradient_leaves_every_parameter_unchanged():
@@ -102,8 +103,9 @@ def test_nonfinite_gradient_leaves_every_parameter_unchanged():
     opt.step(flat, np.array([0.5, -0.5, 0.5, -0.5]))
     before = [a.copy() for a in (flat, opt.m, opt.v)]
     # "second" is the last span of the sorted-name layout
-    with pytest.raises(TrainingAbort, match="second"):
+    with pytest.raises(BlockflowError, match="second") as err:
         opt.step(flat, np.array([0.5, -0.5, 1.0, np.inf]))
+    assert not isinstance(err.value, ValidationError)
     assert opt.step_count == 1
     for got, want in zip((flat, opt.m, opt.v), before):
         np.testing.assert_array_equal(got, want)
@@ -111,17 +113,17 @@ def test_nonfinite_gradient_leaves_every_parameter_unchanged():
 
 def test_validation_errors():
     params = {"w": np.zeros(1)}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="learning rate must be finite and positive, got 0.0"):
         Adam(params, lr=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="lr override for unknown parameter 'nope'"):
         Adam(params, lr=0.1, lr_overrides={"nope": 0.1})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="lr override for 'w' must be finite and positive, got -1.0"):
         Adam(params, lr=0.1, lr_overrides={"w": -1.0})
     # NaN passes a `rate <= 0` test; a non-finite rate is refused by value
     for rate in (math.nan, math.inf):
-        with pytest.raises(ConfigurationError, match="finite and positive"):
+        with pytest.raises(ValidationError, match="finite and positive"):
             Adam(params, lr=rate)
-        with pytest.raises(ConfigurationError, match="finite and positive"):
+        with pytest.raises(ValidationError, match="finite and positive"):
             Adam(params, lr=0.1, lr_overrides={"w": rate})
 
 

@@ -11,7 +11,7 @@ import pytest
 from blockflow import (AdapterConfig, RewardModel, RewardSpec, exact_flows, external_gsa,
                        reward, surrogate_gsa)
 from blockflow.cli import load_run_config
-from blockflow.errors import ConfigurationError
+from blockflow.errors import ValidationError
 from conftest import CONFIGS, prefix_flow, process_running, stub_adapter_command, terminal_tuples
 
 SPEC = RewardSpec(cutoff=5000.0)
@@ -56,15 +56,15 @@ def test_reward_floor_enters_the_flows_but_not_the_reported_reward(bridge_env, f
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="reward cutoff must be finite and positive, got 0.0"):
         RewardSpec(cutoff=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"reward floor must be in \(0, 1\]"):
         RewardSpec(reward_floor=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"reward floor must be in \(0, 1\]"):
         RewardSpec(reward_floor=2.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="surrogate scale must be finite and positive, got -1.0"):
         RewardSpec(surrogate_scale=-1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="unknown evaluator 'dft'"):
         RewardSpec(evaluator="dft")
 
 
@@ -267,14 +267,14 @@ def test_external_adapter_missing_binary():
 
 
 def test_adapter_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="adapter command is empty"):
         AdapterConfig(command=())
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="adapter timeout must be finite and positive, got 0.0"):
         AdapterConfig(command=("x",), timeout_s=0.0)
 
 
 def test_external_evaluator_requires_adapter(bridge_env):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="adapter config goes with the external evaluator"):
         RewardModel(RewardSpec(evaluator="external"), bridge_env)
 
 

@@ -15,11 +15,11 @@ from scipy import stats
 
 from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, Topology, TrainConfig, Vocabulary,
-                       exact_flows, rollout, train, uniform_rollout)
+                       exact_flows, load_checkpoint, rollout, train, uniform_rollout)
 from blockflow import autodiff
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
-from blockflow.errors import ConfigurationError, TrainingAbort
+from blockflow.errors import BlockflowError, ValidationError
 from blockflow.model import _ROWS
 from blockflow.trainer import _window_means
 from conftest import (CONFIGS, FIXTURES, TabularPolicy, flow_log_prob, process_running,
@@ -355,10 +355,10 @@ def test_shared_rollout_memory_is_bounded_by_the_row_block():
 def test_rollout_validation(bridge_env, rng):
     model = small_model()
     for n in (0, -1):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="rollout size must be >= 1"):
             rollout(model, bridge_env, rng, n)
     for eps in (-0.1, 1.5):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"exploration epsilon must be in \[0, 1\]"):
             rollout(model, bridge_env, rng, 4, epsilon=eps)
 
 
@@ -549,8 +549,9 @@ def test_train_nonfinite_residual_names_its_episode(tmp_path):
             return scores
 
     poisoned = NanOnThirdScore(reward_model.spec, env)
-    with pytest.raises(TrainingAbort, match="at episode 3;"):
+    with pytest.raises(BlockflowError, match="at episode 3;") as err:
         train(quick_config(max_episodes=8), small_model(), env, poisoned, out_dir=tmp_path)
+    assert not isinstance(err.value, ValidationError)
     # the two episodes before it are logged
     assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 3
 
@@ -762,17 +763,19 @@ def test_smoothed_column_and_stop_mean_match_the_per_episode_mean_across_a_resum
     env, reward_model = _fresh_setup()
     cfg = quick_config(max_episodes=1040, batch_size=16, smooth_window=window,
                        stop_window=window, stop_threshold=0.0)
-    full = train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "full")
+    train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "full")
     train(dataclasses.replace(cfg, max_episodes=512), small_model(seed=5), env, reward_model,
           out_dir=tmp_path / "part")
-    resumed = train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "part",
-                    resume_from=tmp_path / "part" / "checkpoint.json")
-    for name, result in (("full", full), ("part", resumed)):
+    train(cfg, small_model(seed=5), env, reward_model, out_dir=tmp_path / "part",
+          resume_from=tmp_path / "part" / "checkpoint.json")
+    for name in ("full", "part"):
         with open(tmp_path / name / "metrics.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         expect = per_episode_window_means([float(row[1]) for row in rows], window)
         assert [row[2] for row in rows] == ["" if m is None else repr(m) for m in expect], name
-        assert result.final_loss_mean == expect[-1]
+        # the stop rule's mean, taken over the loss tail the run keeps
+        tail = load_checkpoint(tmp_path / name / "checkpoint.json").loss_tail
+        assert _window_means(np.array(tail), 1, window)[0] == expect[-1]
 
 
 def test_train_runs_and_reports(tmp_path):
@@ -857,7 +860,6 @@ def test_train_resume_rejects_other_model_dims(tmp_path):
     train(quick_config(max_episodes=8), FlowModel.init(SMALL, seed=0), env,
           reward_model, out_dir=tmp_path)
     wider = FlowModel.init(dataclasses.replace(SMALL, hidden_dim=13), seed=0)
-    from blockflow.errors import ValidationError
     with pytest.raises(ValidationError, match="'hidden_dim': 12.* != .*'hidden_dim': 13"):
         train(quick_config(), wider, env, reward_model, out_dir=tmp_path / "x",
               resume_from=tmp_path / "checkpoint.json")
@@ -868,27 +870,28 @@ def test_train_aborts_on_poisoned_params(tmp_path):
     env, reward_model = _fresh_setup()
     model = small_model(seed=0)
     model.parameters()["w_out"][0, 0] = np.nan
-    with pytest.raises(TrainingAbort):
+    with pytest.raises(BlockflowError, match="non-finite residual at episode 1;") as err:
         train(quick_config(max_episodes=8), model, env, reward_model, out_dir=tmp_path)
+    assert not isinstance(err.value, ValidationError)
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="TrainConfig.batch_size must be >= 1"):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=r"exploration epsilon must be in \[0, 1\]"):
         TrainConfig(exploration_epsilon=1.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="learning rates must be finite and positive, got 0.0"):
         TrainConfig(learning_rate_model=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="TrainConfig.stop_window must be >= 1"):
         TrainConfig(stop_window=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="TrainConfig.max_episodes must be >= 1"):
         TrainConfig(max_episodes=0)
     # NaN passes `rate <= 0` and `threshold < 0` tests; each bound is checked as what must hold
     for value in (math.nan, math.inf):
         for field in ("learning_rate_model", "learning_rate_logz"):
-            with pytest.raises(ConfigurationError, match="finite and positive"):
+            with pytest.raises(ValidationError, match="finite and positive"):
                 TrainConfig(**{field: value})
-        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
             TrainConfig(stop_threshold=value)
     assert TrainConfig(stop_threshold=0.0).stop_threshold == 0.0
 
