@@ -19,8 +19,9 @@ the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
-command's manifest goes through `write_manifest`, every CSV table through
-`write_table`, and every table the package reads back through `read_table`.
+command's manifest goes through `write_manifest`, the one place that makes a
+run directory, every CSV table through `write_table`, and every table the
+package reads back through `read_table`. Text files are UTF-8.
 A table is `csv.writer`'s default dialect: a header row, then one row per
 record, each line ended by `\r\n`. A float cell is the float's `repr`, so it
 reads back to the same bits, and an empty cell is a missing value. The model
@@ -59,12 +60,12 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kw):
     """Open a temporary file next to `path`; once the block exits it replaces `path`.
 
     If the block raises, the temporary file is removed and `path` keeps
-    its old contents.
+    its old contents. A text file is UTF-8.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode, **open_kw) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", **open_kw) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -72,7 +73,13 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kw):
 
 
 def write_manifest(path: str | Path, command: str, inputs: dict) -> None:
-    """Write the manifest at `path`: the `command` and the resolved `inputs` it runs on."""
+    """Make the run directory, `path`'s parent, and write the manifest at `path`:
+    the `command` and the resolved `inputs` it runs on."""
+    run_dir = Path(path).parent
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{run_dir}: cannot make the run directory: {exc.strerror}") from None
     with atomic_write(path) as fh:
         fh.write(json.dumps({"schema": "blockflow-run-manifest/1", "command": command, **inputs},
                             sort_keys=True, indent=1))
@@ -97,7 +104,7 @@ def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]
     or parsed, or a row that is not as wide as the header, is refused.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [(reader.line_num, row) for row in reader]

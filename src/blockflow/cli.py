@@ -2,8 +2,9 @@
 
 Subcommands: train, sample, amd, regress, baseline, flows. Exit codes:
 0 success, 1 runtime failure, 2 validation failure (argparse uses 2 as well).
-Every command echoes its resolved inputs to a manifest inside the output
-directory before doing any work, and writes nothing outside that directory.
+Every command echoes its resolved inputs to a manifest once it has accepted
+them, before doing the work; writing the manifest makes the output directory,
+so a command refused with exit 2 leaves none. Nothing is written outside it.
 
 This module loads only the standard library; each command imports the
 modules it runs, so `main` can set the BLAS thread count before numpy loads.
@@ -33,7 +34,6 @@ class RunConfig:
     reward_spec: RewardSpec
     adapter: AdapterConfig | None
     train_config: TrainConfig
-    source: Path
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -74,13 +74,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     train_config = _build_dataclass(TrainConfig, doc.get("train", {}), f"{path}: train")
     return RunConfig(env=env, model_config=model_config, init_seed=init_seed,
                      reward_spec=reward_spec, adapter=adapter,
-                     train_config=train_config, source=path)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+                     train_config=train_config)
 
 
 def _restore_from_checkpoint(args, run: RunConfig) -> tuple[FlowModel, str]:
@@ -103,8 +97,7 @@ def cmd_train(args) -> int:
     tc = dataclasses.replace(run.train_config, **overrides)
     model = FlowModel.init(run.model_config, seed=run.init_seed)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
-    out = _out_dir(args)
-    result = train(tc, model, run.env, reward_model, out_dir=out, resume_from=args.resume)
+    result = train(tc, model, run.env, reward_model, out_dir=args.out, resume_from=args.resume)
     print(f"episodes={result.episodes_run} stopped_early={result.stopped_early} "
           f"best_reward={result.best_reward!r} log_z={result.log_z!r}")
     if result.best_record is not None:
@@ -122,19 +115,18 @@ def cmd_sample(args) -> int:
     run = load_run_config(args.config)
     model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
-    out = _out_dir(args)
-    write_manifest(out / "sample_manifest.json", "sample", {
+    write_manifest(args.out / "sample_manifest.json", "sample", {
         "seed": args.seed,
         "n": args.n,
         "checkpoint": str(args.checkpoint),
         "checkpoint_checksum": checksum,
         "env_hash": run.env.env_hash,
-        "config": str(run.source),
+        "config": str(args.config),
     })
     records = generate(model, run.env, reward_model, args.n, args.seed)
-    save_dataset(out / "dataset.csv", records)
+    save_dataset(args.out / "dataset.csv", records)
     total = sum(r.sample_count for r in records)
-    print(f"drawn={total} unique={len(records)} out={out / 'dataset.csv'}")
+    print(f"drawn={total} unique={len(records)} out={args.out / 'dataset.csv'}")
     return 0
 
 
@@ -143,14 +135,14 @@ def cmd_amd(args) -> int:
 
     from .checkpoint import write_manifest, write_table
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
-    out = _out_dir(args)
-    cif_dir = Path(args.cif_dir)
-    if not cif_dir.is_dir():
-        raise ValidationError(f"{cif_dir} is not a directory")
+    out, cif_dir, ref_dir = args.out, args.cif_dir, args.reference_dir
+    for directory in (cif_dir, ref_dir):
+        if directory is not None and not directory.is_dir():
+            raise ValidationError(f"{directory} is not a directory")
     files = sorted(cif_dir.glob("*.cif"))
     write_manifest(out / "amd_manifest.json", "amd", {
         "cif_dir": str(cif_dir), "k": args.k, "files": [f.name for f in files],
-        "reference_dir": None if args.reference_dir is None else str(args.reference_dir),
+        "reference_dir": None if ref_dir is None else str(ref_dir),
     })
 
     def descriptors_of(paths):
@@ -176,10 +168,7 @@ def cmd_amd(args) -> int:
         cells[i, i:] = cells[i:, i] = list(map(repr, row[i:]))
     write_table(out / "distance_matrix.csv", ["file"] + names,
                 ([name, *row] for name, row in zip(names, cells.tolist())))
-    if args.reference_dir is not None:
-        ref_dir = Path(args.reference_dir)
-        if not ref_dir.is_dir():
-            raise ValidationError(f"{ref_dir} is not a directory")
+    if ref_dir is not None:
         ref_names, ref_descs = descriptors_of(sorted(ref_dir.glob("*.cif")))
         scores = novelty_score(descs, ref_descs).tolist() if descs and ref_descs else []
         write_table(out / "novelty.csv", ["file", "novelty"], zip(names, scores))
@@ -208,17 +197,17 @@ def _load_xy(path: Path) -> tuple[list[float], list[float]]:
 def cmd_regress(args) -> int:
     from .analysis import cross_validate, fit_univariate, holdout_validate
     from .checkpoint import write_manifest, write_table
-    x, y = _load_xy(Path(args.data))
-    out = _out_dir(args)
-    write_manifest(out / "regress_manifest.json", "regress", {
-        "data": str(args.data), "folds": args.folds, "rounds": args.rounds,
-        "seed": args.seed, "holdout": args.holdout, "n": len(x),
-    })
+    x, y = _load_xy(args.data)
+    # only the fits can tell that a table is degenerate, so they run before the manifest
     report = fit_univariate(x, y)
     if args.holdout:
         cv = holdout_validate(x, y, rounds=args.rounds, seed=args.seed)
     else:
         cv = cross_validate(x, y, folds=args.folds, rounds=args.rounds, seed=args.seed)
+    write_manifest(args.out / "regress_manifest.json", "regress", {
+        "data": str(args.data), "folds": args.folds, "rounds": args.rounds,
+        "seed": args.seed, "holdout": args.holdout, "n": len(x),
+    })
     print(f"n={report.n} slope={report.slope!r} intercept={report.intercept!r}")
     print(f"r2={report.r2!r} rmse={report.rmse!r} spearman_rho={report.spearman_rho!r}")
     print(f"cv[{cv.scheme}] test_r2={cv.test_r2_mean!r}+-{cv.test_r2_std!r} "
@@ -227,7 +216,7 @@ def cmd_regress(args) -> int:
               "test_r2_mean", "test_r2_std", "test_rmse_mean", "test_rmse_std",
               "train_r2_mean", "train_r2_std", "train_rmse_mean", "train_rmse_std"]
     values = {**dataclasses.asdict(report), **dataclasses.asdict(cv)}
-    write_table(out / "regression.csv", header, [[values[name] for name in header]])
+    write_table(args.out / "regression.csv", header, [[values[name] for name in header]])
     return 0
 
 
@@ -238,8 +227,7 @@ def cmd_baseline(args) -> int:
     run = load_run_config(args.config)
     model, checksum = _restore_from_checkpoint(args, run)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
-    out = _out_dir(args)
-    write_manifest(out / "baseline_manifest.json", "baseline", {
+    write_manifest(args.out / "baseline_manifest.json", "baseline", {
         "seed": args.seed, "n": args.n, "checkpoint": str(args.checkpoint),
         "checkpoint_checksum": checksum, "env_hash": run.env.env_hash,
     })
@@ -247,9 +235,9 @@ def cmd_baseline(args) -> int:
     print(f"trained_mean={summary.trained_mean!r} trained_max={summary.trained_max!r}")
     print(f"uniform_mean={summary.uniform_mean!r} uniform_max={summary.uniform_max!r}")
     header = ["n_samples", "trained_mean", "trained_max", "uniform_mean", "uniform_max"]
-    write_table(out / "baseline.csv", header, [[getattr(summary, name) for name in header]])
+    write_table(args.out / "baseline.csv", header, [[getattr(summary, name) for name in header]])
     edges = summary.bin_edges.tolist()
-    write_table(out / "baseline_hist.csv", ["bin_low", "bin_high", "trained_count", "uniform_count"],
+    write_table(args.out / "baseline_hist.csv", ["bin_low", "bin_high", "trained_count", "uniform_count"],
                 zip(edges[:-1], edges[1:], summary.trained_counts.tolist(),
                     summary.uniform_counts.tolist()))
     return 0
@@ -261,16 +249,15 @@ def cmd_flows(args) -> int:
     from .reward import RewardModel
     run = load_run_config(args.config)
     reward_model = RewardModel(run.reward_spec, run.env, adapter=run.adapter)
-    out = _out_dir(args)
-    write_manifest(out / "flows_manifest.json", "flows", {
-        "config": str(run.source), "bound": args.bound, "env_hash": run.env.env_hash,
+    write_manifest(args.out / "flows_manifest.json", "flows", {
+        "config": str(args.config), "bound": args.bound, "env_hash": run.env.env_hash,
     })
     result = exact_flows(run.env, reward_model, bound=args.bound)
     token_ids = run.env.vocabulary.token_ids
-    write_table(out / "flows.csv", ["depth", "prefix", "flow"],
+    write_table(args.out / "flows.csv", ["depth", "prefix", "flow"],
                 ([depth, ",".join(ids), flow] for depth, level in enumerate(result.flows)
                  for ids, flow in zip(token_ids[result.prefixes(depth)].tolist(), level.tolist())))
-    write_table(out / "terminal_probs.csv", ["assembly_record", "probability"],
+    write_table(args.out / "terminal_probs.csv", ["assembly_record", "probability"],
                 zip(run.env.format_assembly_records(result.terminals), result.terminal_probs.values()))
     print(f"terminals={len(result.terminal_probs)} log_z={result.log_z!r}")
     return 0

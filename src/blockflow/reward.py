@@ -131,7 +131,7 @@ class _RunningAdapters:
                 raise OSError("the batch was interrupted")
             self._procs.append(subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, start_new_session=True))
+                stderr=subprocess.PIPE, encoding="utf-8", errors="replace", start_new_session=True))
             return self._procs[-1]
 
     def stop(self) -> None:

@@ -194,18 +194,19 @@ def _trim_metrics(path: Path, last_episode: int) -> None:
     so a run, fresh or resumed, appends its rows cleanly.
 
     A crash can cut the file at any byte, so a last line without its line
-    terminator and any row without all the columns are dropped as well. The
+    terminator, any row without all the columns and any row whose episode is
+    not a decimal integer are dropped as well. The
     kept rows go to a temporary file that then replaces the old one, so a
     crash during the rewrite leaves the old file whole.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             complete_lines = fh.read().split("\n")[:-1]
     except FileNotFoundError:
         complete_lines = []
     write_table(path, METRICS_HEADER,
                 [r for r in csv.reader(complete_lines[1:])
-                 if len(r) == len(METRICS_HEADER) and int(r[0]) <= last_episode])
+                 if len(r) == len(METRICS_HEADER) and r[0].isdecimal() and int(r[0]) <= last_episode])
 
 
 # Train-config fields a resumed run may change without breaking exactness.
@@ -244,7 +245,8 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
           resume_from: str | Path | None = None) -> TrainResult:
     """Run the training loop into `out_dir`; optionally resume from a checkpoint.
 
-    `out_dir` gets the run's manifest, its metrics table and its checkpoint.
+    `out_dir` gets the run's manifest, which makes it once the resume checks
+    pass, then its metrics table and its checkpoint.
 
     Each update samples one batch with its forward values cached and takes
     the balance loss and its gradient from that same forward pass. Only
@@ -287,7 +289,6 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         del ckpt  # the optimizer adopted m and v; the model copied the parameter row: free it
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir / "run_manifest.json", "train", {
         "seed": config.seed,
         "env_hash": env.env_hash,
@@ -301,7 +302,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
     stopped_early = False
     full = True
     saved: int | None = None  # the episode of this run's last checkpoint save
-    with open(out_dir / "metrics.csv", "a", newline="") as metrics_file:
+    with open(out_dir / "metrics.csv", "a", newline="", encoding="utf-8") as metrics_file:
         writer = csv.writer(metrics_file)  # appends each row as it comes
 
         def snapshot(episode: int) -> None:

@@ -14,7 +14,8 @@ import pytest
 from blockflow import Adam, FlowModel, RewardModel
 from blockflow.checkpoint import save_checkpoint, write_table
 from blockflow.cli import load_run_config, main
-from conftest import CONFIGS, FIXTURES, file_sha256, reference_flow_rows, reference_flows
+from conftest import (CONFIGS, FIXTURES, file_sha256, reference_flow_rows, reference_flows,
+                      stub_adapter_command)
 
 
 def run_config(tmp_path, train_overrides=None, reward_overrides=None):
@@ -39,7 +40,7 @@ def run_config(tmp_path, train_overrides=None, reward_overrides=None):
 
 
 def read_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
 
@@ -403,9 +404,42 @@ def test_amd_empty_dir(tmp_path, capsys):
     assert read_csv(out / "amd.csv") == [["file", "amd_1", "amd_2", "amd_3"]]
 
 
-def test_amd_missing_dir_exits_2(tmp_path):
-    assert main(["amd", "--cif-dir", str(tmp_path / "missing"),
-                 "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("refusal", ["resume_of_another_topology", "resume_of_no_file",
+                                     "cif_dir", "reference_dir"])
+def test_a_refused_input_leaves_no_out(refusal, trained_run, cif_dir, tmp_path, capsys):
+    # a command makes --out with its manifest, once every input is accepted
+    cfg, ckpt = trained_run
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                 "topology": str(FIXTURES / "topo_single.json")}))
+    missing = tmp_path / "missing"
+    argv, message = {
+        "resume_of_another_topology": (["train", "--config", other, "--resume", ckpt],
+                                       "checkpoint was produced for a different topology"),
+        "resume_of_no_file": (["train", "--config", cfg, "--resume", missing],
+                              f"cannot read checkpoint {missing}: "),
+        "cif_dir": (["amd", "--cif-dir", missing], f"{missing} is not a directory"),
+        "reference_dir": (["amd", "--cif-dir", cif_dir, "--reference-dir", missing],
+                          f"{missing} is not a directory"),
+    }[refusal]
+    assert main([*map(str, argv), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "regress"])
+def test_an_out_that_cannot_be_made_exits_2_in_one_line(command, tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    write_seeded_xy(tmp_path / "xy.csv", 5, 20)
+    argv, out, reason = {
+        "train": (["train", "--config", str(run_config(tmp_path))], blocker, "File exists"),
+        "regress": (["regress", "--data", str(tmp_path / "xy.csv")], blocker / "sub",
+                    "Not a directory"),
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: cannot make the run directory: {reason}\n"
+    assert blocker.read_bytes() == b""
 
 
 def test_regress_command(tmp_path, capsys):
@@ -443,12 +477,15 @@ def test_regress_holdout_mode(tmp_path, capsys):
 @pytest.mark.parametrize("table, message", [
     ("x,y\n1.0\n", "{data}:2: expected 2 fields"),
     ("x,y\n1,2\n1,3\n1,5\n1,4\n", "x is constant"),
+    ("x,y\n1,2\n2,3\n3,5\n", "10-fold split needs at least 10 points"),
 ])
 def test_regress_bad_data_exits_2(tmp_path, capsys, table, message):
+    # only the fits tell a degenerate table, so they run before the manifest
     data = tmp_path / "xy.csv"
     data.write_text(table)
     assert main(["regress", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
     assert message.format(data=data) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
@@ -731,6 +768,8 @@ def test_flows_bound_exits_1(tmp_path):
     cfg.write_text(json.dumps(doc))
     assert main(["flows", "--config", str(cfg), "--bound", "100",
                  "--out", str(tmp_path / "o")]) == 1
+    # the inputs were accepted, so the manifest that made --out stays
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["flows_manifest.json"]
 
 
 def test_unknown_command_exits_2():
@@ -776,6 +815,51 @@ def test_resume_refuses_config_drift(tmp_path, capsys, flags, overrides, named):
     assert main(["train", "--config", str(cfg), "--resume", str(ckpt), "--max-episodes", "32",
                  "--checkpoint-every", "8", "--out", str(out)]) == 0
     assert len(read_csv(out / "metrics.csv")) == 33
+
+
+@pytest.mark.parametrize("resume", [True, False], ids=["resume", "fresh"])
+def test_a_metrics_row_whose_episode_is_not_an_integer_is_dropped(tmp_path, resume):
+    cfg = run_config(tmp_path)
+    full, out = tmp_path / "full", tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--max-episodes", "64", "--out", str(full)]) == 0
+    assert main(["train", "--config", str(cfg), "--max-episodes", "32", "--out", str(out)]) == 0
+    with open(out / "metrics.csv", "ab") as fh:
+        fh.write(b"garbage,1,2,3,4,5\r\n")
+    flags = ["--resume", str(out / "checkpoint.json")] if resume else []
+    assert main(["train", "--config", str(cfg), "--max-episodes", "64", *flags,
+                 "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, with UTF-8 mode off, the locale's encoding is ASCII
+    vocab, topo = tmp_path / "vocab.csv", tmp_path / "topo.json"
+    vocab.write_text((FIXTURES / "vocab_bridge.csv").read_text().replace("N2,", "N2\u00e9,"),
+                     encoding="utf-8")
+    topo.write_text((FIXTURES / "topo_bridge.json").read_text().replace('"N2"', '"N2\u00e9"'),
+                    encoding="utf-8")
+    # the adapter exits 1 unless its record is UTF-8, and scores a record by its accents
+    adapter = stub_adapter_command(
+        "import sys; record = sys.stdin.buffer.read().decode('utf-8'); "
+        "print(3000.0 * (1 + record.count('\\u00e9')))")
+    cfg = run_config(tmp_path, reward_overrides={"evaluator": "external",
+                                                 "adapter": {"command": adapter}})
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "vocabulary": str(vocab), "topology": str(topo)}))
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+    for argv in (["train", "--max-episodes", "16", "--out", tmp_path / "run"],
+                 ["sample", "--checkpoint", tmp_path / "run" / "checkpoint.json", "-n", "50",
+                  "--out", tmp_path / "sample"],
+                 ["flows", "--out", tmp_path / "flows"]):
+        child = subprocess.run([sys.executable, "-m", "blockflow.cli", *map(str, argv),
+                                "--config", str(cfg)], env=env, capture_output=True)
+        assert (child.returncode, child.stderr) == (0, b""), child.stderr.decode(errors="replace")
+    for table in ("run/metrics.csv", "sample/dataset.csv", "flows/flows.csv"):
+        (tmp_path / table).read_bytes().decode("utf-8")
+    probs = read_csv(tmp_path / "flows" / "terminal_probs.csv")[1:]
+    accented = {float(p) for record, p in probs if "N2\u00e9" in record}
+    assert accented and accented.isdisjoint(float(p) for record, p in probs if "N2" not in record)
 
 
 # The child imports the package as a user would and reports every top-level

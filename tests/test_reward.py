@@ -158,6 +158,9 @@ def test_external_adapter_runs_its_command_as_given():
     ("print('not-a-number')", "not a number"),
     ("pass", "no output"),
     ("print(float('nan'))", "not finite"),
+    # an answer that is not UTF-8 is a failed evaluation, not a traceback
+    ("import sys; sys.stdout.buffer.write(bytes([255]) + b'12')", "not a number"),
+    ("import sys; sys.stderr.buffer.write(bytes([255])); sys.exit(3)", "exit code 3"),
 ])
 def test_external_adapter_failures_become_results(body, needle):
     gsa, error = external_gsa(AdapterConfig(command=stub_adapter_command(body)), "x:N1")
