@@ -11,11 +11,11 @@ dims. The checksum is a sha256 over the header as dumped without the
 checksum, followed by the body. A resumed run takes Adam's rates from its
 config and its step count from the episode.
 
-Loading reads the header line, then each body row straight into its own
-anonymous memory map, hashing it as it is read, and hands out the rows as
-writable float64 views. `restore_model` and a resumed optimizer adopt the
-rows rather than copy them, and a row that nothing adopted is unmapped with
-the checkpoint.
+Loading reads the header line, then each body row into an anonymous memory
+map, hashing it as it is read, and hands out the rows as writable float64
+views, which `restore_model` and a resumed optimizer adopt, not copy. A
+reader with no optimizer to restore reads m and v through one reused map and
+keeps neither; a row that nothing adopted is unmapped with the checkpoint.
 
 Every artifact the package writes, checkpoints included, goes through
 `atomic_write`, so a crash leaves either the old file or the new one. Every
@@ -122,8 +122,8 @@ class Checkpoint:
     `rng`, the run's generator, built from the header's `rng_state`."""
     model_config: ModelConfig
     params: np.ndarray  # each of the three body rows is laid out as model.flat
-    m: np.ndarray  # Adam's first moment
-    v: np.ndarray  # and its second
+    m: np.ndarray | None  # Adam's first moment, if it was read
+    v: np.ndarray | None  # and its second
     rng: np.random.Generator
     episode: int
     best_reward: float
@@ -157,12 +157,12 @@ def save_checkpoint(path: str | Path, model: FlowModel, optimizer: Adam,
         fh.writelines(body)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path, moments: bool = True) -> Checkpoint:
     """Read and check a checkpoint: its checksum, then the type and shape of every field.
 
     The checksum catches corruption; the structure is checked on its own,
-    so every reader refuses a malformed checkpoint the same way. The three
-    body rows are views of the buffers the file was read into.
+    so every reader refuses a malformed checkpoint the same way. Without
+    `moments`, m and v are only hashed, through one reused buffer, and are None.
     """
     path = Path(path)
     try:
@@ -173,14 +173,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             digest = hashlib.sha256(_dump(header))
             body = size - len(line)  # < 0 if the file grew while its header was read
             third = max(body, 0) // 24 * 8  # the last row takes any rest, which _checked refuses
-            rows = []
-            for length in (third, third, body - 2 * third):
-                # not a malloc'd block: freeing one this large raises glibc's mmap
-                # threshold, and the arrays made after it stay resident on the heap
-                rows.append(mmap.mmap(-1, length) if length > 0 else bytearray())
-                if fh.readinto(rows[-1]) != length:
+            lengths = (third, third, body - 2 * third)
+            # not malloc'd blocks: freeing one this large raises glibc's mmap
+            # threshold, and the arrays made after it stay resident on the heap
+            maps = [mmap.mmap(-1, max(n, 1)) for n in (lengths if moments else lengths[::2])]
+            for length, buf in zip(lengths, maps if moments else maps + maps[1:]):  # v reuses m's
+                view = memoryview(buf)[:max(length, 0)]
+                if fh.readinto(view) != length:
                     raise OSError("the file changed while it was read")
-                digest.update(rows[-1])
+                digest.update(view)
             if fh.read(1):
                 raise OSError("the file changed while it was read")
     except OSError as exc:
@@ -188,15 +189,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if digest.hexdigest() != claimed:
         raise ValidationError(f"{path}: checksum mismatch, checkpoint is corrupted")
     try:
-        return _checked(header, rows, claimed)
+        return _checked(header, maps if moments else maps[:1], body, claimed)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def load_run_checkpoint(path: str | Path, env_hash: str, model_config: ModelConfig) -> Checkpoint:
+def load_run_checkpoint(path: str | Path, env_hash: str, model_config: ModelConfig,
+                        moments: bool = False) -> Checkpoint:
     """The checkpoint at `path`, refused unless a run of this environment and
-    these model dims wrote it."""
-    ckpt = load_checkpoint(path)
+    these model dims wrote it; with Adam's m and v only for `moments`."""
+    ckpt = load_checkpoint(path, moments=moments)
     if ckpt.env_hash != env_hash:
         raise ValidationError("checkpoint was produced for a different topology or vocabulary")
     if ckpt.model_config != model_config:
@@ -231,9 +233,9 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(_MALFORMED + message)
 
 
-def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
-    """The checkpoint in `header` and the body `rows`, once every field has its type
-    and the body holds exactly the arrays that the model dims need."""
+def _checked(header: dict, rows: list, length: int, checksum: str) -> Checkpoint:
+    """The checkpoint in `header` and the body `rows` it kept, once every field has its
+    type and the `length`-byte body holds exactly the arrays that the model dims need."""
     from .model import FlowModel, ModelConfig
     dims = header.get("model_config")
     model_config = _build_dataclass(ModelConfig, dims, f"{_MALFORMED}model_config")
@@ -241,10 +243,9 @@ def _checked(header: dict, rows: list, checksum: str) -> Checkpoint:
              f"model_config must give vocab_size, embed_dim and hidden_dim, got {dims!r}")
     shapes = FlowModel.param_shapes(model_config).values()
     n_params = sum(math.prod(shape) for shape in shapes)
-    length = sum(len(row) for row in rows)
     _require(length == 8 * 3 * n_params,
              f"the body holds {length} bytes, the model dims need {8 * 3 * n_params}")
-    params, m, v = (np.frombuffer(row, dtype="<f8") for row in rows)
+    params, m, v = [np.frombuffer(row, dtype="<f8") for row in rows] + [None] * (3 - len(rows))
     _require(np.isfinite(params).all(), "params hold non-finite values")
     rng = _generator(header.get("rng_state"))
     episode = _typed(header.get("episode"), int, f"{_MALFORMED}episode")

@@ -25,7 +25,11 @@ from .trainer import distinct_rows, rollout, uniform_rollout
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
 
 
-@dataclass
+# Episodes per rollout in `generate` and `baseline_comparison`; CHANGES.md has the 10^6 sweep.
+_CHUNK = 1 << 16
+
+
+@dataclass(slots=True)
 class CandidateRecord:
     record: str
     tokens: tuple[int, ...]
@@ -35,27 +39,35 @@ class CandidateRecord:
     first_seen_episode: int
 
 
+def _chunks(model, env: Environment, stream: np.random.SeedSequence, n: int):
+    """n episodes of the policy on `stream`, `_CHUNK` at a time, as (first index, actions)."""
+    rng = np.random.Generator(np.random.PCG64(stream))
+    for lo in range(0, n, _CHUNK):
+        yield lo, rollout(model, env, rng, min(_CHUNK, n - lo))[0]
+
+
 def generate(model, env: Environment, reward_model: RewardModel, n: int,
              seed: int) -> list[CandidateRecord]:
-    """Draw n sequences from the policy and fold them into unique records.
+    """Draw n sequences from the policy in chunks and fold each into the unique records.
 
     A missing gsa (empty CSV cell on save) marks an evaluation failure; the
     reward for such a record is 0 by definition.
     """
     if n < 0:
         raise ValidationError("sample count must be >= 0")
-    if n == 0:
-        return []
-    [stream] = np.random.SeedSequence(seed).spawn(1)
-    draws, _ = rollout(model, env, np.random.Generator(np.random.PCG64(stream)), n)
-    ids, first = distinct_rows(draws)  # row i is draw i + 1
-    rows = draws[first]
+    rows = np.empty((0, env.n_slots), dtype=np.intp)  # the distinct terminals, by first draw
+    first = counts = np.empty(0, dtype=np.intp)  # each one's first draw and its draw count
+    for lo, draws in _chunks(model, env, np.random.SeedSequence(seed).spawn(1)[0], n):
+        both = np.concatenate([rows, draws])
+        ids, firsts = distinct_rows(both)  # known terminals keep their ids; each weighs its count
+        counts = np.bincount(ids, np.concatenate([counts, np.ones(len(draws))])).astype(np.intp)
+        rows, first = both[firsts], np.concatenate([first, lo + np.arange(len(draws))])[firsts]
     scores = reward_model.score_batch(rows)
     return [CandidateRecord(record=record, tokens=tuple(seq), gsa=None if math.isnan(gsa) else gsa,
                             reward=rwd, sample_count=count, first_seen_episode=first_index + 1)
             for record, seq, gsa, rwd, count, first_index
             in zip(env.format_assembly_records(rows), rows.tolist(), scores.gsa.tolist(),
-                   scores.reward.tolist(), np.bincount(ids).tolist(), first.tolist())]
+                   scores.reward.tolist(), counts.tolist(), first.tolist())]
 
 
 def top_k(records: list[CandidateRecord], k: int) -> list[CandidateRecord]:
@@ -116,10 +128,12 @@ def baseline_comparison(model, env: Environment, reward_model: RewardModel,
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
-    trained, _ = rollout(model, env, np.random.Generator(np.random.PCG64(seq_trained)), n_samples)
+    r_trained, r_uniform = np.empty(n_samples), np.empty(n_samples)
+    for lo, draws in _chunks(model, env, seq_trained, n_samples):
+        r_trained[lo:lo + _CHUNK] = reward_model.score_batch(draws).reward
     uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
-    r_trained = reward_model.score_batch(trained).reward
-    r_uniform = reward_model.score_batch(uniform).reward
+    for lo in range(0, n_samples, _CHUNK):  # slot-major draws, scored a chunk at a time
+        r_uniform[lo:lo + _CHUNK] = reward_model.score_batch(uniform[lo:lo + _CHUNK]).reward
     lo = min(r_trained.min(), r_uniform.min())
     hi = max(r_trained.max(), r_uniform.max())
     if hi == lo:

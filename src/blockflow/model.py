@@ -24,6 +24,15 @@ from .errors import ValidationError
 # as fast as any; a block's gate pre-activations, and its rows of the
 # parents' h @ w_h, are then 32 x 1,024 x 8 B = 256 KB each at hidden 256.
 _ROWS = 32
+# Rows per head group of a `last` step without a cache: a split group keeps >= 256
+# rows, past the ~200 from which OpenBLAS's SkylakeX head rounds like one over all rows.
+_HEAD_ROWS = 512
+
+
+def _spans(lo: int, hi: int, most: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into the fewest balanced spans of at most `most` rows."""
+    k = -(-(hi - lo) // most)
+    return [(lo + i * (hi - lo) // k, lo + (i + 1) * (hi - lo) // k) for i in range(k)]
 
 
 def named_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -134,12 +143,13 @@ class FlowModel:
         `last` step builds no c and returns None for it: nothing steps from it.
         The parents' h @ w_h is taken once over all of `state`; the cell runs
         over the fewest balanced blocks of at most `_ROWS` rows, each gathering
-        its rows of that product and of c, and the head over all rows at once.
-        The values are those of one cell over all rows up to how BLAS rounds a
-        1-row product (one parent, or the narrow head at small row counts) on
-        some kernels. With a `cache` list, the step appends the record that
-        `balance_grad` reads: the tokens, the given state, the new h, and the
-        gates and tanh(c) of all blocks, one array each.
+        its rows of that product and of c, and the head over all rows at once,
+        or in a `last` step without a cache over each group of `_HEAD_ROWS` rows
+        at most once its h is built. The values are those of one cell over all
+        rows up to how BLAS rounds a 1-row product (one parent, or the narrow
+        head at small row counts) on some kernels. With a `cache` list, the step
+        appends the record that `balance_grad` reads: the tokens, the given
+        state, the new h, and the gates and tanh(c) of all blocks.
         """
         tokens = np.atleast_1d(np.asarray(tokens, dtype=np.intp))
         if tokens.min() < 0 or tokens.max() > self.config.vocab_size:
@@ -155,21 +165,23 @@ class FlowModel:
 
         p, m, hid = self._params, tokens.shape[0], self.config.hidden_dim
         h_w = None if state is None else state[0] @ p["w_h"]
-        h_new, c_new = np.empty((m, hid)), None if last else np.empty((m, hid))
+        groups = _spans(0, m, _HEAD_ROWS if last and cache is None else m)
+        h_new, c_new = np.empty((-(-m // len(groups)), hid)), None if last else np.empty((m, hid))
+        logits = np.empty((m, self.config.vocab_size))
         if cache is not None:
             gates, tanh_c = np.empty((m, 4 * hid)), np.empty((m, hid))
             cache.append(dict(tokens=tokens, state=state, gates=gates, tanh_c=tanh_c, h=h_new))
-        k = -(-m // _ROWS)
-        for lo, hi in ((i * m // k, (i + 1) * m // k) for i in range(k)):
-            rows = slice(lo, hi) if parents is None else parents[lo:hi]
-            h_new[lo:hi], c, block_gates, block_tanh_c = ad.lstm_cell(
-                p["embed"][tokens[lo:hi]],
-                None if state is None else (h_w[rows], state[1][rows]), p["w_x"], p["b"])
-            if c_new is not None:
-                c_new[lo:hi] = c
-            if cache is not None:
-                gates[lo:hi], tanh_c[lo:hi] = block_gates, block_tanh_c
-        logits = h_new @ p["w_out"] + p["b_out"]
+        for g_lo, g_hi in groups:  # h_new holds one group's rows of h at a time
+            for lo, hi in _spans(g_lo, g_hi, _ROWS):
+                rows = slice(lo, hi) if parents is None else parents[lo:hi]
+                h_new[lo - g_lo:hi - g_lo], c, block_gates, block_tanh_c = ad.lstm_cell(
+                    p["embed"][tokens[lo:hi]],
+                    None if state is None else (h_w[rows], state[1][rows]), p["w_x"], p["b"])
+                if c_new is not None:
+                    c_new[lo:hi] = c
+                if cache is not None:
+                    gates[lo:hi], tanh_c[lo:hi] = block_gates, block_tanh_c
+            logits[g_lo:g_hi] = h_new[:g_hi - g_lo] @ p["w_out"] + p["b_out"]
         return logits, None if last else (h_new, c_new)
 
     # -- backward ----------------------------------------------------------

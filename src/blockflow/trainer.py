@@ -145,13 +145,16 @@ def distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of a 2-D token array by first appearance.
 
     Returns each row's number and, per number, the index of its first row.
-    Rows are told apart with one 1-D unique per column; one unique over
+    Rows are told apart by one integer key, renumbered by a 1-D unique before
+    each column past the second so that it cannot overflow; one unique over
     whole rows compares them as byte records, an order of magnitude slower.
     """
-    ids = np.zeros(draws.shape[0], dtype=np.intp)
-    for column in draws.T:
-        _, ids = np.unique(ids * (column.max() + 1) + column, return_inverse=True)
-    _, first = np.unique(ids, return_index=True)
+    key = np.zeros(draws.shape[0], dtype=np.intp)
+    for t, column in enumerate(draws.T):
+        if t > 1:
+            _, key = np.unique(key, return_inverse=True)
+        key = key * (column.max() + 1) + column
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
@@ -267,7 +270,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
                      lr_overrides={"log_z": config.learning_rate_logz})
     rng = np.random.Generator(np.random.PCG64(config.seed))
     if resume_from is not None:
-        ckpt = load_run_checkpoint(resume_from, env.env_hash, model.config)
+        ckpt = load_run_checkpoint(resume_from, env.env_hash, model.config, moments=True)
         _check_resume_config(ckpt.config, _run_echo(config, reward_model, env))
         if ckpt.episode % config.batch_size:
             raise ValidationError(

@@ -3,10 +3,12 @@ import csv
 import hashlib
 import json
 import math
+import mmap
 import os
 import shutil
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +82,26 @@ def test_restored_model_adopts_the_parameters_and_makes_no_gradients(tmp_path):
     assert restored.flat.tobytes() == model.flat.tobytes()
 
 
+def test_a_load_without_moments_keeps_no_moment_row(tmp_path, monkeypatch):
+    # m and v are read and hashed through one reused buffer, which is freed
+    # once the checkpoint is checked: only the parameter row stays mapped
+    import blockflow.checkpoint as checkpoint_mod
+    model, opt, rng = _trained_pieces()
+    path = _save(tmp_path, model, opt, rng)
+    made = []
+    monkeypatch.setattr(checkpoint_mod, "mmap", SimpleNamespace(
+        mmap=lambda *args: made.append(mmap.mmap(*args)) or made[-1]))
+    ckpt = checkpoint_mod.load_run_checkpoint(path, "e" * 64, CFG)
+    assert ckpt.m is None and ckpt.v is None
+    assert ckpt.params.tobytes() == model.flat.tobytes()
+    buffers = [weakref.ref(buf) for buf in made]
+    made.clear()
+    assert [ref() is not None for ref in buffers] == [True, False]
+    assert ckpt.params.base.obj is buffers[0]()
+    resumed = checkpoint_mod.load_run_checkpoint(path, "e" * 64, CFG, moments=True)
+    assert resumed.m.tobytes() == opt.m.tobytes() and resumed.v.tobytes() == opt.v.tobytes()
+
+
 def test_roundtrip_optimizer_state(tmp_path):
     model, opt, rng = _trained_pieces(updates=3)
     path = _save(tmp_path, model, opt, rng, episode=12)
@@ -136,23 +158,27 @@ def write_checkpoint(path, header, body, checksum=None):
                      + b"\n" + body)
 
 
-@pytest.mark.parametrize("tamper", ["header", "body"])
-def test_corrupted_byte_is_rejected(tmp_path, tamper):
+@pytest.mark.parametrize("moments", [True, False])
+@pytest.mark.parametrize("tamper", ["header", "params", "m", "v"])
+def test_corrupted_byte_is_rejected(tmp_path, tamper, moments):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     header, body = read_checkpoint(path)
     if tamper == "header":
         header["best_reward"] += 1.0  # silent tamper
     else:
-        body = body[:100] + bytes([body[100] ^ 1]) + body[101:]
+        at = ["params", "m", "v"].index(tamper) * model.flat.nbytes + 100
+        body = body[:at] + bytes([body[at] ^ 1]) + body[at + 1:]
     write_checkpoint(path, header, body, checksum=header["checksum"])
-    with pytest.raises(ValidationError, match="corrupted"):
-        load_checkpoint(path)
+    with pytest.raises(ValidationError) as refused:
+        load_checkpoint(path, moments=moments)
+    assert str(refused.value) == f"{path}: checksum mismatch, checkpoint is corrupted"
 
 
+@pytest.mark.parametrize("moments", [True, False])
 @pytest.mark.parametrize("keep", ["half the header", "the header line", "half the body",
                                   "all but the last byte"])
-def test_truncated_checkpoint_is_rejected(tmp_path, keep):
+def test_truncated_checkpoint_is_rejected(tmp_path, keep, moments):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     data = path.read_bytes()
@@ -161,7 +187,7 @@ def test_truncated_checkpoint_is_rejected(tmp_path, keep):
            "half the body": (header_end + len(data)) // 2, "all but the last byte": len(data) - 1}
     path.write_bytes(data[:cut[keep]])
     with pytest.raises(ValidationError, match="schema|corrupted"):
-        load_checkpoint(path)
+        load_checkpoint(path, moments=moments)
 
 
 def test_missing_checksum_is_rejected(tmp_path):
@@ -248,8 +274,9 @@ def test_loaded_arrays_are_writable_contiguous_float64_views(tmp_path):
     assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:] + rows[:1]))
 
 
+@pytest.mark.parametrize("moments", [True, False])
 @pytest.mark.parametrize("change", ["grows", "shrinks"])
-def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, change):
+def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, change, moments):
     # the loader takes the file's size, then reads the header line and the
     # body rows; here the file changes right after its size is taken
     import blockflow.checkpoint as checkpoint_mod
@@ -268,7 +295,7 @@ def test_a_file_that_changes_while_it_is_read_is_refused(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(checkpoint_mod.os, "fstat", fstat_then_change)
     with pytest.raises(ValidationError, match="the file changed while it was read"):
-        load_checkpoint(path)
+        load_checkpoint(path, moments=moments)
 
 
 def test_file_sha256_known_value(tmp_path):
@@ -471,6 +498,46 @@ def test_malformed_checkpoint_with_a_valid_checksum_exits_2_on_every_reader(
     write_checkpoint(ckpt, damaged["header"], damaged["body"])
     errors = _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys)
     assert all(line.startswith("error: ") for line in errors)
+
+
+@pytest.mark.parametrize("row", ["params", "m", "v"])
+def test_a_flipped_body_byte_exits_2_on_every_reader_with_one_message(
+        bridge_run, row, tmp_path, capsys):
+    # `sample` and `baseline` hash m and v without keeping them, and refuse
+    # a flipped byte in them as `train --resume` does
+    cfg, run = bridge_run
+    header, body = read_checkpoint(run / "checkpoint.json")
+    at = ["params", "m", "v"].index(row) * len(body) // 3 + 5
+    ckpt = tmp_path / "flipped.json"
+    write_checkpoint(ckpt, header, body[:at] + bytes([body[at] ^ 1]) + body[at + 1:],
+                     checksum=header["checksum"])
+    errors = _refused_by_every_reader(cfg, run, ckpt, tmp_path, capsys)
+    assert errors == [f"error: {ckpt}: checksum mismatch, checkpoint is corrupted"] * 3
+
+
+@pytest.mark.parametrize("command", ["sample", "baseline"])
+def test_sample_and_baseline_draw_with_no_moment_row_alive(bridge_run, tmp_path, monkeypatch,
+                                                          command):
+    import blockflow.checkpoint as checkpoint_mod
+    import blockflow.dataset as dataset_mod
+    cfg, run = bridge_run
+    made, alive = [], []
+    rollout = dataset_mod.rollout
+
+    def mapping(*args):
+        buf = mmap.mmap(*args)
+        made.append(weakref.ref(buf))
+        return buf
+
+    def drawing(*args):
+        alive.append([ref() is not None for ref in made])
+        return rollout(*args)
+
+    monkeypatch.setattr(checkpoint_mod, "mmap", SimpleNamespace(mmap=mapping))
+    monkeypatch.setattr(dataset_mod, "rollout", drawing)
+    assert main([command, "--config", str(cfg), "--checkpoint", str(run / "checkpoint.json"),
+                 "-n", "5", "--out", str(tmp_path / command)]) == 0
+    assert alive == [[True, False]]  # the parameter row, adopted by the model; not the spare
 
 
 # Model dims other than the bridge run's, saved on the bridge run's environment

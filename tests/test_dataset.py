@@ -1,14 +1,19 @@
 import csv
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from blockflow import (AdapterConfig, CandidateRecord, RewardModel, RewardSpec,
-                       exact_flows, generate, load_dataset, rollout, save_dataset, top_k)
+from blockflow import (AdapterConfig, CandidateRecord, FlowModel, RewardModel, RewardSpec,
+                       baseline_comparison, exact_flows, generate, load_dataset, rollout,
+                       save_dataset, top_k)
+from blockflow import dataset as dataset_mod
+from blockflow.cli import load_run_config
 from blockflow.errors import ValidationError
-from conftest import TabularPolicy, stub_adapter_command
+from conftest import CONFIGS, TabularPolicy, stub_adapter_command
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,51 @@ def test_generate_draws_from_the_first_child_of_the_seed(bridge_env, bridge_rewa
     counts = Counter(map(tuple, draws.tolist()))
     assert {rec.tokens: rec.sample_count for rec in records} == counts
     assert [rec.tokens for rec in records] == list(counts)  # first-appearance order
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """The grid environment, its reward model and a FlowModel of the grid config's dims."""
+    run = load_run_config(CONFIGS / "train_grid.json")
+    return run.env, RewardModel(run.reward_spec, run.env), FlowModel.init(run.model_config, seed=3)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 1000])
+@pytest.mark.parametrize("policy", ["bridge exact policy", "grid model"])
+def test_chunked_draws_match_one_chunk(policy, chunk, bridge_env, bridge_reward, tabular, grid,
+                                       monkeypatch):
+    # the chunks read the one stream that a single rollout of n reads, and
+    # generate folds each into the distinct terminals so far
+    env, reward_model, model = (bridge_env, bridge_reward, tabular) if policy.startswith(
+        "bridge") else grid
+    n = 1500 if chunk > 1 else 300
+    records = generate(model, env, reward_model, n, seed=4)
+    summary = baseline_comparison(model, env, reward_model, n, seed=4)
+    assert n <= dataset_mod._CHUNK
+    monkeypatch.setattr(dataset_mod, "_CHUNK", chunk)
+    assert generate(model, env, reward_model, n, seed=4) == records
+    chunked = baseline_comparison(model, env, reward_model, n, seed=4)
+    for field in dataclasses.fields(summary):
+        want, got = getattr(summary, field.name), getattr(chunked, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+
+def test_generate_memory_does_not_grow_with_n(bridge_env, bridge_reward, tabular, monkeypatch):
+    # past one chunk, n draws cost no more than the chunk and the distinct
+    # terminals: the peaks at n and at 10 n differ by less than one chunk's
+    # uniforms and actions
+    chunk = 2000
+    monkeypatch.setattr(dataset_mod, "_CHUNK", chunk)
+    peaks = []
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            records = generate(tabular, bridge_env, bridge_reward, n, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(rec.sample_count for rec in records) == n
+    assert abs(peaks[1] - peaks[0]) < 2 * chunk * bridge_env.n_slots * 8
 
 
 def test_top_k_orders_by_reward_then_record():

@@ -20,7 +20,7 @@ from blockflow import autodiff
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
 from blockflow.errors import BlockflowError, ValidationError
-from blockflow.model import _ROWS
+from blockflow.model import _HEAD_ROWS, _ROWS
 from blockflow.trainer import _window_means
 from conftest import (CONFIGS, FIXTURES, TabularPolicy, flow_log_prob, process_running,
                       stub_adapter_command, surrogate_adapter_command, terminal_tuples, zero_model)
@@ -325,15 +325,22 @@ def test_blocked_step_matches_one_cell_over_all_rows(m, start, monkeypatch):
                       (cache[0]["tanh_c"], whole_tanh_c)):
         np.testing.assert_array_equal(got, want)
     assert cache[0]["state"] is state and cache[0]["tokens"].tolist() == list(tokens)
+    # a last step with no cache builds h and the head one group of rows at a time
+    cell_rows.clear()
+    last_logits, last_state = model.step(tokens, state, last=True)
+    slot_blocks(cell_rows, [m])  # still blocks of at most _ROWS rows, none of one row
+    assert last_state is None
+    np.testing.assert_array_equal(last_logits, whole_logits)
 
 
 def test_shared_rollout_memory_is_bounded_by_the_row_block():
     # numpy reports its buffers to tracemalloc. Past the episodes' uniforms
-    # and actions, the last slot holds its prefixes' h for the head, its
+    # and actions, the last slot holds one head group of its prefixes' h, its
     # parents' (h, c) and their h @ w_h, and a few blocks of the cell: no c
     # and no state gathered out to the prefixes. Gathering (h, c) to the
     # 1,000 prefixes, building their c and multiplying each by w_h peaked at
-    # 13.5 MiB in this test with 256-row blocks; without, 4.9 MiB.
+    # 13.5 MiB in this test with 256-row blocks; without, 4.9 MiB, and with
+    # h built one head group at a time, 4.2 MiB.
     env = _grid_env()
     model = FlowModel.init(load_run_config(CONFIGS / "train_grid.json").model_config, seed=0)
     hid = model.config.hidden_dim
@@ -346,7 +353,7 @@ def test_shared_rollout_memory_is_bounded_by_the_row_block():
     prefixes = [len({tuple(row[:t]) for row in actions.tolist()}) for t in (2, 3)]
     assert prefixes[0] == 100 and 3 * _ROWS < prefixes[1] <= 1000
     draws = 2 * actions.nbytes  # the uniforms and the actions
-    h = 1000 * hid * 8  # the last slot's h over its 1,000 prefixes at most
+    h = _HEAD_ROWS * hid * 8  # one head group of the last slot's h
     parents = 100 * (2 * hid + 4 * hid) * 8  # its 100 parents' (h, c) and h @ w_h
     block = _ROWS * 4 * hid * 8  # one block's gate pre-activations
     assert peak < draws + h + parents + 8 * block
@@ -984,8 +991,8 @@ def test_resumed_run_drops_the_checkpoint_before_its_first_batch(tmp_path, monke
     real_load = checkpoint_mod.load_checkpoint
     bodies = []
 
-    def loading(path):
-        ckpt = real_load(path)
+    def loading(path, **kwargs):
+        ckpt = real_load(path, **kwargs)
         bodies.append(weakref.ref(ckpt.params))
         return ckpt
 
