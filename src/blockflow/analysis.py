@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_table
 from .errors import ValidationError
+from .files import read_table
 
 # ---------------------------------------------------------------------------
 # regression
@@ -244,9 +244,7 @@ ISOTHERM_HEADER = [f.name for f in fields(IsothermRow)]
 
 
 def load_isotherm_table(path: str | Path) -> list[IsothermRow]:
-    header, rows = read_table(path)
-    if header != ISOTHERM_HEADER:
-        raise ValidationError(f"{path}: expected header {','.join(ISOTHERM_HEADER)}")
+    _, rows = read_table(path, ISOTHERM_HEADER)
     out = []
     for lineno, row in rows:
         try:

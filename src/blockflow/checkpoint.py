@@ -16,23 +16,10 @@ map, hashing it as it is read, and hands out the rows as writable float64
 views, which `restore_model` and a resumed optimizer adopt, not copy. A
 reader with no optimizer to restore reads m and v through one reused map and
 keeps neither; a row that nothing adopted is unmapped with the checkpoint.
-
-Every artifact the package writes, checkpoints included, goes through
-`atomic_write`, so a crash leaves either the old file or the new one. Every
-command's manifest goes through `write_manifest`, the one place that makes a
-run directory, every CSV table through `write_table`, and every table the
-package reads back through `read_table`. Text files are UTF-8.
-A table is `csv.writer`'s default dialect: a header row, then one row per
-record, each line ended by `\r\n`. A float cell is the float's `repr`, so it
-reads back to the same bits, and an empty cell is a missing value. The model
-is imported where a checkpoint is read or restored, so a command that only
-writes files does not load it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -43,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, _build_dataclass, _typed
+from .errors import ValidationError
+from .files import atomic_write, build_dataclass, typed
+from .model import FlowModel, ModelConfig
 
 CHECKPOINT_SCHEMA = "blockflow-checkpoint/3"
 # /1: base64 arrays inside one JSON document; /2: this layout, with a header
@@ -53,67 +42,6 @@ _FORMER_SCHEMAS = ("blockflow-checkpoint/1", "blockflow-checkpoint/2")
 
 def _dump(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-
-
-@contextlib.contextmanager
-def atomic_write(path: str | Path, mode: str = "w", **open_kw):
-    """Open a temporary file next to `path`; once the block exits it replaces `path`.
-
-    If the block raises, the temporary file is removed and `path` keeps
-    its old contents. A text file is UTF-8.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", **open_kw) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_manifest(path: str | Path, command: str, inputs: dict) -> None:
-    """Make the run directory, `path`'s parent, and write the manifest at `path`:
-    the `command` and the resolved `inputs` it runs on."""
-    run_dir = Path(path).parent
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"{run_dir}: cannot make the run directory: {exc.strerror}") from None
-    with atomic_write(path) as fh:
-        fh.write(json.dumps({"schema": "blockflow-run-manifest/1", "command": command, **inputs},
-                            sort_keys=True, indent=1))
-
-
-def write_table(path: str | Path, header: list[str], rows) -> None:
-    """Write `header`, then each of `rows`, as one CSV file through `atomic_write`.
-
-    `csv.writer` writes a float as its `repr`, an int as `str` and None as
-    an empty cell.
-    """
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def read_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header of the CSV file at `path`, and each later row with its line number.
-
-    The header of an empty file is `[]`. A file that cannot be read, decoded
-    or parsed, or a row that is not as wide as the header, is refused.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [(reader.line_num, row) for row in reader]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ValidationError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-    return header, rows
 
 
 @dataclass
@@ -236,9 +164,8 @@ def _require(condition: bool, message: str) -> None:
 def _checked(header: dict, rows: list, length: int, checksum: str) -> Checkpoint:
     """The checkpoint in `header` and the body `rows` it kept, once every field has its
     type and the `length`-byte body holds exactly the arrays that the model dims need."""
-    from .model import FlowModel, ModelConfig
     dims = header.get("model_config")
-    model_config = _build_dataclass(ModelConfig, dims, f"{_MALFORMED}model_config")
+    model_config = build_dataclass(ModelConfig, dims, f"{_MALFORMED}model_config")
     _require(asdict(model_config) == dims,  # a missing dim must not take its default
              f"model_config must give vocab_size, embed_dim and hidden_dim, got {dims!r}")
     shapes = FlowModel.param_shapes(model_config).values()
@@ -248,9 +175,9 @@ def _checked(header: dict, rows: list, length: int, checksum: str) -> Checkpoint
     params, m, v = [np.frombuffer(row, dtype="<f8") for row in rows] + [None] * (3 - len(rows))
     _require(np.isfinite(params).all(), "params hold non-finite values")
     rng = _generator(header.get("rng_state"))
-    episode = _typed(header.get("episode"), int, f"{_MALFORMED}episode")
-    best_reward = _typed(header.get("best_reward"), float, f"{_MALFORMED}best_reward")
-    loss_tail = _typed(header.get("loss_tail"), list[float], f"{_MALFORMED}loss_tail")
+    episode = typed(header.get("episode"), int, f"{_MALFORMED}episode")
+    best_reward = typed(header.get("best_reward"), float, f"{_MALFORMED}best_reward")
+    loss_tail = typed(header.get("loss_tail"), list[float], f"{_MALFORMED}loss_tail")
     _require(episode >= 0, "episode must be non-negative")
     _require(all(map(math.isfinite, [best_reward, *loss_tail])),
              "best_reward and loss_tail must be finite")
@@ -268,7 +195,7 @@ def _checked(header: dict, rows: list, length: int, checksum: str) -> Checkpoint
         episode=episode,
         best_reward=best_reward,
         loss_tail=loss_tail,
-        env_hash=_typed(header.get("env_hash"), str, f"{_MALFORMED}env_hash"),
+        env_hash=typed(header.get("env_hash"), str, f"{_MALFORMED}env_hash"),
         config=config,
         checksum=checksum,
     )
@@ -276,7 +203,6 @@ def _checked(header: dict, rows: list, length: int, checksum: str) -> Checkpoint
 
 def restore_model(ckpt: Checkpoint) -> FlowModel:
     """The checkpoint's model, built on its parameter row: the two share the buffer."""
-    from .model import FlowModel
     return FlowModel(ckpt.model_config, ckpt.params)
 
 

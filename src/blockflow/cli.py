@@ -20,7 +20,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BlockflowError, ValidationError, _build_dataclass, _read_json, _typed
+from .errors import BlockflowError, ValidationError
+from .files import build_dataclass, read_json, read_table, typed, write_manifest, write_table
 
 RUN_CONFIG_SCHEMA = "blockflow-run/1"
 _RUN_CONFIG_KEYS = ("schema", "topology", "vocabulary", "model", "reward", "train")
@@ -42,7 +43,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     from .reward import AdapterConfig, RewardSpec
     from .trainer import TrainConfig
     path = Path(path)
-    doc = _read_json(path, RUN_CONFIG_SCHEMA)
+    doc = read_json(path, RUN_CONFIG_SCHEMA)
     unknown = set(doc) - set(_RUN_CONFIG_KEYS)
     if unknown:
         raise ValidationError(
@@ -50,28 +51,28 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key in ("topology", "vocabulary"):
         if key not in doc:
             raise ValidationError(f"{path}: missing key {key!r}")
-        _typed(doc[key], str, f"{path}: {key}")
+        typed(doc[key], str, f"{path}: {key}")
     base = path.parent
     vocab = Vocabulary.load(base / doc["vocabulary"])
     env = Environment(Topology.load(base / doc["topology"]), vocab)
 
-    model_doc = _typed(doc.get("model", {}), dict, f"{path}: model")
-    init_seed = _typed(model_doc.pop("init_seed", 0), int, f"{path}: model.init_seed")
+    model_doc = typed(doc.get("model", {}), dict, f"{path}: model")
+    init_seed = typed(model_doc.pop("init_seed", 0), int, f"{path}: model.init_seed")
     if init_seed < 0:
         raise ValidationError(f"{path}: model.init_seed must be >= 0, got {init_seed}")
     model_doc.setdefault("vocab_size", len(vocab))
     if model_doc["vocab_size"] != len(vocab):
         raise ValidationError(f"{path}: model.vocab_size must match the vocabulary ({len(vocab)})")
-    model_config = _build_dataclass(ModelConfig, model_doc, f"{path}: model")
+    model_config = build_dataclass(ModelConfig, model_doc, f"{path}: model")
 
-    reward_doc = _typed(doc.get("reward", {}), dict, f"{path}: reward")
+    reward_doc = typed(doc.get("reward", {}), dict, f"{path}: reward")
     adapter_doc = reward_doc.pop("adapter", None)
     adapter = None
     if adapter_doc is not None:
-        adapter = _build_dataclass(AdapterConfig, adapter_doc, f"{path}: reward.adapter")
-    reward_spec = _build_dataclass(RewardSpec, reward_doc, f"{path}: reward")
+        adapter = build_dataclass(AdapterConfig, adapter_doc, f"{path}: reward.adapter")
+    reward_spec = build_dataclass(RewardSpec, reward_doc, f"{path}: reward")
 
-    train_config = _build_dataclass(TrainConfig, doc.get("train", {}), f"{path}: train")
+    train_config = build_dataclass(TrainConfig, doc.get("train", {}), f"{path}: train")
     return RunConfig(env=env, model_config=model_config, init_seed=init_seed,
                      reward_spec=reward_spec, adapter=adapter,
                      train_config=train_config)
@@ -109,7 +110,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .checkpoint import write_manifest
     from .dataset import generate, save_dataset
     from .reward import RewardModel
     run = load_run_config(args.config)
@@ -133,7 +133,6 @@ def cmd_sample(args) -> int:
 def cmd_amd(args) -> int:
     import numpy as np
 
-    from .checkpoint import write_manifest, write_table
     from .crystal import amd, descriptor_distance_matrix, load_cif_file, novelty_score
     out, cif_dir, ref_dir = args.out, args.cif_dir, args.reference_dir
     for directory in (cif_dir, ref_dir):
@@ -177,7 +176,6 @@ def cmd_amd(args) -> int:
 
 
 def _load_xy(path: Path) -> tuple[list[float], list[float]]:
-    from .checkpoint import read_table
     header, rows = read_table(path)
     if len(header) != 2:
         raise ValidationError(f"{path}: expected a two-column CSV with one header line")
@@ -196,7 +194,6 @@ def _load_xy(path: Path) -> tuple[list[float], list[float]]:
 
 def cmd_regress(args) -> int:
     from .analysis import cross_validate, fit_univariate, holdout_validate
-    from .checkpoint import write_manifest, write_table
     x, y = _load_xy(args.data)
     # only the fits can tell that a table is degenerate, so they run before the manifest
     report = fit_univariate(x, y)
@@ -221,7 +218,6 @@ def cmd_regress(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .checkpoint import write_manifest, write_table
     from .dataset import baseline_comparison
     from .reward import RewardModel
     run = load_run_config(args.config)
@@ -244,7 +240,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_flows(args) -> int:
-    from .checkpoint import write_manifest, write_table
     from .dataset import exact_flows
     from .reward import RewardModel
     run = load_run_config(args.config)

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BlockflowError, ValidationError, _read_text
+from .errors import BlockflowError, ValidationError
+from .files import read_text
 
 # CIF 1.1's tokens (Hall, Allen & Brown, Acta Cryst. A47 (1991) 655), comments included. A quote
 # closes only before whitespace; a ';' text field or a quote that never closes is an `open` token.
@@ -267,4 +268,4 @@ def novelty_score(candidates, references) -> np.ndarray:
 
 
 def load_cif_file(path: str | Path) -> PeriodicPointSet:
-    return parse_cif(_read_text(path), name=str(path))
+    return parse_cif(read_text(path), name=str(path))

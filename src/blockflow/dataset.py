@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_table, write_table
 from .env import Environment
 from .errors import ValidationError
+from .files import read_table, write_table
 from .reward import RewardModel
 from .trainer import distinct_rows, rollout, uniform_rollout
 
@@ -87,9 +87,7 @@ def save_dataset(path: str | Path, records: list[CandidateRecord]) -> None:
 
 
 def load_dataset(path: str | Path, env: Environment) -> list[CandidateRecord]:
-    header, rows = read_table(path)
-    if header != DATASET_HEADER:
-        raise ValidationError(f"{path}: expected header {','.join(DATASET_HEADER)}")
+    _, rows = read_table(path, DATASET_HEADER)
     out = []
     for lineno, row in rows:
         try:

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BlockflowError, ValidationError, _build_dataclass, _read_json, _read_text
+from .errors import BlockflowError, ValidationError
+from .files import build_dataclass, read_json, read_text
 
 VOCAB_SCHEMA = "vocabulary/1"
 TOPOLOGY_SCHEMA = "topology/1"
@@ -71,7 +72,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = _read_text(path).splitlines()
+        lines = read_text(path).splitlines()
         if not lines or not lines[0].strip().startswith("#"):
             raise ValidationError(f"{path}:1: missing schema comment line")
         m = re.search(r"schema=(\S+)", lines[0])
@@ -137,7 +138,7 @@ class Topology:
 
     @classmethod
     def load(cls, path: str | Path) -> "Topology":
-        return _build_dataclass(cls, _read_json(path, TOPOLOGY_SCHEMA), str(path))
+        return build_dataclass(cls, read_json(path, TOPOLOGY_SCHEMA), str(path))
 
 
 @dataclass(eq=False)

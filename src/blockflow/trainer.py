@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_run_checkpoint, save_checkpoint, write_manifest, write_table
+from .checkpoint import load_run_checkpoint, save_checkpoint
 from .env import Environment
 from .errors import BlockflowError, ValidationError
+from .files import trim_table, write_manifest
 from .model import FlowModel
 from .optim import Adam
 from .reward import RewardModel
@@ -192,26 +193,6 @@ def _window_means(losses: np.ndarray, n: int, window: int) -> list[float | None]
     return [None] * (n - len(means)) + means
 
 
-def _trim_metrics(path: Path, last_episode: int) -> None:
-    """Rewrite the metrics file as the header and its rows up to `last_episode`,
-    so a run, fresh or resumed, appends its rows cleanly.
-
-    A crash can cut the file at any byte, so a last line without its line
-    terminator, any row without all the columns and any row whose episode is
-    not a decimal integer are dropped as well. The
-    kept rows go to a temporary file that then replaces the old one, so a
-    crash during the rewrite leaves the old file whole.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            complete_lines = fh.read().split("\n")[:-1]
-    except FileNotFoundError:
-        complete_lines = []
-    write_table(path, METRICS_HEADER,
-                [r for r in csv.reader(complete_lines[1:])
-                 if len(r) == len(METRICS_HEADER) and r[0].isdecimal() and int(r[0]) <= last_episode])
-
-
 # Train-config fields a resumed run may change without breaking exactness.
 RESUMABLE_FIELDS = ("max_episodes", "checkpoint_every")
 
@@ -299,7 +280,7 @@ def train(config: TrainConfig, model: FlowModel, env: Environment,
         "config": asdict(config),
         "resume_from": None if resume_from is None else str(resume_from),
     })
-    _trim_metrics(out_dir / "metrics.csv", start_episode)
+    trim_table(out_dir / "metrics.csv", METRICS_HEADER, start_episode)
 
     episode = start_episode
     stopped_early = False

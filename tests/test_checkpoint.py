@@ -1,5 +1,4 @@
 import builtins
-import csv
 import hashlib
 import json
 import math
@@ -14,10 +13,8 @@ import numpy as np
 import pytest
 
 from blockflow import Adam, FlowModel, ModelConfig, load_checkpoint, restore_model, save_checkpoint
-from blockflow.analysis import load_isotherm_table
-from blockflow.checkpoint import CHECKPOINT_SCHEMA, atomic_write, read_table, write_table
+from blockflow.checkpoint import CHECKPOINT_SCHEMA
 from blockflow.cli import load_run_config, main
-from blockflow.dataset import load_dataset
 from blockflow.errors import ValidationError
 from blockflow.model import named_views
 from conftest import FIXTURES, file_sha256
@@ -306,62 +303,6 @@ def test_file_sha256_known_value(tmp_path):
                               "b00361a396177a9cb410ff61f20015ad")
 
 
-def test_atomic_write_replaces_the_file_whole_or_not_at_all(tmp_path):
-    path = tmp_path / "out.bin"
-    path.write_bytes(b"old")
-    with pytest.raises(OSError):
-        with atomic_write(path, "wb") as fh:
-            fh.write(b"new, partly written")
-            raise OSError("disk full")
-    assert path.read_bytes() == b"old"
-    with atomic_write(path, "wb") as fh:
-        fh.write(b"new")
-        assert path.read_bytes() == b"old"  # nothing shows until the block exits
-    assert path.read_bytes() == b"new"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
-
-
-def test_write_table_gives_the_csv_writer_bytes(tmp_path):
-    header = ["name", "value", "count"]
-    rows = [["a,b", -0.0, 1], ['say "hi"', 5e-324, None], ["plain", 1e16, 7],
-            ["big", math.inf, 0]]
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    path = tmp_path / "table.csv"
-    write_table(path, header, iter(rows))
-    assert path.read_bytes() == reference.read_bytes() == (
-        b'name,value,count\r\n"a,b",-0.0,1\r\n"say ""hi""",5e-324,\r\n'
-        b"plain,1e+16,7\r\nbig,inf,0\r\n")
-    assert read_table(path) == (header, [(2, ["a,b", "-0.0", "1"]), (3, ['say "hi"', "5e-324", ""]),
-                                         (4, ["plain", "1e+16", "7"]), (5, ["big", "inf", "0"])])
-    (tmp_path / "empty.csv").write_bytes(b"")
-    assert read_table(tmp_path / "empty.csv") == ([], [])
-
-
-@pytest.mark.parametrize("body", ["1,2\n1,2,3\n", "1,2\n\n"], ids=["long", "blank"])
-def test_read_table_refuses_a_row_of_another_width(tmp_path, body):
-    # a short row is refused through each loader's own tests
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n" + body)
-    with pytest.raises(ValidationError, match="t.csv:3: expected 2 fields"):
-        read_table(path)
-
-
-@pytest.mark.parametrize("content", [None, b"material\r\n\xff\r\n",
-                                     b"material\r\n" + b"x" * (csv.field_size_limit() + 1)],
-                         ids=["missing", "not-utf8", "cell-over-the-csv-limit"])
-@pytest.mark.parametrize("load", [load_dataset, lambda path, env: load_isotherm_table(path)])
-def test_an_unreadable_table_is_refused_by_name(tmp_path, load, content, bridge_env):
-    path = tmp_path / "table.csv"
-    if content is not None:
-        path.write_bytes(content)
-    with pytest.raises(ValidationError, match=f"cannot read {path}"):
-        load(path, bridge_env)
-
-
 def test_save_is_atomic_no_tmp_left_behind(tmp_path):
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
@@ -391,11 +332,11 @@ class DiesMidBody:
 
 
 def test_failed_save_keeps_the_old_checkpoint_and_no_tmp(tmp_path, monkeypatch):
-    import blockflow.checkpoint as checkpoint_mod
+    import blockflow.files as files_mod
     model, opt, rng = _trained_pieces()
     path = _save(tmp_path, model, opt, rng)
     before = path.read_bytes()
-    monkeypatch.setattr(checkpoint_mod, "open", lambda *args, **kw: DiesMidBody(
+    monkeypatch.setattr(files_mod, "open", lambda *args, **kw: DiesMidBody(
         builtins.open(*args, **kw)), raising=False)
     with pytest.raises(OSError, match="no space"):
         _save(tmp_path, model, opt, rng, episode=99)

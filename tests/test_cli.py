@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from blockflow import Adam, FlowModel, RewardModel
-from blockflow.checkpoint import save_checkpoint, write_table
+from blockflow.checkpoint import save_checkpoint
 from blockflow.cli import load_run_config, main
+from blockflow.files import write_table
 from conftest import (CONFIGS, FIXTURES, file_sha256, reference_flow_rows, reference_flows,
                       stub_adapter_command)
 
@@ -817,14 +818,16 @@ def test_resume_refuses_config_drift(tmp_path, capsys, flags, overrides, named):
     assert len(read_csv(out / "metrics.csv")) == 33
 
 
+@pytest.mark.parametrize("garbage", [b"garbage,1,2,3,4,5\r\n", b"\xff\xfe,1,2,3,4,5\r\n"],
+                         ids=["not-decimal", "not-utf8"])
 @pytest.mark.parametrize("resume", [True, False], ids=["resume", "fresh"])
-def test_a_metrics_row_whose_episode_is_not_an_integer_is_dropped(tmp_path, resume):
+def test_a_metrics_row_whose_episode_is_not_an_integer_is_dropped(tmp_path, resume, garbage):
     cfg = run_config(tmp_path)
     full, out = tmp_path / "full", tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--max-episodes", "64", "--out", str(full)]) == 0
     assert main(["train", "--config", str(cfg), "--max-episodes", "32", "--out", str(out)]) == 0
     with open(out / "metrics.csv", "ab") as fh:
-        fh.write(b"garbage,1,2,3,4,5\r\n")
+        fh.write(garbage)
     flags = ["--resume", str(out / "checkpoint.json")] if resume else []
     assert main(["train", "--config", str(cfg), "--max-episodes", "64", *flags,
                  "--out", str(out)]) == 0
@@ -957,8 +960,8 @@ def _xy_csv(path: Path) -> Path:
 
 
 @pytest.mark.parametrize("command, runs, absent", [
-    ("amd", "crystal", {"trainer", "reward", "analysis"}),
-    ("regress", "analysis", {"trainer", "reward", "model"}),
+    ("amd", "crystal", {"trainer", "reward", "analysis", "checkpoint"}),
+    ("regress", "analysis", {"trainer", "reward", "model", "checkpoint"}),
 ])
 def test_cli_child_imports_only_what_its_command_runs(command, runs, absent, tmp_path,
                                                       no_thread_vars):
