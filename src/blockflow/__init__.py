@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in {
     "model": "FlowModel ModelConfig",
     "optim": "Adam adam_update",
     "reward": "AdapterConfig RewardModel RewardSpec Scores external_gsa reward surrogate_gsa",
-    "trainer": "TrainConfig TrainResult rollout train uniform_rollout",
+    "trainer": "TrainConfig TrainResult rollout train",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

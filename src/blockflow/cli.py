@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BlockflowError as exc:
+    except (BlockflowError, OSError) as exc:  # a file that could not be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from .env import Environment
 from .errors import ValidationError
 from .files import read_table, write_table
 from .reward import RewardModel
-from .trainer import distinct_rows, rollout, uniform_rollout
+from .trainer import distinct_rows, rollout
 
 DATASET_HEADER = ["assembly_record", "gsa_m2_per_g", "reward", "sample_count", "first_seen_episode"]
 
@@ -120,20 +120,29 @@ class BaselineSummary:
     uniform_counts: np.ndarray
 
 
+class _Uniform:
+    """The uniform policy behind the model's step interface: zero logits, so
+    `rollout` draws each slot's valid tokens alike."""
+
+    def __init__(self, env: Environment):
+        self.start_token = self.vocab_size = len(env.vocabulary)  # the start sentinel, as the model's
+
+    def step(self, tokens, state=None, cache=None, *, parents=None, last=False):
+        return np.zeros((len(tokens), self.vocab_size)), None
+
+
 def baseline_comparison(model, env: Environment, reward_model: RewardModel,
                         n_samples: int, seed: int) -> BaselineSummary:
     """Sample the policy and a uniform policy on split RNG streams; bin both rewards in 20 bins."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    seq_trained, seq_uniform = np.random.SeedSequence(seed).spawn(2)
-    r_trained, r_uniform = np.empty(n_samples), np.empty(n_samples)
-    for lo, draws in _chunks(model, env, seq_trained, n_samples):
-        r_trained[lo:lo + _CHUNK] = reward_model.score_batch(draws).reward
-    uniform = uniform_rollout(env, n_samples, np.random.Generator(np.random.PCG64(seq_uniform)))
-    for lo in range(0, n_samples, _CHUNK):  # slot-major draws, scored a chunk at a time
-        r_uniform[lo:lo + _CHUNK] = reward_model.score_batch(uniform[lo:lo + _CHUNK]).reward
-    lo = min(r_trained.min(), r_uniform.min())
-    hi = max(r_trained.max(), r_uniform.max())
+    rewards = np.empty((2, n_samples))  # one row per arm: trained, uniform
+    for row, policy, stream in zip(rewards, (model, _Uniform(env)),
+                                   np.random.SeedSequence(seed).spawn(2)):
+        for lo, draws in _chunks(policy, env, stream, n_samples):
+            row[lo:lo + _CHUNK] = reward_model.score_batch(draws).reward
+    r_trained, r_uniform = rewards
+    lo, hi = rewards.min(), rewards.max()
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, 21)

@@ -162,17 +162,6 @@ def distinct_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[ids], first[order]
 
 
-def uniform_rollout(env: Environment, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n sequences uniformly over each slot's valid tokens: an (n, n_slots) array."""
-    if n < 1:
-        raise ValidationError("rollout size must be >= 1")
-    sequences = np.empty((n, env.n_slots), dtype=np.intp)
-    for t in range(env.n_slots):
-        valid = np.flatnonzero(env.slot_masks[t])
-        sequences[:, t] = valid[rng.integers(0, valid.shape[0], size=n)]
-    return sequences
-
-
 @dataclass
 class TrainResult:
     episodes_run: int

@@ -478,7 +478,8 @@ def test_sample_and_baseline_draw_with_no_moment_row_alive(bridge_run, tmp_path,
     monkeypatch.setattr(dataset_mod, "rollout", drawing)
     assert main([command, "--config", str(cfg), "--checkpoint", str(run / "checkpoint.json"),
                  "-n", "5", "--out", str(tmp_path / command)]) == 0
-    assert alive == [[True, False]]  # the parameter row, adopted by the model; not the spare
+    # at every draw, one per arm: the parameter row, adopted by the model; not the spare
+    assert alive == [[True, False]] * {"sample": 1, "baseline": 2}[command]
 
 
 # Model dims other than the bridge run's, saved on the bridge run's environment

@@ -15,10 +15,11 @@ from scipy import stats
 
 from blockflow import (Adam, AdapterConfig, Environment, FlowModel, ModelConfig, RewardModel,
                        RewardSpec, Topology, TrainConfig, Vocabulary,
-                       exact_flows, load_checkpoint, rollout, train, uniform_rollout)
+                       exact_flows, load_checkpoint, rollout, train)
 from blockflow import autodiff
 from blockflow.autodiff import masked_log_softmax
 from blockflow.cli import load_run_config
+from blockflow.dataset import _Uniform
 from blockflow.errors import BlockflowError, ValidationError
 from blockflow.model import _HEAD_ROWS, _ROWS
 from blockflow.trainer import _window_means
@@ -116,26 +117,16 @@ def test_epsilon_records_pure_policy_log_probs(bridge_env):
             assert got == pytest.approx(episode_log_prob(model, bridge_env, seq), rel=1e-12)
 
 
-def test_uniform_rollout_covers_and_validates(bridge_env):
-    rng = np.random.Generator(np.random.PCG64(5))
-    seqs = uniform_rollout(bridge_env, 4000, rng)
-    assert seqs.shape == (4000, bridge_env.n_slots)
-    bridge_env.check_sequences(seqs)
-    counts = Counter(map(tuple, seqs.tolist()))
-    assert len(counts) == 12
-    expected = 4000 / 12.0
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < stats.chi2.ppf(0.999, 11)
-
-
 def test_rollout_zero_init_draws_are_uniform(bridge_env):
-    # zero-init model is uniform, so batch draws should be uniform too
-    model = zero_model(SMALL)
-    rng = np.random.Generator(np.random.PCG64(11))
-    actions, _ = rollout(model, bridge_env, rng, 6000)
-    counts = Counter(map(tuple, actions.tolist()))
-    chi2 = chi_squared(counts, {seq: 6000 / 12.0 for seq in terminal_tuples(bridge_env)})
-    assert chi2 < stats.chi2.ppf(0.999, 11)
+    # a zero-init model and baseline's zero-logit policy are uniform, so batch draws should be too
+    for policy in (zero_model(SMALL), _Uniform(bridge_env)):
+        rng = np.random.Generator(np.random.PCG64(11))
+        actions, _ = rollout(policy, bridge_env, rng, 6000)
+        bridge_env.check_sequences(actions)
+        counts = Counter(map(tuple, actions.tolist()))
+        assert len(counts) == 12
+        chi2 = chi_squared(counts, {seq: 6000 / 12.0 for seq in terminal_tuples(bridge_env)})
+        assert chi2 < stats.chi2.ppf(0.999, 11)
 
 
 def test_rollout_matches_model_distribution(bridge_env):
